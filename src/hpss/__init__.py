@@ -32,7 +32,7 @@ from .postproc import (
     series_pec_cylinder,
 )
 from .pss import ConvergenceError, PssConfig, SolveReport, build_factor_chain, expected_solve_counts, solve
-from .scaling import NormEstimate, ScaledSystem, compute_scaling, estimate_operator_norm, estimate_spectral_radius
+from .scaling import NormEstimate, ScaledSystem, compute_scaling, estimate_spectral_radius
 from .solvers import IterativeReport, gmres, lu_solve
 
 __version__ = "0.1.0"
@@ -67,7 +67,6 @@ __all__ = [
     "discretize_disk",
     "discretize_strip",
     "entry_function",
-    "estimate_operator_norm",
     "estimate_spectral_radius",
     "expected_solve_counts",
     "gmres",

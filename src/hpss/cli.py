@@ -4,9 +4,6 @@ Configuration comes from an optional plain-text ``key=value`` file plus
 command-line flags, flags winning.  Unknown keys are rejected with the
 valid list.  All CSV artifacts are byte-deterministic for a fixed config
 and seed: timings appear only in the plain-text summaries.
-
-The ``HPSS_THREADS`` environment variable caps the assembly worker count;
-it never changes results, only wall time.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -115,34 +112,11 @@ def _coerce(name: str, kind: type, raw: str):
     return raw
 
 
-# annotations are strings under `from __future__ import annotations`, so the
-# coercion types are spelled out rather than read off the dataclass fields
+# read through get_type_hints because annotations are strings under
+# `from __future__ import annotations`; Optional[float] coerces as float
 _FIELD_TYPES: Dict[str, type] = {
-    "geometry": str,
-    "length": float,
-    "radius": float,
-    "eps_r": complex,
-    "density": float,
-    "leaf_size": int,
-    "eta": float,
-    "aca_tol": float,
-    "gmres_tol": float,
-    "gmres_restart": int,
-    "gmres_maxit": int,
-    "series_order": int,
-    "levels": str,
-    "solver": str,
-    "solvers": str,
-    "phi_inc_deg": float,
-    "angle_start": float,
-    "angle_stop": float,
-    "angle_count": int,
-    "amplitude": float,
-    "symmetric": bool,
-    "seed": int,
-    "out": str,
-    "sizes": str,
-    "assert_rms_db": float,
+    name: next((arg for arg in get_args(hint) if arg is not type(None)), hint)
+    for name, hint in get_type_hints(RunConfig).items()
 }
 
 
@@ -194,9 +168,9 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_iterative_csv(path: str, report: IterativeReport) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("step,relative_residual\n")
-        for k, r in report.history_csv_rows():
-            fh.write(f"{k},{r}\n")
+        fh.write("step,relative_residual,kind\n")
+        for k, r, kind in report.history_csv_rows():
+            fh.write(f"{k},{r},{kind}\n")
 
 
 @dataclass
@@ -245,7 +219,7 @@ def _run_one_solver(
         detail = (
             f"gmres iterations: {report.iterations}\n"
             f"converged: {report.converged}\n"
-            f"final relative residual: {report.residual_history[-1]:.6g}\n"
+            f"final relative residual (true, recomputed): {report.true_residuals[-1][1]:.6g}\n"
             f"matvecs: {report.n_matvecs}\n"
         )
         run = SolverRun("gmres", x_mesh, rcs, wall, detail, report.n_matvecs, report.iterations)
@@ -259,7 +233,11 @@ def _run_one_solver(
     return run, None, None
 
 
-def run_solve(cfg: RunConfig) -> int:
+def _build_problem(
+    cfg: RunConfig, level_filter: Callable[[int], Optional[List[int]]]
+) -> Tuple[Mesh, KernelSpec, HMatrix, np.ndarray]:
+    """Mesh, kernel, H-matrix assembled with ``level_filter(depth)``, and the
+    mesh-order plane-wave RHS; writes mesh.csv and memory_report.csv."""
     os.makedirs(cfg.out, exist_ok=True)
     mesh = build_mesh(cfg)
     spec = KernelSpec.for_mesh(mesh)
@@ -270,13 +248,17 @@ def run_solve(cfg: RunConfig) -> int:
         tree,
         cfg.aca_tol,
         eta=cfg.eta,
-        level_filter=cfg.level_filter(tree.depth),
+        level_filter=level_filter(tree.depth),
         symmetric_mode=cfg.symmetric,
         probe_seed=cfg.seed,
     )
     write_mesh_csv(mesh, os.path.join(cfg.out, "mesh.csv"))
     memory_report(h).to_csv(os.path.join(cfg.out, "memory_report.csv"))
+    return mesh, spec, h, b_mesh
 
+
+def run_solve(cfg: RunConfig) -> int:
+    mesh, spec, h, b_mesh = _build_problem(cfg, cfg.level_filter)
     run, it_report, pss_report = _run_one_solver(cfg.solver, cfg, mesh, spec, h, b_mesh)
     run.rcs.to_csv(os.path.join(cfg.out, f"rcs_{run.name}.csv"))
     _write_text(os.path.join(cfg.out, "solve_report.txt"), run.detail)
@@ -286,7 +268,7 @@ def run_solve(cfg: RunConfig) -> int:
     lines = [
         f"geometry: {cfg.geometry}",
         f"unknowns: {mesh.n_elements}",
-        f"tree depth: {tree.depth}",
+        f"tree depth: {h.depth}",
         f"solver: {run.name}",
         f"wall time: {run.wall_time_s:.3f} s",
         f"outputs: {cfg.out}",
@@ -297,24 +279,9 @@ def run_solve(cfg: RunConfig) -> int:
 
 
 def run_compare(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
-    mesh = build_mesh(cfg)
-    spec = KernelSpec.for_mesh(mesh)
-    tree = build_cluster_tree(mesh, cfg.leaf_size)
-    b_mesh = rhs(spec, Excitation(math.radians(cfg.phi_inc_deg), cfg.amplitude))
     # the comparison baseline always sees the complete operator; the power
     # series honors the configured level filter through its active levels
-    h = assemble(
-        spec,
-        tree,
-        cfg.aca_tol,
-        eta=cfg.eta,
-        level_filter=None,
-        symmetric_mode=cfg.symmetric,
-        probe_seed=cfg.seed,
-    )
-    write_mesh_csv(mesh, os.path.join(cfg.out, "mesh.csv"))
-    memory_report(h).to_csv(os.path.join(cfg.out, "memory_report.csv"))
+    mesh, spec, h, b_mesh = _build_problem(cfg, lambda depth: None)
 
     runs: Dict[str, SolverRun] = {}
     for name in cfg._solver_list():
@@ -325,7 +292,7 @@ def run_compare(cfg: RunConfig) -> int:
             _write_iterative_csv(os.path.join(cfg.out, "iterative_report.csv"), it_report)
 
     lines = [
-        f"geometry: {cfg.geometry}, unknowns {mesh.n_elements}, tree depth {tree.depth}",
+        f"geometry: {cfg.geometry}, unknowns {mesh.n_elements}, tree depth {h.depth}",
         f"power-series levels: {cfg.levels}, order {cfg.series_order}",
     ]
     for name, run in runs.items():

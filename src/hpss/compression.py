@@ -54,20 +54,9 @@ class LowRankBlock:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.u @ (self.v @ x)
 
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """Adjoint (conjugate-transpose) action."""
-        return self.v.conj().T @ (self.u.conj().T @ x)
-
     def tmatvec(self, x: np.ndarray) -> np.ndarray:
         """Plain-transpose action, used for reciprocal mirrored blocks."""
         return self.v.T @ (self.u.T @ x)
-
-    def cmatvec(self, x: np.ndarray) -> np.ndarray:
-        """Elementwise-conjugate action, the adjoint of :meth:`tmatvec`."""
-        return self.u.conj() @ (self.v.conj() @ x)
-
-    def to_dense(self) -> np.ndarray:
-        return self.u @ self.v
 
 
 def aca(
@@ -184,18 +173,3 @@ def recompress(u: np.ndarray, v: np.ndarray, tol: float) -> Tuple[np.ndarray, np
     u_new = qu @ (w[:, :keep] * sigma[:keep])
     v_new = zh[:keep] @ qv.conj().T
     return u_new, v_new
-
-
-def compress_block(
-    entry_fn: EntryFn,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    tol: float,
-    row_start: int,
-    col_start: int,
-    level: int,
-) -> LowRankBlock:
-    """ACA followed by recompression, packaged as a placed block."""
-    u, v = aca(entry_fn, rows, cols, tol)
-    u, v = recompress(u, v, tol)
-    return LowRankBlock(row_start, col_start, u, v, level)

@@ -12,19 +12,13 @@ simply contribute nothing, which downstream solvers treat as exact zeros.
 ``symmetric_mode`` stores one of each off-diagonal block pair and applies
 the mirrored action with plain (unconjugated) transposes; it is allowed
 only after a runtime reciprocity probe of the kernel.
-
-Assembly parallelizes over far blocks when the HPSS_THREADS environment
-variable asks for more than one worker; block results are placed by index,
-so the outcome does not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -128,24 +122,12 @@ class HMatrix:
 
     # -- near field -------------------------------------------------------
 
-    def near_matvec(self, x: np.ndarray, offdiag_only: bool = False) -> np.ndarray:
+    def near_matvec(self, x: np.ndarray) -> np.ndarray:
         y = np.zeros(self.n, dtype=np.complex128)
         for blk in self.near_blocks:
-            if offdiag_only and blk.is_diagonal:
-                continue
             y[blk.row_start : blk.row_stop] += blk.data @ x[blk.col_start : blk.col_stop]
             if self.symmetric and not blk.is_diagonal:
                 y[blk.col_start : blk.col_stop] += blk.data.T @ x[blk.row_start : blk.row_stop]
-        return y
-
-    def near_rmatvec(self, x: np.ndarray, offdiag_only: bool = False) -> np.ndarray:
-        y = np.zeros(self.n, dtype=np.complex128)
-        for blk in self.near_blocks:
-            if offdiag_only and blk.is_diagonal:
-                continue
-            y[blk.col_start : blk.col_stop] += blk.data.conj().T @ x[blk.row_start : blk.row_stop]
-            if self.symmetric and not blk.is_diagonal:
-                y[blk.row_start : blk.row_stop] += blk.data.conj() @ x[blk.col_start : blk.col_stop]
         return y
 
     def diagonal_blocks(self) -> List[NearBlock]:
@@ -168,17 +150,6 @@ class HMatrix:
                 y[blk.col_start : blk.col_start + n] += blk.tmatvec(x[blk.row_start : blk.row_start + m])
         return y
 
-    def matvec_level_adjoint(self, level: int, x: np.ndarray) -> np.ndarray:
-        if level < 1 or level > self.depth:
-            raise ValueError(f"far-field level must lie in 1..{self.depth}")
-        y = np.zeros(self.n, dtype=np.complex128)
-        for blk in self.far_blocks.get(level, ()):
-            m, n = blk.shape
-            y[blk.col_start : blk.col_start + n] += blk.rmatvec(x[blk.row_start : blk.row_start + m])
-            if self.symmetric:
-                y[blk.row_start : blk.row_start + m] += blk.cmatvec(x[blk.col_start : blk.col_start + n])
-        return y
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Full assembled action: near field plus every assembled level."""
         x = np.asarray(x, dtype=np.complex128)
@@ -189,26 +160,10 @@ class HMatrix:
             y += self.matvec_level(level, x)
         return y
 
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
-        y = self.near_rmatvec(x)
-        for level in sorted(self.assembled_levels):
-            y += self.matvec_level_adjoint(level, x)
-        return y
-
     def covers_all_far_levels(self) -> bool:
         """True when every level with admissible pairs was assembled."""
         needed = {lvl for lvl, pairs in self.partition.far_pairs.items() if pairs}
         return needed.issubset(self.assembled_levels)
-
-
-def _worker_count(n_tasks: int) -> int:
-    raw = os.environ.get("HPSS_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"HPSS_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, min(workers, n_tasks))
 
 
 def _probe_reciprocity(entry_fn, n: int, seed: int = 0) -> None:
@@ -275,38 +230,28 @@ def assemble(
     rank_flags: List[Tuple[int, int, int, int]] = []
     far_blocks: Dict[int, List[LowRankBlock]] = {}
 
-    def build_far(pair_level: Tuple[int, int], level: int) -> LowRankBlock:
-        t, s = pair_level
-        nt, ns = nodes[t], nodes[s]
-        rows = np.arange(nt.start, nt.stop)
-        cols = np.arange(ns.start, ns.stop)
-        try:
-            u, v = aca(entry_fn, rows, cols, tol)
-            u, v = recompress(u, v, tol)
-        except Exception as exc:
-            raise RuntimeError(
-                f"far-block compression failed at level {level}, rows "
-                f"[{nt.start}, {nt.stop}), cols [{ns.start}, {ns.stop}): {exc}"
-            ) from exc
-        return LowRankBlock(nt.start, ns.start, u, v, level)
-
     for level in sorted(levels):
         pairs = partition.far_pairs.get(level, [])
         if symmetric_mode:
             pairs = [(t, s) for t, s in pairs if nodes[t].start < nodes[s].start]
-        if not pairs:
-            far_blocks[level] = []
-            continue
-        workers = _worker_count(len(pairs))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                blocks = list(pool.map(lambda pair: build_far(pair, level), pairs))
-        else:
-            blocks = [build_far(pair, level) for pair in pairs]
-        for blk in blocks:
+        blocks: List[LowRankBlock] = []
+        for t, s in pairs:
+            nt, ns = nodes[t], nodes[s]
+            rows = np.arange(nt.start, nt.stop)
+            cols = np.arange(ns.start, ns.stop)
+            try:
+                u, v = aca(entry_fn, rows, cols, tol)
+                u, v = recompress(u, v, tol)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"far-block compression failed at level {level}, rows "
+                    f"[{nt.start}, {nt.stop}), cols [{ns.start}, {ns.stop}): {exc}"
+                ) from exc
+            blk = LowRankBlock(nt.start, ns.start, u, v, level)
             m, n = blk.shape
             if 2 * blk.rank > min(m, n):
                 rank_flags.append((level, blk.row_start, blk.col_start, blk.rank))
+            blocks.append(blk)
         far_blocks[level] = blocks
 
     stats: Dict[str, object] = {

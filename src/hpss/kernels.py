@@ -29,7 +29,6 @@ with d = (cos(phi), sin(phi)).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -189,21 +188,3 @@ def assemble_dense(
     idx = np.arange(n) if permutation is None else np.asarray(permutation, dtype=int)
     return z_block(spec, idx, idx)
 
-
-def write_dense_matrix(matrix: np.ndarray, path: str) -> None:
-    """Binary oracle export: 8-byte little-endian N, then row-major complex64."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("dense oracle export expects a square matrix")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", matrix.shape[0]))
-        fh.write(np.ascontiguousarray(matrix, dtype="<c8").tobytes())
-
-
-def read_dense_matrix(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        (n,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<c8")
-    if data.size != n * n:
-        raise ValueError("dense oracle file is truncated or oversized")
-    return data.reshape(n, n).astype(np.complex128)

@@ -51,6 +51,7 @@ Apply = Callable[[np.ndarray], np.ndarray]
 
 NORM_WARN_DEFAULT = 0.1
 NORM_FAIL_DEFAULT = 1.0
+RADIUS_ITERS = 20
 
 
 class ConvergenceError(RuntimeError):
@@ -68,7 +69,6 @@ class PssConfig:
 
     series_order: int = 2
     active_levels: Optional[Sequence[int]] = None
-    norm_iters: int = 20
     warn_threshold: float = NORM_WARN_DEFAULT
     fail_threshold: float = NORM_FAIL_DEFAULT
     seed: int = 0
@@ -100,18 +100,12 @@ class LevelFactor:
 
     level: int
     order: int
-    u_apply: Apply
-    u_adjoint: Apply
     t_apply: Apply
-    t_adjoint: Apply
     norm: NormEstimate
     counts: Dict[int, int]
 
     def ap_apply(self, v: np.ndarray) -> np.ndarray:
         return neumann_apply(self.t_apply, v, self.order)
-
-    def ap_adjoint(self, v: np.ndarray) -> np.ndarray:
-        return neumann_apply(self.t_adjoint, v, self.order)
 
 
 def neumann_apply(factor_apply: Apply, v: np.ndarray, order: int) -> np.ndarray:
@@ -167,20 +161,17 @@ def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> L
 
     factors: List[LevelFactor] = []
 
-    def make_u(level: int) -> Tuple[Apply, Apply]:
+    def make_u(level: int) -> Apply:
         # U_l = Z_N^{-1} Z_Fl; the counter tallies level matvecs only, the
         # near solves ride along one-for-one and are not iterations
         def u_apply(x: np.ndarray) -> np.ndarray:
             counts[level] += 1
             return scaled.near_solve(h.matvec_level(level, x))
 
-        def u_adjoint(x: np.ndarray) -> np.ndarray:
-            return h.matvec_level_adjoint(level, scaled.near_solve_adjoint(x))
-
-        return u_apply, u_adjoint
+        return u_apply
 
     for level in active:
-        u_apply, u_adjoint = make_u(level)
+        u_apply = make_u(level)
         prior = list(factors)
 
         def t_apply(x: np.ndarray, _u: Apply = u_apply, _prior: List[LevelFactor] = prior) -> np.ndarray:
@@ -189,15 +180,7 @@ def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> L
                 y = factor.ap_apply(y)
             return y
 
-        def t_adjoint(x: np.ndarray, _u: Apply = u_adjoint, _prior: List[LevelFactor] = prior) -> np.ndarray:
-            y = x
-            for factor in reversed(_prior):
-                y = factor.ap_adjoint(y)
-            return _u(y)
-
-        estimate = estimate_spectral_radius(
-            t_apply, h.n, iters=config.norm_iters, seed=config.seed + level
-        )
+        estimate = estimate_spectral_radius(t_apply, h.n, iters=RADIUS_ITERS, seed=config.seed + level)
         if estimate.value >= config.fail_threshold:
             raise ConvergenceError(
                 f"estimated convergence radius of the level-{level} series factor is "
@@ -211,9 +194,7 @@ def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> L
                 RuntimeWarning,
                 stacklevel=2,
             )
-        factors.append(
-            LevelFactor(level, config.series_order, u_apply, u_adjoint, t_apply, t_adjoint, estimate, counts)
-        )
+        factors.append(LevelFactor(level, config.series_order, t_apply, estimate, counts))
 
     return factors
 
@@ -322,7 +303,6 @@ def solve(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> Tuple[np.ndarr
     }
     for factor in factors:
         norms[factor.level] = factor.norm
-    scaled.norm_estimates = dict(norms)
 
     residual = None
     if h.covers_all_far_levels():

@@ -25,17 +25,15 @@ rounding level and anything larger signals a broken or synthetically
 de-scaled alpha.  The solver's guard turns that defect into a hard error
 before any series is applied.
 
-``estimate_operator_norm`` provides the spectral-norm estimates the solver
-uses for its convergence guards: randomized power iteration on A*A when an
-adjoint action is available, otherwise a Frobenius sampling proxy (an upper
-proxy, since the Frobenius norm dominates the spectral norm).
+``estimate_spectral_radius`` provides the radius estimates the solver uses
+for its convergence guards: plain power iteration on each factor.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,50 +52,6 @@ class NormEstimate:
     value: float
     mode: str
     iterations: int
-
-
-def estimate_operator_norm(
-    apply: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    iters: int = 20,
-    adjoint: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    seed: int = 0,
-) -> NormEstimate:
-    """Randomized 2-norm estimate of a linear operator given by closures.
-
-    With ``adjoint`` supplied this runs power iteration on A*A and returns
-    ``|A v|`` at the final iterate; without it, it samples ``iters`` random
-    unit vectors and returns the Frobenius estimate
-    ``sqrt(n * mean(|A v|^2))``, which upper-bounds the spectral norm in
-    expectation.
-    """
-    if n < 1:
-        raise ValueError("operator dimension must be positive")
-    if iters < 1:
-        raise ValueError("iteration count must be positive")
-    rng = np.random.default_rng(seed)
-
-    def unit_vector() -> np.ndarray:
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return v / np.linalg.norm(v)
-
-    if adjoint is None:
-        acc = 0.0
-        for _ in range(iters):
-            w = apply(unit_vector())
-            acc += float(np.vdot(w, w).real)
-        return NormEstimate(float(np.sqrt(n * acc / iters)), "frobenius-proxy", iters)
-
-    v = unit_vector()
-    for _ in range(iters):
-        w = apply(v)
-        z = adjoint(w)
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            return NormEstimate(float(np.linalg.norm(w)), "power-adjoint", iters)
-        v = z / nz
-    sigma = float(np.linalg.norm(apply(v)))
-    return NormEstimate(sigma, "power-adjoint", iters)
 
 
 def estimate_spectral_radius(
@@ -148,57 +102,30 @@ class ScaledSystem:
     alpha_scale: float
     scale_defect: float
     near_factorization: object = None
-    norm_estimates: Dict[int, NormEstimate] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return self.h.n
 
-    def alpha_apply(self, x: np.ndarray) -> np.ndarray:
-        """alpha x: solve each diagonal leaf block against its slice of x."""
+    def _leaf_solve(self, x: np.ndarray) -> np.ndarray:
+        """Solve each diagonal leaf block against its slice of x."""
         y = np.empty(self.n, dtype=np.complex128)
         for (start, stop), factors in zip(self.leaf_ranges, self.lu_factors):
             y[start:stop] = lu_solve(factors, x[start:stop])
-        if self.alpha_scale != 1.0:
-            y *= self.alpha_scale
         return y
 
-    def alpha_adjoint_apply(self, x: np.ndarray) -> np.ndarray:
-        y = np.empty(self.n, dtype=np.complex128)
-        for (start, stop), factors in zip(self.leaf_ranges, self.lu_factors):
-            y[start:stop] = lu_solve(factors, x[start:stop], trans=2)
+    def alpha_apply(self, x: np.ndarray) -> np.ndarray:
+        """alpha x: the leaf solve times the alpha_scale knob."""
+        y = self._leaf_solve(x)
         if self.alpha_scale != 1.0:
-            y *= np.conj(self.alpha_scale)
+            y *= self.alpha_scale
         return y
 
     def near_solve(self, v: np.ndarray) -> np.ndarray:
         """Exact x with Z_N x = v, independent of the alpha_scale knob."""
         if self.near_factorization is None:
-            return self._alpha_unscaled(v)
+            return self._leaf_solve(v)
         return np.ascontiguousarray(self.near_factorization.solve(v))
-
-    def near_solve_adjoint(self, v: np.ndarray) -> np.ndarray:
-        if self.near_factorization is None:
-            return self._alpha_unscaled_adjoint(v)
-        return np.ascontiguousarray(self.near_factorization.solve(v, trans="H"))
-
-    def _alpha_unscaled(self, x: np.ndarray) -> np.ndarray:
-        y = np.empty(self.n, dtype=np.complex128)
-        for (start, stop), factors in zip(self.leaf_ranges, self.lu_factors):
-            y[start:stop] = lu_solve(factors, x[start:stop])
-        return y
-
-    def _alpha_unscaled_adjoint(self, x: np.ndarray) -> np.ndarray:
-        y = np.empty(self.n, dtype=np.complex128)
-        for (start, stop), factors in zip(self.leaf_ranges, self.lu_factors):
-            y[start:stop] = lu_solve(factors, x[start:stop], trans=2)
-        return y
-
-    def offdiag_near_apply(self, x: np.ndarray) -> np.ndarray:
-        return self.h.near_matvec(x, offdiag_only=True)
-
-    def offdiag_near_adjoint_apply(self, x: np.ndarray) -> np.ndarray:
-        return self.h.near_rmatvec(x, offdiag_only=True)
 
     def scaled_matvec(self, x: np.ndarray) -> np.ndarray:
         """Action of alpha Z with every assembled level included."""

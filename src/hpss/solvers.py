@@ -2,9 +2,10 @@
 
 GMRES is the iterative baseline the power-series cascade is judged
 against: modified Gram-Schmidt Arnoldi, Givens-rotation least squares,
-restart every ``restart`` inner steps.  The residual history records the
-relative estimate after every inner step and the recomputed true residual
-at each restart boundary, so the history is honest about restart effects.
+restart every ``restart`` inner steps.  The residual history holds one
+Givens least-squares estimate of the relative residual per inner step;
+the true residual |b - A x| / |b|, recomputed at the start, at each
+restart and at exit, is kept apart from it, so the two are never mixed.
 
 The dense LU route is the accuracy oracle at desk scale.  It verifies its
 own residual and warns (with a condition estimate) instead of silently
@@ -28,16 +29,27 @@ LU_RESIDUAL_TOL = 1e-10
 
 @dataclass
 class IterativeReport:
-    """Iteration census of one GMRES run."""
+    """Iteration census of one GMRES run.
+
+    ``residual_history[k]`` is the Givens estimate after inner step k + 1;
+    ``true_residuals`` holds (inner steps so far, true relative residual)
+    pairs from the start, every restart and the exit.
+    """
 
     iterations: int
     residual_history: List[float]
+    true_residuals: List[Tuple[int, float]]
     converged: bool
     wall_time_s: float
     n_matvecs: int = 0
 
-    def history_csv_rows(self) -> List[Tuple[int, str]]:
-        return [(k, f"{r:.12g}") for k, r in enumerate(self.residual_history)]
+    def history_csv_rows(self) -> List[Tuple[int, str, str]]:
+        """(step, relative residual, kind) rows in step order, kind being
+        ``givens`` or ``true``; at a restart the estimate comes first."""
+        rows = [(k + 1, r, "givens") for k, r in enumerate(self.residual_history)]
+        rows += [(k, r, "true") for k, r in self.true_residuals]
+        rows.sort(key=lambda row: (row[0], row[2] == "true"))
+        return [(k, f"{r:.12g}", kind) for k, r, kind in rows]
 
 
 def gmres(
@@ -66,6 +78,7 @@ def gmres(
     start = time.perf_counter()
     x = np.zeros(n, dtype=np.complex128) if x0 is None else np.asarray(x0, dtype=np.complex128).copy()
     history: List[float] = []
+    true_residuals: List[Tuple[int, float]] = []
     total_iters = 0
     n_matvecs = 0
     converged = False
@@ -74,7 +87,7 @@ def gmres(
         r = b - apply(x)
         n_matvecs += 1
         beta = float(np.linalg.norm(r))
-        history.append(beta / bnorm)
+        true_residuals.append((total_iters, beta / bnorm))
         if beta / bnorm <= tol:
             converged = True
             break
@@ -132,6 +145,7 @@ def gmres(
     report = IterativeReport(
         iterations=total_iters,
         residual_history=history,
+        true_residuals=true_residuals,
         converged=converged,
         wall_time_s=time.perf_counter() - start,
         n_matvecs=n_matvecs,

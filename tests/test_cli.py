@@ -62,6 +62,48 @@ def test_field_types_stay_in_sync_with_runconfig():
     assert set(_FIELD_TYPES) == field_names
 
 
+def test_parse_config_returns_annotated_types(tmp_path):
+    keys = """
+        geometry = disk
+        length = 3
+        radius = 0.5
+        eps_r = 2.5-0.1j
+        density = 12
+        leaf_size = 16
+        eta = 0.8
+        aca_tol = 1e-4
+        gmres_tol = 1e-7
+        gmres_restart = 30
+        gmres_maxit = 500
+        series_order = 3
+        levels = leaf
+        solver = gmres
+        solvers = pss,lu
+        phi_inc_deg = 45
+        angle_start = 10
+        angle_stop = 170
+        angle_count = 9
+        amplitude = 2
+        symmetric = on
+        seed = 7
+        out = results
+        sizes = 512,1024
+        assert_rms_db = 1
+    """
+    values = parse_config(write_config(tmp_path, keys))
+    defaults = RunConfig()
+    assert set(values) == {f.name for f in dataclasses.fields(RunConfig)}
+    for name, value in values.items():
+        # every default but assert_rms_db (None) carries its annotated type
+        want = float if name == "assert_rms_db" else type(getattr(defaults, name))
+        assert type(value) is want, name
+    assert values["assert_rms_db"] == 1.0
+    assert values["eps_r"] == 2.5 - 0.1j
+    assert values["symmetric"] is True
+    assert values["leaf_size"] == 16
+    RunConfig(**values).validate()
+
+
 def test_flags_override_config_file(tmp_path):
     path = write_config(tmp_path, "density = 10\nleaf_size = 8\n")
     cfg = resolve_config(Namespace(config=path, density=12.0))

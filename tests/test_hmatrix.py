@@ -115,16 +115,6 @@ def test_level_split_sums_to_full(strip_system):
     assert np.array_equal(total, h.matvec(x))
 
 
-def test_adjoint_consistency(strip_system):
-    h = strip_system["h"]
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
-    y = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
-    lhs = np.vdot(y, h.matvec(x))
-    rhs_ = np.vdot(h.rmatvec(y), x)
-    assert abs(lhs - rhs_) <= 1e-10 * abs(lhs)
-
-
 def test_empty_level_yields_zero_vector():
     # depth-2 strip: the two halves touch, so level 1 has no admissible pair
     mesh = discretize_strip(2.0, 10)

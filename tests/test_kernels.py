@@ -15,7 +15,7 @@ from hpss import (
     rhs,
     z_entry,
 )
-from hpss.kernels import read_dense_matrix, write_dense_matrix, z_block
+from hpss.kernels import z_block
 
 
 def test_spec_requires_matching_mesh_kind():
@@ -123,15 +123,3 @@ def test_volume_system_is_second_kind():
     x, rep = gmres(lambda v: z @ v, b, tol=1e-6)
     assert rep.converged
     assert rep.iterations < 50
-
-
-def test_dense_oracle_file_roundtrip(tmp_path):
-    spec = KernelSpec.for_mesh(discretize_strip(1.0, 10))
-    z = assemble_dense(spec)
-    path = tmp_path / "oracle.bin"
-    write_dense_matrix(z, str(path))
-    back = read_dense_matrix(str(path))
-    assert back.shape == z.shape
-    # storage is complex64, so the roundtrip is lossy at single precision
-    assert np.allclose(back, z, rtol=1e-6, atol=1e-9)
-    assert path.stat().st_size == 8 + 4 * 2 * z.size
