@@ -29,7 +29,8 @@ class LowRankBlock:
     """Outer-product factorization U @ V of one admissible block.
 
     ``row_start``/``col_start`` locate the block in tree-permuted matrix
-    coordinates; U is (m, k) and V is (k, n).
+    coordinates; U is (m, k) and V is (k, n).  Inside an ``HMatrix`` both
+    are views of its level's sparse factors.
     """
 
     row_start: int
@@ -50,13 +51,6 @@ class LowRankBlock:
     def stored_entries(self) -> int:
         m, n = self.shape
         return self.rank * (m + n)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.u @ (self.v @ x)
-
-    def tmatvec(self, x: np.ndarray) -> np.ndarray:
-        """Plain-transpose action, used for reciprocal mirrored blocks."""
-        return self.v.T @ (self.u.T @ x)
 
 
 def aca(

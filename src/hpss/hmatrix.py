@@ -7,11 +7,21 @@ a non-admissible leaf pair becomes a dense near block; everything else
 recurses.  Far blocks therefore live on levels 1..L and the near field is
 a union of leaf-pair blocks that always includes every diagonal leaf pair.
 
+Storage is the standard sparse H-matrix form: the near field Z_N is one
+COO matrix, and far level l is the product U_l V_l of a CSC factor U_l
+(N x K_l) and a CSR factor V_l (K_l x N), K_l being the level's summed
+block ranks.  Every block's data is one contiguous run of those matrices'
+buffers, and ``NearBlock.data``, ``LowRankBlock.u`` and ``LowRankBlock.v``
+are views of it, so no entry is stored twice; indices are int32.  A near
+matvec is one sparse product and a level matvec two, and the near
+factorization in ``scaling`` factors the same matrix.
+
 Far levels can be assembled selectively (``level_filter``); skipped levels
 simply contribute nothing, which downstream solvers treat as exact zeros.
 ``symmetric_mode`` stores one of each off-diagonal block pair and applies
-the mirrored action with plain (unconjugated) transposes; it is allowed
-only after a runtime reciprocity probe of the kernel.
+the mirrored action with plain (unconjugated) transposes of the same
+sparse matrices; it is allowed only after a runtime reciprocity probe of
+the kernel.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .compression import LowRankBlock, aca, recompress
 from .geometry import ClusterTree, is_admissible
@@ -33,7 +44,10 @@ RECIPROCITY_RTOL = 1e-10
 
 @dataclass
 class NearBlock:
-    """Dense leaf-pair block in tree-permuted coordinates."""
+    """Dense leaf-pair block in tree-permuted coordinates.
+
+    Inside an ``HMatrix``, ``data`` is a view of its sparse Z_N.
+    """
 
     row_start: int
     row_stop: int
@@ -87,8 +101,99 @@ def build_block_partition(tree: ClusterTree, eta: float = 1.0) -> BlockPartition
 
 
 @dataclass
+class SparseStorage:
+    """The stored entries of an H-matrix as sparse matrices.
+
+    ``near`` is Z_N in COO form, one C-ordered block after another with the
+    diagonal blocks first; ``near_mirror`` is the transpose of its
+    off-diagonal part (a slice of the same buffers), set in symmetric mode
+    only.  ``levels`` maps each far level that holds blocks to (U_l, V_l).
+    """
+
+    near: sp.coo_matrix
+    near_mirror: Optional[sp.coo_matrix]
+    levels: Dict[int, Tuple[sp.csc_matrix, sp.csr_matrix]]
+
+
+def _near_storage(
+    geometry: List[Tuple[int, int, int, int]], n: int, symmetric: bool
+) -> Tuple[List[NearBlock], sp.coo_matrix, Optional[sp.coo_matrix]]:
+    """Near blocks with unfilled data viewing one COO matrix Z_N.
+
+    ``geometry`` lists (row_start, row_stop, col_start, col_stop) per block,
+    and the returned blocks keep that order.  In the buffers the diagonal
+    blocks come first, so the off-diagonal part is a slice.
+    """
+    sizes = [(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in geometry]
+    diagonal = [r0 == c0 and r1 == c1 for r0, r1, c0, c1 in geometry]
+    offsets = [0] * len(geometry)
+    start = 0
+    for i in sorted(range(len(geometry)), key=lambda i: not diagonal[i]):
+        offsets[i] = start
+        start += sizes[i]
+    data = np.empty(start, dtype=np.complex128)
+    rows = np.empty(start, dtype=np.int32)
+    cols = np.empty(start, dtype=np.int32)
+    blocks: List[NearBlock] = []
+    for (r0, r1, c0, c1), off, size in zip(geometry, offsets, sizes):
+        run = slice(off, off + size)
+        rows[run].reshape(r1 - r0, c1 - c0)[...] = np.arange(r0, r1, dtype=np.int32)[:, None]
+        cols[run].reshape(r1 - r0, c1 - c0)[...] = np.arange(c0, c1, dtype=np.int32)
+        blocks.append(NearBlock(r0, r1, c0, c1, data[run].reshape(r1 - r0, c1 - c0)))
+    near = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
+    mirror = None
+    if symmetric:
+        off = sum(size for size, diag in zip(sizes, diagonal) if diag)
+        mirror = sp.coo_matrix((data[off:], (cols[off:], rows[off:])), shape=(n, n))
+    return blocks, near, mirror
+
+
+def _level_storage(
+    blocks: List[LowRankBlock], n: int
+) -> Tuple[List[LowRankBlock], Tuple[sp.csc_matrix, sp.csr_matrix]]:
+    """Copy one level's factors into U_l (CSC) and V_l (CSR).
+
+    Each column of U_l and each row of V_l belongs to one block, so a
+    block's u is one Fortran-ordered run of U_l's buffer and its v one
+    C-ordered run of V_l's.  The returned blocks view those runs.
+    """
+    ranks = [blk.rank for blk in blocks]
+    heights = [blk.shape[0] for blk in blocks]
+    widths = [blk.shape[1] for blk in blocks]
+    u_ptr = np.concatenate([[0], np.cumsum(np.repeat(heights, ranks))]).astype(np.int32)
+    v_ptr = np.concatenate([[0], np.cumsum(np.repeat(widths, ranks))]).astype(np.int32)
+    u_data = np.empty(int(u_ptr[-1]), dtype=np.complex128)
+    v_data = np.empty(int(v_ptr[-1]), dtype=np.complex128)
+    u_rows = np.empty(u_data.size, dtype=np.int32)
+    v_cols = np.empty(v_data.size, dtype=np.int32)
+    packed: List[LowRankBlock] = []
+    us = vs = 0
+    for blk, k, m, w in zip(blocks, ranks, heights, widths):
+        # the k columns of u, each m long; the k rows of v, each w long
+        u_run, v_run = slice(us, us + k * m), slice(vs, vs + k * w)
+        u_rows[u_run].reshape(k, m)[...] = np.arange(blk.row_start, blk.row_start + m, dtype=np.int32)
+        v_cols[v_run].reshape(k, w)[...] = np.arange(blk.col_start, blk.col_start + w, dtype=np.int32)
+        u = u_data[u_run].reshape(k, m).T
+        v = v_data[v_run].reshape(k, w)
+        u[...] = blk.u
+        v[...] = blk.v
+        packed.append(LowRankBlock(blk.row_start, blk.col_start, u, v, blk.level))
+        us, vs = u_run.stop, v_run.stop
+    k_total = sum(ranks)
+    u_mat = sp.csc_matrix((u_data, u_rows, u_ptr), shape=(n, k_total))
+    v_mat = sp.csr_matrix((v_data, v_cols, v_ptr), shape=(k_total, n))
+    return packed, (u_mat, v_mat)
+
+
+@dataclass
 class HMatrix:
-    """Assembled hierarchical operator in tree-permuted coordinates."""
+    """Assembled hierarchical operator in tree-permuted coordinates.
+
+    ``storage`` holds the entries; ``near_blocks`` and ``far_blocks`` view
+    it.  ``assemble`` passes the storage it filled.  An HMatrix built from
+    block lists alone copies their data into new storage and replaces the
+    lists with views of it; the caller's blocks are left untouched.
+    """
 
     tree: ClusterTree
     partition: BlockPartition
@@ -98,6 +203,24 @@ class HMatrix:
     tol: float
     symmetric: bool
     stats: Dict[str, object] = field(default_factory=dict)
+    storage: Optional[SparseStorage] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.storage is not None:
+            return
+        given = self.near_blocks
+        geometry = [(b.row_start, b.row_stop, b.col_start, b.col_stop) for b in given]
+        self.near_blocks, near, mirror = _near_storage(geometry, self.n, self.symmetric)
+        for blk, old in zip(self.near_blocks, given):
+            blk.data[...] = old.data
+        levels: Dict[int, Tuple[sp.csc_matrix, sp.csr_matrix]] = {}
+        far: Dict[int, List[LowRankBlock]] = {}
+        for level, blks in self.far_blocks.items():
+            far[level] = list(blks)
+            if blks:
+                far[level], levels[level] = _level_storage(blks, self.n)
+        self.far_blocks = far
+        self.storage = SparseStorage(near, mirror, levels)
 
     @property
     def n(self) -> int:
@@ -123,12 +246,17 @@ class HMatrix:
     # -- near field -------------------------------------------------------
 
     def near_matvec(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.n, dtype=np.complex128)
-        for blk in self.near_blocks:
-            y[blk.row_start : blk.row_stop] += blk.data @ x[blk.col_start : blk.col_stop]
-            if self.symmetric and not blk.is_diagonal:
-                y[blk.col_start : blk.col_stop] += blk.data.T @ x[blk.row_start : blk.row_stop]
+        y = self.storage.near @ x
+        if self.storage.near_mirror is not None:
+            y += self.storage.near_mirror @ x
         return y
+
+    def near_matrix(self) -> sp.csc_matrix:
+        """Z_N, mirrored blocks included, as the CSC matrix ``splu`` takes."""
+        near = self.storage.near
+        if self.storage.near_mirror is not None:
+            near = near + self.storage.near_mirror
+        return near.tocsc()
 
     def diagonal_blocks(self) -> List[NearBlock]:
         """Diagonal leaf blocks ordered by row range."""
@@ -139,24 +267,25 @@ class HMatrix:
     # -- far field --------------------------------------------------------
 
     def matvec_level(self, level: int, x: np.ndarray) -> np.ndarray:
-        """Action of the level-``level`` far-field part alone."""
+        """Action of the level-``level`` far-field part alone: U_l (V_l x)."""
         if level < 1 or level > self.depth:
             raise ValueError(f"far-field level must lie in 1..{self.depth}")
-        y = np.zeros(self.n, dtype=np.complex128)
-        for blk in self.far_blocks.get(level, ()):
-            m, n = blk.shape
-            y[blk.row_start : blk.row_start + m] += blk.matvec(x[blk.col_start : blk.col_start + n])
-            if self.symmetric:
-                y[blk.col_start : blk.col_start + n] += blk.tmatvec(x[blk.row_start : blk.row_start + m])
+        factors = self.storage.levels.get(level)
+        if factors is None:
+            return np.zeros(self.n, dtype=np.complex128)
+        u, v = factors
+        y = u @ (v @ x)
+        if self.symmetric:
+            y += v.T @ (u.T @ x)
         return y
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Full assembled action: near field plus every assembled level."""
+        """Full assembled action: near field plus every level holding blocks."""
         x = np.asarray(x, dtype=np.complex128)
         if x.shape != (self.n,):
             raise ValueError(f"matvec expects a length-{self.n} vector")
         y = self.near_matvec(x)
-        for level in sorted(self.assembled_levels):
+        for level in sorted(self.storage.levels):
             y += self.matvec_level(level, x)
         return y
 
@@ -218,17 +347,18 @@ def assemble(
         raise ValueError(f"level_filter contains invalid levels {sorted(bad)} for depth {tree.depth}")
 
     nodes = tree.nodes
-    near_blocks: List[NearBlock] = []
-    for t, s in partition.near_pairs:
-        nt, ns = nodes[t], nodes[s]
-        if symmetric_mode and nt.start > ns.start:
-            continue
-        rows = np.arange(nt.start, nt.stop)
-        cols = np.arange(ns.start, ns.stop)
-        near_blocks.append(NearBlock(nt.start, nt.stop, ns.start, ns.stop, entry_fn(rows, cols)))
+    geometry = [
+        (nodes[t].start, nodes[t].stop, nodes[s].start, nodes[s].stop)
+        for t, s in partition.near_pairs
+        if not (symmetric_mode and nodes[t].start > nodes[s].start)
+    ]
+    near_blocks, near, mirror = _near_storage(geometry, spec.n, symmetric_mode)
+    for blk in near_blocks:
+        blk.data[...] = entry_fn(np.arange(blk.row_start, blk.row_stop), np.arange(blk.col_start, blk.col_stop))
 
     rank_flags: List[Tuple[int, int, int, int]] = []
     far_blocks: Dict[int, List[LowRankBlock]] = {}
+    level_storage: Dict[int, Tuple[sp.csc_matrix, sp.csr_matrix]] = {}
 
     for level in sorted(levels):
         pairs = partition.far_pairs.get(level, [])
@@ -252,6 +382,8 @@ def assemble(
             if 2 * blk.rank > min(m, n):
                 rank_flags.append((level, blk.row_start, blk.col_start, blk.rank))
             blocks.append(blk)
+        if blocks:
+            blocks, level_storage[level] = _level_storage(blocks, spec.n)
         far_blocks[level] = blocks
 
     stats: Dict[str, object] = {
@@ -267,7 +399,8 @@ def assemble(
         },
         "rank_flags": rank_flags,
     }
-    return HMatrix(tree, partition, near_blocks, far_blocks, set(far_blocks), tol, symmetric_mode, stats)
+    storage = SparseStorage(near, mirror, level_storage)
+    return HMatrix(tree, partition, near_blocks, far_blocks, set(far_blocks), tol, symmetric_mode, stats, storage)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,9 @@ from .kernels import ETA0
 DB_FLOOR = -200.0
 _LINEAR_FLOOR = 10.0 ** (DB_FLOOR / 10.0)
 SERIES_EXTRA_TERMS = 20
+# Observation angles per block of the phase matrix, so its complex
+# temporaries hold RCS_ANGLE_CHUNK x N entries, not n_angles x N.
+RCS_ANGLE_CHUNK = 32
 
 
 @dataclass
@@ -83,7 +86,8 @@ def bistatic_rcs(
 
     ``solution`` is in mesh element order: axial surface current density
     for surface meshes, contrast source (eps_r - 1) * E_z for volume
-    meshes (exactly the unknowns the kernels solve for).
+    meshes (exactly the unknowns the kernels solve for).  The phase matrix
+    is formed ``RCS_ANGLE_CHUNK`` angles at a time.
     """
     solution = np.asarray(solution, dtype=np.complex128)
     if solution.shape != (mesh.n_elements,):
@@ -92,13 +96,16 @@ def bistatic_rcs(
     phi = np.deg2rad(angles)
     k0 = mesh.k0
     directions = np.column_stack([np.cos(phi), np.sin(phi)])
-    phase = np.exp(1j * k0 * (directions @ mesh.centers.T))  # (n_angles, N)
     if mesh.kind == SURFACE:
         weights = -(k0 * ETA0 / 4.0) * mesh.extents * solution
     else:
         a = mesh.extents / math.sqrt(math.pi)
         weights = -0.5j * math.pi * k0 * a * j1(k0 * a) * solution
-    factor = phase @ weights
+    factor = np.empty(angles.size, dtype=np.complex128)
+    for start in range(0, angles.size, RCS_ANGLE_CHUNK):
+        chunk = slice(start, start + RCS_ANGLE_CHUNK)
+        phase = np.exp(1j * k0 * (directions[chunk] @ mesh.centers.T))  # (chunk, N)
+        factor[chunk] = phase @ weights
     sigma = (2.0 / math.pi) * np.abs(factor) ** 2 / amplitude**2
     return RcsCurve(angles, _to_db(sigma), {"kind": mesh.kind})
 

@@ -31,8 +31,12 @@ alpha is rejected before any series runs.
 The solve applies a fixed, input-independent number of level matvecs: no
 residual-driven iteration hides anywhere, which is what makes the matvec
 count reproducible across right-hand sides.  The count grows geometrically
-with the number of active levels (operator products are never memoized),
-the accepted price of a matvec-only cascade at desk scale.
+with the number of levels in the chain (operator products are never
+memoized), the accepted price of a matvec-only cascade at desk scale.  A
+configured level that holds no far blocks has U_l = 0 and a factor that is
+exactly the identity, so the chain leaves it out: the cost grows with the
+levels that hold blocks, not with the tree depth (a strip's level 1, whose
+two halves touch, is always empty).
 """
 
 from __future__ import annotations
@@ -64,7 +68,8 @@ class PssConfig:
 
     ``active_levels`` must be a contiguous run ending at the leaf level;
     omitted levels contribute identity factors (their far field acts as
-    zero).  ``None`` activates every level.
+    zero).  ``None`` activates every level.  Of these, the chain keeps the
+    levels that hold far blocks.
     """
 
     series_order: int = 2
@@ -133,15 +138,15 @@ def _implied_identity_factor_norm(defect: float) -> float:
 def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> List[LevelFactor]:
     """Construct and norm-check the resolvent factors, deepest last.
 
-    Raises :class:`ConvergenceError` as soon as any estimated factor norm
-    reaches ``config.fail_threshold`` (the series for (I + T)^-1 requires
-    the norm of T below one) and emits a warning from
-    ``config.warn_threshold`` up.
+    The chain has one factor per configured level that holds far blocks;
+    an empty level's factor would be exactly the identity.  Raises
+    :class:`ConvergenceError` as soon as any estimated factor norm reaches
+    ``config.fail_threshold`` (the series for (I + T)^-1 requires the norm
+    of T below one) and emits a warning from ``config.warn_threshold`` up.
     """
     if scaled.h is not h:
         raise ValueError("scaled system was built from a different H-matrix")
-    depth = h.depth
-    active = config.resolve_levels(depth)
+    active = [level for level in config.resolve_levels(h.depth) if h.far_blocks.get(level)]
     counts: Dict[int, int] = {level: 0 for level in active}
 
     defect_norm = _implied_identity_factor_norm(scaled.scale_defect)
@@ -312,7 +317,7 @@ def solve(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> Tuple[np.ndarr
 
     report = SolveReport(
         order=config.series_order,
-        active_levels=config.resolve_levels(h.depth),
+        active_levels=[factor.level for factor in factors],
         factor_norms=norms,
         warnings=captured,
         setup_matvec_counts=setup_counts,

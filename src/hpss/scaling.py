@@ -14,10 +14,10 @@ into
 which is the fixed point the power-series chain factorizes.  The scaled
 near field (alpha Z_N) has identity diagonal blocks by construction, and
 its inverse composed with alpha collapses to Z_N^{-1}, so the near-field
-action here is a single sparse factorization of Z_N built from the dense
-near blocks.  When the partition produced no off-diagonal near blocks
-(single-leaf trees, or block-diagonal near fields) that factorization
-degenerates to alpha itself.
+action here is a single sparse factorization of the Z_N the H-matrix
+stores (``HMatrix.near_matrix``).  When the partition produced no
+off-diagonal near blocks (single-leaf trees, or block-diagonal near
+fields) that factorization degenerates to alpha itself.
 
 The constructor also measures the residual defect of the identity claim
 alpha * Z_N,diag = I on random probe vectors; a healthy system sits at
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 
@@ -132,30 +131,6 @@ class ScaledSystem:
         return self.alpha_apply(self.h.matvec(x))
 
 
-def _near_sparse(h: HMatrix) -> sp.csc_matrix:
-    """Assemble Z_N as a sparse matrix from the stored dense near blocks."""
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
-    vals: List[np.ndarray] = []
-
-    def push(r0: int, c0: int, data: np.ndarray) -> None:
-        m, k = data.shape
-        rr, cc = np.meshgrid(np.arange(r0, r0 + m), np.arange(c0, c0 + k), indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(data.ravel())
-
-    for blk in h.near_blocks:
-        push(blk.row_start, blk.col_start, blk.data)
-        if h.symmetric and not blk.is_diagonal:
-            push(blk.col_start, blk.row_start, blk.data.T)
-    return sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(h.n, h.n),
-        dtype=np.complex128,
-    )
-
-
 def compute_scaling(
     h: HMatrix,
     b: np.ndarray,
@@ -199,9 +174,8 @@ def compute_scaling(
 
     near_factorization = None
     if any(not blk.is_diagonal for blk in h.near_blocks):
-        matrix = _near_sparse(h)
         try:
-            near_factorization = splu(matrix)
+            near_factorization = splu(h.near_matrix())
         except RuntimeError as exc:
             raise ValueError(f"near-field matrix is singular: {exc}") from exc
         if np.any(near_factorization.U.diagonal() == 0.0):

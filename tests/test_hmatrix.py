@@ -248,3 +248,108 @@ def test_memory_report_csv_is_deterministic(tmp_path, strip_system):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert "time" not in header.lower()
+
+
+# -- packed sparse storage ---------------------------------------------------
+
+
+def loop_near_matvec(h, x):
+    """Reference near action: one dense product per stored block."""
+    y = np.zeros(h.n, dtype=np.complex128)
+    for blk in h.near_blocks:
+        y[blk.row_start : blk.row_stop] += blk.data @ x[blk.col_start : blk.col_stop]
+        if h.symmetric and not blk.is_diagonal:
+            y[blk.col_start : blk.col_stop] += blk.data.T @ x[blk.row_start : blk.row_stop]
+    return y
+
+
+def loop_level_matvec(h, level, x):
+    """Reference level action: u (v x) per block, plus the mirror."""
+    y = np.zeros(h.n, dtype=np.complex128)
+    for blk in h.far_blocks.get(level, ()):
+        m, n = blk.shape
+        rows, cols = slice(blk.row_start, blk.row_start + m), slice(blk.col_start, blk.col_start + n)
+        y[rows] += blk.u @ (blk.v @ x[cols])
+        if h.symmetric:
+            y[cols] += blk.v.T @ (blk.u.T @ x[rows])
+    return y
+
+
+def report_from_blocks(h):
+    """memory_report rows recomputed from the block shapes alone."""
+    near = sum((b.row_stop - b.row_start) * (b.col_stop - b.col_start) for b in h.near_blocks)
+    rows = [("near", len(h.near_blocks), near)]
+    for level in sorted(h.far_blocks):
+        blks = h.far_blocks[level]
+        rows.append((str(level), len(blks), sum(b.rank * (b.shape[0] + b.shape[1]) for b in blks)))
+    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+    return rows
+
+
+def rebuilt_from_blocks(h):
+    """The same operator, handed to HMatrix as lists of private copies."""
+    from hpss import HMatrix, LowRankBlock, NearBlock
+
+    near = [NearBlock(b.row_start, b.row_stop, b.col_start, b.col_stop, b.data.copy()) for b in h.near_blocks]
+    far = {
+        lvl: [LowRankBlock(b.row_start, b.col_start, b.u.copy(), b.v.copy(), b.level) for b in blks]
+        for lvl, blks in h.far_blocks.items()
+    }
+    rebuilt = HMatrix(h.tree, h.partition, near, far, set(h.assembled_levels), h.tol, h.symmetric)
+    for old, new in zip(near, rebuilt.near_blocks):
+        assert not np.shares_memory(old.data, new.data)
+    return rebuilt
+
+
+def packed_case(name, strip_system):
+    spec, tree = strip_system["spec"], strip_system["tree"]
+    if name == "strip":
+        return strip_system["h"]
+    if name == "symmetric-strip":
+        return assemble(spec, tree, tol=1e-3, symmetric_mode=True)
+    if name == "block-lists":
+        return rebuilt_from_blocks(assemble(spec, tree, tol=1e-3, symmetric_mode=True))
+    if name == "depth-0":
+        mesh = discretize_strip(1.0, 10)
+        return assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 16), tol=1e-3)
+    mesh = discretize_disk(0.3, 16, 2.0)
+    disk_tree = build_cluster_tree(mesh, 8)
+    levels = [disk_tree.depth] if name == "leaf-only-disk" else None
+    return assemble(KernelSpec.for_mesh(mesh), disk_tree, tol=1e-3, level_filter=levels)
+
+
+@pytest.mark.parametrize("name", ["strip", "symmetric-strip", "disk", "leaf-only-disk", "depth-0", "block-lists"])
+def test_packed_operator_matches_block_loops(name, strip_system):
+    h = packed_case(name, strip_system)
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    want = loop_near_matvec(h, x)
+    assert close(h.near_matvec(x), want)
+    for level in range(1, h.depth + 1):
+        y = loop_level_matvec(h, level, x)
+        assert close(h.matvec_level(level, x), y)
+        want = want + y
+    assert close(h.matvec(x), want)
+
+    # one copy of every entry: the blocks view the sparse buffers, which
+    # hold nothing else
+    store = h.storage
+    assert all(np.shares_memory(blk.data, store.near.data) for blk in h.near_blocks)
+    assert store.near.data.size == sum(blk.data.size for blk in h.near_blocks)
+    assert store.near.row.dtype == store.near.col.dtype == np.int32
+    assert set(store.levels) == {lvl for lvl, blks in h.far_blocks.items() if blks}
+    for level, (u, v) in store.levels.items():
+        blks = h.far_blocks[level]
+        assert all(np.shares_memory(b.u, u.data) and np.shares_memory(b.v, v.data) for b in blks)
+        assert u.data.size + v.data.size == sum(b.stored_entries for b in blks)
+        assert u.indices.dtype == v.indices.dtype == np.int32
+    assert [r[:3] for r in memory_report(h).rows] == report_from_blocks(h)
+
+
+def test_block_list_hmatrix_keeps_the_report_of_its_source(strip_system):
+    h = strip_system["h"]
+    assert memory_report(rebuilt_from_blocks(h)).rows == memory_report(h).rows

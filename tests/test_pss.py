@@ -117,12 +117,15 @@ def test_high_order_solve_matches_dense_lu():
 
 
 def test_reported_counts_match_structural_formula():
-    mesh = discretize_disk(0.3, 16, 2.0)
-    spec, h, scaled = make_system(mesh, 8)
-    order = 2
-    x, report = solve(scaled, h, PssConfig(series_order=order))
-    active = [l for l in range(1, h.depth + 1)]
-    assert report.solve_matvec_counts == expected_solve_counts(h.depth, active, order)
+    # levels 1 and 2 of this disk hold no far blocks, level 1 of the strip none
+    for mesh, leaf in ((discretize_disk(0.3, 16, 2.0), 8), (discretize_strip(3.0, 10), 8)):
+        spec, h, scaled = make_system(mesh, leaf)
+        order = 2
+        x, report = solve(scaled, h, PssConfig(series_order=order))
+        chain = [l for l in range(1, h.depth + 1) if h.far_blocks[l]]
+        assert len(chain) < h.depth
+        assert report.active_levels == chain
+        assert report.solve_matvec_counts == expected_solve_counts(h.depth, chain, order)
 
 
 def test_matvec_counts_are_input_independent():
@@ -267,5 +270,9 @@ def test_chain_respects_truncated_levels():
     depth = h.depth
     chain_full = build_factor_chain(scaled, h, PssConfig(series_order=2))
     chain_leaf = build_factor_chain(scaled, h, PssConfig(series_order=2, active_levels=[depth]))
-    assert [f.level for f in chain_full] == list(range(1, depth + 1))
+    chain_mid = build_factor_chain(scaled, h, PssConfig(series_order=2, active_levels=[2, 3, 4, 5]))
+    # the chain is the configured levels that hold far blocks, in order
+    assert depth == 5 and [l for l in range(1, depth + 1) if not h.far_blocks[l]] == [1, 2]
+    assert [f.level for f in chain_full] == [3, 4, 5]
+    assert [f.level for f in chain_mid] == [3, 4, 5]
     assert [f.level for f in chain_leaf] == [depth]
