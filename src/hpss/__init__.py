@@ -3,8 +3,8 @@
 The pipeline: discretize a contour or cross section (``geometry``),
 evaluate integral-equation matrix entries (``kernels``), compress the
 far field level by level with adaptive cross approximation
-(``compression``, ``hmatrix``), rescale by the inverse of the
-block-diagonal near field (``scaling``), then solve with a fixed-depth
+(``compression``, ``hmatrix``), rescale by the exact inverse of the
+near field (``scaling``), then solve with a fixed-depth
 power-series expansion (``pss``) or a Krylov/dense reference
 (``solvers``), and reduce currents to echo width (``postproc``).
 """

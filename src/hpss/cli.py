@@ -28,6 +28,7 @@ from .solvers import IterativeReport, gmres, lu_solve
 
 GEOMETRIES = ("strip", "circle", "disk")
 SOLVER_NAMES = ("pss", "gmres", "lu")
+BENCH_MATVEC_ROUNDS = 11
 
 
 @dataclass(frozen=True)
@@ -331,6 +332,7 @@ def run_bench(cfg: RunConfig) -> int:
     if cfg.geometry != "strip":
         raise ValueError("bench supports strip geometry only")
     rows = []
+    operators = []
     failures: List[str] = []
     rng = np.random.default_rng(cfg.seed)
     for n_target in sizes:
@@ -351,9 +353,8 @@ def run_bench(cfg: RunConfig) -> int:
         )
         full_entries = memory_report(h_full).total_entries
         leaf_entries = memory_report(h_leaf).total_entries
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        t_matvec, _ = _median_time(lambda: h_full.matvec(x), 11)
-        rows.append((n, full_entries, leaf_entries, t_full, t_leaf, t_matvec))
+        operators.append((h_full, rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        rows.append((n, full_entries, leaf_entries, t_full, t_leaf))
         if assert_here:
             if not leaf_entries < full_entries:
                 failures.append(f"N={n}: leaf-only entries {leaf_entries} not below full {full_entries}")
@@ -361,6 +362,17 @@ def run_bench(cfg: RunConfig) -> int:
                 failures.append(f"N={n}: leaf-only fill {t_leaf:.3f}s not below full {t_full:.3f}s")
             if not (full_entries < n * n and leaf_entries < n * n):
                 failures.append(f"N={n}: stored entries reach the dense count {n * n}")
+
+    # every size's matvec is timed once per round, so a change in host speed
+    # during the run slows all sizes alike instead of tilting the slope
+    samples: List[List[float]] = [[] for _ in operators]
+    for _ in range(BENCH_MATVEC_ROUNDS):
+        for (h, x), times in zip(operators, samples):
+            h.matvec(x)  # untimed warm-up
+            t0 = time.perf_counter()
+            h.matvec(x)
+            times.append(time.perf_counter() - t0)
+    rows = [row + (float(np.median(times)),) for row, times in zip(rows, samples)]
 
     with open(os.path.join(cfg.out, "bench.csv"), "w", newline="") as fh:
         fh.write("n,full_entries,leaf_entries\n")

@@ -24,7 +24,7 @@ import numpy as np
 EntryFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LowRankBlock:
     """Outer-product factorization U @ V of one admissible block.
 

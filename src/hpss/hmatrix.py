@@ -42,7 +42,7 @@ RECIPROCITY_PROBE_PAIRS = 16
 RECIPROCITY_RTOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class NearBlock:
     """Dense leaf-pair block in tree-permuted coordinates.
 
@@ -72,10 +72,6 @@ class BlockPartition:
     eta: float
     near_pairs: List[Tuple[int, int]]
     far_pairs: Dict[int, List[Tuple[int, int]]]
-
-    @property
-    def levels(self) -> List[int]:
-        return sorted(self.far_pairs)
 
 
 def build_block_partition(tree: ClusterTree, eta: float = 1.0) -> BlockPartition:
@@ -189,38 +185,19 @@ def _level_storage(
 class HMatrix:
     """Assembled hierarchical operator in tree-permuted coordinates.
 
-    ``storage`` holds the entries; ``near_blocks`` and ``far_blocks`` view
-    it.  ``assemble`` passes the storage it filled.  An HMatrix built from
-    block lists alone copies their data into new storage and replaces the
-    lists with views of it; the caller's blocks are left untouched.
+    ``storage`` is the operator's only state: the near field and every far
+    level live in its sparse matrices, which both the matvecs and the
+    near factorization in ``scaling`` use.  ``near_blocks`` and
+    ``far_blocks`` are views of it.  Only ``assemble`` builds one.
     """
 
     tree: ClusterTree
     partition: BlockPartition
     near_blocks: List[NearBlock]
     far_blocks: Dict[int, List[LowRankBlock]]
-    assembled_levels: Set[int]
-    tol: float
     symmetric: bool
+    storage: SparseStorage = field(repr=False, compare=False)
     stats: Dict[str, object] = field(default_factory=dict)
-    storage: Optional[SparseStorage] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.storage is not None:
-            return
-        given = self.near_blocks
-        geometry = [(b.row_start, b.row_stop, b.col_start, b.col_stop) for b in given]
-        self.near_blocks, near, mirror = _near_storage(geometry, self.n, self.symmetric)
-        for blk, old in zip(self.near_blocks, given):
-            blk.data[...] = old.data
-        levels: Dict[int, Tuple[sp.csc_matrix, sp.csr_matrix]] = {}
-        far: Dict[int, List[LowRankBlock]] = {}
-        for level, blks in self.far_blocks.items():
-            far[level] = list(blks)
-            if blks:
-                far[level], levels[level] = _level_storage(blks, self.n)
-        self.far_blocks = far
-        self.storage = SparseStorage(near, mirror, levels)
 
     @property
     def n(self) -> int:
@@ -229,6 +206,11 @@ class HMatrix:
     @property
     def depth(self) -> int:
         return self.tree.depth
+
+    @property
+    def assembled_levels(self) -> Set[int]:
+        """Far levels that were assembled, empty or not."""
+        return set(self.far_blocks)
 
     @property
     def permutation(self) -> np.ndarray:
@@ -400,7 +382,7 @@ def assemble(
         "rank_flags": rank_flags,
     }
     storage = SparseStorage(near, mirror, level_storage)
-    return HMatrix(tree, partition, near_blocks, far_blocks, set(far_blocks), tol, symmetric_mode, stats, storage)
+    return HMatrix(tree, partition, near_blocks, far_blocks, symmetric_mode, storage, stats)
 
 
 # ---------------------------------------------------------------------------

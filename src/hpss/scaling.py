@@ -1,9 +1,6 @@
-"""Near-field scaling: block-diagonal alpha and the exact near-field solve.
+"""Near-field scaling: the exact near-field solve and its level-0 check.
 
-The scaling operator alpha is the exact blockwise inverse of the diagonal
-near blocks (one per leaf), applied through stored LU factors rather than
-explicit inverses.  Left-multiplying the system by the inverse of the
-scaled near field turns
+Left-multiplying the system by the inverse of the near field Z_N turns
 
     (Z_N + sum_l Z_Fl) x = b
 
@@ -11,19 +8,16 @@ into
 
     (I + sum_l U_l) x = Z_N^{-1} b,      U_l = Z_N^{-1} Z_Fl,
 
-which is the fixed point the power-series chain factorizes.  The scaled
-near field (alpha Z_N) has identity diagonal blocks by construction, and
-its inverse composed with alpha collapses to Z_N^{-1}, so the near-field
-action here is a single sparse factorization of the Z_N the H-matrix
-stores (``HMatrix.near_matrix``).  When the partition produced no
-off-diagonal near blocks (single-leaf trees, or block-diagonal near
-fields) that factorization degenerates to alpha itself.
+which is the fixed point the power-series chain factorizes.  The near
+solve is one sparse LU factorization of the Z_N the H-matrix stores
+(``HMatrix.near_matrix``), whatever the shape of the near field.
 
-The constructor also measures the residual defect of the identity claim
-alpha * Z_N,diag = I on random probe vectors; a healthy system sits at
-rounding level and anything larger signals a broken or synthetically
-de-scaled alpha.  The solver's guard turns that defect into a hard error
-before any series is applied.
+The constructor also LU-factors each diagonal leaf block, to name a
+singular leaf and to measure the defect of the identity claim alpha *
+Z_N,diag = I (alpha: the blockwise inverse of those blocks) on random
+probe vectors; a healthy system sits at rounding level and anything
+larger signals a broken or synthetically de-scaled alpha.  The solver's
+guard turns that defect into a hard error before any series is applied.
 
 ``estimate_spectral_radius`` provides the radius estimates the solver uses
 for its convergence guards: plain power iteration on each factor.
@@ -33,11 +27,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from .hmatrix import HMatrix
 
@@ -88,47 +82,19 @@ def estimate_spectral_radius(
 
 @dataclass
 class ScaledSystem:
-    """Blockwise scaling, exact near-field solve, and the scaled RHS.
+    """The exact near-field solve, the right-hand side and the level-0 defect.
 
     Vectors live in tree-permuted coordinates throughout.
     """
 
     h: HMatrix
-    leaf_ranges: List[Tuple[int, int]]
-    lu_factors: List[Tuple[np.ndarray, np.ndarray]]
     b: np.ndarray
-    b_tilde: np.ndarray
-    alpha_scale: float
     scale_defect: float
-    near_factorization: object = None
-
-    @property
-    def n(self) -> int:
-        return self.h.n
-
-    def _leaf_solve(self, x: np.ndarray) -> np.ndarray:
-        """Solve each diagonal leaf block against its slice of x."""
-        y = np.empty(self.n, dtype=np.complex128)
-        for (start, stop), factors in zip(self.leaf_ranges, self.lu_factors):
-            y[start:stop] = lu_solve(factors, x[start:stop])
-        return y
-
-    def alpha_apply(self, x: np.ndarray) -> np.ndarray:
-        """alpha x: the leaf solve times the alpha_scale knob."""
-        y = self._leaf_solve(x)
-        if self.alpha_scale != 1.0:
-            y *= self.alpha_scale
-        return y
+    near_factorization: SuperLU
 
     def near_solve(self, v: np.ndarray) -> np.ndarray:
         """Exact x with Z_N x = v, independent of the alpha_scale knob."""
-        if self.near_factorization is None:
-            return self._leaf_solve(v)
         return np.ascontiguousarray(self.near_factorization.solve(v))
-
-    def scaled_matvec(self, x: np.ndarray) -> np.ndarray:
-        """Action of alpha Z with every assembled level included."""
-        return self.alpha_apply(self.h.matvec(x))
 
 
 def compute_scaling(
@@ -137,11 +103,12 @@ def compute_scaling(
     alpha_scale: float = 1.0,
     probe_seed: int = 0,
 ) -> ScaledSystem:
-    """Factor the near field, build alpha, and scale the right-hand side.
+    """Factor the near field and measure the level-0 scaling defect.
 
-    ``alpha_scale`` deliberately mis-scales alpha (diagnostic knob used to
-    exercise the solver's convergence guard); production runs leave it at 1.
-    A singular diagonal block raises with the offending leaf named.
+    ``alpha_scale`` deliberately mis-scales alpha in that measurement
+    (diagnostic knob used to exercise the solver's convergence guard);
+    production runs leave it at 1.  A singular diagonal block raises with
+    the offending leaf named.
     """
     b = np.asarray(b, dtype=np.complex128)
     if b.shape != (h.n,):
@@ -152,57 +119,36 @@ def compute_scaling(
     if got != expected:
         raise ValueError("near field is missing a diagonal block for some leaf")
 
-    leaf_ranges: List[Tuple[int, int]] = []
-    factors: List[Tuple[np.ndarray, np.ndarray]] = []
+    # |alpha Z_N,diag - I| blockwise on random probes; block-diagonal
+    # structure makes the max over leaves the exact operator norm bound
+    rng = np.random.default_rng(probe_seed)
+    defect = 0.0
     for leaf_index, blk in enumerate(diag_blocks):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", LinAlgWarning)
-                lu, piv = lu_factor(blk.data)
+                factors = lu_factor(blk.data)
         except (np.linalg.LinAlgError, LinAlgWarning) as exc:
             raise ValueError(
                 f"diagonal near block for leaf {leaf_index} "
                 f"(rows [{blk.row_start}, {blk.row_stop})) is singular: {exc}"
             ) from exc
-        if np.any(np.diag(lu) == 0.0):
+        if np.any(np.diag(factors[0]) == 0.0):
             raise ValueError(
                 f"diagonal near block for leaf {leaf_index} "
                 f"(rows [{blk.row_start}, {blk.row_stop})) is singular to working precision"
             )
-        leaf_ranges.append((blk.row_start, blk.row_stop))
-        factors.append((lu, piv))
-
-    near_factorization = None
-    if any(not blk.is_diagonal for blk in h.near_blocks):
-        try:
-            near_factorization = splu(h.near_matrix())
-        except RuntimeError as exc:
-            raise ValueError(f"near-field matrix is singular: {exc}") from exc
-        if np.any(near_factorization.U.diagonal() == 0.0):
-            raise ValueError("near-field matrix is singular to working precision")
-
-    system = ScaledSystem(
-        h=h,
-        leaf_ranges=leaf_ranges,
-        lu_factors=factors,
-        b=b,
-        b_tilde=np.zeros_like(b),
-        alpha_scale=float(alpha_scale),
-        scale_defect=0.0,
-        near_factorization=near_factorization,
-    )
-    system.b_tilde = system.alpha_apply(b)
-
-    # measure |alpha Z_N,diag - I| blockwise on random probes; block-diagonal
-    # structure makes the max over leaves the exact operator norm bound
-    rng = np.random.default_rng(probe_seed)
-    defect = 0.0
-    for blk, (start, stop), facs in zip(diag_blocks, leaf_ranges, factors):
-        m = stop - start
+        m = blk.row_stop - blk.row_start
         for _ in range(_DEFECT_PROBES):
             x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             x /= np.linalg.norm(x)
-            y = alpha_scale * lu_solve(facs, blk.data @ x) - x
+            y = alpha_scale * lu_solve(factors, blk.data @ x) - x
             defect = max(defect, float(np.linalg.norm(y)))
-    system.scale_defect = defect
-    return system
+
+    try:
+        near_factorization = splu(h.near_matrix())
+    except RuntimeError as exc:
+        raise ValueError(f"near-field matrix is singular: {exc}") from exc
+    if np.any(near_factorization.U.diagonal() == 0.0):
+        raise ValueError("near-field matrix is singular to working precision")
+    return ScaledSystem(h, b, defect, near_factorization)

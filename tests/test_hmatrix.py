@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -177,41 +179,6 @@ def test_symmetric_mode_halves_storage(strip_system):
     del mesh
 
 
-def test_symmetric_mode_mirror_application_is_exact(strip_system):
-    """Expanding stored blocks into explicit transposes reproduces the
-    symmetric-mode matvec bit-for-bit up to summation order."""
-    from hpss import HMatrix, LowRankBlock, NearBlock
-
-    spec, tree = strip_system["spec"], strip_system["tree"]
-    half = assemble(spec, tree, tol=1e-3, symmetric_mode=True)
-
-    near = []
-    for blk in half.near_blocks:
-        near.append(blk)
-        if not blk.is_diagonal:
-            near.append(NearBlock(blk.col_start, blk.col_stop, blk.row_start, blk.row_stop, blk.data.T.copy()))
-    far = {}
-    for level, blks in half.far_blocks.items():
-        out = []
-        for blk in blks:
-            out.append(blk)
-            out.append(LowRankBlock(blk.col_start, blk.row_start, blk.v.T.copy(), blk.u.T.copy(), level))
-        far[level] = out
-    expanded = HMatrix(
-        tree=half.tree,
-        partition=half.partition,
-        near_blocks=near,
-        far_blocks=far,
-        assembled_levels=half.assembled_levels,
-        tol=half.tol,
-        symmetric=False,
-    )
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal(half.n) + 1j * rng.standard_normal(half.n)
-    y_half, y_exp = half.matvec(x), expanded.matvec(x)
-    assert np.linalg.norm(y_half - y_exp) <= 1e-12 * np.linalg.norm(y_exp)
-
-
 def test_reciprocity_probe_rejects_asymmetric_kernels():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
@@ -286,29 +253,12 @@ def report_from_blocks(h):
     return rows
 
 
-def rebuilt_from_blocks(h):
-    """The same operator, handed to HMatrix as lists of private copies."""
-    from hpss import HMatrix, LowRankBlock, NearBlock
-
-    near = [NearBlock(b.row_start, b.row_stop, b.col_start, b.col_stop, b.data.copy()) for b in h.near_blocks]
-    far = {
-        lvl: [LowRankBlock(b.row_start, b.col_start, b.u.copy(), b.v.copy(), b.level) for b in blks]
-        for lvl, blks in h.far_blocks.items()
-    }
-    rebuilt = HMatrix(h.tree, h.partition, near, far, set(h.assembled_levels), h.tol, h.symmetric)
-    for old, new in zip(near, rebuilt.near_blocks):
-        assert not np.shares_memory(old.data, new.data)
-    return rebuilt
-
-
 def packed_case(name, strip_system):
     spec, tree = strip_system["spec"], strip_system["tree"]
     if name == "strip":
         return strip_system["h"]
     if name == "symmetric-strip":
         return assemble(spec, tree, tol=1e-3, symmetric_mode=True)
-    if name == "block-lists":
-        return rebuilt_from_blocks(assemble(spec, tree, tol=1e-3, symmetric_mode=True))
     if name == "depth-0":
         mesh = discretize_strip(1.0, 10)
         return assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 16), tol=1e-3)
@@ -318,7 +268,7 @@ def packed_case(name, strip_system):
     return assemble(KernelSpec.for_mesh(mesh), disk_tree, tol=1e-3, level_filter=levels)
 
 
-@pytest.mark.parametrize("name", ["strip", "symmetric-strip", "disk", "leaf-only-disk", "depth-0", "block-lists"])
+@pytest.mark.parametrize("name", ["strip", "symmetric-strip", "disk", "leaf-only-disk", "depth-0"])
 def test_packed_operator_matches_block_loops(name, strip_system):
     h = packed_case(name, strip_system)
     rng = np.random.default_rng(31)
@@ -350,6 +300,26 @@ def test_packed_operator_matches_block_loops(name, strip_system):
     assert [r[:3] for r in memory_report(h).rows] == report_from_blocks(h)
 
 
-def test_block_list_hmatrix_keeps_the_report_of_its_source(strip_system):
-    h = strip_system["h"]
-    assert memory_report(rebuilt_from_blocks(h)).rows == memory_report(h).rows
+def test_blocks_are_the_operator_storage():
+    """A block cannot be rebound, and a write into it changes the operator."""
+    mesh = discretize_strip(2.0, 10)
+    h = assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 5), tol=1e-3, symmetric_mode=True)
+    near = next(blk for blk in h.near_blocks if not blk.is_diagonal)
+    far = next(blk for blks in h.far_blocks.values() for blk in blks)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        near.data = np.zeros_like(near.data)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        far.u = np.zeros_like(far.u)
+
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
+    before = h.near_matvec(x)
+    new = rng.standard_normal(near.data.shape) + 1j * rng.standard_normal(near.data.shape)
+    near.data[...] = new
+    after = h.near_matvec(x)
+    assert not np.allclose(after, before)
+    assert np.linalg.norm(after - loop_near_matvec(h, x)) <= 1e-14 * np.linalg.norm(after)
+    zn = h.near_matrix().toarray()
+    rows, cols = slice(near.row_start, near.row_stop), slice(near.col_start, near.col_stop)
+    assert np.array_equal(zn[rows, cols], new)
+    assert np.array_equal(zn[cols, rows], new.T)
