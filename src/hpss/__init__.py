@@ -31,7 +31,7 @@ from .postproc import (
     series_dielectric_cylinder,
     series_pec_cylinder,
 )
-from .pss import ConvergenceError, PssConfig, SolveReport, build_factor_chain, expected_solve_counts, solve
+from .pss import ConvergenceError, FactorChain, PssConfig, SolveReport, build_factor_chain, expected_solve_counts, solve
 from .scaling import NormEstimate, ScaledSystem, compute_scaling, estimate_spectral_radius
 from .solvers import IterativeReport, gmres, lu_solve
 
@@ -42,6 +42,7 @@ __all__ = [
     "ClusterTree",
     "ConvergenceError",
     "Excitation",
+    "FactorChain",
     "HMatrix",
     "IterativeReport",
     "KernelSpec",

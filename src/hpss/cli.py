@@ -54,7 +54,6 @@ class RunConfig:
     angle_start: float = 0.0
     angle_stop: float = 180.0
     angle_count: int = 361
-    amplitude: float = 1.0
     symmetric: bool = False
     seed: int = 0
     out: str = "hpss_out"
@@ -206,7 +205,7 @@ def _run_one_solver(
         x_perm, report = pss.solve(scaled, h, config)
         x_mesh = h.unpermute(x_perm)
         wall = time.perf_counter() - start
-        rcs = bistatic_rcs(mesh, x_mesh, angles, cfg.amplitude)
+        rcs = bistatic_rcs(mesh, x_mesh, angles)
         run = SolverRun("pss", x_mesh, rcs, wall, report.to_text(), report.total_solve_matvecs)
         return run, None, report
     if name == "gmres":
@@ -216,7 +215,7 @@ def _run_one_solver(
         )
         x_mesh = h.unpermute(x_perm)
         wall = time.perf_counter() - start
-        rcs = bistatic_rcs(mesh, x_mesh, angles, cfg.amplitude)
+        rcs = bistatic_rcs(mesh, x_mesh, angles)
         detail = (
             f"gmres iterations: {report.iterations}\n"
             f"converged: {report.converged}\n"
@@ -229,7 +228,7 @@ def _run_one_solver(
     z = assemble_dense(spec)
     x_mesh = lu_solve(z, b_mesh)
     wall = time.perf_counter() - start
-    rcs = bistatic_rcs(mesh, x_mesh, angles, cfg.amplitude)
+    rcs = bistatic_rcs(mesh, x_mesh, angles)
     run = SolverRun("lu", x_mesh, rcs, wall, "dense partial-pivot LU oracle\n")
     return run, None, None
 
@@ -243,7 +242,7 @@ def _build_problem(
     mesh = build_mesh(cfg)
     spec = KernelSpec.for_mesh(mesh)
     tree = build_cluster_tree(mesh, cfg.leaf_size)
-    b_mesh = rhs(spec, Excitation(math.radians(cfg.phi_inc_deg), cfg.amplitude))
+    b_mesh = rhs(spec, Excitation(math.radians(cfg.phi_inc_deg)))
     h = assemble(
         spec,
         tree,
@@ -455,7 +454,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--angle-start", dest="angle_start", type=float)
     parser.add_argument("--angle-stop", dest="angle_stop", type=float)
     parser.add_argument("--angle-count", dest="angle_count", type=int)
-    parser.add_argument("--amplitude", type=float)
     parser.add_argument("--symmetric", action="store_const", const=True, default=None)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out")

@@ -58,7 +58,6 @@ def aca(
     rows: np.ndarray,
     cols: np.ndarray,
     tol: float,
-    max_rank: int | None = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Partially pivoted adaptive cross approximation of a matrix block.
 
@@ -72,8 +71,6 @@ def aca(
     tol : float
         Relative stopping tolerance: iteration ends once
         ``|u_k| * |v_k| <= tol * |S_k|_F`` with the accumulated estimate.
-    max_rank : int, optional
-        Hard rank cap; defaults to ``min(m, n)``.
 
     Returns
     -------
@@ -85,7 +82,6 @@ def aca(
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
     m, n = rows.size, cols.size
-    cap = min(m, n) if max_rank is None else min(max_rank, m, n)
 
     us: list[np.ndarray] = []
     vs: list[np.ndarray] = []
@@ -93,7 +89,7 @@ def aca(
     norm_sq = 0.0
     next_row = 0
 
-    while len(us) < cap:
+    while len(us) < min(m, n):
         # find a pivot row with a non-vanishing residual
         pivot_row = -1
         residual_row = None

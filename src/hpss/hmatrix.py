@@ -318,6 +318,8 @@ def assemble(
     """
     if tree.n_elements != spec.n:
         raise ValueError("tree and kernel disagree on element count")
+    if tol < 0.0:
+        raise ValueError(f"compression tolerance must be non-negative, got {tol:g}")
     partition = build_block_partition(tree, eta)
     entry_fn = entry_function(spec, tree.permutation)
     if symmetric_mode:

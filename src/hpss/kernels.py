@@ -22,7 +22,7 @@ circle, whose Green integrals have closed Bessel forms,
 with a = extent/sqrt(pi).  The identity part makes the system second kind;
 cells with eps_r = 1 would put a pole on the diagonal and are rejected.
 
-The plane-wave right-hand side is b_i = amplitude * exp(+j*k0*(c_i . d))
+The plane-wave right-hand side is b_i = exp(+j*k0*(c_i . d))
 with d = (cos(phi), sin(phi)).
 """
 
@@ -52,18 +52,13 @@ _GL3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 @dataclass(frozen=True)
 class Excitation:
-    """Unit-amplitude-by-default TM-z plane wave.
+    """Unit-amplitude TM-z plane wave.
 
     ``phi_rad`` is the angle of the phase vector d = (cos, sin); the wave
     propagates toward -d, i.e. it arrives from direction phi.
     """
 
     phi_rad: float
-    amplitude: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.amplitude > 0.0:
-            raise ValueError("excitation amplitude must be positive")
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,7 @@ def rhs(spec: KernelSpec, excitation: Excitation) -> np.ndarray:
     """Plane-wave right-hand side sampled at element centers (mesh order)."""
     d = np.array([math.cos(excitation.phi_rad), math.sin(excitation.phi_rad)])
     phase = spec.k0 * (spec.mesh.centers @ d)
-    return excitation.amplitude * np.exp(1j * phase)
+    return np.exp(1j * phase)
 
 
 def assemble_dense(

@@ -3,7 +3,7 @@
 The 2D bistatic radar cross section (echo width) is normalized per
 wavelength and reported in dB:
 
-    sigma(phi)/lambda = (2/pi) * |F(phi)|^2 / amplitude^2
+    sigma(phi)/lambda = (2/pi) * |F(phi)|^2
 
 where F is the angular far-field factor of the solved sources,
 
@@ -80,7 +80,6 @@ def bistatic_rcs(
     mesh: Mesh,
     solution: np.ndarray,
     angles_deg: Sequence[float],
-    amplitude: float = 1.0,
 ) -> RcsCurve:
     """Echo width of the solved sources over the observation angles.
 
@@ -106,7 +105,7 @@ def bistatic_rcs(
         chunk = slice(start, start + RCS_ANGLE_CHUNK)
         phase = np.exp(1j * k0 * (directions[chunk] @ mesh.centers.T))  # (chunk, N)
         factor[chunk] = phase @ weights
-    sigma = (2.0 / math.pi) * np.abs(factor) ** 2 / amplitude**2
+    sigma = (2.0 / math.pi) * np.abs(factor) ** 2
     return RcsCurve(angles, _to_db(sigma), {"kind": mesh.kind})
 
 

@@ -22,11 +22,12 @@ stays below one (necessary and sufficient; the 2-norm below one is merely
 sufficient, and first-kind surface systems routinely combine a convergent
 radius with a 2-norm above one).  The chain therefore estimates every
 factor's convergence radius by power iteration and refuses to run past an
-estimate at or above 1.0, warning from 0.1 up.  The same guard covers the
-level-0 scaling: the construction promises that alpha times the near
-diagonal is the identity, and the measured defect of that promise is
-converted to the norm of the omitted correction factor, so a de-scaled
-alpha is rejected before any series runs.
+estimate at or above ``NORM_FAIL`` (1.0), recording a warning in the report
+from ``NORM_WARN`` (0.1) up.  The same guard covers the level-0 scaling:
+the construction promises that alpha times the near diagonal is the
+identity, and the measured defect of that promise is converted to the
+norm of the omitted correction factor, so a de-scaled alpha is rejected
+before any series runs.
 
 The solve applies a fixed, input-independent number of level matvecs: no
 residual-driven iteration hides anywhere, which is what makes the matvec
@@ -42,8 +43,8 @@ two halves touch, is always empty).
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,8 +54,9 @@ from .scaling import NormEstimate, ScaledSystem, estimate_spectral_radius
 
 Apply = Callable[[np.ndarray], np.ndarray]
 
-NORM_WARN_DEFAULT = 0.1
-NORM_FAIL_DEFAULT = 1.0
+# guard thresholds on every factor's estimated radius, read at call time
+NORM_WARN = 0.1
+NORM_FAIL = 1.0
 RADIUS_ITERS = 20
 
 
@@ -74,15 +76,11 @@ class PssConfig:
 
     series_order: int = 2
     active_levels: Optional[Sequence[int]] = None
-    warn_threshold: float = NORM_WARN_DEFAULT
-    fail_threshold: float = NORM_FAIL_DEFAULT
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.series_order < 1:
             raise ValueError("series_order must be at least 1; order 0 would drop the level")
-        if not 0.0 < self.warn_threshold <= self.fail_threshold:
-            raise ValueError("thresholds must satisfy 0 < warn <= fail")
 
     def resolve_levels(self, depth: int) -> List[int]:
         if depth < 1:
@@ -97,20 +95,6 @@ class PssConfig:
         if levels != list(range(levels[0], depth + 1)):
             raise ValueError("active_levels must be contiguous")
         return levels
-
-
-@dataclass
-class LevelFactor:
-    """One resolvent factor of the cascade."""
-
-    level: int
-    order: int
-    t_apply: Apply
-    norm: NormEstimate
-    counts: Dict[int, int]
-
-    def ap_apply(self, v: np.ndarray) -> np.ndarray:
-        return neumann_apply(self.t_apply, v, self.order)
 
 
 def neumann_apply(factor_apply: Apply, v: np.ndarray, order: int) -> np.ndarray:
@@ -135,83 +119,100 @@ def _implied_identity_factor_norm(defect: float) -> float:
     return defect / (1.0 - defect)
 
 
-def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> List[LevelFactor]:
-    """Construct and norm-check the resolvent factors, deepest last.
+@dataclass
+class FactorChain:
+    """The guarded resolvent factors of one operator, leaf level last.
+
+    Factor ``i`` belongs to tree level ``levels[i]``.  ``norms`` holds each
+    level's radius estimate and, under key 0, the implied level-0 factor
+    norm; ``warnings`` holds the guard's messages.  ``counts`` tallies the
+    level matvecs run since it was last cleared; the near solves ride along
+    one-for-one and are not counted.  The chain keeps the near solve and no
+    right-hand side, so it serves any number of them.
+    """
+
+    h: HMatrix
+    near_solve: Apply
+    order: int
+    levels: List[int]
+    norms: Dict[int, NormEstimate]
+    warnings: List[str]
+    counts: Dict[int, int]
+
+    def t_apply(self, i: int, x: np.ndarray) -> np.ndarray:
+        """T_i x: U_i = Z_N^{-1} Z_Fl at level ``levels[i]``, then every
+        earlier resolvent in order."""
+        level = self.levels[i]
+        self.counts[level] += 1
+        y = self.near_solve(self.h.matvec_level(level, x))
+        for j in range(i):
+            y = self.ap_apply(j, y)
+        return y
+
+    def ap_apply(self, i: int, v: np.ndarray) -> np.ndarray:
+        """Ap_i v, the truncated series for (I + T_i)^-1 v."""
+        return neumann_apply(partial(self.t_apply, i), v, self.order)
+
+    def apply(self, b: np.ndarray) -> np.ndarray:
+        """The cascade x = Ap_L(...(Ap_1(Z_N^{-1} b))...)."""
+        x = self.near_solve(b)
+        for i in range(len(self.levels)):
+            x = self.ap_apply(i, x)
+        return x
+
+
+def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> FactorChain:
+    """Construct and norm-check the resolvent factors, leaf level last.
 
     The chain has one factor per configured level that holds far blocks;
     an empty level's factor would be exactly the identity.  Raises
     :class:`ConvergenceError` as soon as any estimated factor norm reaches
-    ``config.fail_threshold`` (the series for (I + T)^-1 requires the norm
-    of T below one) and emits a warning from ``config.warn_threshold`` up.
+    ``NORM_FAIL`` (the series for (I + T)^-1 requires the norm of T below
+    one) and records a warning from ``NORM_WARN`` up.  The chain's counts
+    are then the guard's setup matvecs.
     """
     if scaled.h is not h:
         raise ValueError("scaled system was built from a different H-matrix")
     active = [level for level in config.resolve_levels(h.depth) if h.far_blocks.get(level)]
-    counts: Dict[int, int] = {level: 0 for level in active}
-
     defect_norm = _implied_identity_factor_norm(scaled.scale_defect)
-    if defect_norm >= config.fail_threshold:
+    chain = FactorChain(
+        h=h,
+        near_solve=scaled.near_solve,
+        order=config.series_order,
+        levels=active,
+        norms={0: NormEstimate(defect_norm, "diagonal-defect", 1)},
+        warnings=[],
+        counts=dict.fromkeys(active, 0),
+    )
+
+    if defect_norm >= NORM_FAIL:
         raise ConvergenceError(
             "scaled near diagonal is not the identity: the omitted level-0 factor has "
-            f"estimated norm {defect_norm:.3g} >= {config.fail_threshold:g}, violating the "
+            f"estimated norm {defect_norm:.3g} >= {NORM_FAIL:g}, violating the "
             "power-series validity condition (operator norm below one)"
         )
-    if defect_norm >= config.warn_threshold:
-        warnings.warn(
+    if defect_norm >= NORM_WARN:
+        chain.warnings.append(
             f"level-0 identity defect has implied factor norm {defect_norm:.3g}; "
-            "series accuracy will suffer",
-            RuntimeWarning,
-            stacklevel=2,
+            "series accuracy will suffer"
         )
 
-    factors: List[LevelFactor] = []
-
-    def make_u(level: int) -> Apply:
-        # U_l = Z_N^{-1} Z_Fl; the counter tallies level matvecs only, the
-        # near solves ride along one-for-one and are not iterations
-        def u_apply(x: np.ndarray) -> np.ndarray:
-            counts[level] += 1
-            return scaled.near_solve(h.matvec_level(level, x))
-
-        return u_apply
-
-    for level in active:
-        u_apply = make_u(level)
-        prior = list(factors)
-
-        def t_apply(x: np.ndarray, _u: Apply = u_apply, _prior: List[LevelFactor] = prior) -> np.ndarray:
-            y = _u(x)
-            for factor in _prior:
-                y = factor.ap_apply(y)
-            return y
-
+    for i, level in enumerate(active):
+        t_apply = partial(chain.t_apply, i)
         estimate = estimate_spectral_radius(t_apply, h.n, iters=RADIUS_ITERS, seed=config.seed + level)
-        if estimate.value >= config.fail_threshold:
+        if estimate.value >= NORM_FAIL:
             raise ConvergenceError(
                 f"estimated convergence radius of the level-{level} series factor is "
-                f"{estimate.value:.3g} >= {config.fail_threshold:g}; the power-series "
+                f"{estimate.value:.3g} >= {NORM_FAIL:g}; the power-series "
                 "expansion of (I + T)^-1 requires the norm of T below one"
             )
-        if estimate.value >= config.warn_threshold:
-            warnings.warn(
+        if estimate.value >= NORM_WARN:
+            chain.warnings.append(
                 f"level-{level} series factor convergence radius {estimate.value:.3g} exceeds "
-                f"{config.warn_threshold:g}; truncation error may dominate",
-                RuntimeWarning,
-                stacklevel=2,
+                f"{NORM_WARN:g}; truncation error may dominate"
             )
-        factors.append(LevelFactor(level, config.series_order, t_apply, estimate, counts))
-
-    return factors
-
-
-def reset_chain_counts(factors: List[LevelFactor]) -> None:
-    if factors:
-        for key in factors[0].counts:
-            factors[0].counts[key] = 0
-
-
-def chain_counts(factors: List[LevelFactor]) -> Dict[int, int]:
-    return dict(factors[0].counts) if factors else {}
+        chain.norms[level] = estimate
+    return chain
 
 
 def expected_solve_counts(depth: int, active: Sequence[int], order: int) -> Dict[int, int]:
@@ -290,24 +291,10 @@ def solve(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> Tuple[np.ndarr
     with skipped levels the true system is unavailable by design.
     """
     start = time.perf_counter()
-    captured: List[str] = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        factors = build_factor_chain(scaled, h, config)
-        captured = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-
-    setup_counts = chain_counts(factors)
-    reset_chain_counts(factors)
-    x = scaled.near_solve(scaled.b)
-    for factor in factors:
-        x = factor.ap_apply(x)
-    solve_counts = chain_counts(factors)
-
-    norms: Dict[int, NormEstimate] = {
-        0: NormEstimate(_implied_identity_factor_norm(scaled.scale_defect), "diagonal-defect", 1)
-    }
-    for factor in factors:
-        norms[factor.level] = factor.norm
+    chain = build_factor_chain(scaled, h, config)
+    setup_counts = dict(chain.counts)
+    chain.counts = dict.fromkeys(chain.counts, 0)
+    x = chain.apply(scaled.b)
 
     residual = None
     if h.covers_all_far_levels():
@@ -317,11 +304,11 @@ def solve(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> Tuple[np.ndarr
 
     report = SolveReport(
         order=config.series_order,
-        active_levels=[factor.level for factor in factors],
-        factor_norms=norms,
-        warnings=captured,
+        active_levels=chain.levels,
+        factor_norms=chain.norms,
+        warnings=chain.warnings,
         setup_matvec_counts=setup_counts,
-        solve_matvec_counts=solve_counts,
+        solve_matvec_counts=chain.counts,
         wall_time_s=time.perf_counter() - start,
         residual=residual,
     )

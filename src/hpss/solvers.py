@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -58,7 +58,6 @@ def gmres(
     tol: float = 1e-6,
     restart: int = 50,
     maxit: int = 2000,
-    x0: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, IterativeReport]:
     """Restarted GMRES on an operator given as a matvec closure.
 
@@ -76,7 +75,7 @@ def gmres(
         raise ValueError("right-hand side is zero; nothing to solve")
 
     start = time.perf_counter()
-    x = np.zeros(n, dtype=np.complex128) if x0 is None else np.asarray(x0, dtype=np.complex128).copy()
+    x = np.zeros(n, dtype=np.complex128)
     history: List[float] = []
     true_residuals: List[Tuple[int, float]] = []
     total_iters = 0

@@ -83,7 +83,6 @@ def test_parse_config_returns_annotated_types(tmp_path):
         angle_start = 10
         angle_stop = 170
         angle_count = 9
-        amplitude = 2
         symmetric = on
         seed = 7
         out = results

@@ -158,6 +158,18 @@ def test_level_filter_rejects_bad_levels():
         assemble(KernelSpec.for_mesh(mesh), tree, tol=1e-3, level_filter=[7])
 
 
+def test_assemble_rejects_negative_tolerance(monkeypatch):
+    def no_fill(*args):
+        raise AssertionError("entries were evaluated before the tolerance check")
+
+    monkeypatch.setattr("hpss.hmatrix.entry_function", no_fill)
+    # a 4-wavelength strip has no far blocks, a 16-wavelength one has some
+    for length in (4.0, 16.0):
+        mesh = discretize_strip(length, 10)
+        with pytest.raises(ValueError, match="tolerance must be non-negative"):
+            assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 32), tol=-1.0)
+
+
 def test_symmetric_mode_halves_storage(strip_system):
     mesh, tree = strip_system["mesh"], strip_system["tree"]
     spec = strip_system["spec"]

@@ -17,7 +17,7 @@ from hpss import (
     rhs,
     solve,
 )
-from hpss.pss import neumann_apply
+from hpss.pss import RADIUS_ITERS, neumann_apply
 from conftest import dense_from_operator
 
 
@@ -75,10 +75,6 @@ def test_neumann_applies_operator_exactly_order_times():
 def test_config_validation():
     with pytest.raises(ValueError):
         PssConfig(series_order=0)
-    with pytest.raises(ValueError):
-        PssConfig(warn_threshold=0.0)
-    with pytest.raises(ValueError):
-        PssConfig(warn_threshold=0.5, fail_threshold=0.2)
     assert PssConfig().resolve_levels(3) == [1, 2, 3]
     assert PssConfig(active_levels=[2, 3]).resolve_levels(3) == [2, 3]
     with pytest.raises(ValueError):
@@ -125,7 +121,10 @@ def test_reported_counts_match_structural_formula():
         chain = [l for l in range(1, h.depth + 1) if h.far_blocks[l]]
         assert len(chain) < h.depth
         assert report.active_levels == chain
-        assert report.solve_matvec_counts == expected_solve_counts(h.depth, chain, order)
+        expected = expected_solve_counts(h.depth, chain, order)
+        assert report.solve_matvec_counts == expected
+        # the guard runs RADIUS_ITERS applications of each T_l, the solve order
+        assert report.setup_matvec_counts == {l: RADIUS_ITERS * c // order for l, c in expected.items()}
 
 
 def test_matvec_counts_are_input_independent():
@@ -153,6 +152,16 @@ def test_order_three_beats_order_two_when_factors_contract():
         assert all(est.value < 0.3 for lvl, est in report.factor_norms.items() if lvl > 0)
         errs[order] = np.linalg.norm(x - x_lu) / np.linalg.norm(x_lu)
     assert errs[3] <= errs[2]
+
+
+def test_one_chain_serves_another_rhs():
+    mesh = discretize_strip(3.0, 10)
+    spec, h, scaled = make_system(mesh, 8)
+    b2 = h.permute(rhs(spec, Excitation(1.1)))
+    cfg = PssConfig(series_order=2)
+    chain = build_factor_chain(scaled, h, cfg)
+    x2, _ = solve(compute_scaling(h, b2), h, cfg)
+    assert np.array_equal(chain.apply(b2), x2)
 
 
 def test_solve_is_linear_in_the_rhs():
@@ -232,12 +241,14 @@ def test_mild_descaling_warns_but_solves():
     assert np.all(np.isfinite(x))
 
 
-def test_tightened_fail_threshold_triggers_factor_guard():
+def test_tightened_fail_threshold_triggers_factor_guard(monkeypatch):
     mesh = discretize_strip(2.0, 10)
     spec, h, scaled = make_system(mesh, 5)
+    monkeypatch.setattr("hpss.pss.NORM_WARN", 0.05)
+    monkeypatch.setattr("hpss.pss.NORM_FAIL", 0.3)
     # the leaf factor radius sits near 0.35 here; a 0.3 ceiling must trip
     with pytest.raises(ConvergenceError, match="level-2"):
-        solve(scaled, h, PssConfig(series_order=2, warn_threshold=0.05, fail_threshold=0.3))
+        solve(scaled, h, PssConfig(series_order=2))
 
 
 def test_factor_radius_warnings_are_captured_not_raised():
@@ -263,7 +274,6 @@ def test_report_text_layout():
     assert "wall time" in text
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_chain_respects_truncated_levels():
     mesh = discretize_disk(0.3, 16, 2.0)
     spec, h, scaled = make_system(mesh, 8)
@@ -273,6 +283,6 @@ def test_chain_respects_truncated_levels():
     chain_mid = build_factor_chain(scaled, h, PssConfig(series_order=2, active_levels=[2, 3, 4, 5]))
     # the chain is the configured levels that hold far blocks, in order
     assert depth == 5 and [l for l in range(1, depth + 1) if not h.far_blocks[l]] == [1, 2]
-    assert [f.level for f in chain_full] == [3, 4, 5]
-    assert [f.level for f in chain_mid] == [3, 4, 5]
-    assert [f.level for f in chain_leaf] == [depth]
+    assert chain_full.levels == [3, 4, 5]
+    assert chain_mid.levels == [3, 4, 5]
+    assert chain_leaf.levels == [depth]
