@@ -70,6 +70,8 @@ class RunConfig:
                 raise ValueError(f"unknown solver {name!r} in solvers list")
         if self.angle_count < 1:
             raise ValueError("angle_count must be positive")
+        if not (math.isfinite(self.gmres_tol) and self.gmres_tol > 0.0):
+            raise ValueError(f"gmres_tol must be positive and finite, got {self.gmres_tol:g}")
         if self.levels not in ("all", "leaf"):
             try:
                 [int(tok) for tok in self.levels.split(",")]

@@ -89,6 +89,14 @@ class Mesh:
             raise ValueError("extents and eps_r must be 1D arrays matching centers")
         if not np.all(np.isfinite(self.centers)):
             raise ValueError("non-finite element center")
+        # the kernel's distance would be 0 off the diagonal
+        order = np.lexsort((self.centers[:, 1], self.centers[:, 0]))
+        ranked = self.centers[order]
+        same = np.flatnonzero(np.all(ranked[1:] == ranked[:-1], axis=1))
+        if same.size:
+            i, j = sorted(int(e) for e in order[same[0] : same[0] + 2])
+            x, y = self.centers[i]
+            raise ValueError(f"elements {i} and {j} share the centre ({x:g}, {y:g})")
         if np.any(self.extents <= 0.0):
             raise ValueError("element extents must be positive")
         if self.wavelength <= 0.0:

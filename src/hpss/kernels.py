@@ -2,7 +2,11 @@
 
 Both equations use the 2D free-space Green's function with the exp(+j*w*t)
 time convention, so outgoing waves ride on the Hankel function of the
-second kind.
+second kind.  Off the diagonal it is evaluated as
+H0^(2)(x) = J0(x) - j*Y0(x) with the Cephes ``j0``/``y0``, at a fraction of
+the cost of the AMOS ``hankel2``.  Their relative error grows with x, as
+the phase x - pi/4 is rounded: 5.4e-13 at x = 1.1e4 against AMOS's 1e-15,
+far below any compression or solver tolerance.
 
 Surface EFIE (PEC contour, unknown = axial surface current):
 
@@ -22,6 +26,13 @@ circle, whose Green integrals have closed Bessel forms,
 with a = extent/sqrt(pi).  The identity part makes the system second kind;
 cells with eps_r = 1 would put a pole on the diagonal and are rejected.
 
+Either off-diagonal entry is w_j * H0^(2)(k0*|c_i - c_j|), and each
+``KernelSpec`` computes the column weights w_j once.  A block pays only for
+the distances, the two Bessel functions and one product; the self-term
+path runs only when some row index equals a column index, which for a
+validated mesh (no two elements share a centre) is also the only way r can
+be 0.
+
 The plane-wave right-hand side is b_i = exp(+j*k0*(c_i . d))
 with d = (cos(phi), sin(phi)).
 """
@@ -30,10 +41,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import hankel2, j1
+from scipy.special import hankel2, j0, j1, y0
 
 from .geometry import Mesh, SURFACE, VOLUME
 
@@ -91,6 +103,19 @@ class KernelSpec:
     def n(self) -> int:
         return self.mesh.n_elements
 
+    @cached_property
+    def column_weights(self) -> np.ndarray:
+        """w_j in the off-diagonal entry Z_ij = w_j * H0^(2)(k0*|c_i - c_j|).
+
+        (k0*eta0/4)*extent_j for the S-EFIE, j*(pi*k0*a_j/2)*J1(k0*a_j) for
+        the V-EFIE; complex128 either way, computed on first use.
+        """
+        k0 = self.k0
+        if self.equation == S_EFIE:
+            return ((k0 * ETA0 / 4.0) * self.mesh.extents).astype(np.complex128)
+        a = self.mesh.extents / math.sqrt(math.pi)
+        return 0.5j * math.pi * k0 * a * j1(k0 * a)
+
 
 def _surface_self_entry(k0: float, delta: np.ndarray) -> np.ndarray:
     """Segment self-integral of (k0*eta0/4)*H0^(2), vectorized over extents.
@@ -125,24 +150,26 @@ def z_block(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     mesh = spec.mesh
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
-    diff = mesh.centers[rows][:, None, :] - mesh.centers[cols][None, :, :]
-    r = np.hypot(diff[..., 0], diff[..., 1])
-    self_mask = rows[:, None] == cols[None, :]
-    r_safe = np.where(self_mask, 1.0, r)
-    k0 = spec.k0
-    h0 = hankel2(0, k0 * r_safe)
-    if spec.equation == S_EFIE:
-        block = (k0 * ETA0 / 4.0) * h0 * mesh.extents[cols][None, :]
-        if np.any(self_mask):
-            self_vals = _surface_self_entry(k0, mesh.extents[rows])
-            block = np.where(self_mask, self_vals[:, None], block)
-    else:
-        a = mesh.extents[cols] / math.sqrt(math.pi)
-        block = 0.5j * math.pi * k0 * a[None, :] * j1(k0 * a)[None, :] * h0
-        if np.any(self_mask):
-            self_vals = _volume_self_entry(k0, mesh.extents[rows], mesh.eps_r[rows])
-            block = np.where(self_mask, self_vals[:, None], block)
-    return block.astype(np.complex128, copy=False)
+    at_rows = mesh.centers[rows]
+    at_cols = mesh.centers[cols]
+    x = np.hypot(at_rows[:, 0, None] - at_cols[:, 0], at_rows[:, 1, None] - at_cols[:, 1])
+    x *= spec.k0
+    self_mask = rows[:, None] == cols
+    has_self = bool(self_mask.any())
+    if has_self:
+        x[self_mask] = 1.0  # keeps Y0 finite; these entries are overwritten below
+    block = np.empty(x.shape, dtype=np.complex128)
+    j0(x, out=block.real)
+    np.negative(y0(x), out=block.imag)
+    block *= spec.column_weights[cols]
+    if has_self:
+        i, j = np.nonzero(self_mask)
+        extents = mesh.extents[rows[i]]
+        if spec.equation == S_EFIE:
+            block[i, j] = _surface_self_entry(spec.k0, extents)
+        else:
+            block[i, j] = _volume_self_entry(spec.k0, extents, mesh.eps_r[rows[i]])
+    return block
 
 
 def z_entry(spec: KernelSpec, i: int, j: int) -> complex:

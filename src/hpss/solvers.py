@@ -14,6 +14,7 @@ returning a polluted solution on ill-conditioned systems.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -61,9 +62,12 @@ def gmres(
 ) -> Tuple[np.ndarray, IterativeReport]:
     """Restarted GMRES on an operator given as a matvec closure.
 
-    ``tol`` is relative to |b|; ``maxit`` caps total inner iterations, and
-    hitting it returns the best iterate with ``converged = False``.
+    ``tol`` is relative to |b| and must be positive and finite; ``maxit``
+    caps total inner iterations, and hitting it returns the best iterate
+    with ``converged = False``.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"gmres tolerance must be positive and finite, got {tol:g}")
     if restart < 1:
         raise ValueError("restart length must be at least 1")
     if maxit < 1:

@@ -129,6 +129,9 @@ def test_config_validation_errors():
         RunConfig(levels="leaf,2").validate()
     with pytest.raises(ValueError, match="angle_count"):
         RunConfig(angle_count=0).validate()
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="gmres_tol"):
+            RunConfig(gmres_tol=tol).validate()
 
 
 def test_bad_config_value_exits_one_not_traceback(tmp_path, capsys):
@@ -136,6 +139,14 @@ def test_bad_config_value_exits_one_not_traceback(tmp_path, capsys):
     rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_nonpositive_gmres_tol_exits_one_before_solving(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["solve", "--solver", "gmres", "--gmres-tol", "-1", "--out", str(out)])
+    assert rc == 1
+    assert "error: gmres_tol must be positive and finite, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_subcommand_is_usage_error():

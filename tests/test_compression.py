@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hpss import KernelSpec, aca, discretize_strip, recompress
 from hpss.kernels import entry_function
@@ -38,6 +39,17 @@ def test_exactly_low_rank_block_exhausts_cleanly():
     u, v = aca(matrix_entry_fn(m), np.arange(12), np.arange(9), tol=1e-14)
     assert u.shape[1] <= 6
     assert np.linalg.norm(u @ v - m) <= 1e-10 * np.linalg.norm(m)
+
+
+# (40, 24) and (24, 40) outgrow the factors' first ACA_START_RANK = 16 columns
+@pytest.mark.parametrize("m, n", [(12, 7), (40, 24), (24, 40)])
+def test_zero_tolerance_runs_to_full_rank(m, n):
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    u, v = aca(matrix_entry_fn(block), np.arange(m), np.arange(n), tol=0.0)
+    assert u.shape == (m, min(m, n))
+    assert v.shape == (min(m, n), n)
+    assert np.linalg.norm(u @ v - block) <= 1e-10 * np.linalg.norm(block)
 
 
 def well_separated_block():
@@ -97,6 +109,17 @@ def test_recompress_lossless_at_zero_tol():
     u = rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5))
     v = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
     u2, v2 = recompress(u, v, tol=0.0)
+    assert np.linalg.norm(u2 @ v2 - u @ v) <= 1e-13 * np.linalg.norm(u @ v)
+
+
+def test_recompress_caps_rank_at_block_dimensions():
+    # more crosses than either block dimension: the rank drops to min(m, n)
+    rng = np.random.default_rng(13)
+    u = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    v = rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5))
+    u2, v2 = recompress(u, v, tol=0.0)
+    assert u2.shape[1] <= 5
+    assert u2.shape[0] == 6 and v2.shape == (u2.shape[1], 5)
     assert np.linalg.norm(u2 @ v2 - u @ v) <= 1e-13 * np.linalg.norm(u @ v)
 
 

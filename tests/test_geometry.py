@@ -91,6 +91,17 @@ def test_mesh_density_rule_holds_per_element():
         assert np.all(m.extents * k_scale <= m.wavelength / 10.0 + 1e-12)
 
 
+def test_mesh_rejects_two_elements_with_one_centre():
+    centers = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.1, 0.0]])
+    with pytest.raises(ValueError, match=r"elements 1 and 3 share the centre \(0.1, 0\)"):
+        Mesh("surface", centers, np.full(4, 0.05), np.ones(4, dtype=complex))
+    cells = discretize_disk(0.3, 10, 2.0)
+    centers = cells.centers.copy()
+    centers[0] = centers[-1]
+    with pytest.raises(ValueError, match=f"elements 0 and {cells.n_elements - 1} share the centre"):
+        Mesh("volume", centers, cells.extents, cells.eps_r)
+
+
 def test_tree_on_eight_collinear_points():
     m = discretize_strip(0.8, 10)
     assert m.n_elements == 8

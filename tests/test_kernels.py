@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import hankel2, j1
 
 from hpss import (
     Excitation,
@@ -15,7 +16,8 @@ from hpss import (
     rhs,
     z_entry,
 )
-from hpss.kernels import z_block
+from hpss.geometry import SURFACE, VOLUME, Mesh
+from hpss.kernels import ETA0, _surface_self_entry, _volume_self_entry, z_block
 
 
 def test_spec_requires_matching_mesh_kind():
@@ -99,6 +101,54 @@ def test_block_evaluator_matches_dense():
     rows = np.array([0, 5, 9])
     cols = np.array([2, 5])
     assert np.array_equal(z_block(spec, rows, cols), z[np.ix_(rows, cols)])
+
+
+def fan_mesh(kind):
+    """Element 0 at the origin, the others at k0*r from 1e-3 to 1.1e4 from it."""
+    rng = np.random.default_rng(3)
+    k0r = np.geomspace(1e-3, 1.1e4, 81)
+    phi = rng.uniform(0.0, 2.0 * math.pi, k0r.size)
+    r = k0r / (2.0 * math.pi)
+    centers = np.vstack([[0.0, 0.0], np.column_stack([r * np.cos(phi), r * np.sin(phi)])])
+    n = centers.shape[0]
+    if kind == SURFACE:
+        return Mesh(SURFACE, centers, rng.uniform(0.01, 0.1, n), np.ones(n, dtype=complex))
+    return Mesh(VOLUME, centers, rng.uniform(0.01, 0.07, n), rng.uniform(1.5, 2.0, n) - 0.3j)
+
+
+@pytest.mark.parametrize("kind", [SURFACE, VOLUME])
+def test_offdiagonal_entries_match_hankel2(kind):
+    mesh = fan_mesh(kind)
+    spec = KernelSpec.for_mesh(mesh)
+    k0, n = spec.k0, mesh.n_elements
+    if kind == SURFACE:
+        weights = (k0 * ETA0 / 4.0) * mesh.extents
+    else:
+        a = mesh.extents / math.sqrt(math.pi)
+        weights = 0.5j * math.pi * k0 * a * j1(k0 * a)
+    others = np.arange(1, n)
+    k0r = k0 * np.hypot(mesh.centers[others, 0], mesh.centers[others, 1])
+    row = z_block(spec, np.array([0]), others)[0]
+    col = z_block(spec, others, np.array([0]))[:, 0]
+    assert np.max(np.abs(row / (weights[others] * hankel2(0, k0r)) - 1.0)) <= 1e-12
+    assert np.max(np.abs(col / (weights[0] * hankel2(0, k0r)) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("mesh", [discretize_strip(2.0, 10), discretize_disk(0.3, 10, 3.0 - 0.2j)])
+def test_self_entries_are_the_self_integrals(mesh):
+    spec = KernelSpec.for_mesh(mesh)
+    if mesh.kind == SURFACE:
+        expect = _surface_self_entry(spec.k0, mesh.extents)
+    else:
+        expect = _volume_self_entry(spec.k0, mesh.extents, mesh.eps_r)
+    idx = np.arange(mesh.n_elements)
+    assert np.array_equal(np.diag(z_block(spec, idx, idx)), expect)
+    rows, cols = np.array([3, 5, 7, 12]), np.array([5, 6, 12, 7, 3])
+    block = z_block(spec, rows, cols)
+    for i, r in enumerate(rows):
+        for j, c in enumerate(cols):
+            if r == c:
+                assert block[i, j] == expect[r]
 
 
 def test_dense_cap_refuses_large_systems():

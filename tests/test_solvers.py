@@ -64,6 +64,15 @@ def test_gmres_rejects_zero_rhs():
         gmres(lambda v: v, np.zeros(3, dtype=np.complex128))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_gmres_rejects_tolerance_before_any_matvec(tol):
+    def apply(v):
+        raise AssertionError("matvec called")
+
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        gmres(apply, np.ones(3, dtype=np.complex128), tol=tol)
+
+
 def test_gmres_report_csv_rows():
     b = np.ones(3, dtype=np.complex128)
     _, rep = gmres(lambda v: v, b)
