@@ -271,6 +271,8 @@ def run_solve(cfg: RunConfig) -> int:
         f"geometry: {cfg.geometry}",
         f"unknowns: {mesh.n_elements}",
         f"tree depth: {h.depth}",
+        f"far blocks: {sum(len(blocks) for blocks in h.far_blocks.values())}",
+        f"rank flags (far blocks of rank above half their smaller side): {len(h.stats['rank_flags'])}",
         f"solver: {run.name}",
         f"wall time: {run.wall_time_s:.3f} s",
         f"outputs: {cfg.out}",

@@ -6,12 +6,21 @@ evaluations.  Pivoting is deterministic: the first pivot row is the first
 local row, later pivot rows maximize the magnitude of the latest column
 term over untouched rows, and all ties resolve to the lowest index.  The
 stopping test compares the newest cross against an incrementally
-accumulated Frobenius estimate of the partial sum.  The crosses are
-written into preallocated factors, U in Fortran order (one contiguous
-column per cross) and V in C order (one row per cross), so the residual
-row, the residual column and the estimate's cross terms are each one
-product with the earlier crosses.  The factors start with room for
-``ACA_START_RANK`` crosses and double, up to min(m, n), when full.
+accumulated Frobenius estimate of the partial sum.  A sampled row or
+column with a non-finite entry raises ``BlockError``.
+
+``aca`` takes one block or a stack of same-shape blocks and runs the stack
+in lockstep: each step samples the pivot rows of every block still running
+with one ``entry_fn`` call and their pivot columns with another, and the
+residuals, pivot choices and stopping tests are array operations over the
+stack.  Every block follows the single-block rules above and leaves the
+stack when it stops, so it gets the pivots and rank it would get alone.
+The crosses are written into preallocated factors, one row of U and of V
+per cross, so the residual row, the residual column and the estimate's
+cross terms are each one batched product with the earlier crosses.  The
+factors start with room for ``ACA_START_RANK`` crosses and double, up to
+min(m, n), when full, so they never hold more than twice the entries of
+the stack's blocks.
 
 Recompression takes one thin QR of U, the thin SVD of the k-by-n matrix
 R V (U V = Q R V, so these are the singular values of U V), and truncates
@@ -21,18 +30,25 @@ is rank-stable under repetition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
 EntryFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+Factors = Tuple[np.ndarray, np.ndarray]
 
 # crosses the ACA factors have room for at first; they double when full.
-# Room for all min(m, n) at once would put arrays of 4 MB and more (a 512
-# block) on the heap, where numpy advises huge pages for them.
-ACA_START_RANK = 16
+# Small, because a stack multiplies the room by its block count.
+ACA_START_RANK = 4
+
+
+class BlockError(ValueError):
+    """ACA failed on one block of a stack; ``index`` is its position there."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -69,96 +85,153 @@ def aca(
     rows: np.ndarray,
     cols: np.ndarray,
     tol: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Partially pivoted adaptive cross approximation of a matrix block.
+) -> Union[Factors, List[Factors]]:
+    """Partially pivoted adaptive cross approximation of one block or a stack.
 
     Parameters
     ----------
     entry_fn : callable
-        Vectorized evaluator: ``entry_fn(i_array, j_array)`` returns the
-        block of entries with shape ``(len(i_array), len(j_array))``.
+        Vectorized evaluator: ``entry_fn(rows, cols)`` with rows (..., m)
+        and cols (..., n) returns the entries, shape (..., m, n).
     rows, cols : ndarray
-        Global index arrays defining the block.
+        Global indices of one block, (m,) and (n,), or of a stack of B
+        same-shape blocks, (B, m) and (B, n).
     tol : float
-        Relative stopping tolerance: iteration ends once
-        ``|u_k| * |v_k| <= tol * |S_k|_F`` with the accumulated estimate.
+        Relative stopping tolerance: a block stops once
+        ``|u_k| * |v_k| <= tol * |S_k|_F`` with its accumulated estimate.
 
     Returns
     -------
-    (U, V)
+    (U, V), or a list of B of them for a stack
         Factors with shapes (m, k) and (k, n); k may be 0 for a zero block.
+
+    Raises
+    ------
+    BlockError
+        When a sampled row or column holds a non-finite entry; ``index``
+        names the block in the stack.
     """
     if tol < 0.0:
         raise ValueError("aca tolerance must be non-negative")
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
-    m, n = rows.size, cols.size
+    if rows.ndim == 1:
+        return aca(entry_fn, rows[None], cols[None], tol)[0]
+    return _aca_lockstep(entry_fn, rows, cols, tol)
 
+
+def _aca_lockstep(entry_fn: EntryFn, rows: np.ndarray, cols: np.ndarray, tol: float) -> List[Factors]:
+    """ACA of a (B, m) x (B, n) stack, all blocks in step.
+
+    The arrays hold only the blocks still running, all with k crosses, and
+    lose a block's row when it stops.
+    """
+    count, m = rows.shape
+    n = cols.shape[1]
+    factors: List[Factors] = [None] * count  # type: ignore[list-item]
+    ids = np.arange(count)  # each running block's position in the stack
     k_max = min(m, n)
-    u = np.empty((m, min(k_max, ACA_START_RANK)), dtype=np.complex128, order="F")
-    v = np.empty((u.shape[1], n), dtype=np.complex128)
+    room = min(k_max, ACA_START_RANK)
+    u = np.empty((count, room, m), dtype=np.complex128)  # cross l of block i is u[i, l]
+    v = np.empty((count, room, n), dtype=np.complex128)
+    row_used = np.zeros((count, m), dtype=bool)
+    norm_sq = np.zeros(count)
+    next_row = np.zeros(count, dtype=int)
     k = 0
-    row_used = np.zeros(m, dtype=bool)
-    norm_sq = 0.0
-    next_row = 0
 
-    while k < k_max:
+    def retire(done: np.ndarray, rank: int) -> None:
+        nonlocal ids, rows, cols, u, v, row_used, norm_sq, next_row
+        # one copy, cut to their rank, for all the blocks that stop here
+        done_u, done_v = u[done, :rank], v[done, :rank]
+        for j, i in enumerate(ids[done]):
+            factors[i] = done_u[j].T, done_v[j]
+        keep = ~done
+        ids, rows, cols, u, v = ids[keep], rows[keep], cols[keep], u[keep], v[keep]
+        row_used, norm_sq, next_row = row_used[keep], norm_sq[keep], next_row[keep]
+
+    while ids.size and k < k_max:
         if k == u.shape[1]:
             u, v = _grow(u, v, min(2 * k, k_max))
-        # find a pivot row with a non-vanishing residual
-        pivot_row = -1
-        residual_row = v[k]
-        probe = next_row
-        while probe >= 0:
-            row_used[probe] = True
-            residual_row[...] = entry_fn(rows[probe : probe + 1], cols)[0]
+        # find each block's pivot row with a non-vanishing residual
+        j_pivot = np.zeros(ids.size, dtype=int)
+        found = np.zeros(ids.size, dtype=bool)
+        probe = next_row.copy()
+        pending = np.arange(ids.size)
+        while pending.size:
+            at = probe[pending]
+            row_used[pending, at] = True
+            sampled = entry_fn(rows[pending, at][:, None], cols[pending])[:, 0]
+            _require_finite(sampled, ids[pending], "row", rows[pending, at])
             if k:
-                residual_row -= u[probe, :k] @ v[:k]
-            j_pivot = int(np.argmax(np.abs(residual_row)))
+                sampled -= (u[pending, :k, at][:, None] @ v[pending, :k])[:, 0]
+            magnitude = np.abs(sampled)
+            j = np.argmax(magnitude, axis=1)
             # rows whose residual is pure roundoff against the accumulated
             # approximation count as exhausted, not as pivots
-            noise_floor = 1e-13 * math.sqrt(max(norm_sq, 0.0) / m)
-            if abs(residual_row[j_pivot]) > noise_floor:
-                pivot_row = probe
+            noise_floor = 1e-13 * np.sqrt(np.maximum(norm_sq[pending], 0.0) / m)
+            pivot = magnitude[np.arange(pending.size), j] > noise_floor
+            hit = pending[pivot]
+            v[hit, k] = sampled[pivot]
+            j_pivot[hit] = j[pivot]
+            found[hit] = True
+            missed = pending[~pivot]
+            probe[missed] = np.argmin(row_used[missed], axis=1)
+            pending = missed[~row_used[missed].all(axis=1)]
+        if not found.all():
+            retire(~found, k)
+            j_pivot = j_pivot[found]
+            if not ids.size:
                 break
-            untouched = np.flatnonzero(~row_used)
-            probe = int(untouched[0]) if untouched.size else -1
-        if pivot_row < 0:
-            break
 
-        v_new = residual_row
-        v_new /= v_new[j_pivot]
+        stack = np.arange(ids.size)
+        v_new = v[:, k]
+        v_new /= v_new[stack, j_pivot][:, None]
+        sampled = entry_fn(rows, cols[stack, j_pivot][:, None])[:, :, 0]
+        _require_finite(sampled, ids, "column", cols[stack, j_pivot])
         u_new = u[:, k]
-        u_new[...] = entry_fn(rows, cols[j_pivot : j_pivot + 1])[:, 0]
+        u_new[...] = sampled
         if k:
-            u_new -= u[:, :k] @ v[:k, j_pivot]
+            u_new -= (v[stack, :k, j_pivot][:, None] @ u[:, :k])[:, 0]
 
-        cross_sq = float(np.vdot(u_new, u_new).real * np.vdot(v_new, v_new).real)
+        cross_sq = _sq_norms(u_new) * _sq_norms(v_new)
         if k:
             # the conjugate of sum_l (u_l^H u_new)(v_l^H v_new) over earlier
             # crosses l, with the same real part
-            norm_sq += 2.0 * float(((u_new.conj() @ u[:, :k]) @ (v[:k] @ v_new.conj())).real)
+            u_terms = (u[:, :k] @ u_new.conj()[:, :, None])[:, :, 0]
+            v_terms = (v[:, :k] @ v_new.conj()[:, :, None])[:, :, 0]
+            norm_sq += 2.0 * np.einsum("ik,ik->i", u_terms, v_terms).real
         norm_sq += cross_sq
         k += 1
 
-        if cross_sq <= (tol**2) * max(norm_sq, 0.0):
-            break
+        # a stopped block and one with no untouched row leave the stack
+        done = (cross_sq <= (tol**2) * np.maximum(norm_sq, 0.0)) | row_used.all(axis=1)
+        next_row = np.argmax(np.where(row_used, -1.0, np.abs(u_new)), axis=1)
+        if done.any():
+            retire(done, k)
+    retire(np.ones(ids.size, dtype=bool), k)
+    return factors
 
-        untouched = np.flatnonzero(~row_used)
-        if untouched.size == 0:
-            break
-        next_row = int(untouched[np.argmax(np.abs(u_new[untouched]))])
 
-    return u[:, :k], v[:k]
+def _require_finite(sampled: np.ndarray, ids: np.ndarray, what: str, index: np.ndarray) -> None:
+    """Raise ``BlockError`` for the first block whose sampled entries are not all finite."""
+    bad = ~np.isfinite(sampled).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise BlockError(int(ids[i]), f"non-finite kernel entries in sampled {what} {int(index[i])}")
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared 2-norm of each row of a complex array."""
+    return np.einsum("ij,ij->i", x.conj(), x).real
 
 
 def _grow(u: np.ndarray, v: np.ndarray, rank: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Room for ``rank`` crosses, the crosses so far copied over."""
+    """Room for ``rank`` crosses per block, the crosses so far copied over."""
     k = u.shape[1]
-    grown_u = np.empty((u.shape[0], rank), dtype=np.complex128, order="F")
-    grown_v = np.empty((rank, v.shape[1]), dtype=np.complex128)
+    grown_u = np.empty((u.shape[0], rank, u.shape[2]), dtype=np.complex128)
+    grown_v = np.empty((v.shape[0], rank, v.shape[2]), dtype=np.complex128)
     grown_u[:, :k] = u
-    grown_v[:k] = v
+    grown_v[:, :k] = v
     return grown_u, grown_v
 
 

@@ -7,6 +7,11 @@ a non-admissible leaf pair becomes a dense near block; everything else
 recurses.  Far blocks therefore live on levels 1..L and the near field is
 a union of leaf-pair blocks that always includes every diagonal leaf pair.
 
+Assembly fills the near field with one kernel call per near block.  Each
+far level is compressed on its own: its pairs are grouped by block shape,
+each group goes to ACA in lockstep stacks, every block is recompressed on
+its own, and the level is packed before the next one starts.
+
 Storage is the standard sparse H-matrix form: the near field Z_N is one
 COO matrix, and far level l is the product U_l V_l of a CSC factor U_l
 (N x K_l) and a CSR factor V_l (K_l x N), K_l being the level's summed
@@ -33,13 +38,16 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .compression import LowRankBlock, aca, recompress
-from .geometry import ClusterTree, is_admissible
+from .compression import BlockError, LowRankBlock, aca, recompress
+from .geometry import ClusterTree, TreeNode, is_admissible
 from .kernels import KernelSpec, entry_function
 
 BYTES_PER_ENTRY = 16  # complex128
 RECIPROCITY_PROBE_PAIRS = 16
 RECIPROCITY_RTOL = 1e-10
+# block entries B*m*n of one stack handed to ``aca`` (at least one block);
+# bounds its lockstep factors and the ACA factors awaiting recompression
+ACA_STACK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -296,6 +304,46 @@ def _probe_reciprocity(entry_fn, n: int, seed: int = 0) -> None:
             )
 
 
+def _compress_level(
+    entry_fn, nodes: List[TreeNode], pairs: List[Tuple[int, int]], level: int, tol: float
+) -> List[LowRankBlock]:
+    """ACA and recompression of one level's far pairs, in pair order.
+
+    Pairs of one block shape go to ``aca`` as stacks of at most
+    ``ACA_STACK_ENTRIES`` block entries; a failure names the level and,
+    where it can, the block's rows and cols.
+    """
+
+    def where(t: int, s: int) -> str:
+        nt, ns = nodes[t], nodes[s]
+        return f"level {level}, rows [{nt.start}, {nt.stop}), cols [{ns.start}, {ns.stop})"
+
+    shapes: Dict[Tuple[int, int], List[int]] = {}
+    for i, (t, s) in enumerate(pairs):
+        shapes.setdefault((nodes[t].size, nodes[s].size), []).append(i)
+    blocks: List[Optional[LowRankBlock]] = [None] * len(pairs)
+    for (m, n), group in shapes.items():
+        step = max(1, ACA_STACK_ENTRIES // (m * n))
+        for first in range(0, len(group), step):
+            stack = group[first : first + step]
+            rows = np.array([nodes[pairs[i][0]].start for i in stack])[:, None] + np.arange(m)
+            cols = np.array([nodes[pairs[i][1]].start for i in stack])[:, None] + np.arange(n)
+            try:
+                factors = aca(entry_fn, rows, cols, tol)
+            except BlockError as exc:
+                raise RuntimeError(f"far-block compression failed at {where(*pairs[stack[exc.index]])}: {exc}") from exc
+            except Exception as exc:
+                raise RuntimeError(f"far-block compression failed at level {level}, shape ({m}, {n}): {exc}") from exc
+            for i, (u, v) in zip(stack, factors):
+                t, s = pairs[i]
+                try:
+                    u, v = recompress(u, v, tol)
+                except Exception as exc:
+                    raise RuntimeError(f"far-block compression failed at {where(t, s)}: {exc}") from exc
+                blocks[i] = LowRankBlock(nodes[t].start, nodes[s].start, u, v, level)
+    return blocks  # type: ignore[return-value]
+
+
 def assemble(
     spec: KernelSpec,
     tree: ClusterTree,
@@ -348,24 +396,10 @@ def assemble(
         pairs = partition.far_pairs.get(level, [])
         if symmetric_mode:
             pairs = [(t, s) for t, s in pairs if nodes[t].start < nodes[s].start]
-        blocks: List[LowRankBlock] = []
-        for t, s in pairs:
-            nt, ns = nodes[t], nodes[s]
-            rows = np.arange(nt.start, nt.stop)
-            cols = np.arange(ns.start, ns.stop)
-            try:
-                u, v = aca(entry_fn, rows, cols, tol)
-                u, v = recompress(u, v, tol)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"far-block compression failed at level {level}, rows "
-                    f"[{nt.start}, {nt.stop}), cols [{ns.start}, {ns.stop}): {exc}"
-                ) from exc
-            blk = LowRankBlock(nt.start, ns.start, u, v, level)
-            m, n = blk.shape
-            if 2 * blk.rank > min(m, n):
+        blocks = _compress_level(entry_fn, nodes, pairs, level, tol)
+        for blk in blocks:
+            if 2 * blk.rank > min(blk.shape):
                 rank_flags.append((level, blk.row_start, blk.col_start, blk.rank))
-            blocks.append(blk)
         if blocks:
             blocks, level_storage[level] = _level_storage(blocks, spec.n)
         far_blocks[level] = blocks

@@ -31,7 +31,8 @@ Either off-diagonal entry is w_j * H0^(2)(k0*|c_i - c_j|), and each
 the distances, the two Bessel functions and one product; the self-term
 path runs only when some row index equals a column index, which for a
 validated mesh (no two elements share a centre) is also the only way r can
-be 0.
+be 0.  ``z_block`` broadcasts over leading axes, so ACA samples one row
+(or one column) of every block in a stack with a single call.
 
 The plane-wave right-hand side is b_i = exp(+j*k0*(c_i . d))
 with d = (cos(phi), sin(phi)).
@@ -143,32 +144,34 @@ def _volume_self_entry(k0: float, extent: np.ndarray, eps_r: np.ndarray) -> np.n
 def z_block(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Matrix block Z[rows][:, cols] evaluated directly from the kernel.
 
-    ``rows`` and ``cols`` are mesh-order index arrays; the result has shape
-    ``(len(rows), len(cols))``.  Diagonal coincidences (same element on both
-    sides) get the analytic self term.
+    ``rows`` (..., m) and ``cols`` (..., n) are mesh-order index arrays
+    whose leading axes broadcast; the result has shape (..., m, n), so a
+    stack of B blocks is one call with (B, m) rows and (B, n) cols.
+    Diagonal coincidences (same element on both sides) get the analytic
+    self term.
     """
     mesh = spec.mesh
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
-    at_rows = mesh.centers[rows]
-    at_cols = mesh.centers[cols]
-    x = np.hypot(at_rows[:, 0, None] - at_cols[:, 0], at_rows[:, 1, None] - at_cols[:, 1])
+    at_rows = mesh.centers[rows][..., :, None, :]
+    at_cols = mesh.centers[cols][..., None, :, :]
+    x = np.hypot(at_rows[..., 0] - at_cols[..., 0], at_rows[..., 1] - at_cols[..., 1])
     x *= spec.k0
-    self_mask = rows[:, None] == cols
+    self_mask = rows[..., :, None] == cols[..., None, :]
     has_self = bool(self_mask.any())
     if has_self:
         x[self_mask] = 1.0  # keeps Y0 finite; these entries are overwritten below
     block = np.empty(x.shape, dtype=np.complex128)
     j0(x, out=block.real)
     np.negative(y0(x), out=block.imag)
-    block *= spec.column_weights[cols]
+    block *= spec.column_weights[cols][..., None, :]
     if has_self:
-        i, j = np.nonzero(self_mask)
-        extents = mesh.extents[rows[i]]
+        elements = np.broadcast_to(rows[..., :, None], self_mask.shape)[self_mask]
+        extents = mesh.extents[elements]
         if spec.equation == S_EFIE:
-            block[i, j] = _surface_self_entry(spec.k0, extents)
+            block[self_mask] = _surface_self_entry(spec.k0, extents)
         else:
-            block[i, j] = _volume_self_entry(spec.k0, extents, mesh.eps_r[rows[i]])
+            block[self_mask] = _volume_self_entry(spec.k0, extents, mesh.eps_r[elements])
     return block
 
 
@@ -180,7 +183,10 @@ def z_entry(spec: KernelSpec, i: int, j: int) -> complex:
 def entry_function(
     spec: KernelSpec, permutation: Optional[np.ndarray] = None
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Vectorized block evaluator over (optionally tree-permuted) indices."""
+    """Block evaluator over (optionally tree-permuted) indices.
+
+    Takes and returns the shapes ``z_block`` does, stacks included.
+    """
     if permutation is None:
         return lambda rows, cols: z_block(spec, rows, cols)
     perm = np.asarray(permutation, dtype=int)

@@ -170,6 +170,20 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert "matvec" in (out / "solve_report.txt").read_text()
 
 
+# at tolerance 0 every far block keeps full rank, so every one is flagged
+@pytest.mark.parametrize("aca_tol, all_flagged", [("1e-3", False), ("0", True)])
+def test_solve_summary_counts_far_blocks_and_rank_flags(tmp_path, aca_tol, all_flagged):
+    out = tmp_path / "run"
+    assert main(["solve", *STRIP_ARGS, "--solver", "gmres", "--aca-tol", aca_tol, "--out", str(out)]) == 0
+    lines = (out / "summary.txt").read_text().splitlines()
+    memory = [row.split(",") for row in (out / "memory_report.csv").read_text().splitlines()[1:]]
+    far = sum(int(row[1]) for row in memory if row[0] not in ("near", "total"))
+    assert far > 0
+    assert f"far blocks: {far}" in lines
+    flags = far if all_flagged else 0
+    assert f"rank flags (far blocks of rank above half their smaller side): {flags}" in lines
+
+
 def test_solve_csvs_are_byte_deterministic(tmp_path):
     outs = []
     for tag in ("a", "b"):

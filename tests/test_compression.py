@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hpss import KernelSpec, aca, discretize_strip, recompress
+from hpss.compression import ACA_START_RANK, BlockError
 from hpss.kernels import entry_function
 
 
@@ -10,7 +11,8 @@ def dense_block(entry_fn, rows, cols):
 
 
 def matrix_entry_fn(matrix):
-    return lambda rows, cols: matrix[np.ix_(np.asarray(rows, int), np.asarray(cols, int))]
+    """Entries of ``matrix``, broadcast over stacks as ``z_block`` does."""
+    return lambda rows, cols: matrix[np.asarray(rows, int)[..., :, None], np.asarray(cols, int)[..., None, :]]
 
 
 def test_rank_one_block_terminates_at_one_cross():
@@ -128,3 +130,96 @@ def test_tolerance_rejects_negative():
 
     with pytest.raises(ValueError):
         aca(matrix_entry_fn(np.eye(3, dtype=complex)), np.arange(3), np.arange(3), tol=-1.0)
+
+
+def recording(entry_fn):
+    """``entry_fn`` that also logs, in order, every row it samples alone."""
+    sampled = []
+
+    def fn(rows, cols):
+        rows = np.asarray(rows)
+        if rows.shape[-1] == 1:
+            sampled.extend(int(r) for r in rows.ravel())
+        return entry_fn(rows, cols)
+
+    return fn, sampled
+
+
+def mixed_stack(m=24, n=20):
+    """Seven m-by-n blocks stacked on disjoint rows of one matrix.
+
+    Block 0 has rank 1, block 1 rank 3, block 2 is zero, block 3 has a zero
+    first row (its first pivot needs the noise-floor probe), block 4 is a
+    smooth kernel of moderate rank, block 5 is random, so it runs to full
+    rank, past the factors' first ``ACA_START_RANK`` columns, and block 6
+    has rank 3 at 1e-14 the scale of the others, so its noise floor must
+    be its own.
+    """
+    rng = np.random.default_rng(23)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    low_rank = cplx(m, 2) @ cplx(2, n)
+    low_rank[0] = 0.0
+    x, y = np.linspace(0.0, 1.0, m), np.linspace(3.0, 4.0, n)
+    blocks = [
+        np.outer(cplx(m), cplx(n)),
+        cplx(m, 3) @ cplx(3, n),
+        np.zeros((m, n), dtype=complex),
+        low_rank,
+        1.0 / (y[None, :] - x[:, None]) + 0j,
+        cplx(m, n),
+        1e-14 * cplx(m, 3) @ cplx(3, n),
+    ]
+    matrix = np.vstack(blocks)
+    rows = np.arange(len(blocks) * m).reshape(len(blocks), m)
+    cols = np.tile(np.arange(n), (len(blocks), 1))
+    return matrix, rows, cols
+
+
+@pytest.mark.parametrize("tol", [1e-6, 0.0])
+def test_stacked_aca_equals_per_block_aca(tol):
+    matrix, rows, cols = mixed_stack()
+    entry_fn, sampled = recording(matrix_entry_fn(matrix))
+    stacked = aca(entry_fn, rows, cols, tol)
+    stacked_rows = list(sampled)
+    ranks = []
+    for b, (u, v) in enumerate(stacked):
+        sampled.clear()
+        u1, v1 = aca(entry_fn, rows[b], cols[b], tol)
+        assert u.shape == u1.shape and v.shape == v1.shape
+        assert [r for r in stacked_rows if r in rows[b]] == sampled
+        assert len(set(sampled)) == len(sampled)  # no row is sampled twice
+        reference = u1 @ v1
+        assert np.linalg.norm(u @ v - reference) <= 1e-12 * np.linalg.norm(reference)
+        ranks.append(u.shape[1])
+    assert ranks[2] == 0 and ranks[6] == 3
+    assert len(set(ranks)) >= 4
+    assert max(ranks) > ACA_START_RANK
+    # the zero first row of block 3 is sampled and rejected before row 1
+    block3 = [r for r in stacked_rows if r in rows[3]]
+    assert block3[:2] == [rows[3, 0], rows[3, 1]]
+
+
+def test_non_finite_sample_raises_and_names_its_block():
+    matrix, rows, cols = mixed_stack()
+    all_nan = matrix.copy()
+    all_nan[rows[4]] = np.nan
+    with pytest.raises(BlockError, match="non-finite") as info:
+        aca(matrix_entry_fn(all_nan), rows, cols, 1e-6)
+    assert info.value.index == 4
+    # one NaN in the first pivot row of block 1, and on its own
+    one_nan = matrix.copy()
+    one_nan[rows[1, 0], 7] = np.nan
+    with pytest.raises(BlockError) as info:
+        aca(matrix_entry_fn(one_nan), rows, cols, 1e-6)
+    assert info.value.index == 1
+    with pytest.raises(BlockError, match=f"row {rows[1, 0]}"):
+        aca(matrix_entry_fn(one_nan), rows[1], cols[1], 1e-6)
+    # an infinity in block 0's first pivot column, met there before any row
+    col_nan = matrix.copy()
+    col_nan[rows[0, 5], np.argmax(np.abs(matrix[rows[0, 0]]))] = np.inf
+    with pytest.raises(BlockError, match="column") as info:
+        aca(matrix_entry_fn(col_nan), rows, cols, 1e-6)
+    assert info.value.index == 0

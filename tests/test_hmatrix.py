@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hpss import (
     discretize_strip,
     memory_report,
 )
+import hpss
 from hpss.hmatrix import _probe_reciprocity
 
 
@@ -168,6 +170,31 @@ def test_assemble_rejects_negative_tolerance(monkeypatch):
         mesh = discretize_strip(length, 10)
         with pytest.raises(ValueError, match="tolerance must be non-negative"):
             assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 32), tol=-1.0)
+
+
+def test_non_finite_far_block_is_named_inside_its_stack(monkeypatch):
+    mesh = discretize_strip(16.0, 10)
+    spec = KernelSpec.for_mesh(mesh)
+    tree = build_cluster_tree(mesh, 10)
+    level = tree.depth
+    pairs = build_block_partition(tree).far_pairs[level]
+    shapes = {(tree.node(t).size, tree.node(s).size) for t, s in pairs}
+    assert len(pairs) >= 4 and len(shapes) == 1  # one stack of several blocks
+    bad = tree.node(pairs[2][0]), tree.node(pairs[2][1])
+    bad_rows = tree.permutation[bad[0].start : bad[0].stop]
+    bad_cols = tree.permutation[bad[1].start : bad[1].stop]
+    z_block = hpss.kernels.z_block
+
+    def poisoned(spec, rows, cols):
+        block = z_block(spec, rows, cols)
+        hit = np.isin(np.asarray(rows), bad_rows)[..., :, None] & np.isin(np.asarray(cols), bad_cols)[..., None, :]
+        block[hit] = np.nan
+        return block
+
+    monkeypatch.setattr(hpss.kernels, "z_block", poisoned)
+    where = f"level {level}, rows [{bad[0].start}, {bad[0].stop}), cols [{bad[1].start}, {bad[1].stop})"
+    with pytest.raises(RuntimeError, match=re.escape(where) + ".*non-finite"):
+        assemble(spec, tree, tol=1e-3)
 
 
 def test_symmetric_mode_halves_storage(strip_system):

@@ -103,6 +103,29 @@ def test_block_evaluator_matches_dense():
     assert np.array_equal(z_block(spec, rows, cols), z[np.ix_(rows, cols)])
 
 
+@pytest.mark.parametrize("kind", [SURFACE, VOLUME])
+def test_stacked_block_equals_separate_calls_bitwise(kind):
+    rng = np.random.default_rng(17)
+    mesh = discretize_strip(4.0, 10) if kind == SURFACE else discretize_disk(0.3, 20, 2.0 - 0.1j)
+    # element-dependent self terms, so each must come from its own row
+    eps_r = mesh.eps_r if kind == SURFACE else rng.uniform(1.5, 2.5, mesh.n_elements) - 0.1j
+    mesh = Mesh(kind, mesh.centers, mesh.extents * rng.uniform(0.6, 1.0, mesh.n_elements), eps_r)
+    spec = KernelSpec.for_mesh(mesh)
+    rows = rng.integers(0, mesh.n_elements, size=(5, 7))
+    cols = rng.integers(0, mesh.n_elements, size=(5, 6))
+    # self terms at different positions in each block, none in the last
+    for b in range(4):
+        cols[b, b] = rows[b, b + 1]
+        cols[b, 5] = rows[b, 0]
+    rows[4] = np.arange(7)
+    cols[4] = np.arange(20, 26)
+    stacked = z_block(spec, rows, cols)
+    assert stacked.shape == (5, 7, 6)
+    for b in range(5):
+        assert np.array_equal(stacked[b], z_block(spec, rows[b], cols[b]))
+    assert np.array_equal(stacked[0, 1, 0], z_entry(spec, rows[0, 1], rows[0, 1]))
+
+
 def fan_mesh(kind):
     """Element 0 at the origin, the others at k0*r from 1e-3 to 1.1e4 from it."""
     rng = np.random.default_rng(3)
