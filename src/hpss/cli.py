@@ -2,8 +2,8 @@
 
 Configuration comes from an optional plain-text ``key=value`` file plus
 command-line flags, flags winning.  Unknown keys are rejected with the
-valid list.  All CSV artifacts are byte-deterministic for a fixed config
-and seed: timings appear only in the plain-text summaries.
+valid list.  All CSV artifacts are byte-deterministic for a fixed config:
+timings appear only in the plain-text summaries.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class RunConfig:
     angle_stop: float = 180.0
     angle_count: int = 361
     symmetric: bool = False
-    seed: int = 0
     out: str = "hpss_out"
     sizes: str = "512,1024,2048,4096"
     assert_rms_db: Optional[float] = None
@@ -70,6 +69,8 @@ class RunConfig:
                 raise ValueError(f"unknown solver {name!r} in solvers list")
         if self.angle_count < 1:
             raise ValueError("angle_count must be positive")
+        if self.angle_count > 1 and self.angle_start >= self.angle_stop:
+            raise ValueError("angle_start must be below angle_stop when angle_count exceeds 1")
         if not (math.isfinite(self.gmres_tol) and self.gmres_tol > 0.0):
             raise ValueError(f"gmres_tol must be positive and finite, got {self.gmres_tol:g}")
         if self.levels not in ("all", "leaf"):
@@ -90,6 +91,12 @@ class RunConfig:
         if self.levels == "leaf":
             return [depth] if depth >= 1 else []
         return [int(tok) for tok in self.levels.split(",")]
+
+    def pss_config(self, depth: int) -> pss.PssConfig:
+        """The cascade's knobs for a tree of this depth, levels checked."""
+        config = pss.PssConfig(series_order=self.series_order, active_levels=self.level_filter(depth))
+        config.resolve_levels(depth)
+        return config
 
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -198,13 +205,8 @@ def _run_one_solver(
     start = time.perf_counter()
     if name == "pss":
         b_perm = h.permute(b_mesh)
-        scaled = compute_scaling(h, b_perm, probe_seed=cfg.seed)
-        config = pss.PssConfig(
-            series_order=cfg.series_order,
-            active_levels=cfg.level_filter(h.depth),
-            seed=cfg.seed,
-        )
-        x_perm, report = pss.solve(scaled, h, config)
+        scaled = compute_scaling(h, b_perm)
+        x_perm, report = pss.solve(scaled, h, cfg.pss_config(h.depth))
         x_mesh = h.unpermute(x_perm)
         wall = time.perf_counter() - start
         rcs = bistatic_rcs(mesh, x_mesh, angles)
@@ -236,14 +238,19 @@ def _run_one_solver(
 
 
 def _build_problem(
-    cfg: RunConfig, level_filter: Callable[[int], Optional[List[int]]]
+    cfg: RunConfig, level_filter: Callable[[int], Optional[List[int]]], solvers: Sequence[str]
 ) -> Tuple[Mesh, KernelSpec, HMatrix, np.ndarray]:
     """Mesh, kernel, H-matrix assembled with ``level_filter(depth)``, and the
-    mesh-order plane-wave RHS; writes mesh.csv and memory_report.csv."""
-    os.makedirs(cfg.out, exist_ok=True)
+    mesh-order plane-wave RHS; writes mesh.csv and memory_report.csv.
+
+    When ``solvers`` include pss, its levels are checked against the tree
+    before anything is assembled or written.
+    """
     mesh = build_mesh(cfg)
     spec = KernelSpec.for_mesh(mesh)
     tree = build_cluster_tree(mesh, cfg.leaf_size)
+    if "pss" in solvers:
+        cfg.pss_config(tree.depth)
     b_mesh = rhs(spec, Excitation(math.radians(cfg.phi_inc_deg)))
     h = assemble(
         spec,
@@ -252,15 +259,15 @@ def _build_problem(
         eta=cfg.eta,
         level_filter=level_filter(tree.depth),
         symmetric_mode=cfg.symmetric,
-        probe_seed=cfg.seed,
     )
+    os.makedirs(cfg.out, exist_ok=True)
     write_mesh_csv(mesh, os.path.join(cfg.out, "mesh.csv"))
     memory_report(h).to_csv(os.path.join(cfg.out, "memory_report.csv"))
     return mesh, spec, h, b_mesh
 
 
 def run_solve(cfg: RunConfig) -> int:
-    mesh, spec, h, b_mesh = _build_problem(cfg, cfg.level_filter)
+    mesh, spec, h, b_mesh = _build_problem(cfg, cfg.level_filter, [cfg.solver])
     run, it_report, pss_report = _run_one_solver(cfg.solver, cfg, mesh, spec, h, b_mesh)
     run.rcs.to_csv(os.path.join(cfg.out, f"rcs_{run.name}.csv"))
     _write_text(os.path.join(cfg.out, "solve_report.txt"), run.detail)
@@ -285,7 +292,7 @@ def run_solve(cfg: RunConfig) -> int:
 def run_compare(cfg: RunConfig) -> int:
     # the comparison baseline always sees the complete operator; the power
     # series honors the configured level filter through its active levels
-    mesh, spec, h, b_mesh = _build_problem(cfg, lambda depth: None)
+    mesh, spec, h, b_mesh = _build_problem(cfg, lambda depth: None, cfg._solver_list())
 
     runs: Dict[str, SolverRun] = {}
     for name in cfg._solver_list():
@@ -337,7 +344,7 @@ def run_bench(cfg: RunConfig) -> int:
     rows = []
     operators = []
     failures: List[str] = []
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(0)
     for n_target in sizes:
         length = n_target / cfg.density
         mesh = discretize_strip(length, cfg.density)
@@ -459,7 +466,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--angle-stop", dest="angle_stop", type=float)
     parser.add_argument("--angle-count", dest="angle_count", type=int)
     parser.add_argument("--symmetric", action="store_const", const=True, default=None)
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out")
 
 

@@ -25,8 +25,8 @@ Far levels can be assembled selectively (``level_filter``); skipped levels
 simply contribute nothing, which downstream solvers treat as exact zeros.
 ``symmetric_mode`` stores one of each off-diagonal block pair and applies
 the mirrored action with plain (unconjugated) transposes of the same
-sparse matrices; it is allowed only after a runtime reciprocity probe of
-the kernel.
+sparse matrices; it is allowed only for a reciprocal kernel
+(``KernelSpec.reciprocal``: every element has the same extent).
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from .geometry import ClusterTree, TreeNode, is_admissible
 from .kernels import KernelSpec, entry_function
 
 BYTES_PER_ENTRY = 16  # complex128
-RECIPROCITY_PROBE_PAIRS = 16
-RECIPROCITY_RTOL = 1e-10
 # block entries B*m*n of one stack handed to ``aca`` (at least one block);
 # bounds its lockstep factors and the ACA factors awaiting recompression
 ACA_STACK_ENTRIES = 2**18
@@ -285,25 +283,6 @@ class HMatrix:
         return needed.issubset(self.assembled_levels)
 
 
-def _probe_reciprocity(entry_fn, n: int, seed: int = 0) -> None:
-    """Sample random (i, j) pairs and demand Z_ij == Z_ji to tight tolerance."""
-    if n < 2:
-        return
-    rng = np.random.default_rng(seed)
-    for _ in range(RECIPROCITY_PROBE_PAIRS):
-        i = int(rng.integers(n))
-        j = int(rng.integers(n - 1))
-        if j >= i:
-            j += 1
-        zij = complex(entry_fn(np.array([i]), np.array([j]))[0, 0])
-        zji = complex(entry_fn(np.array([j]), np.array([i]))[0, 0])
-        if abs(zij - zji) > RECIPROCITY_RTOL * abs(zij):
-            raise ValueError(
-                "symmetric_mode refused: kernel failed the reciprocity probe "
-                f"at pair ({i}, {j}): |Zij - Zji| = {abs(zij - zji):.3e}"
-            )
-
-
 def _compress_level(
     entry_fn, nodes: List[TreeNode], pairs: List[Tuple[int, int]], level: int, tol: float
 ) -> List[LowRankBlock]:
@@ -351,7 +330,6 @@ def assemble(
     eta: float = 1.0,
     level_filter: Optional[Iterable[int]] = None,
     symmetric_mode: bool = False,
-    probe_seed: int = 0,
 ) -> HMatrix:
     """Build the H-matrix: dense near blocks plus per-level ACA far blocks.
 
@@ -361,17 +339,22 @@ def assemble(
         Far levels to assemble; default is every level.  Levels skipped
         here act as exact zeros in all downstream products.
     symmetric_mode : bool
-        Store one block of each off-diagonal pair; only permitted when the
-        kernel passes a random reciprocity probe.
+        Store one block of each off-diagonal pair; only permitted for a
+        reciprocal kernel, checked exactly before any fill.
     """
     if tree.n_elements != spec.n:
         raise ValueError("tree and kernel disagree on element count")
     if tol < 0.0:
         raise ValueError(f"compression tolerance must be non-negative, got {tol:g}")
+    if symmetric_mode and not spec.reciprocal:
+        weights = spec.column_weights
+        j = int(np.flatnonzero(weights != weights[0])[0])
+        raise ValueError(
+            "symmetric_mode refused: the kernel is not reciprocal, as the column weight of "
+            f"element {j} differs from element 0's (element extents differ)"
+        )
     partition = build_block_partition(tree, eta)
     entry_fn = entry_function(spec, tree.permutation)
-    if symmetric_mode:
-        _probe_reciprocity(entry_fn, spec.n, probe_seed)
 
     levels = set(range(1, tree.depth + 1)) if level_filter is None else set(level_filter)
     bad = levels - set(range(1, tree.depth + 1))

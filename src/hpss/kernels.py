@@ -32,7 +32,8 @@ the distances, the two Bessel functions and one product; the self-term
 path runs only when some row index equals a column index, which for a
 validated mesh (no two elements share a centre) is also the only way r can
 be 0.  ``z_block`` broadcasts over leading axes, so ACA samples one row
-(or one column) of every block in a stack with a single call.
+(or one column) of every block in a stack with a single call.  Z is
+reciprocal exactly when all w_j are equal (``KernelSpec.reciprocal``).
 
 The plane-wave right-hand side is b_i = exp(+j*k0*(c_i . d))
 with d = (cos(phi), sin(phi)).
@@ -117,6 +118,19 @@ class KernelSpec:
         a = self.mesh.extents / math.sqrt(math.pi)
         return 0.5j * math.pi * k0 * a * j1(k0 * a)
 
+    @property
+    def reciprocal(self) -> bool:
+        """True when Z_ij == Z_ji bitwise for every pair, diagonal aside.
+
+        Exact, not sampled: ``z_block`` computes both entries as a weight
+        times H0^(2)(k0*r) of one bitwise-equal distance r (a difference
+        and its negation have the same ``hypot``), so they agree exactly
+        when w_i == w_j.  H0^(2) has no real zeros, so unequal weights
+        make the pair differ.  Equal extents give equal weights.
+        """
+        weights = self.column_weights
+        return bool(np.all(weights == weights[0]))
+
 
 def _surface_self_entry(k0: float, delta: np.ndarray) -> np.ndarray:
     """Segment self-integral of (k0*eta0/4)*H0^(2), vectorized over extents.
@@ -200,19 +214,16 @@ def rhs(spec: KernelSpec, excitation: Excitation) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def assemble_dense(
-    spec: KernelSpec,
-    permutation: Optional[np.ndarray] = None,
-    size_cap: int = DENSE_SIZE_CAP,
-) -> np.ndarray:
+def assemble_dense(spec: KernelSpec, permutation: Optional[np.ndarray] = None) -> np.ndarray:
     """Full dense matrix, optionally in tree-permuted order.
 
-    Refuses systems beyond ``size_cap`` unknowns; the dense path exists as a
-    truth oracle for desk-scale runs, not as a production assembly route.
+    Refuses systems beyond ``DENSE_SIZE_CAP`` unknowns (read at call time);
+    the dense path exists as a truth oracle for desk-scale runs, not as a
+    production assembly route.
     """
     n = spec.n
-    if n > size_cap:
-        raise ValueError(f"dense assembly refused for N = {n} > cap {size_cap}")
+    if n > DENSE_SIZE_CAP:
+        raise ValueError(f"dense assembly refused for N = {n} > cap {DENSE_SIZE_CAP}")
     idx = np.arange(n) if permutation is None else np.asarray(permutation, dtype=int)
     return z_block(spec, idx, idx)
 

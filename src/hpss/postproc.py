@@ -5,22 +5,23 @@ wavelength and reported in dB:
 
     sigma(phi)/lambda = (2/pi) * |F(phi)|^2
 
-where F is the angular far-field factor of the solved sources,
+where F is the angular far-field factor of the solved sources x_j,
 
-    surface:  F = -(k0*eta0/4) * sum_j J_j * extent_j * exp(+j k0 r_hat.c_j)
-    volume:   F = -j*(pi*k0/2) * sum_j f_j * a_j * J1(k0*a_j)
-                                             * exp(+j k0 r_hat.c_j)
+    F = -sum_j w_j * x_j * exp(+j k0 r_hat.c_j)
 
-matching the kernels' equal-area-circle cell model (a = extent/sqrt(pi))
-and exp(+j*w*t) convention.  Values are floored at -200 dB so that exact
-zeros stay finite.
+with w_j the kernels' column weights (``KernelSpec.column_weights``):
+(k0*eta0/4)*extent_j for surface currents and j*(pi*k0/2)*a_j*J1(k0*a_j)
+for volume contrast sources, matching the kernels' equal-area-circle cell
+model (a = extent/sqrt(pi)) and exp(+j*w*t) convention.  Values are
+floored at -200 dB so that exact zeros stay finite.
 
 The analytic oracles are the classical cylindrical-harmonic series for a
 PEC circular cylinder and for a homogeneous dielectric cylinder under
 TM-z plane-wave incidence, written against the same convention: the
 incident wave is exp(+j k0 d.r) with d = (cos(phi_inc), sin(phi_inc)).
-Both series truncate at |m| <= ceil(k0*a) + extra_terms, which leaves the
-truncation error far below every tolerance used here.
+Both series truncate at |m| <= ceil(k*a) + SERIES_EXTRA_TERMS (read at call
+time), which leaves the truncation error far below every tolerance used
+here.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
 import numpy as np
-from scipy.special import h2vp, hankel2, j1, jv, jvp
+from scipy.special import h2vp, hankel2, jv, jvp
 
-from .geometry import Mesh, SURFACE
-from .kernels import ETA0
+from .geometry import Mesh
+from .kernels import KernelSpec
 
 DB_FLOOR = -200.0
 _LINEAR_FLOOR = 10.0 ** (DB_FLOOR / 10.0)
@@ -95,11 +96,7 @@ def bistatic_rcs(
     phi = np.deg2rad(angles)
     k0 = mesh.k0
     directions = np.column_stack([np.cos(phi), np.sin(phi)])
-    if mesh.kind == SURFACE:
-        weights = -(k0 * ETA0 / 4.0) * mesh.extents * solution
-    else:
-        a = mesh.extents / math.sqrt(math.pi)
-        weights = -0.5j * math.pi * k0 * a * j1(k0 * a) * solution
+    weights = -KernelSpec.for_mesh(mesh).column_weights * solution
     factor = np.empty(angles.size, dtype=np.complex128)
     for start in range(0, angles.size, RCS_ANGLE_CHUNK):
         chunk = slice(start, start + RCS_ANGLE_CHUNK)
@@ -109,23 +106,19 @@ def bistatic_rcs(
     return RcsCurve(angles, _to_db(sigma), {"kind": mesh.kind})
 
 
-def _series_truncation(k0a: float, extra_terms: int) -> int:
-    return int(math.ceil(k0a)) + extra_terms
+def _series_truncation(k0a: float) -> int:
+    return int(math.ceil(k0a)) + SERIES_EXTRA_TERMS
 
 
-def series_pec_cylinder(
-    radius_wl: float,
-    angles_deg: Sequence[float],
-    phi_inc_rad: float = 0.0,
-    extra_terms: int = SERIES_EXTRA_TERMS,
-) -> RcsCurve:
+def series_pec_cylinder(radius_wl: float, angles_deg: Sequence[float], phi_inc_rad: float = 0.0) -> RcsCurve:
     """Exact echo width of a PEC circular cylinder (TM-z incidence)."""
     if radius_wl <= 0.0:
         raise ValueError("cylinder radius must be positive")
     angles = np.asarray(angles_deg, dtype=float)
     phi = np.deg2rad(angles)
     ka = 2.0 * math.pi * radius_wl
-    orders = np.arange(-_series_truncation(ka, extra_terms), _series_truncation(ka, extra_terms) + 1)
+    m_max = _series_truncation(ka)
+    orders = np.arange(-m_max, m_max + 1)
     coeff = (-1.0) ** orders * jv(orders, ka) / hankel2(orders, ka)
     factor = -(np.exp(1j * np.outer(phi - phi_inc_rad, orders)) @ coeff)
     sigma = (2.0 / math.pi) * np.abs(factor) ** 2
@@ -137,7 +130,6 @@ def series_dielectric_cylinder(
     eps_r: complex,
     angles_deg: Sequence[float],
     phi_inc_rad: float = 0.0,
-    extra_terms: int = SERIES_EXTRA_TERMS,
 ) -> RcsCurve:
     """Exact echo width of a homogeneous dielectric circular cylinder.
 
@@ -151,7 +143,7 @@ def series_dielectric_cylinder(
     phi = np.deg2rad(angles)
     k0a = 2.0 * math.pi * radius_wl
     k1a = k0a * np.sqrt(eps)
-    m_max = _series_truncation(abs(k1a), extra_terms)
+    m_max = _series_truncation(abs(k1a))
     orders = np.arange(-m_max, m_max + 1)
     jm0, jpm0 = jv(orders, k0a), jvp(orders, k0a)
     jm1, jpm1 = jv(orders, k1a), jvp(orders, k1a)

@@ -76,7 +76,6 @@ class PssConfig:
 
     series_order: int = 2
     active_levels: Optional[Sequence[int]] = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.series_order < 1:
@@ -199,7 +198,7 @@ def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> F
 
     for i, level in enumerate(active):
         t_apply = partial(chain.t_apply, i)
-        estimate = estimate_spectral_radius(t_apply, h.n, iters=RADIUS_ITERS, seed=config.seed + level)
+        estimate = estimate_spectral_radius(t_apply, h.n, iters=RADIUS_ITERS, seed=level)
         if estimate.value >= NORM_FAIL:
             raise ConvergenceError(
                 f"estimated convergence radius of the level-{level} series factor is "

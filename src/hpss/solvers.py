@@ -156,12 +156,13 @@ def gmres(
     return x, report
 
 
-def lu_solve(matrix: np.ndarray, b: np.ndarray, residual_tol: float = LU_RESIDUAL_TOL) -> np.ndarray:
+def lu_solve(matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense partial-pivot LU solve with an explicit residual check.
 
     Raises on matrices singular to working precision; on ill-conditioned
-    systems where the residual check fails, returns the solution anyway but
-    warns with a condition estimate.
+    systems whose relative residual exceeds ``LU_RESIDUAL_TOL`` (read at
+    call time), returns the solution anyway but warns with a condition
+    estimate.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -181,10 +182,10 @@ def lu_solve(matrix: np.ndarray, b: np.ndarray, residual_tol: float = LU_RESIDUA
     bnorm = float(np.linalg.norm(b))
     if bnorm > 0.0:
         rel = float(np.linalg.norm(matrix @ x - b)) / bnorm
-        if rel > residual_tol:
+        if rel > LU_RESIDUAL_TOL:
             cond = float(np.linalg.cond(matrix))
             warnings.warn(
-                f"dense solve residual {rel:.3e} exceeds {residual_tol:.1e}; "
+                f"dense solve residual {rel:.3e} exceeds {LU_RESIDUAL_TOL:.1e}; "
                 f"condition estimate {cond:.3e} suggests an ill-conditioned system",
                 RuntimeWarning,
                 stacklevel=2,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hpss import KernelSpec, assemble, assemble_dense, build_cluster_tree, discretize_strip
+from hpss.geometry import Mesh
 
 
 def dense_from_operator(apply, n):
@@ -14,6 +15,15 @@ def dense_from_operator(apply, n):
         e[j] = 1.0
         cols.append(apply(e))
     return np.column_stack(cols)
+
+
+def halved_strip(element):
+    """25.6-wavelength strip at 10 per wavelength (N = 256) with the extent
+    of one element halved, so its kernel is not reciprocal."""
+    mesh = discretize_strip(25.6, 10)
+    extents = mesh.extents.copy()
+    extents[element] *= 0.5
+    return Mesh(mesh.kind, mesh.centers, extents, mesh.eps_r, mesh.wavelength)
 
 
 @pytest.fixture(scope="session")

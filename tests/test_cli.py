@@ -84,7 +84,6 @@ def test_parse_config_returns_annotated_types(tmp_path):
         angle_stop = 170
         angle_count = 9
         symmetric = on
-        seed = 7
         out = results
         sizes = 512,1024
         assert_rms_db = 1
@@ -132,6 +131,10 @@ def test_config_validation_errors():
     for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="gmres_tol"):
             RunConfig(gmres_tol=tol).validate()
+    for start, stop in ((180.0, 0.0), (90.0, 90.0)):
+        with pytest.raises(ValueError, match="angle_start"):
+            RunConfig(angle_start=start, angle_stop=stop, angle_count=5).validate()
+    RunConfig(angle_start=90.0, angle_stop=90.0, angle_count=1).validate()
 
 
 def test_bad_config_value_exits_one_not_traceback(tmp_path, capsys):
@@ -188,7 +191,7 @@ def test_solve_csvs_are_byte_deterministic(tmp_path):
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        rc = main(["solve", *STRIP_ARGS, "--solver", "gmres", "--seed", "3", "--out", str(out)])
+        rc = main(["solve", *STRIP_ARGS, "--solver", "gmres", "--out", str(out)])
         assert rc == 0
         outs.append(out)
     for name in ("mesh.csv", "memory_report.csv", "rcs_gmres.csv", "iterative_report.csv"):
@@ -244,6 +247,46 @@ def test_bench_small_sizes(tmp_path, capsys):
     n0, full0, leaf0 = (int(tok) for tok in lines[1].split(","))
     assert n0 == 128 and leaf0 <= full0 < 128 * 128
     assert "slope" in (out / "bench_summary.txt").read_text()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, angles",
+    [
+        (["solve", "--solver", "gmres"], ["--angle-start", "180", "--angle-stop", "0"]),
+        (["compare", "--solvers", "pss,gmres"], ["--angle-start", "90", "--angle-stop", "90", "--angle-count", "5"]),
+    ],
+)
+def test_non_increasing_angles_exit_one_before_solving(tmp_path, capsys, command, angles):
+    out = tmp_path / "o"
+    rc = main([command[0], *STRIP_ARGS, *command[1:], *angles, "--out", str(out)])
+    assert rc == 1
+    assert "error: angle_start" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bad_pss_levels_exit_one_before_assembly(tmp_path, capsys):
+    # 40 elements at leaf size 5 give a depth-3 tree, so levels 1,2 miss the leaf
+    out = tmp_path / "o"
+    rc = main(["solve", *STRIP_ARGS, "--leaf-size", "5", "--solver", "pss", "--levels", "1,2", "--out", str(out)])
+    assert rc == 1
+    assert "error: active_levels must end at the leaf level 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_symmetric_stores_less_and_agrees(tmp_path, capsys):
+    totals = {}
+    for tag, flags in (("full", []), ("symmetric", ["--symmetric"])):
+        out = tmp_path / tag
+        rc = main([
+            "compare", *STRIP_ARGS, *flags, "--solvers", "pss,gmres,lu",
+            "--assert-rms-db", "1.0", "--out", str(out),
+        ])
+        assert rc == 0, tag
+        total = (out / "memory_report.csv").read_text().splitlines()[-1].split(",")
+        assert total[0] == "total"
+        totals[tag] = int(total[2])
+    assert totals["symmetric"] < totals["full"]
     capsys.readouterr()
 
 

@@ -15,7 +15,8 @@ from hpss import (
     memory_report,
 )
 import hpss
-from hpss.hmatrix import _probe_reciprocity
+
+from conftest import halved_strip
 
 
 def entries_by_label(rep):
@@ -218,16 +219,26 @@ def test_symmetric_mode_halves_storage(strip_system):
     del mesh
 
 
-def test_reciprocity_probe_rejects_asymmetric_kernels():
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+def test_symmetric_mode_refuses_one_halved_element_before_any_fill(monkeypatch):
+    def no_fill(*args):
+        raise AssertionError("entries were evaluated before the reciprocity check")
 
-    def entry_fn(rows, cols):
-        return m[np.ix_(np.asarray(rows, int), np.asarray(cols, int))]
+    monkeypatch.setattr("hpss.hmatrix.entry_function", no_fill)
+    mesh = halved_strip(1)
+    with pytest.raises(ValueError, match=r"not reciprocal.*element 1 .*element extents differ"):
+        assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 32), tol=1e-3, symmetric_mode=True)
 
-    with pytest.raises(ValueError, match="reciprocity"):
-        _probe_reciprocity(entry_fn, 12)
-    _probe_reciprocity(lambda r, c: (m + m.T)[np.ix_(np.asarray(r, int), np.asarray(c, int))], 12)
+
+def test_symmetric_mode_assembles_a_disk():
+    mesh = discretize_disk(0.3, 12, 2.0 - 0.3j)
+    spec = KernelSpec.for_mesh(mesh)
+    tree = build_cluster_tree(mesh, 8)
+    half = assemble(spec, tree, tol=1e-3, symmetric_mode=True)
+    assert half.symmetric
+    assert sum(len(blks) for blks in half.far_blocks.values()) > 0
+    z = assemble_dense(spec, permutation=tree.permutation)
+    x = np.random.default_rng(3).standard_normal(spec.n) + 0j
+    assert np.linalg.norm(half.matvec(x) - z @ x) <= 5e-3 * np.linalg.norm(z @ x)
 
 
 def test_memory_report_totals(strip_system):

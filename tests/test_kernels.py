@@ -19,6 +19,8 @@ from hpss import (
 from hpss.geometry import SURFACE, VOLUME, Mesh
 from hpss.kernels import ETA0, _surface_self_entry, _volume_self_entry, z_block
 
+from conftest import halved_strip
+
 
 def test_spec_requires_matching_mesh_kind():
     surf = discretize_strip(1.0, 10)
@@ -83,6 +85,27 @@ def test_volume_kernel_reciprocity():
     spec = KernelSpec.for_mesh(discretize_disk(0.3, 10, 3.0 - 0.2j))
     z = assemble_dense(spec)
     assert np.linalg.norm(z - z.T) <= 1e-12 * np.linalg.norm(z)
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [discretize_strip(2.0, 10), discretize_circle(0.5, 10), discretize_disk(0.3, 10, 2.0 - 0.3j)],
+    ids=["strip", "circle", "disk"],
+)
+def test_generated_geometries_are_exactly_reciprocal(mesh):
+    spec = KernelSpec.for_mesh(mesh)
+    assert spec.reciprocal
+    z = assemble_dense(spec)
+    assert np.array_equal(z, z.T)
+
+
+def test_unequal_extents_are_not_reciprocal():
+    spec = KernelSpec.for_mesh(halved_strip(1))
+    assert not spec.reciprocal
+    z = assemble_dense(spec)
+    # Z_ij and Z_ji differ exactly where one of i, j is the halved element
+    halved = np.arange(spec.n) == 1
+    assert np.array_equal(z != z.T, halved[:, None] ^ halved[None, :])
 
 
 def test_permuted_assembly_is_a_reindexing():
@@ -174,10 +197,11 @@ def test_self_entries_are_the_self_integrals(mesh):
                 assert block[i, j] == expect[r]
 
 
-def test_dense_cap_refuses_large_systems():
+def test_dense_cap_refuses_large_systems(monkeypatch):
     spec = KernelSpec.for_mesh(discretize_strip(2.0, 10))
-    with pytest.raises(ValueError):
-        assemble_dense(spec, size_cap=10)
+    monkeypatch.setattr("hpss.kernels.DENSE_SIZE_CAP", 10)
+    with pytest.raises(ValueError, match="N = 20 > cap 10"):
+        assemble_dense(spec)
 
 
 def test_volume_system_is_second_kind():

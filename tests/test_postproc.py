@@ -82,14 +82,18 @@ def test_solved_pattern_symmetric_about_incidence_axis():
     assert np.max(np.abs(pos.sigma_db - neg.sigma_db[::-1])) <= 1e-9
 
 
-def test_series_truncation_is_converged_at_default_depth():
+def test_series_truncation_is_converged_at_default_depth(monkeypatch):
     for make in (
-        lambda extra: series_pec_cylinder(1.4, ANGLES, 0.3, extra_terms=extra),
-        lambda extra: series_dielectric_cylinder(0.8, 3.0, ANGLES, 0.3, extra_terms=extra),
+        lambda: series_pec_cylinder(1.4, ANGLES, 0.3),
+        lambda: series_dielectric_cylinder(0.8, 3.0, ANGLES, 0.3),
     ):
-        assert np.max(np.abs(make(20).sigma_db - make(45).sigma_db)) <= 1e-8
-        # the knob is live: chopping the margin entirely moves the curve
-        assert np.max(np.abs(make(0).sigma_db - make(45).sigma_db)) > 1e-4
+        curves = {}
+        for extra in (0, 20, 45):
+            monkeypatch.setattr("hpss.postproc.SERIES_EXTRA_TERMS", extra)
+            curves[extra] = make().sigma_db
+        assert np.max(np.abs(curves[20] - curves[45])) <= 1e-8
+        # the constant is live: chopping the margin entirely moves the curve
+        assert np.max(np.abs(curves[0] - curves[45])) > 1e-4
 
 
 def test_dielectric_series_vanishes_at_unit_permittivity():
