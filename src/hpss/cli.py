@@ -1,9 +1,12 @@
 """Command-line front end: solve, compare, bench, and oracle-check.
 
 Configuration comes from an optional plain-text ``key=value`` file plus
-command-line flags, flags winning.  Unknown keys are rejected with the
-valid list.  All CSV artifacts are byte-deterministic for a fixed config:
-timings appear only in the plain-text summaries.
+command-line flags, flags winning.  ``COMMAND_KEYS`` lists the
+``RunConfig`` fields each subcommand reads; its flags are made from that
+list, and a config key outside it is rejected with the valid list.  So
+``bench``, which has no ``--geometry``, runs strips only.  All CSV
+artifacts are byte-deterministic for a fixed config: timings appear only
+in the plain-text summaries.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_args, ge
 
 import numpy as np
 
-from . import pss
+from . import kernels, pss
 from .geometry import Mesh, build_cluster_tree, discretize_circle, discretize_disk, discretize_strip, write_mesh_csv
 from .hmatrix import HMatrix, assemble, memory_report
 from .kernels import Excitation, KernelSpec, assemble_dense, rhs
@@ -64,9 +67,18 @@ class RunConfig:
             raise ValueError(f"geometry must be one of {GEOMETRIES}")
         if self.solver not in SOLVER_NAMES:
             raise ValueError(f"solver must be one of {SOLVER_NAMES}")
-        for name in self._solver_list():
+        solvers = self._solver_list()
+        for name in solvers:
             if name not in SOLVER_NAMES:
                 raise ValueError(f"unknown solver {name!r} in solvers list")
+        if not solvers or len(set(solvers)) < len(solvers):
+            raise ValueError(f"solvers must name each solver once and at least one, got {self.solvers!r}")
+        try:
+            sizes = self._size_list()
+        except ValueError as exc:
+            raise ValueError(f"sizes must be a comma list of integers, got {self.sizes!r}") from exc
+        if not sizes or min(sizes) < 1:
+            raise ValueError(f"sizes must list at least one positive unknown count, got {self.sizes!r}")
         if self.angle_count < 1:
             raise ValueError("angle_count must be positive")
         if self.angle_count > 1 and self.angle_start >= self.angle_stop:
@@ -81,6 +93,9 @@ class RunConfig:
 
     def _solver_list(self) -> List[str]:
         return [tok.strip() for tok in self.solvers.split(",") if tok.strip()]
+
+    def _size_list(self) -> List[int]:
+        return [int(tok) for tok in self.sizes.split(",") if tok.strip()]
 
     def angles(self) -> np.ndarray:
         return np.linspace(self.angle_start, self.angle_stop, self.angle_count)
@@ -129,8 +144,23 @@ _FIELD_TYPES: Dict[str, type] = {
 }
 
 
-def parse_config(path: str) -> Dict[str, object]:
-    """Read a key=value config file; unknown keys are rejected."""
+# the RunConfig fields each subcommand reads, and so its flags and config keys
+_PROBLEM_KEYS = (
+    "geometry", "length", "radius", "eps_r", "density", "leaf_size", "eta", "aca_tol",
+    "gmres_tol", "gmres_restart", "gmres_maxit", "series_order", "levels",
+    "phi_inc_deg", "angle_start", "angle_stop", "angle_count", "symmetric", "out",
+)
+COMMAND_KEYS: Dict[str, Tuple[str, ...]] = {
+    "solve": _PROBLEM_KEYS + ("solver",),
+    "compare": _PROBLEM_KEYS + ("solvers", "assert_rms_db"),
+    "bench": ("density", "leaf_size", "eta", "aca_tol", "sizes", "out"),
+    "oracle-check": ("out",),
+}
+
+
+def parse_config(path: str, command: str) -> Dict[str, object]:
+    """Read a key=value config file; a key ``command`` does not read is rejected."""
+    keys = COMMAND_KEYS[command]
     values: Dict[str, object] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -140,23 +170,18 @@ def parse_config(path: str) -> Dict[str, object]:
             if "=" not in text:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
             key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in _FIELD_TYPES:
-                valid = ", ".join(sorted(_FIELD_TYPES))
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}; valid keys: {valid}")
+            if key not in keys:
+                valid = ", ".join(sorted(keys))
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r} for {command}; valid keys: {valid}")
             values[key] = _coerce(key, _FIELD_TYPES[key], raw)
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then config file, then explicit flags."""
-    file_values: Dict[str, object] = {}
-    if getattr(args, "config", None):
-        file_values = parse_config(args.config)
-    flag_values = {
-        name: getattr(args, name)
-        for name in _FIELD_TYPES
-        if getattr(args, name, None) is not None
-    }
+    keys = COMMAND_KEYS[args.command]
+    file_values = parse_config(args.config, args.command) if args.config else {}
+    flag_values = {name: getattr(args, name) for name in keys if getattr(args, name, None) is not None}
     cfg = replace(replace(RunConfig(), **file_values), **flag_values)
     cfg.validate()
     return cfg
@@ -185,7 +210,6 @@ def _write_iterative_csv(path: str, report: IterativeReport) -> None:
 @dataclass
 class SolverRun:
     name: str
-    solution_mesh_order: np.ndarray
     rcs: RcsCurve
     wall_time_s: float
     detail: str
@@ -200,7 +224,7 @@ def _run_one_solver(
     spec: KernelSpec,
     h: HMatrix,
     b_mesh: np.ndarray,
-) -> Tuple[SolverRun, Optional[IterativeReport], Optional[pss.SolveReport]]:
+) -> Tuple[SolverRun, Optional[IterativeReport]]:
     angles = cfg.angles()
     start = time.perf_counter()
     if name == "pss":
@@ -210,8 +234,7 @@ def _run_one_solver(
         x_mesh = h.unpermute(x_perm)
         wall = time.perf_counter() - start
         rcs = bistatic_rcs(mesh, x_mesh, angles)
-        run = SolverRun("pss", x_mesh, rcs, wall, report.to_text(), report.total_solve_matvecs)
-        return run, None, report
+        return SolverRun("pss", rcs, wall, report.to_text(), report.total_solve_matvecs), None
     if name == "gmres":
         b_perm = h.permute(b_mesh)
         x_perm, report = gmres(
@@ -226,15 +249,13 @@ def _run_one_solver(
             f"final relative residual (true, recomputed): {report.true_residuals[-1][1]:.6g}\n"
             f"matvecs: {report.n_matvecs}\n"
         )
-        run = SolverRun("gmres", x_mesh, rcs, wall, detail, report.n_matvecs, report.iterations)
-        return run, report, None
+        return SolverRun("gmres", rcs, wall, detail, report.n_matvecs, report.iterations), report
     # dense LU oracle, mesh order throughout
     z = assemble_dense(spec)
     x_mesh = lu_solve(z, b_mesh)
     wall = time.perf_counter() - start
     rcs = bistatic_rcs(mesh, x_mesh, angles)
-    run = SolverRun("lu", x_mesh, rcs, wall, "dense partial-pivot LU oracle\n")
-    return run, None, None
+    return SolverRun("lu", rcs, wall, "dense partial-pivot LU oracle\n"), None
 
 
 def _build_problem(
@@ -243,10 +264,14 @@ def _build_problem(
     """Mesh, kernel, H-matrix assembled with ``level_filter(depth)``, and the
     mesh-order plane-wave RHS; writes mesh.csv and memory_report.csv.
 
-    When ``solvers`` include pss, its levels are checked against the tree
-    before anything is assembled or written.
+    When ``solvers`` include pss, its levels are checked against the tree,
+    and when they include lu, N against ``kernels.DENSE_SIZE_CAP``, before
+    anything is assembled or written.
     """
     mesh = build_mesh(cfg)
+    if "lu" in solvers and mesh.n_elements > kernels.DENSE_SIZE_CAP:
+        cap = kernels.DENSE_SIZE_CAP
+        raise ValueError(f"solver lu refused: dense assembly needs N <= cap {cap}, got N = {mesh.n_elements}")
     spec = KernelSpec.for_mesh(mesh)
     tree = build_cluster_tree(mesh, cfg.leaf_size)
     if "pss" in solvers:
@@ -268,7 +293,7 @@ def _build_problem(
 
 def run_solve(cfg: RunConfig) -> int:
     mesh, spec, h, b_mesh = _build_problem(cfg, cfg.level_filter, [cfg.solver])
-    run, it_report, pss_report = _run_one_solver(cfg.solver, cfg, mesh, spec, h, b_mesh)
+    run, it_report = _run_one_solver(cfg.solver, cfg, mesh, spec, h, b_mesh)
     run.rcs.to_csv(os.path.join(cfg.out, f"rcs_{run.name}.csv"))
     _write_text(os.path.join(cfg.out, "solve_report.txt"), run.detail)
     if it_report is not None:
@@ -296,7 +321,7 @@ def run_compare(cfg: RunConfig) -> int:
 
     runs: Dict[str, SolverRun] = {}
     for name in cfg._solver_list():
-        run, it_report, _ = _run_one_solver(name, cfg, mesh, spec, h, b_mesh)
+        run, it_report = _run_one_solver(name, cfg, mesh, spec, h, b_mesh)
         runs[name] = run
         run.rcs.to_csv(os.path.join(cfg.out, f"rcs_{name}.csv"))
         if it_report is not None:
@@ -338,9 +363,7 @@ def _median_time(fn, repeats: int) -> Tuple[float, object]:
 
 def run_bench(cfg: RunConfig) -> int:
     os.makedirs(cfg.out, exist_ok=True)
-    sizes = [int(tok) for tok in cfg.sizes.split(",") if tok.strip()]
-    if cfg.geometry != "strip":
-        raise ValueError("bench supports strip geometry only")
+    sizes = cfg._size_list()
     rows = []
     operators = []
     failures: List[str] = []
@@ -446,59 +469,47 @@ def run_oracle_check(cfg: RunConfig) -> int:
     return 1 if failures else 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file; flags override it")
-    parser.add_argument("--geometry", choices=GEOMETRIES)
-    parser.add_argument("--length", type=float, help="strip length in wavelengths")
-    parser.add_argument("--radius", type=float, help="circle/disk radius in wavelengths")
-    parser.add_argument("--eps-r", dest="eps_r", type=complex, help="disk relative permittivity")
-    parser.add_argument("--density", type=float, help="elements or cells per wavelength")
-    parser.add_argument("--leaf-size", dest="leaf_size", type=int)
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--aca-tol", dest="aca_tol", type=float)
-    parser.add_argument("--gmres-tol", dest="gmres_tol", type=float)
-    parser.add_argument("--gmres-restart", dest="gmres_restart", type=int)
-    parser.add_argument("--gmres-maxit", dest="gmres_maxit", type=int)
-    parser.add_argument("--order", dest="series_order", type=int, help="power-series order")
-    parser.add_argument("--levels", help="'all', 'leaf', or comma list ending at the leaf level")
-    parser.add_argument("--phi-inc-deg", dest="phi_inc_deg", type=float)
-    parser.add_argument("--angle-start", dest="angle_start", type=float)
-    parser.add_argument("--angle-stop", dest="angle_stop", type=float)
-    parser.add_argument("--angle-count", dest="angle_count", type=int)
-    parser.add_argument("--symmetric", action="store_const", const=True, default=None)
-    parser.add_argument("--out")
+_FLAG_CHOICES = {"geometry": GEOMETRIES, "solver": SOLVER_NAMES}
+_FLAG_HELP = {
+    "length": "strip length in wavelengths",
+    "radius": "circle/disk radius in wavelengths",
+    "eps_r": "disk relative permittivity",
+    "density": "elements or cells per wavelength",
+    "series_order": "power-series order",
+    "levels": "'all', 'leaf', or comma list ending at the leaf level",
+    "solvers": "comma list from pss,gmres,lu",
+    "sizes": "comma list of unknown counts",
+}
+_COMMANDS = {
+    "solve": (run_solve, "assemble and solve one configuration"),
+    "compare": (run_compare, "run several solvers and difference their far fields"),
+    "bench": (run_bench, "scaling table over strip sizes"),
+    "oracle-check": (run_oracle_check, "dense solves against the analytic series"),
+}
+
+
+def _add_flag(parser: argparse.ArgumentParser, name: str) -> None:
+    """``--name`` with ``_`` as ``-`` (``series_order`` is ``--order``)."""
+    flag = "--" + ("order" if name == "series_order" else name).replace("_", "-")
+    kind = _FIELD_TYPES[name]
+    if kind is bool:
+        parser.add_argument(flag, dest=name, action="store_const", const=True)
+    else:
+        parser.add_argument(flag, dest=name, type=kind, choices=_FLAG_CHOICES.get(name), help=_FLAG_HELP.get(name))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="hpss", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="assemble and solve one configuration")
-    _add_common_flags(p_solve)
-    p_solve.add_argument("--solver", choices=SOLVER_NAMES)
-
-    p_cmp = sub.add_parser("compare", help="run several solvers and difference their far fields")
-    _add_common_flags(p_cmp)
-    p_cmp.add_argument("--solvers", help="comma list from pss,gmres,lu")
-    p_cmp.add_argument("--assert-rms-db", dest="assert_rms_db", type=float)
-
-    p_bench = sub.add_parser("bench", help="scaling table over strip sizes")
-    _add_common_flags(p_bench)
-    p_bench.add_argument("--sizes", help="comma list of unknown counts")
-
-    p_oracle = sub.add_parser("oracle-check", help="dense solves against the analytic series")
-    _add_common_flags(p_oracle)
+    for command, (_, help_text) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=help_text)
+        p_command.add_argument("--config", help="key=value config file; flags override it")
+        for name in COMMAND_KEYS[command]:
+            _add_flag(p_command, name)
 
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        if args.command == "solve":
-            return run_solve(cfg)
-        if args.command == "compare":
-            return run_compare(cfg)
-        if args.command == "bench":
-            return run_bench(cfg)
-        return run_oracle_check(cfg)
+        return _COMMANDS[args.command][0](resolve_config(args))
     except Exception as exc:  # surface a clean diagnostic, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1

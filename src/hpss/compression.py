@@ -64,7 +64,6 @@ class LowRankBlock:
     col_start: int
     u: np.ndarray
     v: np.ndarray
-    level: int = 0
 
     @property
     def shape(self) -> Tuple[int, int]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,7 +75,6 @@ class BlockPartition:
     """Near/far pair lists produced by the admissibility descent."""
 
     tree: ClusterTree
-    eta: float
     near_pairs: List[Tuple[int, int]]
     far_pairs: Dict[int, List[Tuple[int, int]]]
 
@@ -99,7 +98,7 @@ def build_block_partition(tree: ClusterTree, eta: float = 1.0) -> BlockPartition
                 descend(tc, sc, level + 1)
 
     descend(0, 0, 0)
-    return BlockPartition(tree, eta, near, far)
+    return BlockPartition(tree, near, far)
 
 
 @dataclass
@@ -179,7 +178,7 @@ def _level_storage(
         v = v_data[v_run].reshape(k, w)
         u[...] = blk.u
         v[...] = blk.v
-        packed.append(LowRankBlock(blk.row_start, blk.col_start, u, v, blk.level))
+        packed.append(LowRankBlock(blk.row_start, blk.col_start, u, v))
         us, vs = u_run.stop, v_run.stop
     k_total = sum(ranks)
     u_mat = sp.csc_matrix((u_data, u_rows, u_ptr), shape=(n, k_total))
@@ -212,11 +211,6 @@ class HMatrix:
     @property
     def depth(self) -> int:
         return self.tree.depth
-
-    @property
-    def assembled_levels(self) -> Set[int]:
-        """Far levels that were assembled, empty or not."""
-        return set(self.far_blocks)
 
     @property
     def permutation(self) -> np.ndarray:
@@ -280,7 +274,7 @@ class HMatrix:
     def covers_all_far_levels(self) -> bool:
         """True when every level with admissible pairs was assembled."""
         needed = {lvl for lvl, pairs in self.partition.far_pairs.items() if pairs}
-        return needed.issubset(self.assembled_levels)
+        return needed.issubset(self.far_blocks)
 
 
 def _compress_level(
@@ -319,7 +313,7 @@ def _compress_level(
                     u, v = recompress(u, v, tol)
                 except Exception as exc:
                     raise RuntimeError(f"far-block compression failed at {where(t, s)}: {exc}") from exc
-                blocks[i] = LowRankBlock(nodes[t].start, nodes[s].start, u, v, level)
+                blocks[i] = LowRankBlock(nodes[t].start, nodes[s].start, u, v)
     return blocks  # type: ignore[return-value]
 
 
@@ -388,8 +382,6 @@ def assemble(
         far_blocks[level] = blocks
 
     stats: Dict[str, object] = {
-        "near_blocks": len(near_blocks),
-        "near_entries": int(sum(blk.stored_entries for blk in near_blocks)),
         "far_levels": {
             lvl: {
                 "blocks": len(blks),

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import h2vp, hankel2, jv, jvp
@@ -51,7 +51,6 @@ class RcsCurve:
 
     angles_deg: np.ndarray
     sigma_db: np.ndarray
-    meta: Dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.angles_deg = np.asarray(self.angles_deg, dtype=float)
@@ -103,7 +102,7 @@ def bistatic_rcs(
         phase = np.exp(1j * k0 * (directions[chunk] @ mesh.centers.T))  # (chunk, N)
         factor[chunk] = phase @ weights
     sigma = (2.0 / math.pi) * np.abs(factor) ** 2
-    return RcsCurve(angles, _to_db(sigma), {"kind": mesh.kind})
+    return RcsCurve(angles, _to_db(sigma))
 
 
 def _series_truncation(k0a: float) -> int:
@@ -122,7 +121,7 @@ def series_pec_cylinder(radius_wl: float, angles_deg: Sequence[float], phi_inc_r
     coeff = (-1.0) ** orders * jv(orders, ka) / hankel2(orders, ka)
     factor = -(np.exp(1j * np.outer(phi - phi_inc_rad, orders)) @ coeff)
     sigma = (2.0 / math.pi) * np.abs(factor) ** 2
-    return RcsCurve(angles, _to_db(sigma), {"oracle": "pec-cylinder-series"})
+    return RcsCurve(angles, _to_db(sigma))
 
 
 def series_dielectric_cylinder(
@@ -154,7 +153,7 @@ def series_dielectric_cylinder(
     scatter = jpow * numer / denom
     factor = np.exp(1j * np.outer(phi - phi_inc_rad, orders)) @ (scatter * jpow)
     sigma = (2.0 / math.pi) * np.abs(factor) ** 2
-    return RcsCurve(angles, _to_db(sigma), {"oracle": "dielectric-cylinder-series"})
+    return RcsCurve(angles, _to_db(sigma))
 
 
 def rcs_rms_error(curve_a: RcsCurve, curve_b: RcsCurve) -> float:

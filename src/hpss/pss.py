@@ -179,7 +179,7 @@ def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> F
         near_solve=scaled.near_solve,
         order=config.series_order,
         levels=active,
-        norms={0: NormEstimate(defect_norm, "diagonal-defect", 1)},
+        norms={0: NormEstimate(defect_norm, "diagonal-defect")},
         warnings=[],
         counts=dict.fromkeys(active, 0),
     )

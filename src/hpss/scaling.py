@@ -44,7 +44,6 @@ class NormEstimate:
 
     value: float
     mode: str
-    iterations: int
 
 
 def estimate_spectral_radius(
@@ -74,10 +73,10 @@ def estimate_spectral_radius(
         w = apply(v)
         g = float(np.linalg.norm(w))
         if g == 0.0:
-            return NormEstimate(0.0, "power-radius", iters)
+            return NormEstimate(0.0, "power-radius")
         growth.append(g)
         v = w / g
-    return NormEstimate(float(np.sqrt(growth[-1] * growth[-2])), "power-radius", iters)
+    return NormEstimate(float(np.sqrt(growth[-1] * growth[-2])), "power-radius")
 
 
 @dataclass

@@ -15,7 +15,6 @@ returning a polluted solution on ill-conditioned systems.
 from __future__ import annotations
 
 import math
-import time
 import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
@@ -41,7 +40,6 @@ class IterativeReport:
     residual_history: List[float]
     true_residuals: List[Tuple[int, float]]
     converged: bool
-    wall_time_s: float
     n_matvecs: int = 0
 
     def history_csv_rows(self) -> List[Tuple[int, str, str]]:
@@ -78,7 +76,6 @@ def gmres(
     if bnorm == 0.0:
         raise ValueError("right-hand side is zero; nothing to solve")
 
-    start = time.perf_counter()
     x = np.zeros(n, dtype=np.complex128)
     history: List[float] = []
     true_residuals: List[Tuple[int, float]] = []
@@ -150,7 +147,6 @@ def gmres(
         residual_history=history,
         true_residuals=true_residuals,
         converged=converged,
-        wall_time_s=time.perf_counter() - start,
         n_matvecs=n_matvecs,
     )
     return x, report

@@ -4,7 +4,7 @@ from argparse import Namespace
 import numpy as np
 import pytest
 
-from hpss.cli import _FIELD_TYPES, RunConfig, main, parse_config, resolve_config
+from hpss.cli import _FIELD_TYPES, COMMAND_KEYS, RunConfig, main, parse_config, resolve_config
 
 
 def write_config(tmp_path, text):
@@ -14,8 +14,8 @@ def write_config(tmp_path, text):
 
 
 def test_parse_config_empty_file(tmp_path):
-    assert parse_config(write_config(tmp_path, "")) == {}
-    assert parse_config(write_config(tmp_path, "# only a comment\n\n")) == {}
+    assert parse_config(write_config(tmp_path, ""), "solve") == {}
+    assert parse_config(write_config(tmp_path, "# only a comment\n\n"), "solve") == {}
 
 
 def test_parse_config_coercions(tmp_path):
@@ -30,7 +30,7 @@ def test_parse_config_coercions(tmp_path):
         levels = 1,2
         """,
     )
-    values = parse_config(path)
+    values = parse_config(path, "solve")
     assert values == {
         "geometry": "disk",
         "eps_r": 2.0 - 0.5j,
@@ -44,9 +44,9 @@ def test_parse_config_coercions(tmp_path):
 def test_parse_config_unknown_key_lists_valid_ones(tmp_path):
     path = write_config(tmp_path, "leaf_sise = 24\n")
     with pytest.raises(ValueError, match="valid keys"):
-        parse_config(path)
+        parse_config(path, "solve")
     try:
-        parse_config(path)
+        parse_config(path, "solve")
     except ValueError as exc:
         assert "leaf_size" in str(exc)
         assert "run.cfg:1" in str(exc)
@@ -54,41 +54,51 @@ def test_parse_config_unknown_key_lists_valid_ones(tmp_path):
 
 def test_parse_config_requires_key_value(tmp_path):
     with pytest.raises(ValueError, match="key=value"):
-        parse_config(write_config(tmp_path, "just some words\n"))
+        parse_config(write_config(tmp_path, "just some words\n"), "solve")
 
 
 def test_field_types_stay_in_sync_with_runconfig():
     field_names = {f.name for f in dataclasses.fields(RunConfig)}
     assert set(_FIELD_TYPES) == field_names
+    # every field is read by some subcommand, and every key names a field
+    assert set().union(*COMMAND_KEYS.values()) == field_names
+    for keys in COMMAND_KEYS.values():
+        assert len(set(keys)) == len(keys)
+
+
+CONFIG_VALUES = {
+    "geometry": "disk",
+    "length": "3",
+    "radius": "0.5",
+    "eps_r": "2.5-0.1j",
+    "density": "12",
+    "leaf_size": "16",
+    "eta": "0.8",
+    "aca_tol": "1e-4",
+    "gmres_tol": "1e-7",
+    "gmres_restart": "30",
+    "gmres_maxit": "500",
+    "series_order": "3",
+    "levels": "leaf",
+    "solver": "gmres",
+    "solvers": "pss,lu",
+    "phi_inc_deg": "45",
+    "angle_start": "10",
+    "angle_stop": "170",
+    "angle_count": "9",
+    "symmetric": "on",
+    "out": "results",
+    "sizes": "512,1024",
+    "assert_rms_db": "1",
+}
 
 
 def test_parse_config_returns_annotated_types(tmp_path):
-    keys = """
-        geometry = disk
-        length = 3
-        radius = 0.5
-        eps_r = 2.5-0.1j
-        density = 12
-        leaf_size = 16
-        eta = 0.8
-        aca_tol = 1e-4
-        gmres_tol = 1e-7
-        gmres_restart = 30
-        gmres_maxit = 500
-        series_order = 3
-        levels = leaf
-        solver = gmres
-        solvers = pss,lu
-        phi_inc_deg = 45
-        angle_start = 10
-        angle_stop = 170
-        angle_count = 9
-        symmetric = on
-        out = results
-        sizes = 512,1024
-        assert_rms_db = 1
-    """
-    values = parse_config(write_config(tmp_path, keys))
+    # each subcommand's file sets all of its keys
+    values = {}
+    for command, keys in COMMAND_KEYS.items():
+        text = "".join(f"{key} = {CONFIG_VALUES[key]}\n" for key in keys)
+        values.update(parse_config(write_config(tmp_path, text), command))
     defaults = RunConfig()
     assert set(values) == {f.name for f in dataclasses.fields(RunConfig)}
     for name, value in values.items():
@@ -104,7 +114,7 @@ def test_parse_config_returns_annotated_types(tmp_path):
 
 def test_flags_override_config_file(tmp_path):
     path = write_config(tmp_path, "density = 10\nleaf_size = 8\n")
-    cfg = resolve_config(Namespace(config=path, density=12.0))
+    cfg = resolve_config(Namespace(command="solve", config=path, density=12.0))
     assert cfg.density == 12.0
     assert cfg.leaf_size == 8
     assert cfg.geometry == "strip"
@@ -124,6 +134,14 @@ def test_config_validation_errors():
         RunConfig(solver="cg").validate()
     with pytest.raises(ValueError, match="solvers list"):
         RunConfig(solvers="pss,cg").validate()
+    for solvers in (",", "", "gmres,gmres"):
+        with pytest.raises(ValueError, match="solvers must name each solver once"):
+            RunConfig(solvers=solvers).validate()
+    for sizes in ("", ",", "0", "256,-512"):
+        with pytest.raises(ValueError, match="sizes must list at least one positive"):
+            RunConfig(sizes=sizes).validate()
+    with pytest.raises(ValueError, match="sizes must be a comma list of integers"):
+        RunConfig(sizes="256,big").validate()
     with pytest.raises(ValueError, match="levels"):
         RunConfig(levels="leaf,2").validate()
     with pytest.raises(ValueError, match="angle_count"):
@@ -155,6 +173,54 @@ def test_nonpositive_gmres_tol_exits_one_before_solving(tmp_path, capsys):
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+# each subcommand takes only the flags of the fields it reads
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--symmetric"],
+        ["bench", "--geometry", "disk"],
+        ["oracle-check", "--angle-count", "5"],
+        ["solve", "--sizes", "64"],
+    ],
+)
+def test_flag_a_subcommand_does_not_read_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [("solve", "sizes = 64"), ("solve", "assert_rms_db = 1"), ("bench", "symmetric = yes")],
+)
+def test_config_key_a_subcommand_does_not_read_exits_one(tmp_path, capsys, command, line):
+    out = tmp_path / "o"
+    rc = main([command, "--config", write_config(tmp_path, line + "\n"), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"unknown config key {line.split()[0]!r} for {command}" in err
+    assert "valid keys: " + ", ".join(sorted(COMMAND_KEYS[command])) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--solvers", ","], "solvers must name each solver once"),
+        (["compare", "--solvers", "gmres,gmres"], "solvers must name each solver once"),
+        (["bench", "--sizes", ""], "sizes must list at least one positive"),
+    ],
+)
+def test_empty_or_duplicate_lists_exit_one_before_writing(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 STRIP_ARGS = [
@@ -271,6 +337,16 @@ def test_bad_pss_levels_exit_one_before_assembly(tmp_path, capsys):
     rc = main(["solve", *STRIP_ARGS, "--leaf-size", "5", "--solver", "pss", "--levels", "1,2", "--out", str(out)])
     assert rc == 1
     assert "error: active_levels must end at the leaf level 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["solve", "--solver", "lu"], ["compare", "--solvers", "gmres,lu"]])
+def test_lu_beyond_dense_cap_exits_one_before_assembly(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("hpss.kernels.DENSE_SIZE_CAP", 30)
+    out = tmp_path / "o"
+    rc = main([command[0], *STRIP_ARGS, *command[1:], "--out", str(out)])
+    assert rc == 1
+    assert "error: solver lu refused: dense assembly needs N <= cap 30, got N = 40" in capsys.readouterr().err
     assert not out.exists()
 
 
