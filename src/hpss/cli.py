@@ -57,7 +57,6 @@ class RunConfig:
     angle_start: float = 0.0
     angle_stop: float = 180.0
     angle_count: int = 361
-    symmetric: bool = False
     out: str = "hpss_out"
     sizes: str = "512,1024,2048,4096"
     assert_rms_db: Optional[float] = None
@@ -85,6 +84,10 @@ class RunConfig:
             raise ValueError("angle_start must be below angle_stop when angle_count exceeds 1")
         if not (math.isfinite(self.gmres_tol) and self.gmres_tol > 0.0):
             raise ValueError(f"gmres_tol must be positive and finite, got {self.gmres_tol:g}")
+        if self.gmres_restart < 1:
+            raise ValueError(f"gmres_restart must be at least 1, got {self.gmres_restart}")
+        if self.gmres_maxit < 1:
+            raise ValueError(f"gmres_maxit must be at least 1, got {self.gmres_maxit}")
         if self.levels not in ("all", "leaf"):
             try:
                 [int(tok) for tok in self.levels.split(",")]
@@ -114,19 +117,8 @@ class RunConfig:
         return config
 
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
-
-
-def _coerce(name: str, kind: type, raw: str):
+def _coerce(kind: type, raw: str):
     raw = raw.strip()
-    if kind is bool:
-        low = raw.lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ValueError(f"config key {name} expects a boolean, got {raw!r}")
     if kind is complex:
         return complex(raw.replace(" ", ""))
     if kind is int:
@@ -148,7 +140,7 @@ _FIELD_TYPES: Dict[str, type] = {
 _PROBLEM_KEYS = (
     "geometry", "length", "radius", "eps_r", "density", "leaf_size", "eta", "aca_tol",
     "gmres_tol", "gmres_restart", "gmres_maxit", "series_order", "levels",
-    "phi_inc_deg", "angle_start", "angle_stop", "angle_count", "symmetric", "out",
+    "phi_inc_deg", "angle_start", "angle_stop", "angle_count", "out",
 )
 COMMAND_KEYS: Dict[str, Tuple[str, ...]] = {
     "solve": _PROBLEM_KEYS + ("solver",),
@@ -173,7 +165,7 @@ def parse_config(path: str, command: str) -> Dict[str, object]:
             if key not in keys:
                 valid = ", ".join(sorted(keys))
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r} for {command}; valid keys: {valid}")
-            values[key] = _coerce(key, _FIELD_TYPES[key], raw)
+            values[key] = _coerce(_FIELD_TYPES[key], raw)
     return values
 
 
@@ -277,14 +269,7 @@ def _build_problem(
     if "pss" in solvers:
         cfg.pss_config(tree.depth)
     b_mesh = rhs(spec, Excitation(math.radians(cfg.phi_inc_deg)))
-    h = assemble(
-        spec,
-        tree,
-        cfg.aca_tol,
-        eta=cfg.eta,
-        level_filter=level_filter(tree.depth),
-        symmetric_mode=cfg.symmetric,
-    )
+    h = assemble(spec, tree, cfg.aca_tol, eta=cfg.eta, level_filter=level_filter(tree.depth))
     os.makedirs(cfg.out, exist_ok=True)
     write_mesh_csv(mesh, os.path.join(cfg.out, "mesh.csv"))
     memory_report(h).to_csv(os.path.join(cfg.out, "memory_report.csv"))
@@ -362,7 +347,6 @@ def _median_time(fn, repeats: int) -> Tuple[float, object]:
 
 
 def run_bench(cfg: RunConfig) -> int:
-    os.makedirs(cfg.out, exist_ok=True)
     sizes = cfg._size_list()
     rows = []
     operators = []
@@ -407,6 +391,7 @@ def run_bench(cfg: RunConfig) -> int:
             times.append(time.perf_counter() - t0)
     rows = [row + (float(np.median(times)),) for row, times in zip(rows, samples)]
 
+    os.makedirs(cfg.out, exist_ok=True)
     with open(os.path.join(cfg.out, "bench.csv"), "w", newline="") as fh:
         fh.write("n,full_entries,leaf_entries\n")
         for n, fe, le, *_ in rows:
@@ -491,11 +476,9 @@ _COMMANDS = {
 def _add_flag(parser: argparse.ArgumentParser, name: str) -> None:
     """``--name`` with ``_`` as ``-`` (``series_order`` is ``--order``)."""
     flag = "--" + ("order" if name == "series_order" else name).replace("_", "-")
-    kind = _FIELD_TYPES[name]
-    if kind is bool:
-        parser.add_argument(flag, dest=name, action="store_const", const=True)
-    else:
-        parser.add_argument(flag, dest=name, type=kind, choices=_FLAG_CHOICES.get(name), help=_FLAG_HELP.get(name))
+    parser.add_argument(
+        flag, dest=name, type=_FIELD_TYPES[name], choices=_FLAG_CHOICES.get(name), help=_FLAG_HELP.get(name)
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

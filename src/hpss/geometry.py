@@ -24,7 +24,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -117,15 +118,6 @@ class Mesh:
                 raise ValueError(
                     "volume cell side exceeds lambda/(10*sqrt(Re(eps_r))) for some cell"
                 )
-
-    def with_eps(self, eps_r: Sequence[complex]) -> "Mesh":
-        """Return a copy carrying per-element eps_r (volume meshes only)."""
-        if self.kind != VOLUME:
-            raise ValueError("per-element eps_r only applies to volume meshes")
-        eps = np.asarray(eps_r, dtype=complex)
-        if eps.shape == ():
-            eps = np.full(self.n_elements, complex(eps))
-        return Mesh(self.kind, self.centers.copy(), self.extents.copy(), eps, self.wavelength)
 
 
 def discretize_strip(length_wl: float, elements_per_wavelength: float) -> Mesh:
@@ -222,8 +214,9 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.children is None
 
-    @property
+    @cached_property
     def diameter(self) -> float:
+        """Bounding-box diagonal, computed on first use; admissibility reads it often."""
         return float(np.linalg.norm(self.bbox_max - self.bbox_min))
 
 
@@ -241,18 +234,6 @@ class ClusterTree:
     depth: int
     n_elements: int
     leaves: List[int] = field(default_factory=list)
-    _levels: List[List[int]] = field(default_factory=list)
-
-    @property
-    def root(self) -> TreeNode:
-        return self.nodes[0]
-
-    def node(self, index: int) -> TreeNode:
-        return self.nodes[index]
-
-    def level_nodes(self, level: int) -> List[int]:
-        """Node indices at a tree level (0 = root, depth = leaves)."""
-        return self._levels[level]
 
     def leaf_ranges(self) -> Iterator[Tuple[int, int]]:
         for leaf in self.leaves:
@@ -329,10 +310,7 @@ def build_cluster_tree(mesh: Mesh, leaf_size: int) -> ClusterTree:
         return index
 
     make_node(0, 0, n)
-    levels: List[List[int]] = [[] for _ in range(depth + 1)]
-    for node in nodes:
-        levels[node.level].append(node.index)
-    tree = ClusterTree(nodes, perm, leaf_size, depth, n, leaves, levels)
+    tree = ClusterTree(nodes, perm, leaf_size, depth, n, leaves)
     tree.validate()
     return tree
 

@@ -23,10 +23,6 @@ factorization in ``scaling`` factors the same matrix.
 
 Far levels can be assembled selectively (``level_filter``); skipped levels
 simply contribute nothing, which downstream solvers treat as exact zeros.
-``symmetric_mode`` stores one of each off-diagonal block pair and applies
-the mirrored action with plain (unconjugated) transposes of the same
-sparse matrices; it is allowed only for a reciprocal kernel
-(``KernelSpec.reciprocal``: every element has the same extent).
 """
 
 from __future__ import annotations
@@ -106,24 +102,22 @@ class SparseStorage:
     """The stored entries of an H-matrix as sparse matrices.
 
     ``near`` is Z_N in COO form, one C-ordered block after another with the
-    diagonal blocks first; ``near_mirror`` is the transpose of its
-    off-diagonal part (a slice of the same buffers), set in symmetric mode
-    only.  ``levels`` maps each far level that holds blocks to (U_l, V_l).
+    diagonal blocks first.  ``levels`` maps each far level that holds
+    blocks to (U_l, V_l).
     """
 
     near: sp.coo_matrix
-    near_mirror: Optional[sp.coo_matrix]
     levels: Dict[int, Tuple[sp.csc_matrix, sp.csr_matrix]]
 
 
-def _near_storage(
-    geometry: List[Tuple[int, int, int, int]], n: int, symmetric: bool
-) -> Tuple[List[NearBlock], sp.coo_matrix, Optional[sp.coo_matrix]]:
+def _near_storage(geometry: List[Tuple[int, int, int, int]], n: int) -> Tuple[List[NearBlock], sp.coo_matrix]:
     """Near blocks with unfilled data viewing one COO matrix Z_N.
 
     ``geometry`` lists (row_start, row_stop, col_start, col_stop) per block,
     and the returned blocks keep that order.  In the buffers the diagonal
-    blocks come first, so the off-diagonal part is a slice.
+    blocks come first: the buffer order fixes the order in which each row
+    of the near product, and of the matrix ``splu`` factors, is summed, so
+    it is kept for bitwise-stable results.
     """
     sizes = [(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in geometry]
     diagonal = [r0 == c0 and r1 == c1 for r0, r1, c0, c1 in geometry]
@@ -141,12 +135,7 @@ def _near_storage(
         rows[run].reshape(r1 - r0, c1 - c0)[...] = np.arange(r0, r1, dtype=np.int32)[:, None]
         cols[run].reshape(r1 - r0, c1 - c0)[...] = np.arange(c0, c1, dtype=np.int32)
         blocks.append(NearBlock(r0, r1, c0, c1, data[run].reshape(r1 - r0, c1 - c0)))
-    near = sp.coo_matrix((data, (rows, cols)), shape=(n, n))
-    mirror = None
-    if symmetric:
-        off = sum(size for size, diag in zip(sizes, diagonal) if diag)
-        mirror = sp.coo_matrix((data[off:], (cols[off:], rows[off:])), shape=(n, n))
-    return blocks, near, mirror
+    return blocks, sp.coo_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def _level_storage(
@@ -190,17 +179,17 @@ def _level_storage(
 class HMatrix:
     """Assembled hierarchical operator in tree-permuted coordinates.
 
-    ``storage`` is the operator's only state: the near field and every far
-    level live in its sparse matrices, which both the matvecs and the
-    near factorization in ``scaling`` use.  ``near_blocks`` and
-    ``far_blocks`` are views of it.  Only ``assemble`` builds one.
+    ``storage`` is the operator's only state and has one layout: every
+    block is stored as it is applied, and the same sparse matrices serve
+    the matvecs, the level products and the near factorization in
+    ``scaling``.  ``near_blocks`` and ``far_blocks`` are views of it.
+    Only ``assemble`` builds one.
     """
 
     tree: ClusterTree
     partition: BlockPartition
     near_blocks: List[NearBlock]
     far_blocks: Dict[int, List[LowRankBlock]]
-    symmetric: bool
     storage: SparseStorage = field(repr=False, compare=False)
     stats: Dict[str, object] = field(default_factory=dict)
 
@@ -228,17 +217,11 @@ class HMatrix:
     # -- near field -------------------------------------------------------
 
     def near_matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.storage.near @ x
-        if self.storage.near_mirror is not None:
-            y += self.storage.near_mirror @ x
-        return y
+        return self.storage.near @ x
 
     def near_matrix(self) -> sp.csc_matrix:
-        """Z_N, mirrored blocks included, as the CSC matrix ``splu`` takes."""
-        near = self.storage.near
-        if self.storage.near_mirror is not None:
-            near = near + self.storage.near_mirror
-        return near.tocsc()
+        """Z_N as the CSC matrix ``splu`` takes."""
+        return self.storage.near.tocsc()
 
     def diagonal_blocks(self) -> List[NearBlock]:
         """Diagonal leaf blocks ordered by row range."""
@@ -256,10 +239,7 @@ class HMatrix:
         if factors is None:
             return np.zeros(self.n, dtype=np.complex128)
         u, v = factors
-        y = u @ (v @ x)
-        if self.symmetric:
-            y += v.T @ (u.T @ x)
-        return y
+        return u @ (v @ x)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Full assembled action: near field plus every level holding blocks."""
@@ -323,7 +303,6 @@ def assemble(
     tol: float,
     eta: float = 1.0,
     level_filter: Optional[Iterable[int]] = None,
-    symmetric_mode: bool = False,
 ) -> HMatrix:
     """Build the H-matrix: dense near blocks plus per-level ACA far blocks.
 
@@ -332,21 +311,11 @@ def assemble(
     level_filter : iterable of int, optional
         Far levels to assemble; default is every level.  Levels skipped
         here act as exact zeros in all downstream products.
-    symmetric_mode : bool
-        Store one block of each off-diagonal pair; only permitted for a
-        reciprocal kernel, checked exactly before any fill.
     """
     if tree.n_elements != spec.n:
         raise ValueError("tree and kernel disagree on element count")
     if tol < 0.0:
         raise ValueError(f"compression tolerance must be non-negative, got {tol:g}")
-    if symmetric_mode and not spec.reciprocal:
-        weights = spec.column_weights
-        j = int(np.flatnonzero(weights != weights[0])[0])
-        raise ValueError(
-            "symmetric_mode refused: the kernel is not reciprocal, as the column weight of "
-            f"element {j} differs from element 0's (element extents differ)"
-        )
     partition = build_block_partition(tree, eta)
     entry_fn = entry_function(spec, tree.permutation)
 
@@ -356,12 +325,8 @@ def assemble(
         raise ValueError(f"level_filter contains invalid levels {sorted(bad)} for depth {tree.depth}")
 
     nodes = tree.nodes
-    geometry = [
-        (nodes[t].start, nodes[t].stop, nodes[s].start, nodes[s].stop)
-        for t, s in partition.near_pairs
-        if not (symmetric_mode and nodes[t].start > nodes[s].start)
-    ]
-    near_blocks, near, mirror = _near_storage(geometry, spec.n, symmetric_mode)
+    geometry = [(nodes[t].start, nodes[t].stop, nodes[s].start, nodes[s].stop) for t, s in partition.near_pairs]
+    near_blocks, near = _near_storage(geometry, spec.n)
     for blk in near_blocks:
         blk.data[...] = entry_fn(np.arange(blk.row_start, blk.row_stop), np.arange(blk.col_start, blk.col_stop))
 
@@ -370,10 +335,7 @@ def assemble(
     level_storage: Dict[int, Tuple[sp.csc_matrix, sp.csr_matrix]] = {}
 
     for level in sorted(levels):
-        pairs = partition.far_pairs.get(level, [])
-        if symmetric_mode:
-            pairs = [(t, s) for t, s in pairs if nodes[t].start < nodes[s].start]
-        blocks = _compress_level(entry_fn, nodes, pairs, level, tol)
+        blocks = _compress_level(entry_fn, nodes, partition.far_pairs.get(level, []), level, tol)
         for blk in blocks:
             if 2 * blk.rank > min(blk.shape):
                 rank_flags.append((level, blk.row_start, blk.col_start, blk.rank))
@@ -392,8 +354,8 @@ def assemble(
         },
         "rank_flags": rank_flags,
     }
-    storage = SparseStorage(near, mirror, level_storage)
-    return HMatrix(tree, partition, near_blocks, far_blocks, symmetric_mode, storage, stats)
+    storage = SparseStorage(near, level_storage)
+    return HMatrix(tree, partition, near_blocks, far_blocks, storage, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +368,6 @@ class MemoryReport:
 
     rows: List[Tuple[str, int, int, float]]
     total_entries: int
-    dense_entries: int
-
-    @property
-    def compression_ratio(self) -> float:
-        """Stored fraction of the dense requirement (1.0 = no savings)."""
-        return self.total_entries / self.dense_entries
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -432,4 +388,4 @@ def memory_report(h: HMatrix) -> MemoryReport:
         rows.append((str(level), len(blks), entries, entries * BYTES_PER_ENTRY / 1e6))
         total += entries
     rows.append(("total", sum(r[1] for r in rows), total, total * BYTES_PER_ENTRY / 1e6))
-    return MemoryReport(rows, total, h.n * h.n)
+    return MemoryReport(rows, total)

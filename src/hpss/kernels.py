@@ -32,8 +32,7 @@ the distances, the two Bessel functions and one product; the self-term
 path runs only when some row index equals a column index, which for a
 validated mesh (no two elements share a centre) is also the only way r can
 be 0.  ``z_block`` broadcasts over leading axes, so ACA samples one row
-(or one column) of every block in a stack with a single call.  Z is
-reciprocal exactly when all w_j are equal (``KernelSpec.reciprocal``).
+(or one column) of every block in a stack with a single call.
 
 The plane-wave right-hand side is b_i = exp(+j*k0*(c_i . d))
 with d = (cos(phi), sin(phi)).
@@ -117,19 +116,6 @@ class KernelSpec:
             return ((k0 * ETA0 / 4.0) * self.mesh.extents).astype(np.complex128)
         a = self.mesh.extents / math.sqrt(math.pi)
         return 0.5j * math.pi * k0 * a * j1(k0 * a)
-
-    @property
-    def reciprocal(self) -> bool:
-        """True when Z_ij == Z_ji bitwise for every pair, diagonal aside.
-
-        Exact, not sampled: ``z_block`` computes both entries as a weight
-        times H0^(2)(k0*r) of one bitwise-equal distance r (a difference
-        and its negation have the same ``hypot``), so they agree exactly
-        when w_i == w_j.  H0^(2) has no real zeros, so unequal weights
-        make the pair differ.  Equal extents give equal weights.
-        """
-        weights = self.column_weights
-        return bool(np.all(weights == weights[0]))
 
 
 def _surface_self_entry(k0: float, delta: np.ndarray) -> np.ndarray:

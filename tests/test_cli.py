@@ -26,7 +26,6 @@ def test_parse_config_coercions(tmp_path):
         eps_r = 2.0-0.5j
         leaf_size = 24
         aca_tol = 5e-4
-        symmetric = yes
         levels = 1,2
         """,
     )
@@ -36,7 +35,6 @@ def test_parse_config_coercions(tmp_path):
         "eps_r": 2.0 - 0.5j,
         "leaf_size": 24,
         "aca_tol": 5e-4,
-        "symmetric": True,
         "levels": "1,2",
     }
 
@@ -86,7 +84,6 @@ CONFIG_VALUES = {
     "angle_start": "10",
     "angle_stop": "170",
     "angle_count": "9",
-    "symmetric": "on",
     "out": "results",
     "sizes": "512,1024",
     "assert_rms_db": "1",
@@ -107,7 +104,6 @@ def test_parse_config_returns_annotated_types(tmp_path):
         assert type(value) is want, name
     assert values["assert_rms_db"] == 1.0
     assert values["eps_r"] == 2.5 - 0.1j
-    assert values["symmetric"] is True
     assert values["leaf_size"] == 16
     RunConfig(**values).validate()
 
@@ -149,6 +145,12 @@ def test_config_validation_errors():
     for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="gmres_tol"):
             RunConfig(gmres_tol=tol).validate()
+    for restart in (0, -1):
+        with pytest.raises(ValueError, match="gmres_restart must be at least 1"):
+            RunConfig(gmres_restart=restart).validate()
+    for maxit in (0, -1):
+        with pytest.raises(ValueError, match="gmres_maxit must be at least 1"):
+            RunConfig(gmres_maxit=maxit).validate()
     for start, stop in ((180.0, 0.0), (90.0, 90.0)):
         with pytest.raises(ValueError, match="angle_start"):
             RunConfig(angle_start=start, angle_stop=stop, angle_count=5).validate()
@@ -183,6 +185,8 @@ def test_missing_subcommand_is_usage_error():
         ["bench", "--geometry", "disk"],
         ["oracle-check", "--angle-count", "5"],
         ["solve", "--sizes", "64"],
+        ["solve", "--symmetric"],
+        ["compare", "--symmetric"],
     ],
 )
 def test_flag_a_subcommand_does_not_read_is_usage_error(tmp_path, capsys, argv):
@@ -196,7 +200,12 @@ def test_flag_a_subcommand_does_not_read_is_usage_error(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "command, line",
-    [("solve", "sizes = 64"), ("solve", "assert_rms_db = 1"), ("bench", "symmetric = yes")],
+    [
+        ("solve", "sizes = 64"),
+        ("solve", "assert_rms_db = 1"),
+        ("solve", "symmetric = yes"),
+        ("bench", "symmetric = yes"),
+    ],
 )
 def test_config_key_a_subcommand_does_not_read_exits_one(tmp_path, capsys, command, line):
     out = tmp_path / "o"
@@ -220,6 +229,25 @@ def test_empty_or_duplicate_lists_exit_one_before_writing(tmp_path, capsys, argv
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each is refused by validate, by the mesh, by the tree or by assemble
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--solver", "gmres", "--gmres-restart", "0"], "gmres_restart must be at least 1"),
+        (["compare", "--solvers", "gmres", "--gmres-maxit", "0"], "gmres_maxit must be at least 1"),
+        (["bench", "--sizes", "256", "--leaf-size", "1"], "leaf_size must be at least 2"),
+        (["bench", "--sizes", "256", "--aca-tol", "-1"], "tolerance must be non-negative"),
+        (["bench", "--sizes", "256", "--density", "5"], "elements_per_wavelength must be at least 10"),
+    ],
+    ids=["solve-gmres-restart-0", "compare-gmres-maxit-0", "bench-leaf-size-1", "bench-aca-tol-negative", "bench-density-5"],
+)
+def test_bad_input_exits_one_before_writing(tmp_path, capsys, argv, message):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -348,22 +376,6 @@ def test_lu_beyond_dense_cap_exits_one_before_assembly(tmp_path, capsys, monkeyp
     assert rc == 1
     assert "error: solver lu refused: dense assembly needs N <= cap 30, got N = 40" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_compare_symmetric_stores_less_and_agrees(tmp_path, capsys):
-    totals = {}
-    for tag, flags in (("full", []), ("symmetric", ["--symmetric"])):
-        out = tmp_path / tag
-        rc = main([
-            "compare", *STRIP_ARGS, *flags, "--solvers", "pss,gmres,lu",
-            "--assert-rms-db", "1.0", "--out", str(out),
-        ])
-        assert rc == 0, tag
-        total = (out / "memory_report.csv").read_text().splitlines()[-1].split(",")
-        assert total[0] == "total"
-        totals[tag] = int(total[2])
-    assert totals["symmetric"] < totals["full"]
-    capsys.readouterr()
 
 
 def test_oracle_check_passes(tmp_path, capsys):

@@ -122,7 +122,7 @@ def test_single_element_tree_is_one_node():
     t = build_cluster_tree(m, 2)
     assert t.depth == 0
     assert len(t.nodes) == 1
-    assert t.root.is_leaf
+    assert t.nodes[0].is_leaf
 
 
 def test_permutation_is_bijection_and_leaves_tile():
@@ -153,7 +153,7 @@ def test_admissibility_hand_cases():
 def test_admissibility_is_symmetric():
     t = build_cluster_tree(discretize_strip(4.0, 16), 8)
     for level in range(1, t.depth + 1):
-        ids = t.level_nodes(level)
+        ids = [node.index for node in t.nodes if node.level == level]
         for a in ids:
             for b in ids:
                 assert is_admissible(t, a, b, 1.0) == is_admissible(t, b, a, 1.0)

@@ -7,7 +7,6 @@ import pytest
 from hpss import (
     KernelSpec,
     assemble,
-    assemble_dense,
     build_block_partition,
     build_cluster_tree,
     discretize_disk,
@@ -16,23 +15,21 @@ from hpss import (
 )
 import hpss
 
-from conftest import halved_strip
-
 
 def entries_by_label(rep):
     return {label: entries for label, _, entries, _ in rep.rows}
 
 
-def coverage_counts(tree, partition, symmetric=False):
+def coverage_counts(tree, partition):
     """Count how many blocks claim each (i, j) index pair."""
     n = tree.n_elements
     hits = np.zeros((n, n), dtype=int)
     for t, s in partition.near_pairs:
-        nt, ns = tree.node(t), tree.node(s)
+        nt, ns = tree.nodes[t], tree.nodes[s]
         hits[nt.start : nt.stop, ns.start : ns.stop] += 1
     for pairs in partition.far_pairs.values():
         for t, s in pairs:
-            nt, ns = tree.node(t), tree.node(s)
+            nt, ns = tree.nodes[t], tree.nodes[s]
             hits[nt.start : nt.stop, ns.start : ns.stop] += 1
     return hits
 
@@ -49,21 +46,21 @@ def test_strip_partition_structure():
     tree = build_cluster_tree(discretize_strip(8.0, 10), 10)
     assert tree.depth == 3  # 80 elements, 8 leaves
     partition = build_block_partition(tree, eta=1.0)
-    leaf_nodes = set(tree.level_nodes(tree.depth))
+    leaf_nodes = {node.index for node in tree.nodes if node.level == tree.depth}
     # every leaf keeps its own dense diagonal block
     near_self = {(t, s) for t, s in partition.near_pairs if t == s}
     assert len(near_self) == 8
     # near pairs live only between touching leaves: a banded layout
     for t, s in partition.near_pairs:
         assert t in leaf_nodes and s in leaf_nodes
-        nt, ns = tree.node(t), tree.node(s)
+        nt, ns = tree.nodes[t], tree.nodes[s]
         assert abs(nt.start - ns.start) <= nt.size  # adjacent ranges only
     # far field appears at more than one level, coarser blocks higher up
     levels = [lvl for lvl, pairs in partition.far_pairs.items() if pairs]
     assert len(levels) >= 2
     coarse = min(levels)
-    sizes_coarse = [tree.node(t).size for t, _ in partition.far_pairs[coarse]]
-    sizes_leaf = [tree.node(t).size for t, _ in partition.far_pairs[tree.depth]]
+    sizes_coarse = [tree.nodes[t].size for t, _ in partition.far_pairs[coarse]]
+    sizes_leaf = [tree.nodes[t].size for t, _ in partition.far_pairs[tree.depth]]
     assert min(sizes_coarse) > max(sizes_leaf)
 
 
@@ -76,8 +73,7 @@ def test_single_leaf_everything_is_near():
     assert not any(partition.far_pairs.values())
     h = assemble(KernelSpec.for_mesh(mesh), tree, tol=1e-3)
     rep = memory_report(h)
-    assert entries_by_label(rep)["near"] == mesh.n_elements**2
-    assert rep.compression_ratio == 1.0
+    assert entries_by_label(rep)["near"] == rep.total_entries == mesh.n_elements**2
 
 
 def test_full_matvec_matches_dense(strip_system):
@@ -179,9 +175,9 @@ def test_non_finite_far_block_is_named_inside_its_stack(monkeypatch):
     tree = build_cluster_tree(mesh, 10)
     level = tree.depth
     pairs = build_block_partition(tree).far_pairs[level]
-    shapes = {(tree.node(t).size, tree.node(s).size) for t, s in pairs}
+    shapes = {(tree.nodes[t].size, tree.nodes[s].size) for t, s in pairs}
     assert len(pairs) >= 4 and len(shapes) == 1  # one stack of several blocks
-    bad = tree.node(pairs[2][0]), tree.node(pairs[2][1])
+    bad = tree.nodes[pairs[2][0]], tree.nodes[pairs[2][1]]
     bad_rows = tree.permutation[bad[0].start : bad[0].stop]
     bad_cols = tree.permutation[bad[1].start : bad[1].stop]
     z_block = hpss.kernels.z_block
@@ -198,49 +194,6 @@ def test_non_finite_far_block_is_named_inside_its_stack(monkeypatch):
         assemble(spec, tree, tol=1e-3)
 
 
-def test_symmetric_mode_halves_storage(strip_system):
-    mesh, tree = strip_system["mesh"], strip_system["tree"]
-    spec = strip_system["spec"]
-    full = strip_system["h"]
-    half = assemble(spec, tree, tol=1e-3, symmetric_mode=True)
-    assert half.symmetric
-    full_far = sum(len(blks) for blks in full.far_blocks.values())
-    half_far = sum(len(blks) for blks in half.far_blocks.values())
-    assert half_far * 2 == full_far
-    full_offdiag = sum(1 for blk in full.near_blocks if not blk.is_diagonal)
-    half_offdiag = sum(1 for blk in half.near_blocks if not blk.is_diagonal)
-    assert half_offdiag * 2 == full_offdiag
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(full.n) + 1j * rng.standard_normal(full.n)
-    y_full, y_half = full.matvec(x), half.matvec(x)
-    # mirrored blocks are compressed independently in full mode, so the two
-    # assemblies agree to the compression tolerance, not machine precision
-    assert np.linalg.norm(y_full - y_half) <= 5e-3 * np.linalg.norm(y_full)
-    del mesh
-
-
-def test_symmetric_mode_refuses_one_halved_element_before_any_fill(monkeypatch):
-    def no_fill(*args):
-        raise AssertionError("entries were evaluated before the reciprocity check")
-
-    monkeypatch.setattr("hpss.hmatrix.entry_function", no_fill)
-    mesh = halved_strip(1)
-    with pytest.raises(ValueError, match=r"not reciprocal.*element 1 .*element extents differ"):
-        assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 32), tol=1e-3, symmetric_mode=True)
-
-
-def test_symmetric_mode_assembles_a_disk():
-    mesh = discretize_disk(0.3, 12, 2.0 - 0.3j)
-    spec = KernelSpec.for_mesh(mesh)
-    tree = build_cluster_tree(mesh, 8)
-    half = assemble(spec, tree, tol=1e-3, symmetric_mode=True)
-    assert half.symmetric
-    assert sum(len(blks) for blks in half.far_blocks.values()) > 0
-    z = assemble_dense(spec, permutation=tree.permutation)
-    x = np.random.default_rng(3).standard_normal(spec.n) + 0j
-    assert np.linalg.norm(half.matvec(x) - z @ x) <= 5e-3 * np.linalg.norm(z @ x)
-
-
 def test_memory_report_totals(strip_system):
     h = strip_system["h"]
     rep = memory_report(h)
@@ -249,8 +202,7 @@ def test_memory_report_totals(strip_system):
     far_sum = sum(v for k, v in rows.items() if k not in ("near", "total"))
     assert rep.total_entries == rows["near"] + far_sum
     assert rows["total"] == rep.total_entries
-    assert rep.total_entries < n * n
-    assert 0.0 < rep.compression_ratio < 1.0
+    assert 0 < rep.total_entries < n * n
     stored = sum(blk.stored_entries for blk in h.near_blocks) + sum(
         blk.stored_entries for blks in h.far_blocks.values() for blk in blks
     )
@@ -275,20 +227,16 @@ def loop_near_matvec(h, x):
     y = np.zeros(h.n, dtype=np.complex128)
     for blk in h.near_blocks:
         y[blk.row_start : blk.row_stop] += blk.data @ x[blk.col_start : blk.col_stop]
-        if h.symmetric and not blk.is_diagonal:
-            y[blk.col_start : blk.col_stop] += blk.data.T @ x[blk.row_start : blk.row_stop]
     return y
 
 
 def loop_level_matvec(h, level, x):
-    """Reference level action: u (v x) per block, plus the mirror."""
+    """Reference level action: u (v x) per block."""
     y = np.zeros(h.n, dtype=np.complex128)
     for blk in h.far_blocks.get(level, ()):
         m, n = blk.shape
         rows, cols = slice(blk.row_start, blk.row_start + m), slice(blk.col_start, blk.col_start + n)
         y[rows] += blk.u @ (blk.v @ x[cols])
-        if h.symmetric:
-            y[cols] += blk.v.T @ (blk.u.T @ x[rows])
     return y
 
 
@@ -304,21 +252,18 @@ def report_from_blocks(h):
 
 
 def packed_case(name, strip_system):
-    spec, tree = strip_system["spec"], strip_system["tree"]
     if name == "strip":
         return strip_system["h"]
-    if name == "symmetric-strip":
-        return assemble(spec, tree, tol=1e-3, symmetric_mode=True)
     if name == "depth-0":
         mesh = discretize_strip(1.0, 10)
         return assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 16), tol=1e-3)
     mesh = discretize_disk(0.3, 16, 2.0)
-    disk_tree = build_cluster_tree(mesh, 8)
-    levels = [disk_tree.depth] if name == "leaf-only-disk" else None
-    return assemble(KernelSpec.for_mesh(mesh), disk_tree, tol=1e-3, level_filter=levels)
+    tree = build_cluster_tree(mesh, 8)
+    levels = [tree.depth] if name == "leaf-only-disk" else None
+    return assemble(KernelSpec.for_mesh(mesh), tree, tol=1e-3, level_filter=levels)
 
 
-@pytest.mark.parametrize("name", ["strip", "symmetric-strip", "disk", "leaf-only-disk", "depth-0"])
+@pytest.mark.parametrize("name", ["strip", "disk", "leaf-only-disk", "depth-0"])
 def test_packed_operator_matches_block_loops(name, strip_system):
     h = packed_case(name, strip_system)
     rng = np.random.default_rng(31)
@@ -341,6 +286,10 @@ def test_packed_operator_matches_block_loops(name, strip_system):
     assert all(np.shares_memory(blk.data, store.near.data) for blk in h.near_blocks)
     assert store.near.data.size == sum(blk.data.size for blk in h.near_blocks)
     assert store.near.row.dtype == store.near.col.dtype == np.int32
+    # the diagonal blocks come first in the buffers: the order fixes how each
+    # row of the near product and of the factored matrix is summed
+    head = store.near.data[: sum(blk.data.size for blk in h.near_blocks if blk.is_diagonal)]
+    assert all(np.shares_memory(blk.data, head) == blk.is_diagonal for blk in h.near_blocks)
     assert set(store.levels) == {lvl for lvl, blks in h.far_blocks.items() if blks}
     for level, (u, v) in store.levels.items():
         blks = h.far_blocks[level]
@@ -353,7 +302,7 @@ def test_packed_operator_matches_block_loops(name, strip_system):
 def test_blocks_are_the_operator_storage():
     """A block cannot be rebound, and a write into it changes the operator."""
     mesh = discretize_strip(2.0, 10)
-    h = assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 5), tol=1e-3, symmetric_mode=True)
+    h = assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 5), tol=1e-3)
     near = next(blk for blk in h.near_blocks if not blk.is_diagonal)
     far = next(blk for blks in h.far_blocks.values() for blk in blks)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -372,4 +321,3 @@ def test_blocks_are_the_operator_storage():
     zn = h.near_matrix().toarray()
     rows, cols = slice(near.row_start, near.row_stop), slice(near.col_start, near.col_stop)
     assert np.array_equal(zn[rows, cols], new)
-    assert np.array_equal(zn[cols, rows], new.T)

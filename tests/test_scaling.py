@@ -22,8 +22,6 @@ def dense_near(h):
     z = np.zeros((h.n, h.n), dtype=np.complex128)
     for blk in h.near_blocks:
         z[blk.row_start : blk.row_stop, blk.col_start : blk.col_stop] = blk.data
-        if h.symmetric and not blk.is_diagonal:
-            z[blk.col_start : blk.col_stop, blk.row_start : blk.row_stop] = blk.data.T
     return z
 
 
