@@ -165,7 +165,10 @@ def parse_config(path: str, command: str) -> Dict[str, object]:
             if key not in keys:
                 valid = ", ".join(sorted(keys))
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r} for {command}; valid keys: {valid}")
-            values[key] = _coerce(_FIELD_TYPES[key], raw)
+            try:
+                values[key] = _coerce(_FIELD_TYPES[key], raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value {raw!r} for config key {key!r}: {exc}") from None
     return values
 
 

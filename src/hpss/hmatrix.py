@@ -10,16 +10,23 @@ a union of leaf-pair blocks that always includes every diagonal leaf pair.
 Assembly fills the near field with one kernel call per near block.  Each
 far level is compressed on its own: its pairs are grouped by block shape,
 each group goes to ACA in lockstep stacks, every block is recompressed on
-its own, and the level is packed before the next one starts.
+its own, and the level's factors are packed into one buffer each before
+the next level starts.  Once the last level is done, the levels move, one
+at a time, into the operator's one U and V.
 
-Storage is the standard sparse H-matrix form: the near field Z_N is one
-COO matrix, and far level l is the product U_l V_l of a CSC factor U_l
-(N x K_l) and a CSR factor V_l (K_l x N), K_l being the level's summed
-block ranks.  Every block's data is one contiguous run of those matrices'
-buffers, and ``NearBlock.data``, ``LowRankBlock.u`` and ``LowRankBlock.v``
-are views of it, so no entry is stored twice; indices are int32.  A near
-matvec is one sparse product and a level matvec two, and the near
-factorization in ``scaling`` factors the same matrix.
+Storage keeps each part of the operator in the layout it is applied in.
+The near field Z_N is one C-ordered dense stack of shape (B, m, n) per
+near-block shape, and ``NearBlock.data`` is a view of one slice of it.  A
+near matvec is one gather of x, one batched ``np.matmul`` per stack into
+a preallocated buffer, and one ``np.bincount`` that adds the products into
+their rows.  ``near_matrix`` builds the canonical CSC matrix that the near
+factorization in ``scaling`` takes from the same stacks.  All far levels
+share one CSC factor U (N x K) and one CSR factor V (K x N), K being the
+summed ranks of all far blocks, level after level; far level l is the
+product U_l V_l of zero-copy column and row views of them.  Every block's
+u is one Fortran-ordered run of U's buffer and its v one C-ordered run of
+V's, so no entry is stored twice; far indices are int32.  A full matvec
+is the near product plus U (V x).
 
 Far levels can be assembled selectively (``level_filter``); skipped levels
 simply contribute nothing, which downstream solvers treat as exact zeros.
@@ -48,7 +55,7 @@ ACA_STACK_ENTRIES = 2**18
 class NearBlock:
     """Dense leaf-pair block in tree-permuted coordinates.
 
-    Inside an ``HMatrix``, ``data`` is a view of its sparse Z_N.
+    Inside an ``HMatrix``, ``data`` is a view of one slice of its stack.
     """
 
     row_start: int
@@ -97,82 +104,170 @@ def build_block_partition(tree: ClusterTree, eta: float = 1.0) -> BlockPartition
     return BlockPartition(tree, near, far)
 
 
+@dataclass(frozen=True)
+class NearStack:
+    """The near blocks of one shape (m, n) as one dense stack.
+
+    ``data`` is C-ordered with shape (B, m, n); ``data[i]`` is the block at
+    rows ``row_starts[i]`` + [0, m) and cols ``col_starts[i]`` + [0, n).
+    """
+
+    data: np.ndarray
+    row_starts: np.ndarray
+    col_starts: np.ndarray
+
+    def coordinates(self) -> Tuple[np.ndarray, np.ndarray]:
+        """int32 row and col index of every entry of ``data``, each of its shape."""
+        b, m, n = self.data.shape
+        rows = self.row_starts[:, None, None] + np.arange(m, dtype=np.int32)[:, None]
+        cols = self.col_starts[:, None, None] + np.arange(n, dtype=np.int32)
+        return np.broadcast_to(rows, (b, m, n)), np.broadcast_to(cols, (b, m, n))
+
+
 @dataclass
 class SparseStorage:
-    """The stored entries of an H-matrix as sparse matrices.
+    """The stored entries of an H-matrix, each in the layout it is applied in.
 
-    ``near`` is Z_N in COO form, one C-ordered block after another with the
-    diagonal blocks first.  ``levels`` maps each far level that holds
-    blocks to (U_l, V_l).
+    ``near`` holds Z_N as one dense stack per near-block shape.  ``u``
+    (N x K, CSC) and ``v`` (K x N, CSR) hold every far level, level after
+    level, and ``levels`` maps each far level that holds blocks to its
+    (U_l, V_l), whose data and indices are views of ``u``'s and ``v``'s.
+
+    The rest is the near product's plan, derived from ``near``: ``gather``
+    lists the x entry each row of each stacked block product reads,
+    ``scatter`` the slot of y, viewed as interleaved real and imaginary
+    float64, that each product entry's real and imaginary part adds into,
+    and ``products`` is the buffer the batched products are written to, so
+    two near products on one operator must not run at the same time.
     """
 
-    near: sp.coo_matrix
+    near: List[NearStack]
+    u: sp.csc_matrix
+    v: sp.csr_matrix
     levels: Dict[int, Tuple[sp.csc_matrix, sp.csr_matrix]]
+    gather: np.ndarray = field(init=False)
+    scatter: np.ndarray = field(init=False)
+    products: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        coords = [stack.coordinates() for stack in self.near]
+        self.gather = np.concatenate([cols[:, 0, :].ravel() for _, cols in coords]).astype(np.intp)
+        rows = np.concatenate([rows[:, :, 0].ravel() for rows, _ in coords]).astype(np.intp)
+        self.scatter = (2 * rows[:, None] + np.arange(2)).ravel()
+        self.products = np.empty(rows.size, dtype=np.complex128)
 
 
-def _near_storage(geometry: List[Tuple[int, int, int, int]], n: int) -> Tuple[List[NearBlock], sp.coo_matrix]:
-    """Near blocks with unfilled data viewing one COO matrix Z_N.
+def _near_storage(geometry: List[Tuple[int, int, int, int]]) -> Tuple[List[NearBlock], List[NearStack]]:
+    """Near blocks with unfilled data viewing one stack per block shape.
 
     ``geometry`` lists (row_start, row_stop, col_start, col_stop) per block,
-    and the returned blocks keep that order.  In the buffers the diagonal
-    blocks come first: the buffer order fixes the order in which each row
-    of the near product, and of the matrix ``splu`` factors, is summed, so
-    it is kept for bitwise-stable results.
+    and the returned blocks keep that order.  Stacks come in the order
+    their shape first appears, and blocks within a stack in list order.
     """
-    sizes = [(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in geometry]
-    diagonal = [r0 == c0 and r1 == c1 for r0, r1, c0, c1 in geometry]
-    offsets = [0] * len(geometry)
-    start = 0
-    for i in sorted(range(len(geometry)), key=lambda i: not diagonal[i]):
-        offsets[i] = start
-        start += sizes[i]
-    data = np.empty(start, dtype=np.complex128)
-    rows = np.empty(start, dtype=np.int32)
-    cols = np.empty(start, dtype=np.int32)
-    blocks: List[NearBlock] = []
-    for (r0, r1, c0, c1), off, size in zip(geometry, offsets, sizes):
-        run = slice(off, off + size)
-        rows[run].reshape(r1 - r0, c1 - c0)[...] = np.arange(r0, r1, dtype=np.int32)[:, None]
-        cols[run].reshape(r1 - r0, c1 - c0)[...] = np.arange(c0, c1, dtype=np.int32)
-        blocks.append(NearBlock(r0, r1, c0, c1, data[run].reshape(r1 - r0, c1 - c0)))
-    return blocks, sp.coo_matrix((data, (rows, cols)), shape=(n, n))
+    shapes: Dict[Tuple[int, int], List[int]] = {}
+    for i, (r0, r1, c0, c1) in enumerate(geometry):
+        shapes.setdefault((r1 - r0, c1 - c0), []).append(i)
+    blocks: List[Optional[NearBlock]] = [None] * len(geometry)
+    stacks: List[NearStack] = []
+    for (m, n), members in shapes.items():
+        data = np.empty((len(members), m, n), dtype=np.complex128)
+        starts = np.array([geometry[i] for i in members], dtype=np.int32).reshape(-1, 4)
+        stacks.append(NearStack(data, starts[:, 0], starts[:, 2]))
+        for i, view in zip(members, data):
+            blocks[i] = NearBlock(*geometry[i], view)
+    return blocks, stacks  # type: ignore[return-value]
 
 
-def _level_storage(
-    blocks: List[LowRankBlock], n: int
-) -> Tuple[List[LowRankBlock], Tuple[sp.csc_matrix, sp.csr_matrix]]:
-    """Copy one level's factors into U_l (CSC) and V_l (CSR).
+def _compressed_view(kind, arrays: Tuple[np.ndarray, np.ndarray, np.ndarray], shape: Tuple[int, int]):
+    """A CSC or CSR matrix on the given (data, indices, indptr), not copies.
 
-    Each column of U_l and each row of V_l belongs to one block, so a
-    block's u is one Fortran-ordered run of U_l's buffer and its v one
-    C-ordered run of V_l's.  The returned blocks view those runs.
+    scipy's constructor copies an array that views less than half of its
+    base, so the arrays are set on an empty matrix of the shape instead.
     """
-    ranks = [blk.rank for blk in blocks]
-    heights = [blk.shape[0] for blk in blocks]
-    widths = [blk.shape[1] for blk in blocks]
-    u_ptr = np.concatenate([[0], np.cumsum(np.repeat(heights, ranks))]).astype(np.int32)
-    v_ptr = np.concatenate([[0], np.cumsum(np.repeat(widths, ranks))]).astype(np.int32)
+    mat = kind(shape, dtype=np.complex128)
+    mat.data, mat.indices, mat.indptr = arrays
+    return mat
+
+
+def _views(info: np.ndarray, u_data: np.ndarray, v_data: np.ndarray) -> List[LowRankBlock]:
+    """Blocks whose factors view consecutive runs of the buffers of a CSC
+    factor U and a CSR factor V, one block after another.
+
+    ``info`` holds each block's (rank, height, width, row_start, col_start).
+    A block of rank k owns k columns of U, each m long, and k rows of V,
+    each w long, so its u is one Fortran-ordered run of U's buffer and its
+    v one C-ordered run of V's.
+    """
+    views: List[LowRankBlock] = []
+    us = vs = 0
+    for k, m, w, row_start, col_start in info.tolist():
+        u = u_data[us : us + k * m].reshape(k, m).T
+        v = v_data[vs : vs + k * w].reshape(k, w)
+        views.append(LowRankBlock(row_start, col_start, u, v))
+        us, vs = us + k * m, vs + k * w
+    return views
+
+
+def _pack_level(blocks: List[LowRankBlock]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One level's factors copied into one buffer each, laid out as in U
+    and V; this frees the many small arrays compression left before the
+    next level starts.  Returns the ``_views`` info and the two buffers."""
+    info = np.array([(b.rank, *b.shape, b.row_start, b.col_start) for b in blocks], dtype=np.int64).reshape(-1, 5)
+    u_data = np.empty(int(info[:, 0] @ info[:, 1]), dtype=np.complex128)
+    v_data = np.empty(int(info[:, 0] @ info[:, 2]), dtype=np.complex128)
+    for blk, view in zip(blocks, _views(info, u_data, v_data)):
+        view.u[...] = blk.u
+        view.v[...] = blk.v
+    return info, u_data, v_data
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray, repeats: np.ndarray) -> np.ndarray:
+    """int32 runs start + [0, length), each repeated ``repeats`` times."""
+    starts, lengths = np.repeat(starts, repeats), np.repeat(lengths, repeats)
+    out = np.arange(lengths.sum(), dtype=np.int32)
+    out += np.repeat((starts - (np.cumsum(lengths) - lengths)).astype(np.int32), lengths)
+    return out
+
+
+def _far_storage(
+    packed: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]], n: int
+) -> Tuple[Dict[int, List[LowRankBlock]], sp.csc_matrix, sp.csr_matrix, Dict[int, Tuple[sp.csc_matrix, sp.csr_matrix]]]:
+    """Move the packed far levels into one U (CSC) and one V (CSR).
+
+    Levels are copied in level order and taken out of ``packed`` one at a
+    time, so each level's buffers are freed before the next is copied.
+    Returns blocks viewing U and V, U, V, and for each level holding blocks
+    its (U_l, V_l), which view the columns of U and the rows of V its
+    blocks own.
+    """
+    every = np.concatenate([np.zeros((0, 5), dtype=np.int64)] + [packed[level][0] for level in sorted(packed)])
+    u_ptr = np.concatenate([[0], np.cumsum(np.repeat(every[:, 1], every[:, 0]))]).astype(np.int32)
+    v_ptr = np.concatenate([[0], np.cumsum(np.repeat(every[:, 2], every[:, 0]))]).astype(np.int32)
     u_data = np.empty(int(u_ptr[-1]), dtype=np.complex128)
     v_data = np.empty(int(v_ptr[-1]), dtype=np.complex128)
     u_rows = np.empty(u_data.size, dtype=np.int32)
     v_cols = np.empty(v_data.size, dtype=np.int32)
-    packed: List[LowRankBlock] = []
-    us = vs = 0
-    for blk, k, m, w in zip(blocks, ranks, heights, widths):
-        # the k columns of u, each m long; the k rows of v, each w long
-        u_run, v_run = slice(us, us + k * m), slice(vs, vs + k * w)
-        u_rows[u_run].reshape(k, m)[...] = np.arange(blk.row_start, blk.row_start + m, dtype=np.int32)
-        v_cols[v_run].reshape(k, w)[...] = np.arange(blk.col_start, blk.col_start + w, dtype=np.int32)
-        u = u_data[u_run].reshape(k, m).T
-        v = v_data[v_run].reshape(k, w)
-        u[...] = blk.u
-        v[...] = blk.v
-        packed.append(LowRankBlock(blk.row_start, blk.col_start, u, v))
-        us, vs = u_run.stop, v_run.stop
-    k_total = sum(ranks)
-    u_mat = sp.csc_matrix((u_data, u_rows, u_ptr), shape=(n, k_total))
-    v_mat = sp.csr_matrix((v_data, v_cols, v_ptr), shape=(k_total, n))
-    return packed, (u_mat, v_mat)
+    far_blocks: Dict[int, List[LowRankBlock]] = {}
+    levels: Dict[int, Tuple[sp.csc_matrix, sp.csr_matrix]] = {}
+    k0 = 0
+    for level in sorted(packed):
+        info, u_chunk, v_chunk = packed.pop(level)
+        ranks, heights, widths, row_starts, col_starts = info.T
+        k1 = k0 + int(ranks.sum())
+        u_cols, v_rows = slice(u_ptr[k0], u_ptr[k1]), slice(v_ptr[k0], v_ptr[k1])
+        u_data[u_cols], v_data[v_rows] = u_chunk, v_chunk
+        u_rows[u_cols] = _runs(row_starts, heights, ranks)
+        v_cols[v_rows] = _runs(col_starts, widths, ranks)
+        far_blocks[level] = _views(info, u_data[u_cols], v_data[v_rows])
+        if k1 > k0:
+            levels[level] = (
+                _compressed_view(sp.csc_matrix, (u_data[u_cols], u_rows[u_cols], u_ptr[k0 : k1 + 1] - u_ptr[k0]), (n, k1 - k0)),
+                _compressed_view(sp.csr_matrix, (v_data[v_rows], v_cols[v_rows], v_ptr[k0 : k1 + 1] - v_ptr[k0]), (k1 - k0, n)),
+            )
+        k0 = k1
+    u_mat = sp.csc_matrix((u_data, u_rows, u_ptr), shape=(n, k0))
+    v_mat = sp.csr_matrix((v_data, v_cols, v_ptr), shape=(k0, n))
+    return far_blocks, u_mat, v_mat, levels
 
 
 @dataclass
@@ -180,10 +275,11 @@ class HMatrix:
     """Assembled hierarchical operator in tree-permuted coordinates.
 
     ``storage`` is the operator's only state and has one layout: every
-    block is stored as it is applied, and the same sparse matrices serve
-    the matvecs, the level products and the near factorization in
-    ``scaling``.  ``near_blocks`` and ``far_blocks`` are views of it.
-    Only ``assemble`` builds one.
+    block is stored as it is applied.  The near stacks serve the near
+    product and, through ``near_matrix``, the near factorization in
+    ``scaling``; the one U and V serve the full matvec, and their per-level
+    views the level products.  ``near_blocks`` and ``far_blocks`` are views
+    of it.  Only ``assemble`` builds one.
     """
 
     tree: ClusterTree
@@ -214,14 +310,36 @@ class HMatrix:
         out[self.tree.permutation] = x_tree
         return out
 
+    def _vector(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        if x.shape != (self.n,):
+            raise ValueError(f"expected a vector of shape ({self.n},), got shape {x.shape}")
+        return x
+
     # -- near field -------------------------------------------------------
 
     def near_matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.storage.near @ x
+        """Z_N x: one batched product per near stack, summed into rows."""
+        x = self._vector(x)
+        store = self.storage
+        xs = x[store.gather]
+        start_x = start_y = 0
+        for stack in store.near:
+            b, m, n = stack.data.shape
+            out = store.products[start_y : start_y + b * m].reshape(b, m, 1)
+            np.matmul(stack.data, xs[start_x : start_x + b * n].reshape(b, n, 1), out=out)
+            start_x, start_y = start_x + b * n, start_y + b * m
+        y = np.bincount(store.scatter, weights=store.products.view(np.float64), minlength=2 * self.n)
+        return y.view(np.complex128)
 
     def near_matrix(self) -> sp.csc_matrix:
-        """Z_N as the CSC matrix ``splu`` takes."""
-        return self.storage.near.tocsc()
+        """Z_N as the CSC matrix ``splu`` takes, in canonical form (sorted
+        indices), so it does not depend on the order the blocks are stored in."""
+        coords = [stack.coordinates() for stack in self.storage.near]
+        rows = np.concatenate([r.ravel() for r, _ in coords])
+        cols = np.concatenate([c.ravel() for _, c in coords])
+        data = np.concatenate([stack.data.ravel() for stack in self.storage.near])
+        return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsc()
 
     def diagonal_blocks(self) -> List[NearBlock]:
         """Diagonal leaf blocks ordered by row range."""
@@ -235,6 +353,7 @@ class HMatrix:
         """Action of the level-``level`` far-field part alone: U_l (V_l x)."""
         if level < 1 or level > self.depth:
             raise ValueError(f"far-field level must lie in 1..{self.depth}")
+        x = self._vector(x)
         factors = self.storage.levels.get(level)
         if factors is None:
             return np.zeros(self.n, dtype=np.complex128)
@@ -242,13 +361,11 @@ class HMatrix:
         return u @ (v @ x)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Full assembled action: near field plus every level holding blocks."""
-        x = np.asarray(x, dtype=np.complex128)
-        if x.shape != (self.n,):
-            raise ValueError(f"matvec expects a length-{self.n} vector")
+        """Full assembled action: the near product plus U (V x), which
+        covers every level holding blocks."""
+        x = self._vector(np.asarray(x, dtype=np.complex128))
         y = self.near_matvec(x)
-        for level in sorted(self.storage.levels):
-            y += self.matvec_level(level, x)
+        y += self.storage.u @ (self.storage.v @ x)
         return y
 
     def covers_all_far_levels(self) -> bool:
@@ -326,22 +443,16 @@ def assemble(
 
     nodes = tree.nodes
     geometry = [(nodes[t].start, nodes[t].stop, nodes[s].start, nodes[s].stop) for t, s in partition.near_pairs]
-    near_blocks, near = _near_storage(geometry, spec.n)
+    near_blocks, near = _near_storage(geometry)
     for blk in near_blocks:
         blk.data[...] = entry_fn(np.arange(blk.row_start, blk.row_stop), np.arange(blk.col_start, blk.col_stop))
 
     rank_flags: List[Tuple[int, int, int, int]] = []
-    far_blocks: Dict[int, List[LowRankBlock]] = {}
-    level_storage: Dict[int, Tuple[sp.csc_matrix, sp.csr_matrix]] = {}
-
+    packed: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for level in sorted(levels):
-        blocks = _compress_level(entry_fn, nodes, partition.far_pairs.get(level, []), level, tol)
-        for blk in blocks:
-            if 2 * blk.rank > min(blk.shape):
-                rank_flags.append((level, blk.row_start, blk.col_start, blk.rank))
-        if blocks:
-            blocks, level_storage[level] = _level_storage(blocks, spec.n)
-        far_blocks[level] = blocks
+        packed[level] = _pack_level(_compress_level(entry_fn, nodes, partition.far_pairs.get(level, []), level, tol))
+        rank_flags.extend((level, r0, c0, k) for k, m, w, r0, c0 in packed[level][0].tolist() if 2 * k > min(m, w))
+    far_blocks, u, v, level_storage = _far_storage(packed, spec.n)
 
     stats: Dict[str, object] = {
         "far_levels": {
@@ -354,7 +465,7 @@ def assemble(
         },
         "rank_flags": rank_flags,
     }
-    storage = SparseStorage(near, level_storage)
+    storage = SparseStorage(near, u, v, level_storage)
     return HMatrix(tree, partition, near_blocks, far_blocks, storage, stats)
 
 

@@ -160,6 +160,15 @@ class FactorChain:
         return x
 
 
+def _radius_text(value: float, digits: int = 3) -> str:
+    """``value`` to ``digits`` significant digits, or as many more as keep
+    the printed number on the same side of ``NORM_FAIL`` as the value (so
+    0.9996 never reads as 1)."""
+    while digits < 17 and (float(f"{value:.{digits}g}") >= NORM_FAIL) != (value >= NORM_FAIL):
+        digits += 1
+    return f"{value:.{digits}g}"
+
+
 def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> FactorChain:
     """Construct and norm-check the resolvent factors, leaf level last.
 
@@ -187,12 +196,12 @@ def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> F
     if defect_norm >= NORM_FAIL:
         raise ConvergenceError(
             "scaled near diagonal is not the identity: the omitted level-0 factor has "
-            f"estimated norm {defect_norm:.3g} >= {NORM_FAIL:g}, violating the "
+            f"estimated norm {_radius_text(defect_norm)} >= {NORM_FAIL:g}, violating the "
             "power-series validity condition (operator norm below one)"
         )
     if defect_norm >= NORM_WARN:
         chain.warnings.append(
-            f"level-0 identity defect has implied factor norm {defect_norm:.3g}; "
+            f"level-0 identity defect has implied factor norm {_radius_text(defect_norm)}; "
             "series accuracy will suffer"
         )
 
@@ -202,12 +211,12 @@ def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> F
         if estimate.value >= NORM_FAIL:
             raise ConvergenceError(
                 f"estimated convergence radius of the level-{level} series factor is "
-                f"{estimate.value:.3g} >= {NORM_FAIL:g}; the power-series "
+                f"{_radius_text(estimate.value)} >= {NORM_FAIL:g}; the power-series "
                 "expansion of (I + T)^-1 requires the norm of T below one"
             )
         if estimate.value >= NORM_WARN:
             chain.warnings.append(
-                f"level-{level} series factor convergence radius {estimate.value:.3g} exceeds "
+                f"level-{level} series factor convergence radius {_radius_text(estimate.value)} exceeds "
                 f"{NORM_WARN:g}; truncation error may dominate"
             )
         chain.norms[level] = estimate
@@ -260,7 +269,7 @@ class SolveReport:
         for level in sorted(self.factor_norms):
             est = self.factor_norms[level]
             label = "implied level-0 factor" if level == 0 else f"level {level}"
-            lines.append(f"convergence factor {label}: {est.value:.6g} [{est.mode}]")
+            lines.append(f"convergence factor {label}: {_radius_text(est.value, 6)} [{est.mode}]")
         lines.append(
             "setup matvecs per level: "
             + ", ".join(f"{l}:{c}" for l, c in sorted(self.setup_matvec_counts.items()))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from argparse import Namespace
 
 import numpy as np
@@ -162,6 +163,16 @@ def test_bad_config_value_exits_one_not_traceback(tmp_path, capsys):
     rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_config_value_names_key_file_and_line(tmp_path, capsys):
+    path = write_config(tmp_path, "# leaf size\nleaf_size = 1.5\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad value '1.5' for config key 'leaf_size'")):
+        parse_config(path, "solve")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 1
+    assert f"error: {path}:2: bad value '1.5' for config key 'leaf_size'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nonpositive_gmres_tol_exits_one_before_solving(tmp_path, capsys):

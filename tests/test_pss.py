@@ -5,6 +5,7 @@ from hpss import (
     ConvergenceError,
     Excitation,
     KernelSpec,
+    NormEstimate,
     PssConfig,
     assemble,
     assemble_dense,
@@ -261,6 +262,23 @@ def test_factor_radius_warnings_are_captured_not_raised():
         x, report = solve(scaled, h, PssConfig(series_order=2))
     assert any("radius" in w for w in report.warnings)
     assert np.all(np.isfinite(x))
+
+
+def test_radii_just_below_one_never_print_as_one(monkeypatch):
+    mesh = discretize_strip(2.0, 10)
+    spec, h, scaled = make_system(mesh, 5)
+    for value, shown in ((0.9996, "0.9996"), (0.9999996, "0.9999996")):
+        monkeypatch.setattr("hpss.pss.estimate_spectral_radius", lambda *args, **kw: NormEstimate(value, "power"))
+        _, report = solve(scaled, h, PssConfig(series_order=2))
+        assert report.active_levels == [2]
+        assert report.warnings == [
+            f"level-2 series factor convergence radius {shown} exceeds 0.1; truncation error may dominate"
+        ]
+        assert f"convergence factor level 2: {shown} [power]" in report.to_text()
+    # a radius that reaches one still fails, and reads as at least one
+    monkeypatch.setattr("hpss.pss.estimate_spectral_radius", lambda *args, **kw: NormEstimate(1.0004, "power"))
+    with pytest.raises(ConvergenceError, match="level-2 series factor is 1 >= 1"):
+        solve(scaled, h, PssConfig(series_order=2))
 
 
 def test_report_text_layout():
