@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +44,9 @@ import scipy.sparse as sp
 from .compression import BlockError, LowRankBlock, aca, recompress
 from .geometry import ClusterTree, TreeNode, is_admissible
 from .kernels import KernelSpec, entry_function
+
+if TYPE_CHECKING:
+    from .scaling import NearFactor
 
 BYTES_PER_ENTRY = 16  # complex128
 # block entries B*m*n of one stack handed to ``aca`` (at least one block);
@@ -139,6 +142,12 @@ class SparseStorage:
     float64, that each product entry's real and imaginary part adds into,
     and ``products`` is the buffer the batched products are written to, so
     two near products on one operator must not run at the same time.
+
+    ``near_factor`` is derived state kept with the operator: the near-field
+    factorization ``scaling.compute_scaling`` makes on its first call for
+    this operator, and ``None`` before that.  Once it is set, the near
+    stacks and every ``NearBlock.data`` view are read-only, so the stored
+    entries cannot drift from the factor.
     """
 
     near: List[NearStack]
@@ -148,6 +157,7 @@ class SparseStorage:
     gather: np.ndarray = field(init=False)
     scatter: np.ndarray = field(init=False)
     products: np.ndarray = field(init=False)
+    near_factor: Optional["NearFactor"] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         coords = [stack.coordinates() for stack in self.near]
@@ -279,7 +289,9 @@ class HMatrix:
     product and, through ``near_matrix``, the near factorization in
     ``scaling``; the one U and V serve the full matvec, and their per-level
     views the level products.  ``near_blocks`` and ``far_blocks`` are views
-    of it.  Only ``assemble`` builds one.
+    of it.  The only derived state is the near factorization, made once per
+    operator and kept in ``storage.near_factor``; from then on the near
+    field is read-only.  Only ``assemble`` builds one.
     """
 
     tree: ClusterTree

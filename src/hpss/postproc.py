@@ -86,7 +86,8 @@ def bistatic_rcs(
     ``solution`` is in mesh element order: axial surface current density
     for surface meshes, contrast source (eps_r - 1) * E_z for volume
     meshes (exactly the unknowns the kernels solve for).  The phase matrix
-    is formed ``RCS_ANGLE_CHUNK`` angles at a time.
+    is formed ``RCS_ANGLE_CHUNK`` angles at a time, as the cosine and sine
+    of its phase written into the real and imaginary parts of one buffer.
     """
     solution = np.asarray(solution, dtype=np.complex128)
     if solution.shape != (mesh.n_elements,):
@@ -97,9 +98,13 @@ def bistatic_rcs(
     directions = np.column_stack([np.cos(phi), np.sin(phi)])
     weights = -KernelSpec.for_mesh(mesh).column_weights * solution
     factor = np.empty(angles.size, dtype=np.complex128)
+    buffer = np.empty((min(angles.size, RCS_ANGLE_CHUNK), mesh.n_elements), dtype=np.complex128)
     for start in range(0, angles.size, RCS_ANGLE_CHUNK):
         chunk = slice(start, start + RCS_ANGLE_CHUNK)
-        phase = np.exp(1j * k0 * (directions[chunk] @ mesh.centers.T))  # (chunk, N)
+        arg = k0 * (directions[chunk] @ mesh.centers.T)  # (chunk, N)
+        phase = buffer[: arg.shape[0]]  # exp(1j * arg)
+        np.cos(arg, out=phase.real)
+        np.sin(arg, out=phase.imag)
         factor[chunk] = phase @ weights
     sigma = (2.0 / math.pi) * np.abs(factor) ** 2
     return RcsCurve(angles, _to_db(sigma))

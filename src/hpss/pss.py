@@ -245,7 +245,12 @@ def expected_solve_counts(depth: int, active: Sequence[int], order: int) -> Dict
 
 @dataclass
 class SolveReport:
-    """What the cascade did: norms, counts, timings, and the residual."""
+    """What the cascade did: norms, counts, timings, and the residual.
+
+    ``residual`` is |h x - b| / |b| against the assembled operator h (``None``
+    for b = 0), and ``residual_label`` names it: on an assembly that skipped
+    far levels it reads "relative residual (assembled operator, levels ...)".
+    """
 
     order: int
     active_levels: List[int]
@@ -255,6 +260,7 @@ class SolveReport:
     solve_matvec_counts: Dict[int, int]
     wall_time_s: float
     residual: Optional[float]
+    residual_label: str
 
     @property
     def total_solve_matvecs(self) -> int:
@@ -280,9 +286,9 @@ class SolveReport:
         )
         lines.append(f"total solve matvecs: {self.total_solve_matvecs}")
         if self.residual is None:
-            lines.append("residual: unavailable (not all far levels assembled)")
+            lines.append(f"{self.residual_label}: unavailable (zero right-hand side)")
         else:
-            lines.append(f"relative residual: {self.residual:.6g}")
+            lines.append(f"{self.residual_label}: {self.residual:.6g}")
         lines.append(f"wall time: {self.wall_time_s:.3f} s")
         for msg in self.warnings:
             lines.append(f"warning: {msg}")
@@ -294,9 +300,9 @@ def solve(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> Tuple[np.ndarr
 
     Returns the solution in tree-permuted coordinates together with a
     report.  With no far levels (single-leaf tree) the result is the exact
-    blockwise near solve of b.  The relative residual against the full
-    operator is included only when every admissible level was assembled;
-    with skipped levels the true system is unavailable by design.
+    blockwise near solve of b.  The relative residual is taken against the
+    assembled operator; when that skipped far levels, the report's label
+    names the levels it holds.
     """
     start = time.perf_counter()
     chain = build_factor_chain(scaled, h, config)
@@ -305,10 +311,12 @@ def solve(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> Tuple[np.ndarr
     x = chain.apply(scaled.b)
 
     residual = None
-    if h.covers_all_far_levels():
-        bnorm = float(np.linalg.norm(scaled.b))
-        if bnorm > 0.0:
-            residual = float(np.linalg.norm(h.matvec(x) - scaled.b)) / bnorm
+    bnorm = float(np.linalg.norm(scaled.b))
+    if bnorm > 0.0:
+        residual = float(np.linalg.norm(h.matvec(x) - scaled.b)) / bnorm
+    label = "relative residual"
+    if not h.covers_all_far_levels():
+        label += f" (assembled operator, levels {','.join(str(l) for l in sorted(h.far_blocks)) or 'none'})"
 
     report = SolveReport(
         order=config.series_order,
@@ -319,5 +327,6 @@ def solve(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> Tuple[np.ndarr
         solve_matvec_counts=chain.counts,
         wall_time_s=time.perf_counter() - start,
         residual=residual,
+        residual_label=label,
     )
     return x, report

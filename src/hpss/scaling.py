@@ -10,14 +10,25 @@ into
 
 which is the fixed point the power-series chain factorizes.  The near
 solve is one sparse LU factorization of the Z_N the H-matrix stores
-(``HMatrix.near_matrix``), whatever the shape of the near field.
+(``HMatrix.near_matrix``), whatever the shape of the near field.  Z_N is
+structurally symmetric (a leaf pair is near exactly when its transpose
+is), so the factorization orders its columns by minimum degree on
+A^T + A (Liu, ACM TOMS 11, 1985, as in SuperLU); on strips, circles and
+disks that fills no more than COLAMD's unsymmetric ordering.
 
-The constructor also LU-factors each diagonal leaf block, to name a
+The first call also LU-factors each diagonal leaf block, to name a
 singular leaf and to measure the defect of the identity claim alpha *
 Z_N,diag = I (alpha: the blockwise inverse of those blocks) on fixed
 random probe vectors; a healthy system sits at rounding level and anything
 larger signals a broken or synthetically de-scaled alpha.  The solver's
 guard turns that defect into a hard error before any series is applied.
+
+None of this depends on the right-hand side, so it is done once per
+operator: the first ``compute_scaling`` on an ``HMatrix`` keeps the near
+factorization and the probe pairs with its storage and makes the near
+stacks read-only, so a write into a factored operator raises instead of
+being solved with a stale LU.  Every call then measures the defect for its
+own ``alpha_scale`` from the kept pairs.
 
 ``estimate_spectral_radius`` provides the radius estimates the solver uses
 for its convergence guards: plain power iteration on each factor.
@@ -27,7 +38,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, List, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -96,32 +107,29 @@ class ScaledSystem:
         return np.ascontiguousarray(self.near_factorization.solve(v))
 
 
-def compute_scaling(
-    h: HMatrix,
-    b: np.ndarray,
-    alpha_scale: float = 1.0,
-) -> ScaledSystem:
-    """Factor the near field and measure the level-0 scaling defect.
+@dataclass(frozen=True)
+class NearFactor:
+    """The right-hand-side-free part of ``compute_scaling``, one per operator.
 
-    ``alpha_scale`` deliberately mis-scales alpha in that measurement
-    (diagnostic knob used to exercise the solver's convergence guard);
-    production runs leave it at 1.  A singular diagonal block raises with
-    the offending leaf named.
+    ``probes`` holds, for every diagonal leaf block D and probe x, the pair
+    (x, LU(D)^-1 D x) the level-0 defect is measured on.
     """
-    b = np.asarray(b, dtype=np.complex128)
-    if b.shape != (h.n,):
-        raise ValueError(f"right-hand side must have length {h.n}")
+
+    factorization: SuperLU
+    probes: List[Tuple[np.ndarray, np.ndarray]]
+
+
+def _factor_near_field(h: HMatrix) -> NearFactor:
+    """Check and LU-factor every diagonal leaf block, draw the defect probes
+    and factor Z_N; a singular block or near field raises."""
     diag_blocks = h.diagonal_blocks()
     expected = sorted(h.tree.leaf_ranges())
     got = [(blk.row_start, blk.row_stop) for blk in diag_blocks]
     if got != expected:
         raise ValueError("near field is missing a diagonal block for some leaf")
 
-    # |alpha Z_N,diag - I| blockwise on fixed random probes; the max over
-    # leaves and probes is a lower estimate of its operator norm, since two
-    # probes per leaf need not find a block's worst direction
     rng = np.random.default_rng(0)
-    defect = 0.0
+    probes: List[Tuple[np.ndarray, np.ndarray]] = []
     for leaf_index, blk in enumerate(diag_blocks):
         try:
             with warnings.catch_warnings():
@@ -141,13 +149,45 @@ def compute_scaling(
         for _ in range(_DEFECT_PROBES):
             x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
             x /= np.linalg.norm(x)
-            y = alpha_scale * lu_solve(factors, blk.data @ x) - x
-            defect = max(defect, float(np.linalg.norm(y)))
+            probes.append((x, lu_solve(factors, blk.data @ x)))
 
     try:
-        near_factorization = splu(h.near_matrix())
+        factorization = splu(h.near_matrix(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise ValueError(f"near-field matrix is singular: {exc}") from exc
-    if np.any(near_factorization.U.diagonal() == 0.0):
+    if np.any(factorization.U.diagonal() == 0.0):
         raise ValueError("near-field matrix is singular to working precision")
-    return ScaledSystem(h, b, defect, near_factorization)
+    return NearFactor(factorization, probes)
+
+
+def compute_scaling(
+    h: HMatrix,
+    b: np.ndarray,
+    alpha_scale: float = 1.0,
+) -> ScaledSystem:
+    """The near-field solve for ``b`` and the level-0 scaling defect.
+
+    The first call on ``h`` factors its near field and keeps the result
+    with ``h.storage`` (see the module docstring); later calls reuse it.
+    ``alpha_scale`` deliberately mis-scales alpha in the defect measurement
+    (diagnostic knob used to exercise the solver's convergence guard);
+    production runs leave it at 1.  A singular diagonal block raises with
+    the offending leaf named.
+    """
+    b = np.asarray(b, dtype=np.complex128)
+    if b.shape != (h.n,):
+        raise ValueError(f"right-hand side must have length {h.n}")
+    store = h.storage
+    if store.near_factor is None:
+        store.near_factor = _factor_near_field(h)
+        for data in [stack.data for stack in store.near] + [blk.data for blk in h.near_blocks]:
+            data.flags.writeable = False
+    near = store.near_factor
+
+    # |alpha Z_N,diag - I| blockwise on fixed random probes; the max over
+    # leaves and probes is a lower estimate of its operator norm, since two
+    # probes per leaf need not find a block's worst direction
+    defect = 0.0
+    for x, z in near.probes:
+        defect = max(defect, float(np.linalg.norm(alpha_scale * z - x)))
+    return ScaledSystem(h, b, defect, near.factorization)

@@ -192,3 +192,28 @@ def test_chunked_echo_width_matches_one_phase_matrix():
         want = (2.0 / math.pi) * np.abs(phase @ weights) ** 2
         got = 10.0 ** (bistatic_rcs(mesh, x, angles).sigma_db / 10.0)
         assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def test_echo_width_phase_matches_exp_form(monkeypatch):
+    """The cosine/sine phase buffer gives the exp(1j * phase) form's sigma to
+    1e-15 relative, chunk for chunk (so a libm whose exp and cos/sin round
+    apart still passes)."""
+    from hpss import postproc
+
+    monkeypatch.setattr(postproc, "_to_db", lambda sigma: sigma)  # keep sigma linear
+    chunk = postproc.RCS_ANGLE_CHUNK
+    rng = np.random.default_rng(9)
+    angles = np.linspace(0.0, 360.0, 2 * chunk + 7, endpoint=False)
+    directions = np.column_stack([np.cos(np.deg2rad(angles)), np.sin(np.deg2rad(angles))])
+    for mesh in (discretize_circle(1.0, 12), discretize_disk(0.4, 12, 2.0)):
+        x = rng.standard_normal(mesh.n_elements) + 1j * rng.standard_normal(mesh.n_elements)
+        weights = -KernelSpec.for_mesh(mesh).column_weights * x
+        factor = np.concatenate(
+            [
+                np.exp(1j * mesh.k0 * (directions[start : start + chunk] @ mesh.centers.T)) @ weights
+                for start in range(0, angles.size, chunk)
+            ]
+        )
+        want = (2.0 / math.pi) * np.abs(factor) ** 2
+        got = bistatic_rcs(mesh, x, angles).sigma_db
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)

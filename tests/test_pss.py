@@ -203,15 +203,24 @@ def test_inactive_empty_level_changes_nothing():
     assert np.array_equal(x_full, x_leaf)
 
 
-def test_leaf_only_assembly_reports_no_residual():
+def test_leaf_only_assembly_reports_assembled_residual():
+    """A leaf-only run reports its residual against the operator it assembled,
+    and says so."""
     mesh = discretize_disk(0.3, 16, 2.0)
     spec = KernelSpec.for_mesh(mesh)
     tree = build_cluster_tree(mesh, 8)
     h = assemble(spec, tree, tol=1e-3, level_filter=[tree.depth])
     b = h.permute(rhs(spec, Excitation(0.0)))
     x, report = solve(compute_scaling(h, b), h, PssConfig(series_order=2, active_levels=[tree.depth]))
-    assert report.residual is None
-    assert "unavailable" in report.to_text()
+    recomputed = np.linalg.norm(h.matvec(x) - b) / np.linalg.norm(b)
+    assert report.residual == pytest.approx(recomputed, rel=1e-12)
+    label = f"relative residual (assembled operator, levels {tree.depth})"
+    assert report.residual_label == label
+    assert f"{label}: {report.residual:.6g}" in report.to_text()
+    # a full assembly keeps the plain label
+    full = assemble(spec, tree, tol=1e-3)
+    _, report = solve(compute_scaling(full, b), full, PssConfig(series_order=2))
+    assert report.residual_label == "relative residual"
 
 
 # -- guards ------------------------------------------------------------------

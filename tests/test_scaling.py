@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from hpss import (
     KernelSpec,
     assemble,
     build_cluster_tree,
     compute_scaling,
+    discretize_circle,
     discretize_disk,
     discretize_strip,
     estimate_spectral_radius,
+    scaling,
 )
 from conftest import dense_from_operator
 
@@ -131,3 +134,63 @@ def test_spectral_radius_matches_dense_eigenvalues():
     rho = float(np.max(np.abs(np.linalg.eigvals(dense_u))))
     assert rho < 1.0
     assert abs(est.value - rho) <= 0.1 * rho
+
+
+# -- one factorization per operator -------------------------------------------
+
+
+def counting(monkeypatch, name):
+    """Wrap ``scaling.<name>`` so its calls are counted; returns the counter."""
+    calls = []
+    original = getattr(scaling, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scaling, name, wrapper)
+    return calls
+
+
+def test_near_field_is_factored_once_per_operator(monkeypatch):
+    h = assembled(discretize_strip(4.0, 16), 16)
+    splu_calls, lu_calls = counting(monkeypatch, "splu"), counting(monkeypatch, "lu_factor")
+    first = compute_scaling(h, np.ones(h.n, dtype=np.complex128))
+    second = compute_scaling(h, np.arange(h.n, dtype=np.complex128))
+    assert len(splu_calls) == 1
+    assert len(lu_calls) == len(h.diagonal_blocks()) > 1
+    assert first.near_factorization is second.near_factorization
+    assert second.b[3] == 3.0
+
+
+def test_reused_factor_gives_every_alpha_scale_its_own_defect():
+    h = assembled(discretize_strip(2.0, 10), 5)
+    b = np.ones(h.n, dtype=np.complex128)
+    assert compute_scaling(h, b).scale_defect <= 1e-12
+    broken = compute_scaling(h, b, alpha_scale=0.1)
+    assert abs(broken.scale_defect - 0.9) <= 1e-9
+    # bit for bit the defect a first call on a fresh operator measures
+    fresh = assembled(discretize_strip(2.0, 10), 5)
+    assert broken.scale_defect == compute_scaling(fresh, b, alpha_scale=0.1).scale_defect
+
+
+def test_factored_near_field_is_read_only():
+    """A write into a factored operator raises instead of going stale."""
+    h = assembled(discretize_strip(2.0, 10), 5)
+    compute_scaling(h, np.ones(h.n, dtype=np.complex128))
+    with pytest.raises(ValueError, match="read-only"):
+        h.near_blocks[0].data[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        h.storage.near[0].data[...] = 0.0
+
+
+@pytest.mark.parametrize(
+    "mesh, leaf",
+    [(discretize_strip(25.6, 10), 16), (discretize_circle(2.0, 16), 16), (discretize_disk(0.5, 12, 2.0), 8)],
+    ids=["strip", "circle", "disk"],
+)
+def test_minimum_degree_fills_no_more_than_colamd(mesh, leaf):
+    h = assembled(mesh, leaf)
+    factor = compute_scaling(h, np.ones(h.n, dtype=np.complex128)).near_factorization
+    colamd = splu(h.near_matrix(), permc_spec="COLAMD")
+    assert factor.L.nnz + factor.U.nnz <= colamd.L.nnz + colamd.U.nnz
