@@ -22,8 +22,8 @@ from .geometry import (
     read_mesh_csv,
     write_mesh_csv,
 )
-from .hmatrix import BlockPartition, HMatrix, MemoryReport, NearBlock, assemble, build_block_partition, memory_report
-from .kernels import Excitation, KernelSpec, assemble_dense, entry_function, rhs, z_block, z_entry
+from .hmatrix import BlockPartition, HMatrix, MemoryReport, assemble, build_block_partition, memory_report
+from .kernels import Excitation, KernelSpec, assemble_dense, entry_function, rhs, z_block
 from .postproc import (
     RcsCurve,
     bistatic_rcs,
@@ -49,7 +49,6 @@ __all__ = [
     "LowRankBlock",
     "MemoryReport",
     "Mesh",
-    "NearBlock",
     "NormEstimate",
     "PssConfig",
     "RcsCurve",
@@ -83,5 +82,4 @@ __all__ = [
     "solve",
     "write_mesh_csv",
     "z_block",
-    "z_entry",
 ]

@@ -4,9 +4,11 @@ Configuration comes from an optional plain-text ``key=value`` file plus
 command-line flags, flags winning.  ``COMMAND_KEYS`` lists the
 ``RunConfig`` fields each subcommand reads; its flags are made from that
 list, and a config key outside it is rejected with the valid list.  So
-``bench``, which has no ``--geometry``, runs strips only.  All CSV
-artifacts are byte-deterministic for a fixed config: timings appear only
-in the plain-text summaries.
+``bench``, which has no ``--geometry``, runs strips only.  ``--levels``
+picks the far levels assembled, and so the levels the power series runs;
+``RunConfig.level_filter`` checks it against the tree for every solver.
+All CSV artifacts are byte-deterministic for a fixed config: timings
+appear only in the plain-text summaries.
 """
 
 from __future__ import annotations
@@ -17,12 +19,20 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
+from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 import numpy as np
 
 from . import kernels, pss
-from .geometry import Mesh, build_cluster_tree, discretize_circle, discretize_disk, discretize_strip, write_mesh_csv
+from .geometry import (
+    ClusterTree,
+    Mesh,
+    build_cluster_tree,
+    discretize_circle,
+    discretize_disk,
+    discretize_strip,
+    write_mesh_csv,
+)
 from .hmatrix import HMatrix, assemble, memory_report
 from .kernels import Excitation, KernelSpec, assemble_dense, rhs
 from .postproc import RcsCurve, bistatic_rcs, rcs_rms_error, series_dielectric_cylinder, series_pec_cylinder
@@ -88,6 +98,8 @@ class RunConfig:
             raise ValueError(f"gmres_restart must be at least 1, got {self.gmres_restart}")
         if self.gmres_maxit < 1:
             raise ValueError(f"gmres_maxit must be at least 1, got {self.gmres_maxit}")
+        if self.series_order < 1:
+            raise ValueError(f"series_order must be at least 1, got {self.series_order}")
         if self.levels not in ("all", "leaf"):
             try:
                 [int(tok) for tok in self.levels.split(",")]
@@ -104,17 +116,17 @@ class RunConfig:
         return np.linspace(self.angle_start, self.angle_stop, self.angle_count)
 
     def level_filter(self, depth: int) -> Optional[List[int]]:
+        """The far levels to assemble on a tree of this depth: ``None`` (every
+        level) for 'all', else the leaf level or the listed levels, which
+        must be a contiguous run ending at the leaf level."""
         if self.levels == "all":
             return None
         if self.levels == "leaf":
             return [depth] if depth >= 1 else []
-        return [int(tok) for tok in self.levels.split(",")]
-
-    def pss_config(self, depth: int) -> pss.PssConfig:
-        """The cascade's knobs for a tree of this depth, levels checked."""
-        config = pss.PssConfig(series_order=self.series_order, active_levels=self.level_filter(depth))
-        config.resolve_levels(depth)
-        return config
+        levels = sorted({int(tok) for tok in self.levels.split(",")})
+        if levels[0] < 1 or levels != list(range(levels[0], depth + 1)):
+            raise ValueError(f"levels must be a contiguous run ending at the leaf level {depth}, got {self.levels!r}")
+        return levels
 
 
 def _coerce(kind: type, raw: str):
@@ -225,7 +237,7 @@ def _run_one_solver(
     if name == "pss":
         b_perm = h.permute(b_mesh)
         scaled = compute_scaling(h, b_perm)
-        x_perm, report = pss.solve(scaled, h, cfg.pss_config(h.depth))
+        x_perm, report = pss.solve(scaled, h, pss.PssConfig(series_order=cfg.series_order))
         x_mesh = h.unpermute(x_perm)
         wall = time.perf_counter() - start
         rcs = bistatic_rcs(mesh, x_mesh, angles)
@@ -254,14 +266,14 @@ def _run_one_solver(
 
 
 def _build_problem(
-    cfg: RunConfig, level_filter: Callable[[int], Optional[List[int]]], solvers: Sequence[str]
-) -> Tuple[Mesh, KernelSpec, HMatrix, np.ndarray]:
-    """Mesh, kernel, H-matrix assembled with ``level_filter(depth)``, and the
-    mesh-order plane-wave RHS; writes mesh.csv and memory_report.csv.
+    cfg: RunConfig, solvers: Sequence[str]
+) -> Tuple[Mesh, KernelSpec, ClusterTree, Optional[List[int]], np.ndarray]:
+    """Mesh, kernel, cluster tree, the far levels ``--levels`` names on it
+    (``cfg.level_filter``) and the mesh-order plane-wave RHS.
 
-    When ``solvers`` include pss, its levels are checked against the tree,
-    and when they include lu, N against ``kernels.DENSE_SIZE_CAP``, before
-    anything is assembled or written.
+    The levels are checked against the tree, and when ``solvers`` include
+    lu, N against ``kernels.DENSE_SIZE_CAP``, before anything is assembled
+    or written.
     """
     mesh = build_mesh(cfg)
     if "lu" in solvers and mesh.n_elements > kernels.DENSE_SIZE_CAP:
@@ -269,18 +281,21 @@ def _build_problem(
         raise ValueError(f"solver lu refused: dense assembly needs N <= cap {cap}, got N = {mesh.n_elements}")
     spec = KernelSpec.for_mesh(mesh)
     tree = build_cluster_tree(mesh, cfg.leaf_size)
-    if "pss" in solvers:
-        cfg.pss_config(tree.depth)
-    b_mesh = rhs(spec, Excitation(math.radians(cfg.phi_inc_deg)))
-    h = assemble(spec, tree, cfg.aca_tol, eta=cfg.eta, level_filter=level_filter(tree.depth))
+    levels = cfg.level_filter(tree.depth)
+    return mesh, spec, tree, levels, rhs(spec, Excitation(math.radians(cfg.phi_inc_deg)))
+
+
+def _write_problem(cfg: RunConfig, mesh: Mesh, h: HMatrix) -> None:
+    """mesh.csv and the memory_report.csv of ``h``."""
     os.makedirs(cfg.out, exist_ok=True)
     write_mesh_csv(mesh, os.path.join(cfg.out, "mesh.csv"))
     memory_report(h).to_csv(os.path.join(cfg.out, "memory_report.csv"))
-    return mesh, spec, h, b_mesh
 
 
 def run_solve(cfg: RunConfig) -> int:
-    mesh, spec, h, b_mesh = _build_problem(cfg, cfg.level_filter, [cfg.solver])
+    mesh, spec, tree, levels, b_mesh = _build_problem(cfg, [cfg.solver])
+    h = assemble(spec, tree, cfg.aca_tol, eta=cfg.eta, level_filter=levels)
+    _write_problem(cfg, mesh, h)
     run, it_report = _run_one_solver(cfg.solver, cfg, mesh, spec, h, b_mesh)
     run.rcs.to_csv(os.path.join(cfg.out, f"rcs_{run.name}.csv"))
     _write_text(os.path.join(cfg.out, "solve_report.txt"), run.detail)
@@ -303,13 +318,19 @@ def run_solve(cfg: RunConfig) -> int:
 
 
 def run_compare(cfg: RunConfig) -> int:
-    # the comparison baseline always sees the complete operator; the power
-    # series honors the configured level filter through its active levels
-    mesh, spec, h, b_mesh = _build_problem(cfg, lambda depth: None, cfg._solver_list())
+    # the baselines, and memory_report.csv, see the complete operator; the
+    # power series runs on one assembled with the levels --levels names
+    solvers = cfg._solver_list()
+    mesh, spec, tree, levels, b_mesh = _build_problem(cfg, solvers)
+    h = assemble(spec, tree, cfg.aca_tol, eta=cfg.eta)
+    _write_problem(cfg, mesh, h)
+    h_pss = h
+    if levels is not None and "pss" in solvers:
+        h_pss = assemble(spec, tree, cfg.aca_tol, eta=cfg.eta, level_filter=levels)
 
     runs: Dict[str, SolverRun] = {}
-    for name in cfg._solver_list():
-        run, it_report = _run_one_solver(name, cfg, mesh, spec, h, b_mesh)
+    for name in solvers:
+        run, it_report = _run_one_solver(name, cfg, mesh, spec, h_pss if name == "pss" else h, b_mesh)
         runs[name] = run
         run.rcs.to_csv(os.path.join(cfg.out, f"rcs_{name}.csv"))
         if it_report is not None:
@@ -464,7 +485,7 @@ _FLAG_HELP = {
     "eps_r": "disk relative permittivity",
     "density": "elements or cells per wavelength",
     "series_order": "power-series order",
-    "levels": "'all', 'leaf', or comma list ending at the leaf level",
+    "levels": "'all', 'leaf', or a contiguous comma list ending at the leaf level",
     "solvers": "comma list from pss,gmres,lu",
     "sizes": "comma list of unknown counts",
 }

@@ -16,8 +16,8 @@ at a time, into the operator's one U and V.
 
 Storage keeps each part of the operator in the layout it is applied in.
 The near field Z_N is one C-ordered dense stack of shape (B, m, n) per
-near-block shape, and ``NearBlock.data`` is a view of one slice of it.  A
-near matvec is one gather of x, one batched ``np.matmul`` per stack into
+near-block shape, which lists each block's row and col start.  A near
+matvec is one gather of x, one batched ``np.matmul`` per stack into
 a preallocated buffer, and one ``np.bincount`` that adds the products into
 their rows.  ``near_matrix`` builds the canonical CSC matrix that the near
 factorization in ``scaling`` takes from the same stacks.  All far levels
@@ -29,7 +29,8 @@ V's, so no entry is stored twice; far indices are int32.  A full matvec
 is the near product plus U (V x).
 
 Far levels can be assembled selectively (``level_filter``); skipped levels
-simply contribute nothing, which downstream solvers treat as exact zeros.
+simply contribute nothing, which downstream solvers treat as exact zeros,
+and the power-series cascade runs exactly the levels that hold blocks.
 """
 
 from __future__ import annotations
@@ -52,28 +53,6 @@ BYTES_PER_ENTRY = 16  # complex128
 # block entries B*m*n of one stack handed to ``aca`` (at least one block);
 # bounds its lockstep factors and the ACA factors awaiting recompression
 ACA_STACK_ENTRIES = 2**18
-
-
-@dataclass(frozen=True)
-class NearBlock:
-    """Dense leaf-pair block in tree-permuted coordinates.
-
-    Inside an ``HMatrix``, ``data`` is a view of one slice of its stack.
-    """
-
-    row_start: int
-    row_stop: int
-    col_start: int
-    col_stop: int
-    data: np.ndarray
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.row_start == self.col_start and self.row_stop == self.col_stop
-
-    @property
-    def stored_entries(self) -> int:
-        return self.data.size
 
 
 @dataclass
@@ -146,8 +125,8 @@ class SparseStorage:
     ``near_factor`` is derived state kept with the operator: the near-field
     factorization ``scaling.compute_scaling`` makes on its first call for
     this operator, and ``None`` before that.  Once it is set, the near
-    stacks and every ``NearBlock.data`` view are read-only, so the stored
-    entries cannot drift from the factor.
+    stacks are read-only, so the stored entries cannot drift from the
+    factor.
     """
 
     near: List[NearStack]
@@ -167,25 +146,21 @@ class SparseStorage:
         self.products = np.empty(rows.size, dtype=np.complex128)
 
 
-def _near_storage(geometry: List[Tuple[int, int, int, int]]) -> Tuple[List[NearBlock], List[NearStack]]:
-    """Near blocks with unfilled data viewing one stack per block shape.
+def _near_storage(geometry: List[Tuple[int, int, int, int]]) -> List[NearStack]:
+    """Unfilled near stacks, one per block shape.
 
-    ``geometry`` lists (row_start, row_stop, col_start, col_stop) per block,
-    and the returned blocks keep that order.  Stacks come in the order
-    their shape first appears, and blocks within a stack in list order.
+    ``geometry`` lists (row_start, row_stop, col_start, col_stop) per block.
+    Stacks come in the order their shape first appears, and blocks within
+    a stack in list order.
     """
-    shapes: Dict[Tuple[int, int], List[int]] = {}
-    for i, (r0, r1, c0, c1) in enumerate(geometry):
-        shapes.setdefault((r1 - r0, c1 - c0), []).append(i)
-    blocks: List[Optional[NearBlock]] = [None] * len(geometry)
+    shapes: Dict[Tuple[int, int], List[Tuple[int, int, int, int]]] = {}
+    for r0, r1, c0, c1 in geometry:
+        shapes.setdefault((r1 - r0, c1 - c0), []).append((r0, r1, c0, c1))
     stacks: List[NearStack] = []
     for (m, n), members in shapes.items():
-        data = np.empty((len(members), m, n), dtype=np.complex128)
-        starts = np.array([geometry[i] for i in members], dtype=np.int32).reshape(-1, 4)
-        stacks.append(NearStack(data, starts[:, 0], starts[:, 2]))
-        for i, view in zip(members, data):
-            blocks[i] = NearBlock(*geometry[i], view)
-    return blocks, stacks  # type: ignore[return-value]
+        starts = np.array(members, dtype=np.int32)
+        stacks.append(NearStack(np.empty((len(members), m, n), dtype=np.complex128), starts[:, 0], starts[:, 2]))
+    return stacks
 
 
 def _compressed_view(kind, arrays: Tuple[np.ndarray, np.ndarray, np.ndarray], shape: Tuple[int, int]):
@@ -288,15 +263,15 @@ class HMatrix:
     block is stored as it is applied.  The near stacks serve the near
     product and, through ``near_matrix``, the near factorization in
     ``scaling``; the one U and V serve the full matvec, and their per-level
-    views the level products.  ``near_blocks`` and ``far_blocks`` are views
-    of it.  The only derived state is the near factorization, made once per
+    views the level products.  ``far_blocks`` are views of it, and the
+    levels it holds blocks on are the levels the power-series cascade
+    runs.  The only derived state is the near factorization, made once per
     operator and kept in ``storage.near_factor``; from then on the near
     field is read-only.  Only ``assemble`` builds one.
     """
 
     tree: ClusterTree
     partition: BlockPartition
-    near_blocks: List[NearBlock]
     far_blocks: Dict[int, List[LowRankBlock]]
     storage: SparseStorage = field(repr=False, compare=False)
     stats: Dict[str, object] = field(default_factory=dict)
@@ -353,11 +328,16 @@ class HMatrix:
         data = np.concatenate([stack.data.ravel() for stack in self.storage.near])
         return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsc()
 
-    def diagonal_blocks(self) -> List[NearBlock]:
-        """Diagonal leaf blocks ordered by row range."""
-        blocks = [blk for blk in self.near_blocks if blk.is_diagonal]
-        blocks.sort(key=lambda blk: blk.row_start)
-        return blocks
+    def diagonal_blocks(self) -> List[Tuple[int, np.ndarray]]:
+        """(row start, read-only view of the block in its stack) of every
+        diagonal leaf block, ordered by row start."""
+        blocks = []
+        for stack in self.storage.near:
+            data = stack.data.view()
+            data.flags.writeable = False  # a view stays writeable after its stack is frozen
+            starts = zip(stack.row_starts.tolist(), stack.col_starts.tolist(), data)
+            blocks += [(r0, block) for r0, c0, block in starts if r0 == c0]
+        return sorted(blocks, key=lambda pair: pair[0])
 
     # -- far field --------------------------------------------------------
 
@@ -455,9 +435,11 @@ def assemble(
 
     nodes = tree.nodes
     geometry = [(nodes[t].start, nodes[t].stop, nodes[s].start, nodes[s].stop) for t, s in partition.near_pairs]
-    near_blocks, near = _near_storage(geometry)
-    for blk in near_blocks:
-        blk.data[...] = entry_fn(np.arange(blk.row_start, blk.row_stop), np.arange(blk.col_start, blk.col_stop))
+    near = _near_storage(geometry)
+    for stack in near:
+        _, m, n = stack.data.shape
+        for block, r0, c0 in zip(stack.data, stack.row_starts.tolist(), stack.col_starts.tolist()):
+            block[...] = entry_fn(np.arange(r0, r0 + m), np.arange(c0, c0 + n))
 
     rank_flags: List[Tuple[int, int, int, int]] = []
     packed: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -478,7 +460,7 @@ def assemble(
         "rank_flags": rank_flags,
     }
     storage = SparseStorage(near, u, v, level_storage)
-    return HMatrix(tree, partition, near_blocks, far_blocks, storage, stats)
+    return HMatrix(tree, partition, far_blocks, storage, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +484,9 @@ class MemoryReport:
 
 def memory_report(h: HMatrix) -> MemoryReport:
     rows: List[Tuple[str, int, int, float]] = []
-    near_entries = int(sum(blk.stored_entries for blk in h.near_blocks))
-    rows.append(("near", len(h.near_blocks), near_entries, near_entries * BYTES_PER_ENTRY / 1e6))
+    near = h.storage.near
+    near_entries = int(sum(stack.data.size for stack in near))
+    rows.append(("near", sum(len(stack.data) for stack in near), near_entries, near_entries * BYTES_PER_ENTRY / 1e6))
     total = near_entries
     for level in sorted(h.far_blocks):
         blks = h.far_blocks[level]

@@ -175,11 +175,6 @@ def z_block(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return block
 
 
-def z_entry(spec: KernelSpec, i: int, j: int) -> complex:
-    """Single matrix entry (mesh-order indices)."""
-    return complex(z_block(spec, np.array([i]), np.array([j]))[0, 0])
-
-
 def entry_function(
     spec: KernelSpec, permutation: Optional[np.ndarray] = None
 ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -200,8 +195,8 @@ def rhs(spec: KernelSpec, excitation: Excitation) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def assemble_dense(spec: KernelSpec, permutation: Optional[np.ndarray] = None) -> np.ndarray:
-    """Full dense matrix, optionally in tree-permuted order.
+def assemble_dense(spec: KernelSpec) -> np.ndarray:
+    """Full dense matrix in mesh order.
 
     Refuses systems beyond ``DENSE_SIZE_CAP`` unknowns (read at call time);
     the dense path exists as a truth oracle for desk-scale runs, not as a
@@ -210,6 +205,6 @@ def assemble_dense(spec: KernelSpec, permutation: Optional[np.ndarray] = None) -
     n = spec.n
     if n > DENSE_SIZE_CAP:
         raise ValueError(f"dense assembly refused for N = {n} > cap {DENSE_SIZE_CAP}")
-    idx = np.arange(n) if permutation is None else np.asarray(permutation, dtype=int)
+    idx = np.arange(n)
     return z_block(spec, idx, idx)
 

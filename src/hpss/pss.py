@@ -33,11 +33,12 @@ The solve applies a fixed, input-independent number of level matvecs: no
 residual-driven iteration hides anywhere, which is what makes the matvec
 count reproducible across right-hand sides.  The count grows geometrically
 with the number of levels in the chain (operator products are never
-memoized), the accepted price of a matvec-only cascade at desk scale.  A
-configured level that holds no far blocks has U_l = 0 and a factor that is
-exactly the identity, so the chain leaves it out: the cost grows with the
-levels that hold blocks, not with the tree depth (a strip's level 1, whose
-two halves touch, is always empty).
+memoized), the accepted price of a matvec-only cascade at desk scale.  The
+H-matrix alone decides the levels: a far level it holds no blocks on, be
+it skipped at assembly or without admissible pairs, has U_l = 0 and a
+factor that is exactly the identity, so the chain leaves it out.  The cost
+grows with the levels that hold blocks, not with the tree depth (a strip's
+level 1, whose two halves touch, is always empty).
 """
 
 from __future__ import annotations
@@ -68,32 +69,15 @@ class ConvergenceError(RuntimeError):
 class PssConfig:
     """Knobs of the power-series cascade.
 
-    ``active_levels`` must be a contiguous run ending at the leaf level;
-    omitted levels contribute identity factors (their far field acts as
-    zero).  ``None`` activates every level.  Of these, the chain keeps the
-    levels that hold far blocks.
+    The levels it runs are not among them: they are the far levels of the
+    H-matrix that hold blocks, chosen when it was assembled.
     """
 
     series_order: int = 2
-    active_levels: Optional[Sequence[int]] = None
 
     def __post_init__(self) -> None:
         if self.series_order < 1:
             raise ValueError("series_order must be at least 1; order 0 would drop the level")
-
-    def resolve_levels(self, depth: int) -> List[int]:
-        if depth < 1:
-            return []
-        if self.active_levels is None:
-            return list(range(1, depth + 1))
-        levels = sorted(set(int(l) for l in self.active_levels))
-        if not levels:
-            raise ValueError("active_levels must not be empty")
-        if levels[0] < 1 or levels[-1] != depth:
-            raise ValueError(f"active_levels must end at the leaf level {depth}")
-        if levels != list(range(levels[0], depth + 1)):
-            raise ValueError("active_levels must be contiguous")
-        return levels
 
 
 def neumann_apply(factor_apply: Apply, v: np.ndarray, order: int) -> np.ndarray:
@@ -172,8 +156,8 @@ def _radius_text(value: float, digits: int = 3) -> str:
 def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> FactorChain:
     """Construct and norm-check the resolvent factors, leaf level last.
 
-    The chain has one factor per configured level that holds far blocks;
-    an empty level's factor would be exactly the identity.  Raises
+    The chain has one factor per level ``h`` holds far blocks on, in level
+    order; an empty level's factor would be exactly the identity.  Raises
     :class:`ConvergenceError` as soon as any estimated factor norm reaches
     ``NORM_FAIL`` (the series for (I + T)^-1 requires the norm of T below
     one) and records a warning from ``NORM_WARN`` up.  The chain's counts
@@ -181,7 +165,7 @@ def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> F
     """
     if scaled.h is not h:
         raise ValueError("scaled system was built from a different H-matrix")
-    active = [level for level in config.resolve_levels(h.depth) if h.far_blocks.get(level)]
+    active = [level for level in sorted(h.far_blocks) if h.far_blocks[level]]
     defect_norm = _implied_identity_factor_norm(scaled.scale_defect)
     chain = FactorChain(
         h=h,

@@ -124,32 +124,30 @@ def _factor_near_field(h: HMatrix) -> NearFactor:
     and factor Z_N; a singular block or near field raises."""
     diag_blocks = h.diagonal_blocks()
     expected = sorted(h.tree.leaf_ranges())
-    got = [(blk.row_start, blk.row_stop) for blk in diag_blocks]
+    got = [(start, start + len(block)) for start, block in diag_blocks]
     if got != expected:
         raise ValueError("near field is missing a diagonal block for some leaf")
 
     rng = np.random.default_rng(0)
     probes: List[Tuple[np.ndarray, np.ndarray]] = []
-    for leaf_index, blk in enumerate(diag_blocks):
+    for leaf_index, (start, block) in enumerate(diag_blocks):
+        stop = start + len(block)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", LinAlgWarning)
-                factors = lu_factor(blk.data)
+                factors = lu_factor(block)
         except (np.linalg.LinAlgError, LinAlgWarning) as exc:
             raise ValueError(
-                f"diagonal near block for leaf {leaf_index} "
-                f"(rows [{blk.row_start}, {blk.row_stop})) is singular: {exc}"
+                f"diagonal near block for leaf {leaf_index} (rows [{start}, {stop})) is singular: {exc}"
             ) from exc
         if np.any(np.diag(factors[0]) == 0.0):
             raise ValueError(
-                f"diagonal near block for leaf {leaf_index} "
-                f"(rows [{blk.row_start}, {blk.row_stop})) is singular to working precision"
+                f"diagonal near block for leaf {leaf_index} (rows [{start}, {stop})) is singular to working precision"
             )
-        m = blk.row_stop - blk.row_start
         for _ in range(_DEFECT_PROBES):
-            x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            x = rng.standard_normal(stop - start) + 1j * rng.standard_normal(stop - start)
             x /= np.linalg.norm(x)
-            probes.append((x, lu_solve(factors, blk.data @ x)))
+            probes.append((x, lu_solve(factors, block @ x)))
 
     try:
         factorization = splu(h.near_matrix(), permc_spec="MMD_AT_PLUS_A")
@@ -180,8 +178,8 @@ def compute_scaling(
     store = h.storage
     if store.near_factor is None:
         store.near_factor = _factor_near_field(h)
-        for data in [stack.data for stack in store.near] + [blk.data for blk in h.near_blocks]:
-            data.flags.writeable = False
+        for stack in store.near:
+            stack.data.flags.writeable = False
     near = store.near_factor
 
     # |alpha Z_N,diag - I| blockwise on fixed random probes; the max over

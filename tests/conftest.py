@@ -17,6 +17,16 @@ def dense_from_operator(apply, n):
     return np.column_stack(cols)
 
 
+def stored_near_blocks(h):
+    """(row start, col start, block) of every stored near block, each block
+    a view of its slice of the near stack it sits in."""
+    return [
+        (r0, c0, block)
+        for stack in h.storage.near
+        for r0, c0, block in zip(stack.row_starts.tolist(), stack.col_starts.tolist(), stack.data)
+    ]
+
+
 def halved_strip(element):
     """25.6-wavelength strip at 10 per wavelength (N = 256) with the extent
     of one element halved, so its kernel is not reciprocal."""
@@ -38,5 +48,5 @@ def strip_system():
     tree = build_cluster_tree(mesh, 32)
     h = assemble(spec, tree, tol=1e-3)
     z_mesh = assemble_dense(spec)
-    z_perm = assemble_dense(spec, permutation=tree.permutation)
+    z_perm = z_mesh[np.ix_(tree.permutation, tree.permutation)]
     return {"mesh": mesh, "spec": spec, "tree": tree, "h": h, "z_mesh": z_mesh, "z_perm": z_perm}

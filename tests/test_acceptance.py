@@ -110,7 +110,7 @@ def _leaf_only_rms(mesh, spec, tree, order=2):
 
     h_leaf = assemble(spec, tree, ACA_TOL, level_filter=[tree.depth])
     scaled = compute_scaling(h_leaf, h_leaf.permute(b))
-    x_ps, _ = solve(scaled, h_leaf, PssConfig(series_order=order, active_levels=[tree.depth]))
+    x_ps, _ = solve(scaled, h_leaf, PssConfig(series_order=order))
     curve_leaf = bistatic_rcs(mesh, h_leaf.unpermute(x_ps), ANGLES)
     return rcs_rms_error(curve_leaf, curve_full)
 

@@ -121,7 +121,13 @@ def test_level_filter_parsing():
     assert RunConfig(levels="all").level_filter(3) is None
     assert RunConfig(levels="leaf").level_filter(3) == [3]
     assert RunConfig(levels="leaf").level_filter(0) == []
-    assert RunConfig(levels="1,2").level_filter(3) == [1, 2]
+    assert RunConfig(levels="3,2").level_filter(3) == [2, 3]
+    assert RunConfig(levels="1,2,3").level_filter(3) == [1, 2, 3]
+    # a list must be a contiguous run of levels from 1 up that ends at the leaf level
+    for levels, depth in (("1,2", 3), ("1,3", 3), ("0,1,2,3", 3), ("9", 3), ("1", 0)):
+        message = f"levels must be a contiguous run ending at the leaf level {depth}, got {levels!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(levels=levels).level_filter(depth)
 
 
 def test_config_validation_errors():
@@ -252,8 +258,16 @@ def test_empty_or_duplicate_lists_exit_one_before_writing(tmp_path, capsys, argv
         (["bench", "--sizes", "256", "--leaf-size", "1"], "leaf_size must be at least 2"),
         (["bench", "--sizes", "256", "--aca-tol", "-1"], "tolerance must be non-negative"),
         (["bench", "--sizes", "256", "--density", "5"], "elements_per_wavelength must be at least 10"),
+        (["solve", "--solver", "pss", "--order", "0"], "series_order must be at least 1, got 0"),
     ],
-    ids=["solve-gmres-restart-0", "compare-gmres-maxit-0", "bench-leaf-size-1", "bench-aca-tol-negative", "bench-density-5"],
+    ids=[
+        "solve-gmres-restart-0",
+        "compare-gmres-maxit-0",
+        "bench-leaf-size-1",
+        "bench-aca-tol-negative",
+        "bench-density-5",
+        "solve-order-0",
+    ],
 )
 def test_bad_input_exits_one_before_writing(tmp_path, capsys, argv, message):
     out = tmp_path / "o"
@@ -370,13 +384,21 @@ def test_non_increasing_angles_exit_one_before_solving(tmp_path, capsys, command
     assert not out.exists()
 
 
-def test_bad_pss_levels_exit_one_before_assembly(tmp_path, capsys):
-    # 40 elements at leaf size 5 give a depth-3 tree, so levels 1,2 miss the leaf
+@pytest.mark.parametrize("solver", ["pss", "gmres"])
+def test_bad_levels_exit_one_before_assembly(tmp_path, capsys, monkeypatch, solver):
+    # 40 elements at leaf size 5 give a depth-3 tree, so levels 1,2 miss the
+    # leaf and level 9 lies below it
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled despite bad levels")
+
+    monkeypatch.setattr("hpss.cli.assemble", no_assembly)
     out = tmp_path / "o"
-    rc = main(["solve", *STRIP_ARGS, "--leaf-size", "5", "--solver", "pss", "--levels", "1,2", "--out", str(out)])
-    assert rc == 1
-    assert "error: active_levels must end at the leaf level 3" in capsys.readouterr().err
-    assert not out.exists()
+    for levels in ("1,2", "9"):
+        rc = main(["solve", *STRIP_ARGS, "--leaf-size", "5", "--solver", solver, "--levels", levels, "--out", str(out)])
+        assert rc == 1
+        message = f"error: levels must be a contiguous run ending at the leaf level 3, got {levels!r}"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["solve", "--solver", "lu"], ["compare", "--solvers", "gmres,lu"]])
@@ -397,6 +419,26 @@ def test_oracle_check_passes(tmp_path, capsys):
     assert text.count("PASS") == 2
     assert "FAIL" not in text
     capsys.readouterr()
+
+
+def test_compare_levels_leaf_runs_pss_on_the_leaf_only_operator(tmp_path, capsys):
+    # on a depth-3 strip the leaf-only operator drops level 2's far blocks;
+    # compare's pss curve is that of solve --levels leaf, while its memory
+    # report stays the full operator's, which its baselines solve
+    depth3 = [*STRIP_ARGS, "--leaf-size", "5"]
+    runs = {
+        "compare": ["compare", *depth3, "--levels", "leaf", "--solvers", "pss,gmres"],
+        "leaf": ["solve", *depth3, "--levels", "leaf", "--solver", "pss"],
+        "full": ["solve", *depth3, "--solver", "gmres"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    read = lambda name, csv: (tmp_path / name / csv).read_bytes()
+    assert read("compare", "rcs_pss.csv") == read("leaf", "rcs_pss.csv")
+    assert read("compare", "rcs_gmres.csv") == read("full", "rcs_gmres.csv")
+    assert read("compare", "memory_report.csv") == read("full", "memory_report.csv")
+    assert read("leaf", "memory_report.csv") != read("full", "memory_report.csv")
 
 
 def test_pss_solve_levels_leaf_matches_all_on_depth_two_strip(tmp_path):

@@ -15,6 +15,7 @@ from hpss import (
     memory_report,
 )
 import hpss
+from conftest import stored_near_blocks
 
 
 def entries_by_label(rep):
@@ -207,7 +208,7 @@ def test_memory_report_totals(strip_system):
     assert rep.total_entries == rows["near"] + far_sum
     assert rows["total"] == rep.total_entries
     assert 0 < rep.total_entries < n * n
-    stored = sum(blk.stored_entries for blk in h.near_blocks) + sum(
+    stored = sum(block.size for _, _, block in stored_near_blocks(h)) + sum(
         blk.stored_entries for blks in h.far_blocks.values() for blk in blks
     )
     assert rep.total_entries == stored
@@ -229,8 +230,9 @@ def test_memory_report_csv_is_deterministic(tmp_path, strip_system):
 def loop_near_matvec(h, x):
     """Reference near action: one dense product per stored block."""
     y = np.zeros(h.n, dtype=np.complex128)
-    for blk in h.near_blocks:
-        y[blk.row_start : blk.row_stop] += blk.data @ x[blk.col_start : blk.col_stop]
+    for r0, c0, block in stored_near_blocks(h):
+        m, n = block.shape
+        y[r0 : r0 + m] += block @ x[c0 : c0 + n]
     return y
 
 
@@ -246,8 +248,9 @@ def loop_level_matvec(h, level, x):
 
 def report_from_blocks(h):
     """memory_report rows recomputed from the block shapes alone."""
-    near = sum((b.row_stop - b.row_start) * (b.col_stop - b.col_start) for b in h.near_blocks)
-    rows = [("near", len(h.near_blocks), near)]
+    nodes = h.tree.nodes
+    near = sum(nodes[t].size * nodes[s].size for t, s in h.partition.near_pairs)
+    rows = [("near", len(h.partition.near_pairs), near)]
     for level in sorted(h.far_blocks):
         blks = h.far_blocks[level]
         rows.append((str(level), len(blks), sum(b.rank * (b.shape[0] + b.shape[1]) for b in blks)))
@@ -284,15 +287,14 @@ def test_packed_operator_matches_block_loops(name, strip_system):
         want = want + y
     assert close(h.matvec(x), want)
 
-    # one copy of every entry: every near block views exactly one stack, and
-    # the stacks hold each near entry once and nothing else
+    # one copy of every entry: the stacks hold each entry of the near pairs
+    # once and nothing else
     store = h.storage
-    for blk in h.near_blocks:
-        assert sum(np.shares_memory(blk.data, stack.data) for stack in store.near) == 1
     assert all(stack.data.flags.c_contiguous for stack in store.near)
     coords = [stack.coordinates() for stack in store.near]
     flat = np.concatenate([(r * h.n + c).ravel() for r, c in coords])
-    assert flat.size == np.unique(flat).size == sum(blk.data.size for blk in h.near_blocks)
+    near_pairs = [(h.tree.nodes[t], h.tree.nodes[s]) for t, s in h.partition.near_pairs]
+    assert flat.size == np.unique(flat).size == sum(nt.size * ns.size for nt, ns in near_pairs)
     # every level's U_l and V_l view the one U and V, which hold each far
     # entry once
     assert set(store.levels) == {lvl for lvl, blks in h.far_blocks.items() if blks}
@@ -311,27 +313,27 @@ def test_packed_operator_matches_block_loops(name, strip_system):
 
 
 def test_blocks_are_the_operator_storage():
-    """A block cannot be rebound, and a write into it changes the operator."""
+    """A stack or block cannot be rebound, and a write into a stacked block
+    changes the operator."""
     mesh = discretize_strip(2.0, 10)
     h = assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 5), tol=1e-3)
-    near = next(blk for blk in h.near_blocks if not blk.is_diagonal)
+    r0, c0, near = next(blk for blk in stored_near_blocks(h) if blk[0] != blk[1])
     far = next(blk for blks in h.far_blocks.values() for blk in blks)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        near.data = np.zeros_like(near.data)
+        h.storage.near[0].data = np.zeros_like(h.storage.near[0].data)
     with pytest.raises(dataclasses.FrozenInstanceError):
         far.u = np.zeros_like(far.u)
 
     rng = np.random.default_rng(8)
     x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
     before = h.near_matvec(x)
-    new = rng.standard_normal(near.data.shape) + 1j * rng.standard_normal(near.data.shape)
-    near.data[...] = new
+    new = rng.standard_normal(near.shape) + 1j * rng.standard_normal(near.shape)
+    near[...] = new
     after = h.near_matvec(x)
     assert not np.allclose(after, before)
     assert np.linalg.norm(after - loop_near_matvec(h, x)) <= 1e-14 * np.linalg.norm(after)
     zn = h.near_matrix().toarray()
-    rows, cols = slice(near.row_start, near.row_stop), slice(near.col_start, near.col_stop)
-    assert np.array_equal(zn[rows, cols], new)
+    assert np.array_equal(zn[r0 : r0 + near.shape[0], c0 : c0 + near.shape[1]], new)
 
 
 @pytest.mark.parametrize("name", ["strip", "disk", "depth-0"])
@@ -341,16 +343,18 @@ def test_near_matrix_is_the_canonical_csc_of_the_blocks(name, strip_system):
     got = h.near_matrix()
     assert got.has_sorted_indices
     rng = np.random.default_rng(12)
-    for order in (np.arange(len(h.near_blocks)), rng.permutation(len(h.near_blocks))):
-        blocks = [h.near_blocks[i] for i in order]
+    stored = stored_near_blocks(h)
+    for order in (np.arange(len(stored)), rng.permutation(len(stored))):
+        blocks = [stored[i] for i in order]
         dense = np.zeros((h.n, h.n), dtype=np.complex128)
         rows, cols = [], []
-        for blk in blocks:
-            dense[blk.row_start : blk.row_stop, blk.col_start : blk.col_stop] = blk.data
-            r, c = np.meshgrid(np.arange(blk.row_start, blk.row_stop), np.arange(blk.col_start, blk.col_stop), indexing="ij")
+        for r0, c0, block in blocks:
+            m, n = block.shape
+            dense[r0 : r0 + m, c0 : c0 + n] = block
+            r, c = np.meshgrid(np.arange(r0, r0 + m), np.arange(c0, c0 + n), indexing="ij")
             rows.append(r.ravel())
             cols.append(c.ravel())
-        data = np.concatenate([blk.data.ravel() for blk in blocks])
+        data = np.concatenate([block.ravel() for _, _, block in blocks])
         rows, cols = np.concatenate(rows).astype(np.int32), np.concatenate(cols).astype(np.int32)
         for want in (sp.csc_matrix(dense), sp.coo_matrix((data, (rows, cols)), shape=dense.shape).tocsc()):
             assert want.nnz == data.size

@@ -8,13 +8,11 @@ from hpss import (
     Excitation,
     KernelSpec,
     assemble_dense,
-    build_cluster_tree,
     discretize_circle,
     discretize_disk,
     discretize_strip,
     gmres,
     rhs,
-    z_entry,
 )
 from hpss.geometry import SURFACE, VOLUME, Mesh
 from hpss.kernels import ETA0, _surface_self_entry, _volume_self_entry, z_block
@@ -41,9 +39,9 @@ def test_zero_contrast_cells_rejected():
 
 def test_surface_self_term_sign():
     spec = KernelSpec.for_mesh(discretize_strip(1.0, 10))
-    z = z_entry(spec, 3, 3)
-    assert z.real > 0.0
-    assert z.real > abs(z_entry(spec, 3, 4).real)
+    z = z_block(spec, [3, 4], [3])[:, 0]
+    assert z[0].real > 0.0
+    assert z[0].real > abs(z[1].real)
 
 
 def test_hankel_far_field_decay():
@@ -52,7 +50,8 @@ def test_hankel_far_field_decay():
     r = 5.0
     j_near = int(round(r / 0.1))
     j_far = int(round(4.0 * r / 0.1))
-    ratio = abs(z_entry(spec, 0, j_far)) / abs(z_entry(spec, 0, j_near))
+    z_near, z_far = z_block(spec, [0], [j_near, j_far])[0]
+    ratio = abs(z_far) / abs(z_near)
     assert abs(ratio - 0.5) < 0.025
 
 
@@ -77,7 +76,7 @@ def test_dense_matches_entries_and_is_symmetric():
     z = assemble_dense(spec)
     for i in (0, 7, 19):
         for j in (0, 3, 19):
-            assert z[i, j] == z_entry(spec, i, j)
+            assert z[i, j] == z_block(spec, [i], [j])[0, 0]
     assert np.linalg.norm(z - z.T) <= 1e-12 * np.linalg.norm(z)
 
 
@@ -103,16 +102,6 @@ def test_unequal_extents_are_not_reciprocal():
     # Z_ij and Z_ji differ exactly where one of i, j is the halved element
     halved = np.arange(spec.n) == 1
     assert np.array_equal(z != z.T, halved[:, None] ^ halved[None, :])
-
-
-def test_permuted_assembly_is_a_reindexing():
-    mesh = discretize_strip(3.0, 16)
-    spec = KernelSpec.for_mesh(mesh)
-    tree = build_cluster_tree(mesh, 8)
-    p = tree.permutation
-    z = assemble_dense(spec)
-    zp = assemble_dense(spec, permutation=p)
-    assert np.array_equal(zp, z[np.ix_(p, p)])
 
 
 def test_block_evaluator_matches_dense():
@@ -143,7 +132,7 @@ def test_stacked_block_equals_separate_calls_bitwise(kind):
     assert stacked.shape == (5, 7, 6)
     for b in range(5):
         assert np.array_equal(stacked[b], z_block(spec, rows[b], cols[b]))
-    assert np.array_equal(stacked[0, 1, 0], z_entry(spec, rows[0, 1], rows[0, 1]))
+    assert np.array_equal(stacked[0, 1, 0], z_block(spec, rows[0, 1:2], rows[0, 1:2])[0, 0])
 
 
 def fan_mesh(kind):

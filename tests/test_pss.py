@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,14 +76,9 @@ def test_neumann_applies_operator_exactly_order_times():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="series_order must be at least 1"):
         PssConfig(series_order=0)
-    assert PssConfig().resolve_levels(3) == [1, 2, 3]
-    assert PssConfig(active_levels=[2, 3]).resolve_levels(3) == [2, 3]
-    with pytest.raises(ValueError):
-        PssConfig(active_levels=[1, 2]).resolve_levels(3)  # must end at the leaf level
-    with pytest.raises(ValueError):
-        PssConfig(active_levels=[1, 3]).resolve_levels(3)  # must be contiguous
+    assert [f.name for f in dataclasses.fields(PssConfig)] == ["series_order"]
 
 
 def test_expected_solve_counts_recurrence():
@@ -106,7 +103,8 @@ def test_high_order_solve_matches_dense_lu():
     x_h = np.linalg.solve(z_h, scaled.b)
     assert np.linalg.norm(x - x_h) <= 1e-6 * np.linalg.norm(x_h)
 
-    z = assemble_dense(spec, permutation=h.tree.permutation)
+    p = h.permutation
+    z = assemble_dense(spec)[np.ix_(p, p)]
     x_lu = np.linalg.solve(z, scaled.b)
     err = np.linalg.norm(x - x_lu) / np.linalg.norm(x_lu)
     assert err <= 1e-2  # ACA tolerance now dominates
@@ -144,7 +142,8 @@ def test_matvec_counts_are_input_independent():
 def test_order_three_beats_order_two_when_factors_contract():
     mesh = discretize_strip(3.0, 10)
     spec, h, scaled = make_system(mesh, 8)
-    z = assemble_dense(spec, permutation=h.tree.permutation)
+    p = h.permutation
+    z = assemble_dense(spec)[np.ix_(p, p)]
     x_lu = np.linalg.solve(z, scaled.b)
 
     errs = {}
@@ -187,19 +186,21 @@ def test_single_leaf_tree_solves_directly():
     b = h.permute(rhs(spec, Excitation(0.0)))
     scaled = compute_scaling(h, b)
     x, report = solve(scaled, h, PssConfig(series_order=2))
-    z = assemble_dense(spec, permutation=tree.permutation)
+    p = tree.permutation
+    z = assemble_dense(spec)[np.ix_(p, p)]
     assert np.linalg.norm(x - np.linalg.solve(z, b)) <= 1e-10 * np.linalg.norm(x)
     assert report.solve_matvec_counts == {}
     assert report.residual is not None and report.residual <= 1e-12
 
 
 def test_inactive_empty_level_changes_nothing():
-    # depth-2 strip has no admissible pairs at level 1, so truncating the
-    # chain to the leaf level is the identical computation
+    # depth-2 strip has no admissible pairs at level 1, so assembling the
+    # leaf level alone gives the identical computation
     mesh = discretize_strip(2.0, 10)
     spec, h, scaled = make_system(mesh, 5)
+    _, h_leaf, scaled_leaf = make_system(mesh, 5, level_filter=[2])
     x_full, _ = solve(scaled, h, PssConfig(series_order=2))
-    x_leaf, _ = solve(scaled, h, PssConfig(series_order=2, active_levels=[2]))
+    x_leaf, _ = solve(scaled_leaf, h_leaf, PssConfig(series_order=2))
     assert np.array_equal(x_full, x_leaf)
 
 
@@ -211,7 +212,7 @@ def test_leaf_only_assembly_reports_assembled_residual():
     tree = build_cluster_tree(mesh, 8)
     h = assemble(spec, tree, tol=1e-3, level_filter=[tree.depth])
     b = h.permute(rhs(spec, Excitation(0.0)))
-    x, report = solve(compute_scaling(h, b), h, PssConfig(series_order=2, active_levels=[tree.depth]))
+    x, report = solve(compute_scaling(h, b), h, PssConfig(series_order=2))
     recomputed = np.linalg.norm(h.matvec(x) - b) / np.linalg.norm(b)
     assert report.residual == pytest.approx(recomputed, rel=1e-12)
     label = f"relative residual (assembled operator, levels {tree.depth})"
@@ -303,13 +304,11 @@ def test_report_text_layout():
 
 def test_chain_respects_truncated_levels():
     mesh = discretize_disk(0.3, 16, 2.0)
-    spec, h, scaled = make_system(mesh, 8)
-    depth = h.depth
-    chain_full = build_factor_chain(scaled, h, PssConfig(series_order=2))
-    chain_leaf = build_factor_chain(scaled, h, PssConfig(series_order=2, active_levels=[depth]))
-    chain_mid = build_factor_chain(scaled, h, PssConfig(series_order=2, active_levels=[2, 3, 4, 5]))
-    # the chain is the configured levels that hold far blocks, in order
-    assert depth == 5 and [l for l in range(1, depth + 1) if not h.far_blocks[l]] == [1, 2]
-    assert chain_full.levels == [3, 4, 5]
-    assert chain_mid.levels == [3, 4, 5]
-    assert chain_leaf.levels == [depth]
+    chains = {}
+    for name, levels in (("full", None), ("mid", [2, 3, 4, 5]), ("leaf", [5])):
+        _, h, scaled = make_system(mesh, 8, level_filter=levels)
+        assert h.depth == 5
+        chains[name] = build_factor_chain(scaled, h, PssConfig(series_order=2)).levels
+    # the chain is the assembled levels that hold far blocks, in order;
+    # levels 1 and 2 of this disk hold none
+    assert chains == {"full": [3, 4, 5], "mid": [3, 4, 5], "leaf": [5]}

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
@@ -13,7 +15,7 @@ from hpss import (
     estimate_spectral_radius,
     scaling,
 )
-from conftest import dense_from_operator
+from conftest import dense_from_operator, stored_near_blocks
 
 
 def assembled(mesh, leaf, tol=1e-3):
@@ -23,8 +25,8 @@ def assembled(mesh, leaf, tol=1e-3):
 
 def dense_near(h):
     z = np.zeros((h.n, h.n), dtype=np.complex128)
-    for blk in h.near_blocks:
-        z[blk.row_start : blk.row_stop, blk.col_start : blk.col_stop] = blk.data
+    for r0, c0, block in stored_near_blocks(h):
+        z[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
     return z
 
 
@@ -47,22 +49,21 @@ def test_strip_near_field_carries_offdiagonal_coupling():
     # solve goes through the sparse factorization of the whole band
     h = assembled(discretize_strip(2.0, 10), 5)
     scaled = compute_scaling(h, np.ones(h.n, dtype=np.complex128))
-    assert any(not blk.is_diagonal for blk in h.near_blocks)
+    assert any(r0 != c0 for r0, c0, _ in stored_near_blocks(h))
     assert scaled.near_factorization is not None
     x = np.ones(h.n, dtype=np.complex128)
     offdiag = h.near_matvec(x)
-    for blk in h.diagonal_blocks():
-        offdiag[blk.row_start : blk.row_stop] -= blk.data @ x[blk.col_start : blk.col_stop]
+    for start, block in h.diagonal_blocks():
+        offdiag[start : start + len(block)] -= block @ x[start : start + len(block)]
     assert np.linalg.norm(offdiag) > 0.0
 
 
 def test_singular_diagonal_block_is_named():
     h = assembled(discretize_strip(2.0, 10), 5)
-    for blk in h.near_blocks:
-        if blk.is_diagonal:
-            blk.data[...] = 0.0
-            break
-    with pytest.raises(ValueError, match="leaf 0"):
+    r0, c0, block = stored_near_blocks(h)[0]
+    assert r0 == c0 == 0
+    block[...] = 0.0
+    with pytest.raises(ValueError, match=re.escape("leaf 0 (rows [0, 5)) is singular")):
         compute_scaling(h, np.ones(h.n, dtype=np.complex128))
 
 
@@ -70,9 +71,9 @@ def test_singular_near_coupling_is_rejected():
     # diagonal blocks invertible but the assembled near matrix is not:
     # [[I, I], [I, I]] has rank n/2
     h = assembled(discretize_strip(1.0, 10), 5)
-    assert len(h.near_blocks) == 4
-    for blk in h.near_blocks:
-        blk.data[...] = np.eye(5)
+    assert len(stored_near_blocks(h)) == 4
+    for _, _, block in stored_near_blocks(h):
+        block[...] = np.eye(5)
     with pytest.raises(ValueError, match="singular"):
         compute_scaling(h, np.ones(10, dtype=np.complex128))
 
@@ -177,9 +178,12 @@ def test_reused_factor_gives_every_alpha_scale_its_own_defect():
 def test_factored_near_field_is_read_only():
     """A write into a factored operator raises instead of going stale."""
     h = assembled(discretize_strip(2.0, 10), 5)
+    _, diagonal = h.diagonal_blocks()[0]  # handed out read-only, even before factoring
     compute_scaling(h, np.ones(h.n, dtype=np.complex128))
     with pytest.raises(ValueError, match="read-only"):
-        h.near_blocks[0].data[0, 0] = 0.0
+        diagonal[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        stored_near_blocks(h)[0][2][0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         h.storage.near[0].data[...] = 0.0
 
