@@ -25,15 +25,23 @@ the stack's blocks.
 Recompression takes one thin QR of U, the thin SVD of the k-by-n matrix
 R V (U V = Q R V, so these are the singular values of U V), and truncates
 relative to the largest singular value.  It never increases the rank and
-is rank-stable under repetition.
+is rank-stable under repetition.  It calls LAPACK's ``zgeqrf``, ``zungqr``
+and ``zgesdd`` directly: on the small factors ACA leaves (a few crosses of
+a few dozen entries), numpy's ``qr`` and ``svd`` wrappers cost more than
+the LAPACK work they wrap.  These are the routines those wrappers run,
+with the workspace sizes they query and operands in the layout they use,
+so where scipy's LAPACK and numpy's agree the factors are numpy's bit for
+bit (the tests compare them).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Tuple, Union
 
 import numpy as np
+from scipy.linalg import lapack
 
 EntryFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 Factors = Tuple[np.ndarray, np.ndarray]
@@ -234,6 +242,17 @@ def _grow(u: np.ndarray, v: np.ndarray, rank: int) -> Tuple[np.ndarray, np.ndarr
     return grown_u, grown_v
 
 
+@lru_cache(maxsize=None)
+def _workspace(m: int, k: int, n: int) -> Tuple[int, int, int]:
+    """Optimal ``zgeqrf``, ``zungqr`` and ``zgesdd`` workspace lengths for
+    recompressing an m-by-k U and a k-by-n V, queried once per shape."""
+    p = min(m, k)
+    qr_work = lapack.zgeqrf(np.empty((m, k), dtype=np.complex128), lwork=-1)[2]
+    q_work = lapack.zungqr(np.empty((m, p), dtype=np.complex128), np.empty(p, dtype=np.complex128), lwork=-1)[1]
+    svd_work = lapack.zgesdd_lwork(n, p, compute_uv=1, full_matrices=0)[0]
+    return int(qr_work[0].real), int(q_work[0].real), int(svd_work.real)
+
+
 def recompress(u: np.ndarray, v: np.ndarray, tol: float) -> Tuple[np.ndarray, np.ndarray]:
     """Re-orthogonalize an outer-product factorization and truncate.
 
@@ -241,17 +260,31 @@ def recompress(u: np.ndarray, v: np.ndarray, tol: float) -> Tuple[np.ndarray, np
     k-by-n matrix R V give the singular values of U V, and the rank kept
     is the number above ``tol`` times the largest.  ``tol = 0`` performs
     the lossless orthogonal reduction (only exactly zero directions can
-    drop); the rank never exceeds min(k, m, n).
+    drop); the rank never exceeds min(k, m, n).  A LAPACK failure, such as
+    a non-finite factor, raises ``np.linalg.LinAlgError``.
     """
     if tol < 0.0:
         raise ValueError("recompression tolerance must be non-negative")
-    k = u.shape[1]
+    m, k = u.shape
     if k == 0:
         return u.copy(), v.copy()
-    q, r = np.linalg.qr(u)
+    p = min(m, k)
+    qr_work, q_work, svd_work = _workspace(m, k, v.shape[1])
+    # U = Q R with Q m-by-p and R p-by-k: Q from the first p reflectors,
+    # R the upper trapezoid of the first p rows.  Both are C-ordered, as
+    # numpy's are: a matrix-vector product sums in an order that follows
+    # the layout
+    qr, tau, _, info = lapack.zgeqrf(u, lwork=qr_work)
+    _check("QR", info)
+    q, _, info = lapack.zungqr(qr[:, :p], tau, lwork=q_work)
+    _check("QR", info)
+    q, r = np.ascontiguousarray(q), np.ascontiguousarray(qr[:p])
+    for j in range(p - 1):
+        r[j + 1 :, j] = 0.0
     # R V = Y S X^H from the thin SVD of its conjugate transpose X S Y^H:
     # LAPACK's path for a tall matrix is the faster one
-    x, sigma, yh = np.linalg.svd((r @ v).conj().T, full_matrices=False)
+    x, sigma, yh, info = lapack.zgesdd((r @ v).conj().T, full_matrices=0, lwork=svd_work)
+    _check("SVD", info)
     if sigma[0] == 0.0:
         keep = 0
     elif tol == 0.0:
@@ -259,3 +292,10 @@ def recompress(u: np.ndarray, v: np.ndarray, tol: float) -> Tuple[np.ndarray, np
     else:
         keep = int(np.count_nonzero(sigma > tol * sigma[0]))
     return q @ (yh[:keep].conj().T * sigma[:keep]), x[:, :keep].conj().T
+
+
+def _check(what: str, info: int) -> None:
+    """Raise for a non-zero LAPACK ``info``: an argument LAPACK refused
+    (a NaN factor makes ``zgesdd`` refuse its matrix) or no convergence."""
+    if info:
+        raise np.linalg.LinAlgError(f"{what} of the factors failed (LAPACK info {info})")

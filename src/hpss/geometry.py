@@ -219,6 +219,13 @@ class TreeNode:
         """Bounding-box diagonal, computed on first use; admissibility reads it often."""
         return float(np.linalg.norm(self.bbox_max - self.bbox_min))
 
+    @cached_property
+    def box(self) -> Tuple[float, float, float, float]:
+        """(x min, y min, x max, y max) as Python floats, made on first use;
+        admissibility reads them often, and scalar arithmetic on floats is
+        far cheaper than numpy's on two-element arrays."""
+        return (*self.bbox_min.tolist(), *self.bbox_max.tolist())
+
 
 @dataclass
 class ClusterTree:
@@ -315,24 +322,25 @@ def build_cluster_tree(mesh: Mesh, leaf_size: int) -> ClusterTree:
     return tree
 
 
-def box_distance(amin: np.ndarray, amax: np.ndarray, bmin: np.ndarray, bmax: np.ndarray) -> float:
-    """Minimum Euclidean distance between two axis-aligned boxes."""
-    gap = np.maximum(0.0, np.maximum(bmin - amax, amin - bmax))
-    return float(np.linalg.norm(gap))
-
-
 def is_admissible(tree: ClusterTree, t: int, s: int, eta: float) -> bool:
     """Strong admissibility: eta * dist(t, s) >= min(diam(t), diam(s)).
 
     Diameters are bounding-box diagonals; the distance is the minimum
-    box-to-box Euclidean distance.  Symmetric in (t, s) by construction.
+    box-to-box Euclidean distance, the norm of the per-axis gaps.  Symmetric
+    in (t, s) by construction.
     """
     if eta <= 0.0:
         raise ValueError("eta must be positive")
     nt, ns = tree.nodes[t], tree.nodes[s]
     if nt.level != ns.level:
         raise ValueError("admissibility is defined for same-level cluster pairs")
-    dist = box_distance(nt.bbox_min, nt.bbox_max, ns.bbox_min, ns.bbox_max)
+    tx0, ty0, tx1, ty1 = nt.box
+    sx0, sy0, sx1, sy1 = ns.box
+    gap_x = max(0.0, sx0 - tx1, tx0 - sx1)
+    gap_y = max(0.0, sy0 - ty1, ty0 - sy1)
+    # sqrt(g * g) is g exactly (for a g whose square does not underflow),
+    # so with one gap zero the other is the norm
+    dist = float(np.linalg.norm((gap_x, gap_y))) if gap_x and gap_y else gap_x + gap_y
     return eta * dist >= min(nt.diameter, ns.diameter)
 
 

@@ -66,6 +66,8 @@ class BlockPartition:
 
 def build_block_partition(tree: ClusterTree, eta: float = 1.0) -> BlockPartition:
     """Classify cluster pairs by recursive admissibility descent."""
+    if eta <= 0.0:
+        raise ValueError("eta must be positive")
     near: List[Tuple[int, int]] = []
     far: Dict[int, List[Tuple[int, int]]] = {lvl: [] for lvl in range(1, tree.depth + 1)}
 
@@ -124,9 +126,9 @@ class SparseStorage:
 
     ``near_factor`` is derived state kept with the operator: the near-field
     factorization ``scaling.compute_scaling`` makes on its first call for
-    this operator, and ``None`` before that.  Once it is set, the near
-    stacks are read-only, so the stored entries cannot drift from the
-    factor.
+    this operator, and ``None`` before that.  ``assemble`` makes the near
+    stacks read-only, and so every view of them, so the stored entries
+    cannot drift from the factor.
     """
 
     near: List[NearStack]
@@ -266,8 +268,8 @@ class HMatrix:
     views the level products.  ``far_blocks`` are views of it, and the
     levels it holds blocks on are the levels the power-series cascade
     runs.  The only derived state is the near factorization, made once per
-    operator and kept in ``storage.near_factor``; from then on the near
-    field is read-only.  Only ``assemble`` builds one.
+    operator and kept in ``storage.near_factor``; the near field is
+    read-only from assembly on.  Only ``assemble`` builds one.
     """
 
     tree: ClusterTree
@@ -329,13 +331,11 @@ class HMatrix:
         return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsc()
 
     def diagonal_blocks(self) -> List[Tuple[int, np.ndarray]]:
-        """(row start, read-only view of the block in its stack) of every
-        diagonal leaf block, ordered by row start."""
+        """(row start, view of the block in its stack) of every diagonal
+        leaf block, ordered by row start."""
         blocks = []
         for stack in self.storage.near:
-            data = stack.data.view()
-            data.flags.writeable = False  # a view stays writeable after its stack is frozen
-            starts = zip(stack.row_starts.tolist(), stack.col_starts.tolist(), data)
+            starts = zip(stack.row_starts.tolist(), stack.col_starts.tolist(), stack.data)
             blocks += [(r0, block) for r0, c0, block in starts if r0 == c0]
         return sorted(blocks, key=lambda pair: pair[0])
 
@@ -440,6 +440,8 @@ def assemble(
         _, m, n = stack.data.shape
         for block, r0, c0 in zip(stack.data, stack.row_starts.tolist(), stack.col_starts.tolist()):
             block[...] = entry_fn(np.arange(r0, r0 + m), np.arange(c0, c0 + n))
+        # before any view of it is handed out: a view keeps the flag it had
+        stack.data.flags.writeable = False
 
     rank_flags: List[Tuple[int, int, int, int]] = []
     packed: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}

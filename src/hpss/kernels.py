@@ -27,12 +27,14 @@ with a = extent/sqrt(pi).  The identity part makes the system second kind;
 cells with eps_r = 1 would put a pole on the diagonal and are rejected.
 
 Either off-diagonal entry is w_j * H0^(2)(k0*|c_i - c_j|), and each
-``KernelSpec`` computes the column weights w_j once.  A block pays only for
-the distances, the two Bessel functions and one product; the self-term
-path runs only when some row index equals a column index, which for a
-validated mesh (no two elements share a centre) is also the only way r can
-be 0.  ``z_block`` broadcasts over leading axes, so ACA samples one row
-(or one column) of every block in a stack with a single call.
+``KernelSpec`` computes the column weights w_j once, and keeps the centres'
+x and y coordinates as two contiguous arrays, so a block gathers them with
+four one-dimensional indexes.  A block pays only for the distances, the two
+Bessel functions and one product; the self-term path runs only when some
+row index equals a column index, which for a validated mesh (no two
+elements share a centre) is also the only way r can be 0.  ``z_block``
+broadcasts over leading axes, so ACA samples one row (or one column) of
+every block in a stack with a single call.
 
 The plane-wave right-hand side is b_i = exp(+j*k0*(c_i . d))
 with d = (cos(phi), sin(phi)).
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.special import hankel2, j0, j1, y0
@@ -117,6 +119,12 @@ class KernelSpec:
         a = self.mesh.extents / math.sqrt(math.pi)
         return 0.5j * math.pi * k0 * a * j1(k0 * a)
 
+    @cached_property
+    def center_coordinates(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The element centres' x and y, each a contiguous copy, made on first use."""
+        centers = self.mesh.centers
+        return np.ascontiguousarray(centers[:, 0]), np.ascontiguousarray(centers[:, 1])
+
 
 def _surface_self_entry(k0: float, delta: np.ndarray) -> np.ndarray:
     """Segment self-integral of (k0*eta0/4)*H0^(2), vectorized over extents.
@@ -153,9 +161,8 @@ def z_block(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     mesh = spec.mesh
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
-    at_rows = mesh.centers[rows][..., :, None, :]
-    at_cols = mesh.centers[cols][..., None, :, :]
-    x = np.hypot(at_rows[..., 0] - at_cols[..., 0], at_rows[..., 1] - at_cols[..., 1])
+    cx, cy = spec.center_coordinates
+    x = np.hypot(cx[rows][..., :, None] - cx[cols][..., None, :], cy[rows][..., :, None] - cy[cols][..., None, :])
     x *= spec.k0
     self_mask = rows[..., :, None] == cols[..., None, :]
     has_self = bool(self_mask.any())

@@ -25,10 +25,10 @@ guard turns that defect into a hard error before any series is applied.
 
 None of this depends on the right-hand side, so it is done once per
 operator: the first ``compute_scaling`` on an ``HMatrix`` keeps the near
-factorization and the probe pairs with its storage and makes the near
-stacks read-only, so a write into a factored operator raises instead of
-being solved with a stale LU.  Every call then measures the defect for its
-own ``alpha_scale`` from the kept pairs.
+factorization and the probe pairs with its storage.  ``assemble`` has made
+the near stacks read-only, so a write into a factored operator raises
+instead of being solved with a stale LU.  Every call then measures the
+defect for its own ``alpha_scale`` from the kept pairs.
 
 ``estimate_spectral_radius`` provides the radius estimates the solver uses
 for its convergence guards: plain power iteration on each factor.
@@ -178,8 +178,6 @@ def compute_scaling(
     store = h.storage
     if store.near_factor is None:
         store.near_factor = _factor_near_field(h)
-        for stack in store.near:
-            stack.data.flags.writeable = False
     near = store.near_factor
 
     # |alpha Z_N,diag - I| blockwise on fixed random probes; the max over

@@ -6,6 +6,8 @@ restart every ``restart`` inner steps.  The residual history holds one
 Givens least-squares estimate of the relative residual per inner step;
 the true residual |b - A x| / |b|, recomputed at the start, at each
 restart and at exit, is kept apart from it, so the two are never mixed.
+The start is the zero vector, whose residual is b itself, so the first
+true residual costs no product.
 
 The dense LU route is the accuracy oracle at desk scale.  It verifies its
 own residual and warns (with a condition estimate) instead of silently
@@ -77,6 +79,7 @@ def gmres(
         raise ValueError("right-hand side is zero; nothing to solve")
 
     x = np.zeros(n, dtype=np.complex128)
+    r = b  # the residual of the zero initial guess, without a product
     history: List[float] = []
     true_residuals: List[Tuple[int, float]] = []
     total_iters = 0
@@ -84,8 +87,6 @@ def gmres(
     converged = False
 
     while True:
-        r = b - apply(x)
-        n_matvecs += 1
         beta = float(np.linalg.norm(r))
         true_residuals.append((total_iters, beta / bnorm))
         if beta / bnorm <= tol:
@@ -141,6 +142,8 @@ def gmres(
 
         y = scipy.linalg.solve_triangular(h[:j_used, :j_used], g[:j_used], lower=False)
         x = x + v[:j_used].T @ y
+        r = b - apply(x)
+        n_matvecs += 1
 
     report = IterativeReport(
         iterations=total_iters,

@@ -125,6 +125,55 @@ def test_recompress_caps_rank_at_block_dimensions():
     assert np.linalg.norm(u2 @ v2 - u @ v) <= 1e-13 * np.linalg.norm(u @ v)
 
 
+def numpy_recompress(u, v, tol):
+    """The formula ``recompress`` had before it called LAPACK directly:
+    numpy's thin ``qr`` of U and thin ``svd`` of (R V)^H."""
+    q, r = np.linalg.qr(u)
+    x, sigma, yh = np.linalg.svd((r @ v).conj().T, full_matrices=False)
+    if sigma[0] == 0.0:
+        keep = 0
+    elif tol == 0.0:
+        keep = int(np.count_nonzero(sigma > 0.0))
+    else:
+        keep = int(np.count_nonzero(sigma > tol * sigma[0]))
+    return q @ (yh[:keep].conj().T * sigma[:keep]), x[:, :keep].conj().T
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-3])
+@pytest.mark.parametrize(
+    "m, k, n",
+    [(40, 4, 40), (20, 6, 1), (130, 3, 140), (6, 6, 9), (9, 9, 9), (6, 9, 5), (2, 40, 30)],
+    ids=["k<m", "k<m, n=1", "k<m, large", "k=m", "k=m=n", "k>m", "k>>m"],
+)
+def test_recompress_is_numpys_qr_and_svd_bitwise(m, k, n, tol):
+    rng = np.random.default_rng(m * 10_000 + k * 100 + n)
+    u = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+    v = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    deficient = u.copy()
+    deficient[:, -1] = deficient[:, 0]  # one redundant cross
+    for uu in (u, np.asfortranarray(u), np.zeros_like(u), deficient):
+        got, want = recompress(uu, v, tol), numpy_recompress(uu, v, tol)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+def test_recompress_refuses_a_non_finite_factor():
+    # numpy's svd raised "SVD did not converge" here; LAPACK's zgesdd
+    # refuses the matrix (info -4) and returns zero singular values, which
+    # must not become a silently stored rank-0 block
+    rng = np.random.default_rng(17)
+    u = rng.standard_normal((20, 6)) + 1j * rng.standard_normal((20, 6))
+    v = rng.standard_normal((6, 20)) + 1j * rng.standard_normal((6, 20))
+    for bad in (np.nan, np.inf):
+        broken = u.copy()
+        broken[3, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            recompress(broken, v, 1e-3)
+        with pytest.raises(np.linalg.LinAlgError):
+            numpy_recompress(broken, v, 1e-3)
+
+
 def test_tolerance_rejects_negative():
     import pytest
 

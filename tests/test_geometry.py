@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hpss import (
+    ClusterTree,
     Mesh,
+    TreeNode,
     build_cluster_tree,
     discretize_circle,
     discretize_disk,
@@ -13,7 +15,6 @@ from hpss import (
     read_mesh_csv,
     write_mesh_csv,
 )
-from hpss.geometry import box_distance
 
 
 def test_strip_counts_and_extents():
@@ -135,19 +136,39 @@ def test_permutation_is_bijection_and_leaves_tile():
         assert a1 == b0
 
 
+def boxes_tree(*boxes):
+    """A depth-1 tree whose level-1 nodes 1, 2, ... have the given
+    ((x min, y min), (x max, y max)) boxes; ``is_admissible`` reads only those."""
+    root = TreeNode(0, 0, 0, len(boxes), np.zeros(2), np.zeros(2))
+    nodes = [root] + [
+        TreeNode(i + 1, 1, i, i + 1, np.array(lo, dtype=float), np.array(hi, dtype=float))
+        for i, (lo, hi) in enumerate(boxes)
+    ]
+    return ClusterTree(nodes, np.arange(len(boxes)), 2, 1, len(boxes))
+
+
 def test_admissibility_hand_cases():
     # same node is never admissible: distance zero against positive diameter
     t = build_cluster_tree(discretize_strip(2.0, 10), 5)
     leaf = t.leaves[0]
     assert not is_admissible(t, leaf, leaf, 1.0)
 
-    # detached unit squares [0,1]^2 and [3,4]^2: dist 2*sqrt(2) >= diam sqrt(2)
-    d = box_distance(np.zeros(2), np.ones(2), np.array([3.0, 3.0]), np.array([4.0, 4.0]))
-    assert math.isclose(d, 2.0 * math.sqrt(2.0), rel_tol=1e-12)
-    assert d >= math.sqrt(2.0)
-
-    # touching corners give distance zero
-    assert box_distance(np.zeros(2), np.ones(2), np.ones(2), np.array([2.0, 2.0])) == 0.0
+    unit = ((0.0, 0.0), (1.0, 1.0))
+    # detached unit squares [0,1]^2 and [3,4]^2: dist 2*sqrt(2) against diam sqrt(2)
+    t = boxes_tree(unit, ((3.0, 3.0), (4.0, 4.0)))
+    assert is_admissible(t, 1, 2, 1.0) and is_admissible(t, 2, 1, 1.0)
+    assert not is_admissible(t, 1, 2, 0.49)
+    # a gap along x alone: dist 2, so eta 0.71 passes and 0.70 does not
+    t = boxes_tree(unit, ((3.0, 0.0), (4.0, 1.0)))
+    assert is_admissible(t, 1, 2, 0.71) and not is_admissible(t, 1, 2, 0.70)
+    # and along y alone
+    t = boxes_tree(unit, ((0.0, -3.0), (1.0, -2.0)))
+    assert is_admissible(t, 2, 1, 0.71) and not is_admissible(t, 2, 1, 0.70)
+    # touching corners give distance zero: never admissible
+    t = boxes_tree(unit, ((1.0, 1.0), (2.0, 2.0)))
+    assert not is_admissible(t, 1, 2, 1e6)
+    with pytest.raises(ValueError, match="eta must be positive"):
+        is_admissible(t, 1, 2, 0.0)
 
 
 def test_admissibility_is_symmetric():

@@ -10,6 +10,7 @@ from hpss import (
     assemble,
     build_block_partition,
     build_cluster_tree,
+    discretize_circle,
     discretize_disk,
     discretize_strip,
     memory_report,
@@ -42,6 +43,59 @@ def test_partition_tiles_index_square_exactly():
         partition = build_block_partition(tree, eta=1.0)
         hits = coverage_counts(tree, partition)
         assert np.all(hits == 1), f"tiling broken for {mesh.kind}"
+
+
+def numpy_box_partition(tree, eta):
+    """The descent with the admissibility test ``is_admissible`` had before
+    it read the boxes as floats: numpy's box distance and diagonals."""
+
+    def box_distance(amin, amax, bmin, bmax):
+        gap = np.maximum(0.0, np.maximum(bmin - amax, amin - bmax))
+        return float(np.linalg.norm(gap))
+
+    def admissible(nt, ns):
+        dist = box_distance(nt.bbox_min, nt.bbox_max, ns.bbox_min, ns.bbox_max)
+        diameters = (float(np.linalg.norm(node.bbox_max - node.bbox_min)) for node in (nt, ns))
+        return eta * dist >= min(diameters)
+
+    near, far = [], {level: [] for level in range(1, tree.depth + 1)}
+
+    def descend(t, s, level):
+        nt, ns = tree.nodes[t], tree.nodes[s]
+        if t != s and admissible(nt, ns):
+            far[level].append((t, s))
+        elif nt.is_leaf and ns.is_leaf:
+            near.append((t, s))
+        else:
+            for tc in nt.children:
+                for sc in ns.children:
+                    descend(tc, sc, level + 1)
+
+    descend(0, 0, 0)
+    return near, far
+
+
+@pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize(
+    "mesh, leaf",
+    [(discretize_strip(25.6, 10), 8), (discretize_circle(2.0, 16), 8), (discretize_disk(0.5, 12, 2.0), 8)],
+    ids=["strip", "circle", "disk"],
+)
+def test_partition_is_the_numpy_box_descent(mesh, leaf, eta):
+    tree = build_cluster_tree(mesh, leaf)
+    partition = build_block_partition(tree, eta)
+    near, far = numpy_box_partition(tree, eta)
+    assert partition.near_pairs == near
+    assert partition.far_pairs == far
+    assert any(far.values())
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0])
+def test_partition_refuses_nonpositive_eta_even_for_one_leaf(eta):
+    tree = build_cluster_tree(discretize_strip(1.0, 10), 16)
+    assert tree.depth == 0  # the descent tests no pair at all
+    with pytest.raises(ValueError, match="eta must be positive"):
+        build_block_partition(tree, eta)
 
 
 def test_strip_partition_structure():
@@ -317,6 +371,8 @@ def test_blocks_are_the_operator_storage():
     changes the operator."""
     mesh = discretize_strip(2.0, 10)
     h = assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 5), tol=1e-3)
+    for stack in h.storage.near:
+        stack.data.flags.writeable = True  # assembly froze them
     r0, c0, near = next(blk for blk in stored_near_blocks(h) if blk[0] != blk[1])
     far = next(blk for blks in h.far_blocks.values() for blk in blks)
     with pytest.raises(dataclasses.FrozenInstanceError):

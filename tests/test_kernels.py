@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import hankel2, j1
+from scipy.special import hankel2, j0, j1, y0
 
 from hpss import (
     Excitation,
@@ -15,7 +15,7 @@ from hpss import (
     rhs,
 )
 from hpss.geometry import SURFACE, VOLUME, Mesh
-from hpss.kernels import ETA0, _surface_self_entry, _volume_self_entry, z_block
+from hpss.kernels import ETA0, S_EFIE, _surface_self_entry, _volume_self_entry, z_block
 
 from conftest import halved_strip
 
@@ -133,6 +133,54 @@ def test_stacked_block_equals_separate_calls_bitwise(kind):
     for b in range(5):
         assert np.array_equal(stacked[b], z_block(spec, rows[b], cols[b]))
     assert np.array_equal(stacked[0, 1, 0], z_block(spec, rows[0, 1:2], rows[0, 1:2])[0, 0])
+
+
+def gathered_z_block(spec, rows, cols):
+    """The formula ``z_block`` had before it read the cached x and y
+    arrays: (..., 2) rows of ``mesh.centers`` gathered and differenced as
+    strided views; the rest is unchanged."""
+    mesh = spec.mesh
+    rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    at_rows = mesh.centers[rows][..., :, None, :]
+    at_cols = mesh.centers[cols][..., None, :, :]
+    x = np.hypot(at_rows[..., 0] - at_cols[..., 0], at_rows[..., 1] - at_cols[..., 1])
+    x *= spec.k0
+    self_mask = rows[..., :, None] == cols[..., None, :]
+    x[self_mask] = 1.0
+    block = np.empty(x.shape, dtype=np.complex128)
+    j0(x, out=block.real)
+    np.negative(y0(x), out=block.imag)
+    block *= spec.column_weights[cols][..., None, :]
+    elements = np.broadcast_to(rows[..., :, None], self_mask.shape)[self_mask]
+    if spec.equation == S_EFIE:
+        block[self_mask] = _surface_self_entry(spec.k0, mesh.extents[elements])
+    else:
+        block[self_mask] = _volume_self_entry(spec.k0, mesh.extents[elements], mesh.eps_r[elements])
+    return block
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [discretize_strip(4.0, 10), discretize_circle(1.0, 16), discretize_disk(0.5, 20, 2.0 - 0.1j)],
+    ids=["strip", "circle", "disk"],
+)
+def test_z_block_is_the_gathered_formula_bitwise(mesh):
+    spec = KernelSpec.for_mesh(mesh)
+    n = mesh.n_elements
+    rng = np.random.default_rng(23)
+    rows = rng.integers(0, n, size=(9, 8))
+    cols = rng.integers(0, n, size=(9, 7))
+    cols[:, 3] = rows[:, 2]  # a self term in every block of the stack
+    diagonal = np.arange(n // 3, n // 3 + 12)
+    cases = [
+        (rows, cols),  # a stack of blocks
+        (rows[:, :1], cols),  # ACA's pivot rows of a stack
+        (rows, cols[:, :1]),  # and its pivot columns
+        (diagonal, diagonal),  # a diagonal near block
+        (diagonal, diagonal + 12),  # and a neighbour
+    ]
+    for r, c in cases:
+        assert z_block(spec, r, c).tobytes() == gathered_z_block(spec, r, c).tobytes()
 
 
 def fan_mesh(kind):

@@ -60,6 +60,7 @@ def test_strip_near_field_carries_offdiagonal_coupling():
 
 def test_singular_diagonal_block_is_named():
     h = assembled(discretize_strip(2.0, 10), 5)
+    h.storage.near[0].data.flags.writeable = True  # assembly froze it; break it on purpose
     r0, c0, block = stored_near_blocks(h)[0]
     assert r0 == c0 == 0
     block[...] = 0.0
@@ -72,6 +73,8 @@ def test_singular_near_coupling_is_rejected():
     # [[I, I], [I, I]] has rank n/2
     h = assembled(discretize_strip(1.0, 10), 5)
     assert len(stored_near_blocks(h)) == 4
+    for stack in h.storage.near:
+        stack.data.flags.writeable = True  # assembly froze them; break them on purpose
     for _, _, block in stored_near_blocks(h):
         block[...] = np.eye(5)
     with pytest.raises(ValueError, match="singular"):
@@ -178,8 +181,12 @@ def test_reused_factor_gives_every_alpha_scale_its_own_defect():
 def test_factored_near_field_is_read_only():
     """A write into a factored operator raises instead of going stale."""
     h = assembled(discretize_strip(2.0, 10), 5)
-    _, diagonal = h.diagonal_blocks()[0]  # handed out read-only, even before factoring
+    # views taken right after assembly, before the near field is factored
+    early = h.storage.near[0].data[0]
+    _, diagonal = h.diagonal_blocks()[0]
     compute_scaling(h, np.ones(h.n, dtype=np.complex128))
+    with pytest.raises(ValueError, match="read-only"):
+        early[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         diagonal[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):

@@ -49,6 +49,25 @@ def test_gmres_restart_path():
         assert rep.residual_history[k] <= rep.residual_history[k - 1] * (1.0 + 1e-12)
 
 
+def test_gmres_counts_every_product_and_skips_the_zero_guess():
+    # the zero initial guess has residual b, so no product is spent on it;
+    # every restart and the exit recompute the true residual with one
+    rng = np.random.default_rng(31)
+    a = np.eye(48) + 0.4 * (rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))) / np.sqrt(48)
+    b = rng.standard_normal(48) + 1j * rng.standard_normal(48)
+    received = []
+
+    def apply(v):
+        received.append(np.array(v))
+        return a @ v
+
+    x, rep = gmres(apply, b, tol=1e-10, restart=5)
+    assert rep.converged and rep.iterations > 5
+    assert len(received) == rep.n_matvecs == rep.iterations + len(rep.true_residuals) - 1
+    assert all(np.any(v != 0.0) for v in received)
+    assert rep.true_residuals[0] == (0, 1.0)
+
+
 def test_gmres_maxit_returns_best_effort():
     rng = np.random.default_rng(37)
     a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
