@@ -31,8 +31,11 @@ from .postproc import (
     series_dielectric_cylinder,
     series_pec_cylinder,
 )
-from .pss import ConvergenceError, FactorChain, PssConfig, SolveReport, build_factor_chain, expected_solve_counts, solve
-from .scaling import NormEstimate, ScaledSystem, compute_scaling, estimate_spectral_radius
+from .pss import (
+    ConvergenceError, FactorChain, NormEstimate, PssConfig, SolveReport, build_factor_chain,
+    estimate_spectral_radius, expected_solve_counts, solve,
+)
+from .scaling import ScaledSystem, compute_scaling
 from .solvers import IterativeReport, gmres, lu_solve
 
 __version__ = "0.1.0"

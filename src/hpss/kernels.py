@@ -45,12 +45,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy.special import hankel2, j0, j1, y0
 
-from .geometry import Mesh, SURFACE, VOLUME
+from .geometry import Mesh, SURFACE
 
 ETA0 = 376.730313668  # free-space impedance, ohms
 _EULER_EXP = math.exp(np.euler_gamma)
@@ -78,25 +78,22 @@ class Excitation:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Pairing of a mesh with the matching integral equation."""
+    """A mesh and its integral equation, which the mesh's kind decides."""
 
-    equation: str
     mesh: Mesh
 
     def __post_init__(self) -> None:
-        if self.equation not in (S_EFIE, V_EFIE):
-            raise ValueError(f"unknown equation {self.equation!r}")
-        if self.equation == S_EFIE and self.mesh.kind != SURFACE:
-            raise ValueError("s-efie requires a surface mesh")
-        if self.equation == V_EFIE:
-            if self.mesh.kind != VOLUME:
-                raise ValueError("v-efie requires a volume mesh")
-            if np.any(np.abs(self.mesh.eps_r - 1.0) < 1e-9):
-                raise ValueError("v-efie cells with eps_r = 1 carry no contrast; remove them")
+        if self.equation == V_EFIE and np.any(np.abs(self.mesh.eps_r - 1.0) < 1e-9):
+            raise ValueError("v-efie cells with eps_r = 1 carry no contrast; remove them")
 
     @classmethod
     def for_mesh(cls, mesh: Mesh) -> "KernelSpec":
-        return cls(S_EFIE if mesh.kind == SURFACE else V_EFIE, mesh)
+        return cls(mesh)
+
+    @property
+    def equation(self) -> str:
+        """The S-EFIE on a surface mesh, the V-EFIE on a volume mesh."""
+        return S_EFIE if self.mesh.kind == SURFACE else V_EFIE
 
     @property
     def k0(self) -> float:
@@ -182,15 +179,11 @@ def z_block(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return block
 
 
-def entry_function(
-    spec: KernelSpec, permutation: Optional[np.ndarray] = None
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Block evaluator over (optionally tree-permuted) indices.
+def entry_function(spec: KernelSpec, permutation: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Block evaluator over tree-permuted indices.
 
     Takes and returns the shapes ``z_block`` does, stacks included.
     """
-    if permutation is None:
-        return lambda rows, cols: z_block(spec, rows, cols)
     perm = np.asarray(permutation, dtype=int)
     return lambda rows, cols: z_block(spec, perm[np.asarray(rows, dtype=int)], perm[np.asarray(cols, dtype=int)])
 

@@ -21,13 +21,14 @@ Each expansion is valid exactly while the spectral radius of its operator
 stays below one (necessary and sufficient; the 2-norm below one is merely
 sufficient, and first-kind surface systems routinely combine a convergent
 radius with a 2-norm above one).  The chain therefore estimates every
-factor's convergence radius by power iteration and refuses to run past an
-estimate at or above ``NORM_FAIL`` (1.0), recording a warning in the report
-from ``NORM_WARN`` (0.1) up.  The same guard covers the level-0 scaling:
-the construction promises that alpha times the near diagonal is the
-identity, and the measured defect of that promise is converted to the
-norm of the omitted correction factor, so a de-scaled alpha is rejected
-before any series runs.
+factor's convergence radius by power iteration (``estimate_spectral_radius``)
+and refuses to run past an estimate at or above ``NORM_FAIL`` (1.0),
+recording a warning in the report from ``NORM_WARN`` (0.1) up.  The same
+guard covers the level-0 scaling: the construction promises that alpha,
+the near solve, times the near field is the identity, and the defect
+``scaling`` measures of that promise is converted to the norm of the
+omitted correction factor, so a near solve that does not invert Z_N, or a
+de-scaled alpha, is rejected before any series runs.
 
 The solve applies a fixed, input-independent number of level matvecs: no
 residual-driven iteration hides anywhere, which is what makes the matvec
@@ -51,7 +52,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .hmatrix import HMatrix
-from .scaling import NormEstimate, ScaledSystem, estimate_spectral_radius
+from .scaling import ScaledSystem
 
 Apply = Callable[[np.ndarray], np.ndarray]
 
@@ -63,6 +64,42 @@ RADIUS_ITERS = 20
 
 class ConvergenceError(RuntimeError):
     """Raised when a series factor violates the norm-below-one condition."""
+
+
+@dataclass(frozen=True)
+class NormEstimate:
+    """Spectral-norm estimate tagged with how it was obtained."""
+
+    value: float
+    mode: str
+
+
+def estimate_spectral_radius(apply: Apply, n: int, iters: int = 20, seed: int = 0) -> NormEstimate:
+    """Dominant-eigenvalue magnitude estimate by plain power iteration.
+
+    This is the quantity that decides whether the alternating power series
+    for (I + T)^-1 converges: the spectral radius of T below one is
+    necessary and sufficient, while the 2-norm is only sufficient.  The
+    growth factors of the final two iterations are averaged geometrically
+    to damp the odd/even oscillation a dominant complex-conjugate pair
+    produces.
+    """
+    if n < 1:
+        raise ValueError("operator dimension must be positive")
+    if iters < 2:
+        raise ValueError("iteration count must be at least 2")
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    growth = []
+    for _ in range(iters):
+        w = apply(v)
+        g = float(np.linalg.norm(w))
+        if g == 0.0:
+            return NormEstimate(0.0, "power-radius")
+        growth.append(g)
+        v = w / g
+    return NormEstimate(float(np.sqrt(growth[-1] * growth[-2])), "power-radius")
 
 
 @dataclass(frozen=True)
@@ -95,8 +132,8 @@ def neumann_apply(factor_apply: Apply, v: np.ndarray, order: int) -> np.ndarray:
 
 
 def _implied_identity_factor_norm(defect: float) -> float:
-    """Norm of the correction factor omitted by taking the scaled diagonal
-    as identity: |(I + E)^-1 - I| <= e / (1 - e) for |E| = e < 1."""
+    """Norm of the correction factor omitted by taking the scaled near
+    field as identity: |(I + E)^-1 - I| <= e / (1 - e) for |E| = e < 1."""
     if defect >= 1.0:
         return float("inf")
     return defect / (1.0 - defect)
@@ -122,15 +159,20 @@ class FactorChain:
     warnings: List[str]
     counts: Dict[int, int]
 
+    def _resolve(self, i: int, v: np.ndarray) -> np.ndarray:
+        """Ap_{i-1}(...(Ap_0(Z_N^{-1} v))...): the near solve, then the
+        first ``i`` resolvents in order."""
+        y = self.near_solve(v)
+        for j in range(i):
+            y = self.ap_apply(j, y)
+        return y
+
     def t_apply(self, i: int, x: np.ndarray) -> np.ndarray:
         """T_i x: U_i = Z_N^{-1} Z_Fl at level ``levels[i]``, then every
         earlier resolvent in order."""
         level = self.levels[i]
         self.counts[level] += 1
-        y = self.near_solve(self.h.matvec_level(level, x))
-        for j in range(i):
-            y = self.ap_apply(j, y)
-        return y
+        return self._resolve(i, self.h.matvec_level(level, x))
 
     def ap_apply(self, i: int, v: np.ndarray) -> np.ndarray:
         """Ap_i v, the truncated series for (I + T_i)^-1 v."""
@@ -138,10 +180,7 @@ class FactorChain:
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         """The cascade x = Ap_L(...(Ap_1(Z_N^{-1} b))...)."""
-        x = self.near_solve(b)
-        for i in range(len(self.levels)):
-            x = self.ap_apply(i, x)
-        return x
+        return self._resolve(len(self.levels), b)
 
 
 def _radius_text(value: float, digits: int = 3) -> str:
@@ -172,14 +211,14 @@ def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> F
         near_solve=scaled.near_solve,
         order=config.series_order,
         levels=active,
-        norms={0: NormEstimate(defect_norm, "diagonal-defect")},
+        norms={0: NormEstimate(defect_norm, "near-solve-defect")},
         warnings=[],
         counts=dict.fromkeys(active, 0),
     )
 
     if defect_norm >= NORM_FAIL:
         raise ConvergenceError(
-            "scaled near diagonal is not the identity: the omitted level-0 factor has "
+            "scaled near field is not the identity: the omitted level-0 factor has "
             f"estimated norm {_radius_text(defect_norm)} >= {NORM_FAIL:g}, violating the "
             "power-series validity condition (operator norm below one)"
         )

@@ -16,12 +16,15 @@ is), so the factorization orders its columns by minimum degree on
 A^T + A (Liu, ACM TOMS 11, 1985, as in SuperLU); on strips, circles and
 disks that fills no more than COLAMD's unsymmetric ordering.
 
-The first call also LU-factors each diagonal leaf block, to name a
-singular leaf and to measure the defect of the identity claim alpha *
-Z_N,diag = I (alpha: the blockwise inverse of those blocks) on fixed
-random probe vectors; a healthy system sits at rounding level and anything
-larger signals a broken or synthetically de-scaled alpha.  The solver's
+The level-0 check measures the identity claim alpha * Z_N = I, alpha
+being that near solve, on fixed random probe vectors: the pairs
+(x, Z_N S(x)) with S the factorization's solve.  A healthy system sits at
+rounding level, and anything larger signals a near solve that does not
+invert the stored Z_N or a synthetically de-scaled alpha.  The solver's
 guard turns that defect into a hard error before any series is applied.
+Before factoring Z_N, each diagonal leaf block is LU-factored once as a
+pass/fail check, so that a singular leaf is named; those factors are not
+solved with.
 
 None of this depends on the right-hand side, so it is done once per
 operator: the first ``compute_scaling`` on an ``HMatrix`` keeps the near
@@ -29,65 +32,21 @@ factorization and the probe pairs with its storage.  ``assemble`` has made
 the near stacks read-only, so a write into a factored operator raises
 instead of being solved with a stale LU.  Every call then measures the
 defect for its own ``alpha_scale`` from the kept pairs.
-
-``estimate_spectral_radius`` provides the radius estimates the solver uses
-for its convergence guards: plain power iteration on each factor.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor
 from scipy.sparse.linalg import SuperLU, splu
 
 from .hmatrix import HMatrix
 
 _DEFECT_PROBES = 2
-
-
-@dataclass(frozen=True)
-class NormEstimate:
-    """Spectral-norm estimate tagged with how it was obtained."""
-
-    value: float
-    mode: str
-
-
-def estimate_spectral_radius(
-    apply: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    iters: int = 20,
-    seed: int = 0,
-) -> NormEstimate:
-    """Dominant-eigenvalue magnitude estimate by plain power iteration.
-
-    This is the quantity that decides whether the alternating power series
-    for (I + T)^-1 converges: the spectral radius of T below one is
-    necessary and sufficient, while the 2-norm is only sufficient.  The
-    growth factors of the final two iterations are averaged geometrically
-    to damp the odd/even oscillation a dominant complex-conjugate pair
-    produces.
-    """
-    if n < 1:
-        raise ValueError("operator dimension must be positive")
-    if iters < 2:
-        raise ValueError("iteration count must be at least 2")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    growth = []
-    for _ in range(iters):
-        w = apply(v)
-        g = float(np.linalg.norm(w))
-        if g == 0.0:
-            return NormEstimate(0.0, "power-radius")
-        growth.append(g)
-        v = w / g
-    return NormEstimate(float(np.sqrt(growth[-1] * growth[-2])), "power-radius")
 
 
 @dataclass
@@ -111,8 +70,9 @@ class ScaledSystem:
 class NearFactor:
     """The right-hand-side-free part of ``compute_scaling``, one per operator.
 
-    ``probes`` holds, for every diagonal leaf block D and probe x, the pair
-    (x, LU(D)^-1 D x) the level-0 defect is measured on.
+    ``probes`` holds, for every probe x, the pair (x, Z_N S(x)) the level-0
+    defect is measured on, S being ``factorization.solve``: the near solve
+    alpha every solution goes through.
     """
 
     factorization: SuperLU
@@ -120,34 +80,28 @@ class NearFactor:
 
 
 def _factor_near_field(h: HMatrix) -> NearFactor:
-    """Check and LU-factor every diagonal leaf block, draw the defect probes
-    and factor Z_N; a singular block or near field raises."""
+    """Check every diagonal leaf block, factor Z_N and draw the defect
+    probes through that factorization; a singular block or near field raises."""
     diag_blocks = h.diagonal_blocks()
     expected = sorted(h.tree.leaf_ranges())
     got = [(start, start + len(block)) for start, block in diag_blocks]
     if got != expected:
         raise ValueError("near field is missing a diagonal block for some leaf")
 
-    rng = np.random.default_rng(0)
-    probes: List[Tuple[np.ndarray, np.ndarray]] = []
     for leaf_index, (start, block) in enumerate(diag_blocks):
         stop = start + len(block)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", LinAlgWarning)
-                factors = lu_factor(block)
+                lu, _ = lu_factor(block)
         except (np.linalg.LinAlgError, LinAlgWarning) as exc:
             raise ValueError(
                 f"diagonal near block for leaf {leaf_index} (rows [{start}, {stop})) is singular: {exc}"
             ) from exc
-        if np.any(np.diag(factors[0]) == 0.0):
+        if np.any(np.diag(lu) == 0.0):
             raise ValueError(
                 f"diagonal near block for leaf {leaf_index} (rows [{start}, {stop})) is singular to working precision"
             )
-        for _ in range(_DEFECT_PROBES):
-            x = rng.standard_normal(stop - start) + 1j * rng.standard_normal(stop - start)
-            x /= np.linalg.norm(x)
-            probes.append((x, lu_solve(factors, block @ x)))
 
     try:
         factorization = splu(h.near_matrix(), permc_spec="MMD_AT_PLUS_A")
@@ -155,6 +109,13 @@ def _factor_near_field(h: HMatrix) -> NearFactor:
         raise ValueError(f"near-field matrix is singular: {exc}") from exc
     if np.any(factorization.U.diagonal() == 0.0):
         raise ValueError("near-field matrix is singular to working precision")
+
+    rng = np.random.default_rng(0)
+    probes: List[Tuple[np.ndarray, np.ndarray]] = []
+    for _ in range(_DEFECT_PROBES):
+        x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
+        x /= np.linalg.norm(x)
+        probes.append((x, h.near_matvec(factorization.solve(x))))
     return NearFactor(factorization, probes)
 
 
@@ -167,10 +128,11 @@ def compute_scaling(
 
     The first call on ``h`` factors its near field and keeps the result
     with ``h.storage`` (see the module docstring); later calls reuse it.
-    ``alpha_scale`` deliberately mis-scales alpha in the defect measurement
-    (diagnostic knob used to exercise the solver's convergence guard);
-    production runs leave it at 1.  A singular diagonal block raises with
-    the offending leaf named.
+    The defect is max |alpha_scale * Z_N S(x) - x| over the kept probes,
+    where S, the near solve, is alpha.  ``alpha_scale`` deliberately
+    mis-scales alpha in that measurement (diagnostic knob used to exercise
+    the solver's convergence guard); production runs leave it at 1.  A
+    singular diagonal block raises with the offending leaf named.
     """
     b = np.asarray(b, dtype=np.complex128)
     if b.shape != (h.n,):
@@ -180,9 +142,8 @@ def compute_scaling(
         store.near_factor = _factor_near_field(h)
     near = store.near_factor
 
-    # |alpha Z_N,diag - I| blockwise on fixed random probes; the max over
-    # leaves and probes is a lower estimate of its operator norm, since two
-    # probes per leaf need not find a block's worst direction
+    # the max over the probes is a lower estimate of |alpha Z_N - I|, since
+    # they need not find its worst direction
     defect = 0.0
     for x, z in near.probes:
         defect = max(defect, float(np.linalg.norm(alpha_scale * z - x)))

@@ -1,9 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from hpss import KernelSpec, aca, discretize_strip, recompress
+from hpss import KernelSpec, aca, discretize_strip, recompress, z_block
 from hpss.compression import ACA_START_RANK, BlockError
-from hpss.kernels import entry_function
 
 
 def dense_block(entry_fn, rows, cols):
@@ -58,7 +59,7 @@ def well_separated_block():
     """Two 64-element clusters, four diameters apart, on a long strip."""
     mesh = discretize_strip(40.0, 10)
     spec = KernelSpec.for_mesh(mesh)
-    entry_fn = entry_function(spec)
+    entry_fn = partial(z_block, spec)
     rows = np.arange(0, 64)       # spans 6.4 wavelengths
     cols = np.arange(320, 384)    # gap of 25.6 wavelengths = 4 diameters
     return entry_fn, rows, cols

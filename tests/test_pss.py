@@ -16,8 +16,10 @@ from hpss import (
     compute_scaling,
     discretize_disk,
     discretize_strip,
+    estimate_spectral_radius,
     expected_solve_counts,
     rhs,
+    scaling,
     solve,
 )
 from hpss.pss import RADIUS_ITERS, neumann_apply
@@ -70,6 +72,37 @@ def test_neumann_applies_operator_exactly_order_times():
 
     neumann_apply(op, np.ones(3, dtype=np.complex128), order=5)
     assert calls["n"] == 5
+
+
+# -- radius estimator ------------------------------------------------------
+
+
+def test_spectral_radius_estimator_basics():
+    d = np.array([0.9, 0.3])
+    est = estimate_spectral_radius(lambda v: d * v, 2, iters=24)
+    assert est.mode == "power-radius"
+    assert abs(est.value - 0.9) <= 0.02
+
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    est = estimate_spectral_radius(lambda v: rot @ v, 2, iters=16)
+    assert abs(est.value - 1.0) <= 1e-12
+
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+    est = estimate_spectral_radius(lambda v: nil @ v, 2, iters=8)
+    assert est.value == 0.0
+
+    with pytest.raises(ValueError):
+        estimate_spectral_radius(lambda v: v, 2, iters=1)
+
+
+def test_spectral_radius_matches_dense_eigenvalues():
+    _, h, scaled = make_system(discretize_strip(2.0, 10), 5)
+    apply = lambda x: scaled.near_solve(h.matvec_level(h.depth, x))
+    est = estimate_spectral_radius(apply, h.n, iters=30)
+    dense_u = dense_from_operator(apply, h.n)
+    rho = float(np.max(np.abs(np.linalg.eigvals(dense_u))))
+    assert rho < 1.0
+    assert abs(est.value - rho) <= 0.1 * rho
 
 
 # -- config ----------------------------------------------------------------
@@ -240,6 +273,18 @@ def test_sabotaged_scaling_fails_with_level_zero_norm():
     clean = compute_scaling(h, b)
     _, report = solve(clean, h, PssConfig(series_order=2))
     assert report.factor_norms[0].value <= 1e-10
+
+
+def test_near_solve_that_does_not_invert_the_stored_near_field_trips_level_zero(monkeypatch):
+    """The level-0 defect is measured on the near solve every solution
+    goes through, so a factorization of anything but the stored Z_N shows."""
+    real_splu = scaling.splu
+    # 4 Z_N: defect 3/4, implied factor norm 3, well clear of NORM_FAIL
+    monkeypatch.setattr(scaling, "splu", lambda a, **kw: real_splu(4.0 * a, **kw))
+    _, h, scaled = make_system(discretize_strip(2.0, 10), 5)
+    assert abs(scaled.scale_defect - 0.75) <= 1e-9
+    with pytest.raises(ConvergenceError, match="level-0"):
+        solve(scaled, h, PssConfig(series_order=2))
 
 
 def test_mild_descaling_warns_but_solves():

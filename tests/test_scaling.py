@@ -12,7 +12,6 @@ from hpss import (
     discretize_circle,
     discretize_disk,
     discretize_strip,
-    estimate_spectral_radius,
     scaling,
 )
 from conftest import dense_from_operator, stored_near_blocks
@@ -97,7 +96,7 @@ def test_alpha_scale_knob_shows_up_in_defect():
     # the exact near solve ignores the knob by design
     v = np.ones(h.n, dtype=np.complex128)
     assert np.allclose(broken.near_solve(v), clean.near_solve(v))
-    # the leaf factors invert the diagonal blocks of a disk too
+    # the near solve inverts the near field of a disk too
     disk = assembled(discretize_disk(0.3, 12, 2.0), 8)
     assert compute_scaling(disk, np.ones(disk.n, dtype=np.complex128)).scale_defect <= 1e-12
 
@@ -109,35 +108,6 @@ def test_leaf_factor_norm_below_one_on_short_strip():
     apply = lambda x: scaled.near_solve(h.matvec_level(h.depth, x))
     dense_u = dense_from_operator(apply, h.n)
     assert np.linalg.norm(dense_u, 2) < 1.0
-
-
-def test_spectral_radius_estimator_basics():
-    d = np.array([0.9, 0.3])
-    est = estimate_spectral_radius(lambda v: d * v, 2, iters=24)
-    assert est.mode == "power-radius"
-    assert abs(est.value - 0.9) <= 0.02
-
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    est = estimate_spectral_radius(lambda v: rot @ v, 2, iters=16)
-    assert abs(est.value - 1.0) <= 1e-12
-
-    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
-    est = estimate_spectral_radius(lambda v: nil @ v, 2, iters=8)
-    assert est.value == 0.0
-
-    with pytest.raises(ValueError):
-        estimate_spectral_radius(lambda v: v, 2, iters=1)
-
-
-def test_spectral_radius_matches_dense_eigenvalues():
-    h = assembled(discretize_strip(2.0, 10), 5)
-    scaled = compute_scaling(h, np.ones(h.n, dtype=np.complex128))
-    apply = lambda x: scaled.near_solve(h.matvec_level(h.depth, x))
-    est = estimate_spectral_radius(apply, h.n, iters=30)
-    dense_u = dense_from_operator(apply, h.n)
-    rho = float(np.max(np.abs(np.linalg.eigvals(dense_u))))
-    assert rho < 1.0
-    assert abs(est.value - rho) <= 0.1 * rho
 
 
 # -- one factorization per operator -------------------------------------------
