@@ -7,6 +7,8 @@ list, and a config key outside it is rejected with the valid list.  So
 ``bench``, which has no ``--geometry``, runs strips only.  ``--levels``
 picks the far levels assembled, and so the levels the power series runs;
 ``RunConfig.level_filter`` checks it against the tree for every solver.
+``compare`` assembles every level once and runs the power series on the
+operator that keeps the chosen ones (``HMatrix.keep_levels``).
 All CSV artifacts are byte-deterministic for a fixed config: timings
 appear only in the plain-text summaries.
 """
@@ -42,6 +44,7 @@ from .solvers import IterativeReport, gmres, lu_solve
 GEOMETRIES = ("strip", "circle", "disk")
 SOLVER_NAMES = ("pss", "gmres", "lu")
 BENCH_MATVEC_ROUNDS = 11
+BENCH_SAMPLE_S = 0.01  # least wall time of one timed run of consecutive matvecs
 
 
 @dataclass(frozen=True)
@@ -319,14 +322,12 @@ def run_solve(cfg: RunConfig) -> int:
 
 def run_compare(cfg: RunConfig) -> int:
     # the baselines, and memory_report.csv, see the complete operator; the
-    # power series runs on one assembled with the levels --levels names
+    # power series runs on the part of it that keeps the levels --levels names
     solvers = cfg._solver_list()
     mesh, spec, tree, levels, b_mesh = _build_problem(cfg, solvers)
     h = assemble(spec, tree, cfg.aca_tol, eta=cfg.eta)
     _write_problem(cfg, mesh, h)
-    h_pss = h
-    if levels is not None and "pss" in solvers:
-        h_pss = assemble(spec, tree, cfg.aca_tol, eta=cfg.eta, level_filter=levels)
+    h_pss = h if levels is None else h.keep_levels(levels)
 
     runs: Dict[str, SolverRun] = {}
     for name in solvers:
@@ -405,14 +406,23 @@ def run_bench(cfg: RunConfig) -> int:
                 failures.append(f"N={n}: stored entries reach the dense count {n * n}")
 
     # every size's matvec is timed once per round, so a change in host speed
-    # during the run slows all sizes alike instead of tilting the slope
+    # during the run slows all sizes alike instead of tilting the slope; each
+    # timing runs enough products back to back to span BENCH_SAMPLE_S, so
+    # host noise does not rule the smallest sizes, whose one product is short
+    counts = []
+    for h, x in operators:
+        h.matvec(x)
+        t0 = time.perf_counter()
+        h.matvec(x)
+        counts.append(max(1, math.ceil(BENCH_SAMPLE_S / (time.perf_counter() - t0))))
     samples: List[List[float]] = [[] for _ in operators]
     for _ in range(BENCH_MATVEC_ROUNDS):
-        for (h, x), times in zip(operators, samples):
+        for (h, x), count, times in zip(operators, counts, samples):
             h.matvec(x)  # untimed warm-up
             t0 = time.perf_counter()
-            h.matvec(x)
-            times.append(time.perf_counter() - t0)
+            for _ in range(count):
+                h.matvec(x)
+            times.append((time.perf_counter() - t0) / count)
     rows = [row + (float(np.median(times)),) for row, times in zip(rows, samples)]
 
     os.makedirs(cfg.out, exist_ok=True)

@@ -6,29 +6,48 @@ level (coarsest-admissible attachment: its parent pair was not admissible);
 a non-admissible leaf pair becomes a dense near block; everything else
 recurses.  Far blocks therefore live on levels 1..L and the near field is
 a union of leaf-pair blocks that always includes every diagonal leaf pair.
+The partition is symmetric: (t, s) is a pair exactly when (s, t) is.
 
-Assembly fills the near field with one kernel call per near block.  Each
-far level is compressed on its own: its pairs are grouped by block shape,
-each group goes to ACA in lockstep stacks, every block is recompressed on
-its own, and the level's factors are packed into one buffer each before
-the next level starts.  Once the last level is done, the levels move, one
-at a time, into the operator's one U and V.
+The kernel decides what is stored.  When it is reciprocal
+(``KernelSpec.reciprocal``: Z_ij = Z_ji off the diagonal, bit for bit),
+assembly fills, compresses and stores only the diagonal leaf blocks and
+the off-diagonal pairs whose row start lies below their col start; each
+of those also stands, transposed, at its mirror position (s, t).  For any
+other kernel every pair is stored and the mirror set is empty.  Either
+way the code is the same and no entry is stored twice.
+
+Assembly fills the near field with one kernel call per stored near block.
+Each far level is compressed on its own: its stored pairs are grouped by
+block shape, each group goes to ACA in lockstep stacks, every block is
+recompressed on its own, and the level's factors are packed into one
+buffer before the next level starts.  Once the last level is done, the
+levels move, one at a time, into the operator's one far buffer.
 
 Storage keeps each part of the operator in the layout it is applied in.
 The near field Z_N is one C-ordered dense stack of shape (B, m, n) per
-near-block shape, which lists each block's row and col start.  A near
-matvec is one gather of x, one batched ``np.matmul`` per stack into
-a preallocated buffer, and one ``np.bincount`` that adds the products into
-their rows.  ``near_matrix`` builds the canonical CSC matrix that the near
-factorization in ``scaling`` takes from the same stacks.  All far levels
-share one CSC factor U (N x K) and one CSR factor V (K x N), K being the
-summed ranks of all far blocks, level after level; far level l is the
-product U_l V_l of zero-copy column and row views of them.  Every block's
-u is one Fortran-ordered run of U's buffer and its v one C-ordered run of
-V's, so no entry is stored twice; far indices are int32.  A full matvec
-is the near product plus U (V x).
+block shape, the diagonal blocks apart from the off-diagonal ones, each
+stack listing its blocks' row and col starts.  A near matvec is one
+gather of x, one batched ``np.matmul`` per stack, one more over the
+transposed view of each mirrored stack, all into a preallocated buffer,
+and one ``np.bincount`` that adds the products into their rows.
+``near_matrix`` builds from the stacks, mirrors included, the canonical
+CSC matrix the near factorization in ``scaling`` takes.
 
-Far levels can be assembled selectively (``level_filter``); skipped levels
+Every rank-one term of a far block owns a column u of length m and a row
+v of length n, stored as runs of one buffer.  A block's u is one
+Fortran-ordered run and its v one C-ordered run; far indices are int32.
+The far field is applied as L (R x)[swap], with L a CSC and R a CSR
+matrix over runs of that buffer.  With mirrors each level's buffer holds
+its u columns and then its v rows, and L = [U_l, V_l^T] and
+R = [U_l^T; V_l] = L^T view the same data, indices and pointers; ``swap``
+exchanges the halves of R x, so the product is U_l (V_l x) +
+V_l^T (U_l^T x) in two sparse products.  Without mirrors every level's
+u columns come first and then every level's v rows, L = U, R = V and
+``swap`` is the identity.  Either way a far level is one run of L's
+columns and R's rows, and the full far field covers them all.
+
+Far levels can be assembled selectively (``level_filter``), or dropped
+from an assembled operator (``HMatrix.keep_levels``); absent levels
 simply contribute nothing, which downstream solvers treat as exact zeros,
 and the power-series cascade runs exactly the levels that hold blocks.
 """
@@ -90,15 +109,18 @@ def build_block_partition(tree: ClusterTree, eta: float = 1.0) -> BlockPartition
 
 @dataclass(frozen=True)
 class NearStack:
-    """The near blocks of one shape (m, n) as one dense stack.
+    """The stored near blocks of one shape (m, n) as one dense stack.
 
     ``data`` is C-ordered with shape (B, m, n); ``data[i]`` is the block at
     rows ``row_starts[i]`` + [0, m) and cols ``col_starts[i]`` + [0, n).
+    When ``mirrored``, ``data[i]`` transposed also stands at rows
+    ``col_starts[i]`` + [0, n) and cols ``row_starts[i]`` + [0, m).
     """
 
     data: np.ndarray
     row_starts: np.ndarray
     col_starts: np.ndarray
+    mirrored: bool = False
 
     def coordinates(self) -> Tuple[np.ndarray, np.ndarray]:
         """int32 row and col index of every entry of ``data``, each of its shape."""
@@ -109,60 +131,108 @@ class NearStack:
 
 
 @dataclass
-class SparseStorage:
-    """The stored entries of an H-matrix, each in the layout it is applied in.
+class NearField:
+    """Z_N on N unknowns: its stacks, the plan of its product and its factor.
 
-    ``near`` holds Z_N as one dense stack per near-block shape.  ``u``
-    (N x K, CSC) and ``v`` (K x N, CSR) hold every far level, level after
-    level, and ``levels`` maps each far level that holds blocks to its
-    (U_l, V_l), whose data and indices are views of ``u``'s and ``v``'s.
+    ``stacks`` lists the diagonal stacks, then the off-diagonal ones.  The
+    product applies ``operands`` in turn, each stack and then, if
+    mirrored, its transposed view: ``gather`` lists the x entry each row
+    of each batched product reads, ``scatter`` the slot of y, viewed as
+    interleaved real and imaginary float64, that each product entry's
+    real and imaginary part adds into, and ``products`` is the buffer the
+    batched products are written to, so two near products on one near
+    field must not run at the same time.
 
-    The rest is the near product's plan, derived from ``near``: ``gather``
-    lists the x entry each row of each stacked block product reads,
-    ``scatter`` the slot of y, viewed as interleaved real and imaginary
-    float64, that each product entry's real and imaginary part adds into,
-    and ``products`` is the buffer the batched products are written to, so
-    two near products on one operator must not run at the same time.
-
-    ``near_factor`` is derived state kept with the operator: the near-field
-    factorization ``scaling.compute_scaling`` makes on its first call for
-    this operator, and ``None`` before that.  ``assemble`` makes the near
-    stacks read-only, and so every view of them, so the stored entries
-    cannot drift from the factor.
+    ``factor`` is derived state: the factorization
+    ``scaling.compute_scaling`` makes on its first call for an operator
+    holding this near field, and ``None`` before that.  ``assemble`` makes
+    the stacks read-only, so the stored entries cannot drift from it.
     """
 
-    near: List[NearStack]
-    u: sp.csc_matrix
-    v: sp.csr_matrix
-    levels: Dict[int, Tuple[sp.csc_matrix, sp.csr_matrix]]
+    n: int
+    stacks: List[NearStack]
+    operands: List[np.ndarray] = field(init=False)
     gather: np.ndarray = field(init=False)
     scatter: np.ndarray = field(init=False)
     products: np.ndarray = field(init=False)
-    near_factor: Optional["NearFactor"] = field(default=None, init=False)
+    factor: Optional["NearFactor"] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
-        coords = [stack.coordinates() for stack in self.near]
-        self.gather = np.concatenate([cols[:, 0, :].ravel() for _, cols in coords]).astype(np.intp)
-        rows = np.concatenate([rows[:, :, 0].ravel() for rows, _ in coords]).astype(np.intp)
+        self.operands, reads, writes = [], [], []
+        for stack in self.stacks:
+            rows, cols = stack.coordinates()
+            rows, cols = rows[:, :, 0], cols[:, 0, :]
+            self.operands.append(stack.data)
+            reads.append(cols.ravel())
+            writes.append(rows.ravel())
+            if stack.mirrored:
+                self.operands.append(stack.data.transpose(0, 2, 1))
+                reads.append(rows.ravel())
+                writes.append(cols.ravel())
+        self.gather = np.concatenate(reads).astype(np.intp)
+        rows = np.concatenate(writes).astype(np.intp)
         self.scatter = (2 * rows[:, None] + np.arange(2)).ravel()
         self.products = np.empty(rows.size, dtype=np.complex128)
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Z_N x: one batched product per operand, summed into rows."""
+        xs = x[self.gather]
+        start_x = start_y = 0
+        for operand in self.operands:
+            b, m, n = operand.shape
+            out = self.products[start_y : start_y + b * m].reshape(b, m, 1)
+            np.matmul(operand, xs[start_x : start_x + b * n].reshape(b, n, 1), out=out)
+            start_x, start_y = start_x + b * n, start_y + b * m
+        y = np.bincount(self.scatter, weights=self.products.view(np.float64), minlength=2 * self.n)
+        return y.view(np.complex128)
 
-def _near_storage(geometry: List[Tuple[int, int, int, int]]) -> List[NearStack]:
-    """Unfilled near stacks, one per block shape.
+    def matrix(self) -> sp.csc_matrix:
+        """Z_N, mirrors included, as the CSC matrix ``splu`` takes, in
+        canonical form (sorted indices), so it does not depend on the order
+        or the orientation the blocks are stored in."""
+        rows, cols, data = [], [], []
+        for stack in self.stacks:
+            r, c = stack.coordinates()
+            rows.append(r.ravel())
+            cols.append(c.ravel())
+            data.append(stack.data.ravel())
+            if stack.mirrored:
+                rows.append(c.ravel())
+                cols.append(r.ravel())
+                data.append(stack.data.ravel())
+        rows, cols, data = (np.concatenate(parts) for parts in (rows, cols, data))
+        return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsc()
 
-    ``geometry`` lists (row_start, row_stop, col_start, col_stop) per block.
-    Stacks come in the order their shape first appears, and blocks within
-    a stack in list order.
+
+@dataclass(frozen=True)
+class FarFactors:
+    """Far blocks applied as ``left @ (right @ x)[swap]``.
+
+    ``left`` (N x R, CSC) and ``right`` (R x N, CSR) view runs of the
+    operator's far buffer, and ``swap`` (R,) names the entry of
+    ``right @ x`` each column of ``left`` multiplies (see the module
+    docstring).
     """
-    shapes: Dict[Tuple[int, int], List[Tuple[int, int, int, int]]] = {}
-    for r0, r1, c0, c1 in geometry:
-        shapes.setdefault((r1 - r0, c1 - c0), []).append((r0, r1, c0, c1))
-    stacks: List[NearStack] = []
-    for (m, n), members in shapes.items():
-        starts = np.array(members, dtype=np.int32)
-        stacks.append(NearStack(np.empty((len(members), m, n), dtype=np.complex128), starts[:, 0], starts[:, 2]))
-    return stacks
+
+    left: sp.csc_matrix
+    right: sp.csr_matrix
+    swap: np.ndarray
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self.left @ (self.right @ x)[self.swap]
+
+    @property
+    def width(self) -> int:
+        return self.left.shape[1]
+
+    def part(self, start: int, stop: int) -> "FarFactors":
+        """Columns [start, stop) of ``left`` with the same rows of ``right``,
+        zero-copy; ``swap`` must keep that range to itself."""
+        return FarFactors(
+            _major_range(sp.csc_matrix, _arrays(self.left), start, stop, (self.left.shape[0], stop - start)),
+            _major_range(sp.csr_matrix, _arrays(self.right), start, stop, (stop - start, self.right.shape[1])),
+            self.swap[start:stop] - start,
+        )
 
 
 def _compressed_view(kind, arrays: Tuple[np.ndarray, np.ndarray, np.ndarray], shape: Tuple[int, int]):
@@ -176,14 +246,60 @@ def _compressed_view(kind, arrays: Tuple[np.ndarray, np.ndarray, np.ndarray], sh
     return mat
 
 
+def _arrays(mat) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return mat.data, mat.indices, mat.indptr
+
+
+def _major_range(kind, arrays: Tuple[np.ndarray, np.ndarray, np.ndarray], start: int, stop: int, shape: Tuple[int, int]):
+    """Columns (CSC) or rows (CSR) [start, stop) of the compressed
+    (data, indices, indptr) ``arrays`` as a matrix viewing them."""
+    data, indices, indptr = arrays
+    lo, hi = indptr[start], indptr[stop]
+    return _compressed_view(kind, (data[lo:hi], indices[lo:hi], indptr[start : stop + 1] - lo), shape)
+
+
+@dataclass
+class SparseStorage:
+    """The stored entries of an H-matrix, each in the layout it is applied in.
+
+    ``near`` is Z_N (see ``NearField``).  ``far`` applies every far level
+    the operator holds, and ``levels`` maps each of those levels that
+    holds blocks to the part of ``far`` that applies it alone.  ``mirror``
+    says whether every stored off-diagonal block, near or far, also
+    stands transposed at its mirror position; the kernel decides it.
+    """
+
+    near: NearField
+    far: FarFactors
+    levels: Dict[int, FarFactors]
+    mirror: bool
+
+
+def _near_storage(geometry: List[Tuple[int, int, int, int]], mirrored: bool) -> List[NearStack]:
+    """Unfilled near stacks, one per block shape.
+
+    ``geometry`` lists (row_start, row_stop, col_start, col_stop) per block.
+    Stacks come in the order their shape first appears, and blocks within
+    a stack in list order.
+    """
+    shapes: Dict[Tuple[int, int], List[Tuple[int, int, int, int]]] = {}
+    for r0, r1, c0, c1 in geometry:
+        shapes.setdefault((r1 - r0, c1 - c0), []).append((r0, r1, c0, c1))
+    stacks: List[NearStack] = []
+    for (m, n), members in shapes.items():
+        starts = np.array(members, dtype=np.int32)
+        data = np.empty((len(members), m, n), dtype=np.complex128)
+        stacks.append(NearStack(data, starts[:, 0], starts[:, 2], mirrored))
+    return stacks
+
+
 def _views(info: np.ndarray, u_data: np.ndarray, v_data: np.ndarray) -> List[LowRankBlock]:
-    """Blocks whose factors view consecutive runs of the buffers of a CSC
-    factor U and a CSR factor V, one block after another.
+    """Blocks whose factors view consecutive runs of a buffer of u columns
+    and one of v rows, one block after another.
 
     ``info`` holds each block's (rank, height, width, row_start, col_start).
-    A block of rank k owns k columns of U, each m long, and k rows of V,
-    each w long, so its u is one Fortran-ordered run of U's buffer and its
-    v one C-ordered run of V's.
+    A block of rank k owns k u columns, each m long, and k v rows, each w
+    long, so its u is one Fortran-ordered run and its v one C-ordered run.
     """
     views: List[LowRankBlock] = []
     us = vs = 0
@@ -196,9 +312,9 @@ def _views(info: np.ndarray, u_data: np.ndarray, v_data: np.ndarray) -> List[Low
 
 
 def _pack_level(blocks: List[LowRankBlock]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One level's factors copied into one buffer each, laid out as in U
-    and V; this frees the many small arrays compression left before the
-    next level starts.  Returns the ``_views`` info and the two buffers."""
+    """One level's factors copied into one buffer each, laid out as in the
+    far buffer; this frees the many small arrays compression left before
+    the next level starts.  Returns the ``_views`` info and the two buffers."""
     info = np.array([(b.rank, *b.shape, b.row_start, b.col_start) for b in blocks], dtype=np.int64).reshape(-1, 5)
     u_data = np.empty(int(info[:, 0] @ info[:, 1]), dtype=np.complex128)
     v_data = np.empty(int(info[:, 0] @ info[:, 2]), dtype=np.complex128)
@@ -217,44 +333,58 @@ def _runs(starts: np.ndarray, lengths: np.ndarray, repeats: np.ndarray) -> np.nd
 
 
 def _far_storage(
-    packed: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]], n: int
-) -> Tuple[Dict[int, List[LowRankBlock]], sp.csc_matrix, sp.csr_matrix, Dict[int, Tuple[sp.csc_matrix, sp.csr_matrix]]]:
-    """Move the packed far levels into one U (CSC) and one V (CSR).
+    packed: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]], n: int, mirror: bool
+) -> Tuple[Dict[int, List[LowRankBlock]], FarFactors, Dict[int, FarFactors]]:
+    """Move the packed far levels into the one far buffer, laid out as the
+    module docstring says.
 
     Levels are copied in level order and taken out of ``packed`` one at a
     time, so each level's buffers are freed before the next is copied.
-    Returns blocks viewing U and V, U, V, and for each level holding blocks
-    its (U_l, V_l), which view the columns of U and the rows of V its
-    blocks own.
+    Returns blocks viewing the buffer, the far field, and for each level
+    holding blocks the part of it that applies that level alone.
     """
-    every = np.concatenate([np.zeros((0, 5), dtype=np.int64)] + [packed[level][0] for level in sorted(packed)])
-    u_ptr = np.concatenate([[0], np.cumsum(np.repeat(every[:, 1], every[:, 0]))]).astype(np.int32)
-    v_ptr = np.concatenate([[0], np.cumsum(np.repeat(every[:, 2], every[:, 0]))]).astype(np.int32)
-    u_data = np.empty(int(u_ptr[-1]), dtype=np.complex128)
-    v_data = np.empty(int(v_ptr[-1]), dtype=np.complex128)
-    u_rows = np.empty(u_data.size, dtype=np.int32)
-    v_cols = np.empty(v_data.size, dtype=np.int32)
+    order = sorted(packed)
+    rank = {level: int(packed[level][0][:, 0].sum()) for level in order}
+    # the buffer's runs in order: side 0 is a level's u columns, side 1 its v rows
+    runs = [(level, side) for level in order for side in (0, 1)]
+    if not mirror:
+        runs.sort(key=lambda run: run[1])
+    lengths = [np.repeat(packed[level][0][:, 1 + side], packed[level][0][:, 0]) for level, side in runs]
+    ptr = np.cumsum(np.concatenate([[0]] + lengths)).astype(np.int32)
+    first = dict(zip(runs, np.cumsum([0] + [rank[level] for level, _ in runs]).tolist()))
+    data = np.empty(int(ptr[-1]), dtype=np.complex128)
+    indices = np.empty(data.size, dtype=np.int32)
     far_blocks: Dict[int, List[LowRankBlock]] = {}
-    levels: Dict[int, Tuple[sp.csc_matrix, sp.csr_matrix]] = {}
-    k0 = 0
-    for level in sorted(packed):
+    for level in order:
         info, u_chunk, v_chunk = packed.pop(level)
         ranks, heights, widths, row_starts, col_starts = info.T
-        k1 = k0 + int(ranks.sum())
-        u_cols, v_rows = slice(u_ptr[k0], u_ptr[k1]), slice(v_ptr[k0], v_ptr[k1])
-        u_data[u_cols], v_data[v_rows] = u_chunk, v_chunk
-        u_rows[u_cols] = _runs(row_starts, heights, ranks)
-        v_cols[v_rows] = _runs(col_starts, widths, ranks)
-        far_blocks[level] = _views(info, u_data[u_cols], v_data[v_rows])
-        if k1 > k0:
-            levels[level] = (
-                _compressed_view(sp.csc_matrix, (u_data[u_cols], u_rows[u_cols], u_ptr[k0 : k1 + 1] - u_ptr[k0]), (n, k1 - k0)),
-                _compressed_view(sp.csr_matrix, (v_data[v_rows], v_cols[v_rows], v_ptr[k0 : k1 + 1] - v_ptr[k0]), (k1 - k0, n)),
-            )
-        k0 = k1
-    u_mat = sp.csc_matrix((u_data, u_rows, u_ptr), shape=(n, k0))
-    v_mat = sp.csr_matrix((v_data, v_cols, v_ptr), shape=(k0, n))
-    return far_blocks, u_mat, v_mat, levels
+        u, v = (slice(ptr[first[level, side]], ptr[first[level, side] + rank[level]]) for side in (0, 1))
+        data[u], data[v] = u_chunk, v_chunk
+        indices[u] = _runs(row_starts, heights, ranks)
+        indices[v] = _runs(col_starts, widths, ranks)
+        far_blocks[level] = _views(info, data[u], data[v])
+
+    k = sum(rank.values())
+    arrays = (data, indices, ptr)
+    if mirror:
+        far = FarFactors(
+            _major_range(sp.csc_matrix, arrays, 0, 2 * k, (n, 2 * k)),
+            _major_range(sp.csr_matrix, arrays, 0, 2 * k, (2 * k, n)),
+            np.concatenate(
+                [np.zeros(0, dtype=np.intp)]
+                + [np.roll(np.arange(first[level, 0], first[level, 0] + 2 * rank[level]), rank[level]) for level in order]
+            ),
+        )
+        bounds = {level: (first[level, 0], first[level, 0] + 2 * rank[level]) for level in order}
+    else:
+        far = FarFactors(
+            _major_range(sp.csc_matrix, arrays, 0, k, (n, k)),
+            _major_range(sp.csr_matrix, arrays, k, 2 * k, (k, n)),
+            np.arange(k, dtype=np.intp),
+        )
+        bounds = {level: (first[level, 0], first[level, 0] + rank[level]) for level in order}
+    levels = {level: far.part(*bounds[level]) for level in order if rank[level]}
+    return far_blocks, far, levels
 
 
 @dataclass
@@ -262,14 +392,16 @@ class HMatrix:
     """Assembled hierarchical operator in tree-permuted coordinates.
 
     ``storage`` is the operator's only state and has one layout: every
-    block is stored as it is applied.  The near stacks serve the near
-    product and, through ``near_matrix``, the near factorization in
-    ``scaling``; the one U and V serve the full matvec, and their per-level
-    views the level products.  ``far_blocks`` are views of it, and the
+    stored block is kept as it is applied, and a mirror is applied from
+    the block it mirrors.  The near field serves the near product and,
+    through ``near_matrix``, the near factorization in ``scaling``; the far
+    factors serve the full matvec, and their per-level parts the level
+    products.  ``far_blocks`` are views of the stored far blocks, and the
     levels it holds blocks on are the levels the power-series cascade
     runs.  The only derived state is the near factorization, made once per
-    operator and kept in ``storage.near_factor``; the near field is
-    read-only from assembly on.  Only ``assemble`` builds one.
+    near field and kept with it; the near field is read-only from assembly
+    on.  ``assemble`` builds an operator, and ``keep_levels`` one that
+    shares another's storage.
     """
 
     tree: ClusterTree
@@ -308,33 +440,18 @@ class HMatrix:
     # -- near field -------------------------------------------------------
 
     def near_matvec(self, x: np.ndarray) -> np.ndarray:
-        """Z_N x: one batched product per near stack, summed into rows."""
-        x = self._vector(x)
-        store = self.storage
-        xs = x[store.gather]
-        start_x = start_y = 0
-        for stack in store.near:
-            b, m, n = stack.data.shape
-            out = store.products[start_y : start_y + b * m].reshape(b, m, 1)
-            np.matmul(stack.data, xs[start_x : start_x + b * n].reshape(b, n, 1), out=out)
-            start_x, start_y = start_x + b * n, start_y + b * m
-        y = np.bincount(store.scatter, weights=store.products.view(np.float64), minlength=2 * self.n)
-        return y.view(np.complex128)
+        """Z_N x: one batched product per near stack and per mirror, summed into rows."""
+        return self.storage.near.apply(self._vector(x))
 
     def near_matrix(self) -> sp.csc_matrix:
-        """Z_N as the CSC matrix ``splu`` takes, in canonical form (sorted
-        indices), so it does not depend on the order the blocks are stored in."""
-        coords = [stack.coordinates() for stack in self.storage.near]
-        rows = np.concatenate([r.ravel() for r, _ in coords])
-        cols = np.concatenate([c.ravel() for _, c in coords])
-        data = np.concatenate([stack.data.ravel() for stack in self.storage.near])
-        return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsc()
+        """Z_N, mirrors included, as the canonical CSC matrix ``splu`` takes."""
+        return self.storage.near.matrix()
 
     def diagonal_blocks(self) -> List[Tuple[int, np.ndarray]]:
         """(row start, view of the block in its stack) of every diagonal
         leaf block, ordered by row start."""
         blocks = []
-        for stack in self.storage.near:
+        for stack in self.storage.near.stacks:
             starts = zip(stack.row_starts.tolist(), stack.col_starts.tolist(), stack.data)
             blocks += [(r0, block) for r0, c0, block in starts if r0 == c0]
         return sorted(blocks, key=lambda pair: pair[0])
@@ -342,28 +459,54 @@ class HMatrix:
     # -- far field --------------------------------------------------------
 
     def matvec_level(self, level: int, x: np.ndarray) -> np.ndarray:
-        """Action of the level-``level`` far-field part alone: U_l (V_l x)."""
-        if level < 1 or level > self.depth:
+        """Action of the level-``level`` far-field part alone, mirrors included."""
+        if not 1 <= level <= self.depth:
             raise ValueError(f"far-field level must lie in 1..{self.depth}")
         x = self._vector(x)
         factors = self.storage.levels.get(level)
         if factors is None:
             return np.zeros(self.n, dtype=np.complex128)
-        u, v = factors
-        return u @ (v @ x)
+        return factors.apply(x)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Full assembled action: the near product plus U (V x), which
-        covers every level holding blocks."""
+        """Full assembled action: the near product plus the far factors,
+        which cover every level holding blocks."""
         x = self._vector(np.asarray(x, dtype=np.complex128))
         y = self.near_matvec(x)
-        y += self.storage.u @ (self.storage.v @ x)
+        y += self.storage.far.apply(x)
         return y
 
     def covers_all_far_levels(self) -> bool:
         """True when every level with admissible pairs was assembled."""
         needed = {lvl for lvl, pairs in self.partition.far_pairs.items() if pairs}
         return needed.issubset(self.far_blocks)
+
+    def keep_levels(self, levels: Iterable[int]) -> "HMatrix":
+        """This operator with only the far ``levels`` it holds, which must
+        be consecutive among the levels holding blocks.
+
+        The result shares this operator's near field, its near
+        factorization included, and views its far factors, and it acts bit
+        for bit as an assembly with ``level_filter=levels`` would.
+        """
+        keep = set(levels)
+        if not keep <= set(self.far_blocks):
+            raise ValueError(f"levels {sorted(keep - set(self.far_blocks))} are not held by this operator")
+        held = sorted(self.storage.levels)
+        widths = [self.storage.levels[level].width for level in held]
+        kept = [i for i, level in enumerate(held) if level in keep]
+        if kept and kept != list(range(kept[0], kept[0] + len(kept))):
+            raise ValueError(f"levels {sorted(keep)} are not consecutive among the levels holding blocks {held}")
+        start = sum(widths[: kept[0]]) if kept else 0
+        far = self.storage.far.part(start, start + sum(widths[i] for i in kept))
+        parts = {held[i]: self.storage.levels[held[i]] for i in kept}
+        storage = SparseStorage(self.storage.near, far, parts, self.storage.mirror)
+        stats: Dict[str, object] = {
+            "far_levels": {level: v for level, v in self.stats["far_levels"].items() if level in keep},
+            "rank_flags": [flag for flag in self.stats["rank_flags"] if flag[0] in keep],
+        }
+        far_blocks = {level: blocks for level, blocks in self.far_blocks.items() if level in keep}
+        return HMatrix(self.tree, self.partition, far_blocks, storage, stats)
 
 
 def _compress_level(
@@ -415,6 +558,10 @@ def assemble(
 ) -> HMatrix:
     """Build the H-matrix: dense near blocks plus per-level ACA far blocks.
 
+    For a reciprocal kernel only the diagonal blocks and the pairs whose
+    row start lies below their col start are filled, compressed and
+    stored; the rest are applied as their transposes.
+
     Parameters
     ----------
     level_filter : iterable of int, optional
@@ -434,9 +581,18 @@ def assemble(
         raise ValueError(f"level_filter contains invalid levels {sorted(bad)} for depth {tree.depth}")
 
     nodes = tree.nodes
-    geometry = [(nodes[t].start, nodes[t].stop, nodes[s].start, nodes[s].stop) for t, s in partition.near_pairs]
-    near = _near_storage(geometry)
-    for stack in near:
+    mirror = spec.reciprocal
+
+    def stored(pairs: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+        return [(t, s) for t, s in pairs if not mirror or nodes[t].start < nodes[s].start]
+
+    def geometry(pairs: List[Tuple[int, int]]) -> List[Tuple[int, int, int, int]]:
+        return [(nodes[t].start, nodes[t].stop, nodes[s].start, nodes[s].stop) for t, s in pairs]
+
+    diagonal = [(t, s) for t, s in partition.near_pairs if t == s]
+    off_diagonal = stored([(t, s) for t, s in partition.near_pairs if t != s])
+    stacks = _near_storage(geometry(diagonal), False) + _near_storage(geometry(off_diagonal), mirror)
+    for stack in stacks:
         _, m, n = stack.data.shape
         for block, r0, c0 in zip(stack.data, stack.row_starts.tolist(), stack.col_starts.tolist()):
             block[...] = entry_fn(np.arange(r0, r0 + m), np.arange(c0, c0 + n))
@@ -446,9 +602,10 @@ def assemble(
     rank_flags: List[Tuple[int, int, int, int]] = []
     packed: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for level in sorted(levels):
-        packed[level] = _pack_level(_compress_level(entry_fn, nodes, partition.far_pairs.get(level, []), level, tol))
+        pairs = stored(partition.far_pairs.get(level, []))
+        packed[level] = _pack_level(_compress_level(entry_fn, nodes, pairs, level, tol))
         rank_flags.extend((level, r0, c0, k) for k, m, w, r0, c0 in packed[level][0].tolist() if 2 * k > min(m, w))
-    far_blocks, u, v, level_storage = _far_storage(packed, spec.n)
+    far_blocks, far, level_storage = _far_storage(packed, spec.n, mirror)
 
     stats: Dict[str, object] = {
         "far_levels": {
@@ -461,7 +618,7 @@ def assemble(
         },
         "rank_flags": rank_flags,
     }
-    storage = SparseStorage(near, u, v, level_storage)
+    storage = SparseStorage(NearField(spec.n, stacks), far, level_storage, mirror)
     return HMatrix(tree, partition, far_blocks, storage, stats)
 
 
@@ -471,7 +628,7 @@ def assemble(
 
 @dataclass
 class MemoryReport:
-    """Stored-entry census at 16 bytes per complex entry."""
+    """Stored-entry census at 16 bytes per complex entry; a mirror stores nothing."""
 
     rows: List[Tuple[str, int, int, float]]
     total_entries: int
@@ -485,10 +642,11 @@ class MemoryReport:
 
 
 def memory_report(h: HMatrix) -> MemoryReport:
+    """Stored blocks and entries of the near field and of each far level."""
     rows: List[Tuple[str, int, int, float]] = []
-    near = h.storage.near
-    near_entries = int(sum(stack.data.size for stack in near))
-    rows.append(("near", sum(len(stack.data) for stack in near), near_entries, near_entries * BYTES_PER_ENTRY / 1e6))
+    stacks = h.storage.near.stacks
+    near_entries = int(sum(stack.data.size for stack in stacks))
+    rows.append(("near", sum(len(stack.data) for stack in stacks), near_entries, near_entries * BYTES_PER_ENTRY / 1e6))
     total = near_entries
     for level in sorted(h.far_blocks):
         blks = h.far_blocks[level]

@@ -36,6 +36,11 @@ elements share a centre) is also the only way r can be 0.  ``z_block``
 broadcasts over leading axes, so ACA samples one row (or one column) of
 every block in a stack with a single call.
 
+Since r is bitwise symmetric in i and j, Z_ij = Z_ji off the diagonal
+bit for bit whenever all column weights are equal, as on every mesh the
+generators make (equal extents); ``KernelSpec.reciprocal`` says so, and
+the H-matrix then stores each block pair once.
+
 The plane-wave right-hand side is b_i = exp(+j*k0*(c_i . d))
 with d = (cos(phi), sin(phi)).
 """
@@ -115,6 +120,16 @@ class KernelSpec:
             return ((k0 * ETA0 / 4.0) * self.mesh.extents).astype(np.complex128)
         a = self.mesh.extents / math.sqrt(math.pi)
         return 0.5j * math.pi * k0 * a * j1(k0 * a)
+
+    @cached_property
+    def reciprocal(self) -> bool:
+        """True when Z_ij = Z_ji off the diagonal, bit for bit.
+
+        The distance |c_i - c_j| is bitwise symmetric, so this holds
+        exactly when every column weight has the bits of the first.
+        """
+        bits = self.column_weights.view(np.uint64)
+        return bool(np.all(bits.reshape(-1, 2) == bits[:2]))
 
     @cached_property
     def center_coordinates(self) -> Tuple[np.ndarray, np.ndarray]:

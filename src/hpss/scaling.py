@@ -27,8 +27,9 @@ pass/fail check, so that a singular leaf is named; those factors are not
 solved with.
 
 None of this depends on the right-hand side, so it is done once per
-operator: the first ``compute_scaling`` on an ``HMatrix`` keeps the near
-factorization and the probe pairs with its storage.  ``assemble`` has made
+near field: the first ``compute_scaling`` on an ``HMatrix`` keeps the near
+factorization and the probe pairs with its near field, which operators
+made by ``HMatrix.keep_levels`` share.  ``assemble`` has made
 the near stacks read-only, so a write into a factored operator raises
 instead of being solved with a stale LU.  Every call then measures the
 defect for its own ``alpha_scale`` from the kept pairs.
@@ -127,7 +128,8 @@ def compute_scaling(
     """The near-field solve for ``b`` and the level-0 scaling defect.
 
     The first call on ``h`` factors its near field and keeps the result
-    with ``h.storage`` (see the module docstring); later calls reuse it.
+    with it, in ``h.storage.near`` (see the module docstring); later calls,
+    on ``h`` or on an operator sharing that near field, reuse it.
     The defect is max |alpha_scale * Z_N S(x) - x| over the kept probes,
     where S, the near solve, is alpha.  ``alpha_scale`` deliberately
     mis-scales alpha in that measurement (diagnostic knob used to exercise
@@ -137,10 +139,10 @@ def compute_scaling(
     b = np.asarray(b, dtype=np.complex128)
     if b.shape != (h.n,):
         raise ValueError(f"right-hand side must have length {h.n}")
-    store = h.storage
-    if store.near_factor is None:
-        store.near_factor = _factor_near_field(h)
-    near = store.near_factor
+    near_field = h.storage.near
+    if near_field.factor is None:
+        near_field.factor = _factor_near_field(h)
+    near = near_field.factor
 
     # the max over the probes is a lower estimate of |alpha Z_N - I|, since
     # they need not find its worst direction

@@ -22,9 +22,34 @@ def stored_near_blocks(h):
     a view of its slice of the near stack it sits in."""
     return [
         (r0, c0, block)
-        for stack in h.storage.near
+        for stack in h.storage.near.stacks
         for r0, c0, block in zip(stack.row_starts.tolist(), stack.col_starts.tolist(), stack.data)
     ]
+
+
+def applied_near_blocks(h):
+    """(row start, col start, block) of every near block the operator
+    applies: each stored block, and after it its mirror, if it has one, as
+    the transposed view of the stored block."""
+    blocks = []
+    for stack in h.storage.near.stacks:
+        for r0, c0, block in zip(stack.row_starts.tolist(), stack.col_starts.tolist(), stack.data):
+            blocks.append((r0, c0, block))
+            if stack.mirrored:
+                blocks.append((c0, r0, block.T))
+    return blocks
+
+
+def applied_far_blocks(h, level):
+    """(row start, col start, u, v) of every far block of ``level`` the
+    operator applies: each stored block, and after it its mirror
+    (v^T, u^T at the transposed position) when the operator mirrors."""
+    blocks = []
+    for blk in h.far_blocks.get(level, ()):
+        blocks.append((blk.row_start, blk.col_start, blk.u, blk.v))
+        if h.storage.mirror:
+            blocks.append((blk.col_start, blk.row_start, blk.v.T, blk.u.T))
+    return blocks
 
 
 def halved_strip(element):

@@ -34,6 +34,7 @@ from hpss import (
     solve,
 )
 from hpss.cli import main as cli_main
+from conftest import applied_far_blocks
 from hpss.kernels import z_block
 
 ACA_TOL = 1e-3
@@ -173,22 +174,27 @@ def test_criterion_4_fixed_counts_vs_growing_gmres(capsys):
 def test_criterion_5_sampled_block_compression_quality(capsys):
     mesh, spec, tree, h = assembled_strip(102.4, 10, 32)
     assert mesh.n_elements == 1024
-    blocks = [blk for level in sorted(h.far_blocks) for blk in h.far_blocks[level]]
+    # every far block the operator applies: each stored block and, as the
+    # strip's kernel is reciprocal, its mirror (v^T u^T at the transposed position)
+    assert spec.reciprocal
+    blocks = [blk for level in sorted(h.far_blocks) for blk in applied_far_blocks(h, level)]
     rng = np.random.default_rng(7)
     sample = [blocks[i] for i in rng.choice(len(blocks), size=12, replace=False)]
     assert len(sample) >= 10
+    mirrored = sum(1 for r0, c0, _, _ in sample if r0 > c0)
+    assert 0 < mirrored < len(sample)
     p = h.permutation
     worst = 0.0
-    for blk in sample:
-        m, n = blk.shape
-        dense = z_block(spec, p[blk.row_start:blk.row_start + m], p[blk.col_start:blk.col_start + n])
-        err = np.linalg.norm(dense - blk.u @ blk.v) / np.linalg.norm(dense)
+    for r0, c0, u, v in sample:
+        m, n = u.shape[0], v.shape[1]
+        dense = z_block(spec, p[r0:r0 + m], p[c0:c0 + n])
+        err = np.linalg.norm(dense - u @ v) / np.linalg.norm(dense)
         worst = max(worst, float(err))
     bound = 3 * ACA_TOL
     ok = worst <= bound
     emit(capsys, 5, ok,
          f"worst sampled-block Frobenius error {worst:.2e} <= {bound:.0e} "
-         f"over {len(sample)} of {len(blocks)} admissible blocks at N=1024")
+         f"over {len(sample)} ({mirrored} mirrored) of {len(blocks)} admissible blocks at N=1024")
     assert worst <= bound
 
 

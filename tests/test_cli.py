@@ -441,6 +441,22 @@ def test_compare_levels_leaf_runs_pss_on_the_leaf_only_operator(tmp_path, capsys
     assert read("leaf", "memory_report.csv") != read("full", "memory_report.csv")
 
 
+def test_compare_levels_assembles_once(tmp_path, capsys, monkeypatch):
+    import hpss.cli as cli
+
+    real, filters = cli.assemble, []
+
+    def counting(*args, **kwargs):
+        filters.append(kwargs.get("level_filter"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "assemble", counting)
+    argv = ["compare", *STRIP_ARGS, "--leaf-size", "5", "--levels", "leaf", "--solvers", "pss,gmres"]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert filters == [None]
+
+
 def test_pss_solve_levels_leaf_matches_all_on_depth_two_strip(tmp_path):
     # depth-2 strips have an empty level-1 far set, so restricting the
     # series to the leaf level must reproduce the full-chain curve

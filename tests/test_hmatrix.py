@@ -16,7 +16,7 @@ from hpss import (
     memory_report,
 )
 import hpss
-from conftest import stored_near_blocks
+from conftest import applied_far_blocks, applied_near_blocks, halved_strip, stored_near_blocks
 
 
 def entries_by_label(rep):
@@ -282,31 +282,38 @@ def test_memory_report_csv_is_deterministic(tmp_path, strip_system):
 
 
 def loop_near_matvec(h, x):
-    """Reference near action: one dense product per stored block."""
+    """Reference near action: one dense product per stored or mirrored block."""
     y = np.zeros(h.n, dtype=np.complex128)
-    for r0, c0, block in stored_near_blocks(h):
+    for r0, c0, block in applied_near_blocks(h):
         m, n = block.shape
         y[r0 : r0 + m] += block @ x[c0 : c0 + n]
     return y
 
 
 def loop_level_matvec(h, level, x):
-    """Reference level action: u (v x) per block."""
+    """Reference level action: u (v x) per stored or mirrored block."""
     y = np.zeros(h.n, dtype=np.complex128)
-    for blk in h.far_blocks.get(level, ()):
-        m, n = blk.shape
-        rows, cols = slice(blk.row_start, blk.row_start + m), slice(blk.col_start, blk.col_start + n)
-        y[rows] += blk.u @ (blk.v @ x[cols])
+    for r0, c0, u, v in applied_far_blocks(h, level):
+        y[r0 : r0 + u.shape[0]] += u @ (v @ x[c0 : c0 + v.shape[1]])
     return y
 
 
-def report_from_blocks(h):
-    """memory_report rows recomputed from the block shapes alone."""
+def stored_pairs(h, pairs):
+    """The pairs the mirror rule stores: all of them without mirrors, else
+    the diagonal ones and those whose row start lies below their col start."""
     nodes = h.tree.nodes
-    near = sum(nodes[t].size * nodes[s].size for t, s in h.partition.near_pairs)
-    rows = [("near", len(h.partition.near_pairs), near)]
+    return [(t, s) for t, s in pairs if t == s or not h.storage.mirror or nodes[t].start < nodes[s].start]
+
+
+def report_from_blocks(h):
+    """memory_report rows recomputed from the partition, the mirror rule
+    and the far blocks' shapes."""
+    nodes = h.tree.nodes
+    near_pairs = stored_pairs(h, h.partition.near_pairs)
+    rows = [("near", len(near_pairs), sum(nodes[t].size * nodes[s].size for t, s in near_pairs))]
     for level in sorted(h.far_blocks):
         blks = h.far_blocks[level]
+        assert len(blks) == len(stored_pairs(h, h.partition.far_pairs[level]))
         rows.append((str(level), len(blks), sum(b.rank * (b.shape[0] + b.shape[1]) for b in blks)))
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     return rows
@@ -318,15 +325,22 @@ def packed_case(name, strip_system):
     if name == "depth-0":
         mesh = discretize_strip(1.0, 10)
         return assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 16), tol=1e-3)
+    if name == "halved-strip":
+        mesh = halved_strip(7)
+        return assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 32), tol=1e-3)
     mesh = discretize_disk(0.3, 16, 2.0)
     tree = build_cluster_tree(mesh, 8)
     levels = [tree.depth] if name == "leaf-only-disk" else None
     return assemble(KernelSpec.for_mesh(mesh), tree, tol=1e-3, level_filter=levels)
 
 
-@pytest.mark.parametrize("name", ["strip", "disk", "leaf-only-disk", "depth-0"])
+CASES = ["strip", "disk", "leaf-only-disk", "depth-0", "halved-strip"]
+
+
+@pytest.mark.parametrize("name", CASES)
 def test_packed_operator_matches_block_loops(name, strip_system):
     h = packed_case(name, strip_system)
+    assert h.storage.mirror == (name != "halved-strip")
     rng = np.random.default_rng(31)
     x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
 
@@ -341,42 +355,128 @@ def test_packed_operator_matches_block_loops(name, strip_system):
         want = want + y
     assert close(h.matvec(x), want)
 
-    # one copy of every entry: the stacks hold each entry of the near pairs
-    # once and nothing else
+    # one copy of every entry: the stacks hold each entry of the stored
+    # near pairs once, diagonal stacks first, and with the mirrors they
+    # cover the near pairs once
     store = h.storage
-    assert all(stack.data.flags.c_contiguous for stack in store.near)
-    coords = [stack.coordinates() for stack in store.near]
+    stacks = store.near.stacks
+    assert all(stack.data.flags.c_contiguous for stack in stacks)
+    diagonal = [bool(np.array_equal(stack.row_starts, stack.col_starts)) for stack in stacks]
+    assert diagonal == sorted(diagonal, reverse=True)
+    assert [stack.mirrored for stack in stacks] == [store.mirror and not d for d in diagonal]
+    nodes = h.tree.nodes
+    stored = [(nodes[t], nodes[s]) for t, s in stored_pairs(h, h.partition.near_pairs)]
+    coords = [stack.coordinates() for stack in stacks]
     flat = np.concatenate([(r * h.n + c).ravel() for r, c in coords])
-    near_pairs = [(h.tree.nodes[t], h.tree.nodes[s]) for t, s in h.partition.near_pairs]
-    assert flat.size == np.unique(flat).size == sum(nt.size * ns.size for nt, ns in near_pairs)
-    # every level's U_l and V_l view the one U and V, which hold each far
-    # entry once
+    assert flat.size == np.unique(flat).size == sum(nt.size * ns.size for nt, ns in stored)
+    applied = np.concatenate([flat] + [(c * h.n + r).ravel() for (r, c), s in zip(coords, stacks) if s.mirrored])
+    near_pairs = [(nodes[t], nodes[s]) for t, s in h.partition.near_pairs]
+    assert applied.size == np.unique(applied).size == sum(nt.size * ns.size for nt, ns in near_pairs)
+
+    # the far factors view one buffer that holds each stored far entry
+    # once; with mirrors, left and right are the same arrays and swap
+    # exchanges each level's halves, without them right follows left in
+    # the buffer and swap is the identity
+    far, blocks = store.far, [b for blks in h.far_blocks.values() for b in blks]
+    k, entries = sum(b.rank for b in blocks), sum(b.stored_entries for b in blocks)
+    width = 2 * k if store.mirror else k
+    assert far.left.shape == (h.n, width) and far.right.shape == (width, h.n)
+    assert np.array_equal(np.sort(far.swap), np.arange(width))
+    assert np.array_equal(far.swap[far.swap], np.arange(width))
+    if store.mirror:
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(far.left, attr), getattr(far.right, attr))
+        assert entries == 0 or np.shares_memory(far.left.data, far.right.data)
+        assert far.left.data.size == entries
+    else:
+        assert np.array_equal(far.swap, np.arange(k))
+        assert far.left.data.size == sum(b.rank * b.shape[0] for b in blocks)
+        assert far.left.data.size + far.right.data.size == entries
     assert set(store.levels) == {lvl for lvl, blks in h.far_blocks.items() if blks}
-    far = [b for blks in h.far_blocks.values() for b in blks]
-    assert store.u.data.size + store.v.data.size == sum(b.stored_entries for b in far)
-    assert store.u.shape[1] == store.v.shape[0] == sum(b.rank for b in far)
-    for level, (u, v) in store.levels.items():
+    for level, part in store.levels.items():
         blks = h.far_blocks[level]
-        assert np.shares_memory(u.data, store.u.data) and np.shares_memory(u.indices, store.u.indices)
-        assert np.shares_memory(v.data, store.v.data) and np.shares_memory(v.indices, store.v.indices)
-        assert all(np.shares_memory(b.u, u.data) and np.shares_memory(b.v, v.data) for b in blks)
-        assert u.data.size + v.data.size == sum(b.stored_entries for b in blks)
-        assert u.indices.dtype == v.indices.dtype == u.indptr.dtype == v.indptr.dtype == np.int32
-    assert store.u.indices.dtype == store.v.indices.dtype == np.int32
+        level_entries = sum(b.stored_entries for b in blks)
+        for mat, whole in ((part.left, far.left), (part.right, far.right)):
+            assert np.shares_memory(mat.data, whole.data) and np.shares_memory(mat.indices, whole.indices)
+            assert mat.indices.dtype == mat.indptr.dtype == np.int32
+        assert all(np.shares_memory(b.u, far.left.data) and np.shares_memory(b.v, far.right.data) for b in blks)
+        assert part.width == (2 if store.mirror else 1) * sum(b.rank for b in blks)
+        assert (part.left.data.size if store.mirror else part.left.data.size + part.right.data.size) == level_entries
+    assert far.left.indices.dtype == far.right.indices.dtype == np.int32
     assert [r[:3] for r in memory_report(h).rows] == report_from_blocks(h)
+
+
+def near_mask(h):
+    """Boolean N x N mask of the near pattern, mirrors included."""
+    mask = np.zeros((h.n, h.n), dtype=bool)
+    for t, s in h.partition.near_pairs:
+        nt, ns = h.tree.nodes[t], h.tree.nodes[s]
+        mask[nt.start : nt.stop, ns.start : ns.stop] = True
+    return mask
+
+
+def test_non_reciprocal_mesh_stores_every_block_and_mirrors_none():
+    mesh = halved_strip(40)
+    spec = KernelSpec.for_mesh(mesh)
+    assert not spec.reciprocal
+    tree = build_cluster_tree(mesh, 32)
+    h = assemble(spec, tree, tol=1e-3)
+    assert not h.storage.mirror
+    assert not any(stack.mirrored for stack in h.storage.near.stacks)
+    nodes = tree.nodes
+    starts = lambda pairs: sorted((nodes[t].start, nodes[s].start) for t, s in pairs)
+    assert sorted((r0, c0) for r0, c0, _ in stored_near_blocks(h)) == starts(h.partition.near_pairs)
+    for level, pairs in h.partition.far_pairs.items():
+        assert sorted((b.row_start, b.col_start) for b in h.far_blocks[level]) == starts(pairs)
+    assert np.array_equal(h.storage.far.swap, np.arange(h.storage.far.width))
+
+    # its action against dense Z, level by level, within the ACA tolerance
+    z = hpss.assemble_dense(spec)[np.ix_(tree.permutation, tree.permutation)]
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
+    assert np.linalg.norm(h.matvec(x) - z @ x) <= 5e-3 * np.linalg.norm(z @ x)
+    assert np.array_equal(h.near_matrix().toarray(), np.where(near_mask(h), z, 0))
+    held = [level for level, pairs in h.partition.far_pairs.items() if pairs]
+    assert len(held) >= 2
+    for level in held:
+        z_level = np.zeros_like(z)
+        for t, s in h.partition.far_pairs[level]:
+            rows, cols = slice(nodes[t].start, nodes[t].stop), slice(nodes[s].start, nodes[s].stop)
+            z_level[rows, cols] = z[rows, cols]
+        want = z_level @ x
+        assert np.linalg.norm(h.matvec_level(level, x) - want) <= 5e-3 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "mesh, leaf",
+    [(discretize_strip(25.6, 10), 32), (discretize_circle(2.0, 16), 16), (discretize_disk(0.5, 12, 2.0), 16)],
+    ids=["strip", "circle", "disk"],
+)
+def test_reciprocal_near_matrix_is_dense_z_on_the_near_pattern(mesh, leaf):
+    spec = KernelSpec.for_mesh(mesh)
+    assert spec.reciprocal
+    tree = build_cluster_tree(mesh, leaf)
+    h = assemble(spec, tree, tol=1e-3)
+    assert h.storage.mirror and any(stack.mirrored for stack in h.storage.near.stacks)
+    z = hpss.assemble_dense(spec)[np.ix_(tree.permutation, tree.permutation)]
+    zn = h.near_matrix().toarray()
+    mask = near_mask(h)
+    assert np.array_equal(zn[mask].view(np.uint64), z[mask].view(np.uint64))
+    assert not np.any(zn[~mask])
 
 
 def test_blocks_are_the_operator_storage():
     """A stack or block cannot be rebound, and a write into a stacked block
-    changes the operator."""
+    changes the operator, at the block and, transposed, at its mirror."""
     mesh = discretize_strip(2.0, 10)
     h = assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 5), tol=1e-3)
-    for stack in h.storage.near:
+    assert h.storage.mirror
+    for stack in h.storage.near.stacks:
         stack.data.flags.writeable = True  # assembly froze them
     r0, c0, near = next(blk for blk in stored_near_blocks(h) if blk[0] != blk[1])
     far = next(blk for blks in h.far_blocks.values() for blk in blks)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        h.storage.near[0].data = np.zeros_like(h.storage.near[0].data)
+        h.storage.near.stacks[0].data = np.zeros_like(h.storage.near.stacks[0].data)
     with pytest.raises(dataclasses.FrozenInstanceError):
         far.u = np.zeros_like(far.u)
 
@@ -389,19 +489,22 @@ def test_blocks_are_the_operator_storage():
     assert not np.allclose(after, before)
     assert np.linalg.norm(after - loop_near_matvec(h, x)) <= 1e-14 * np.linalg.norm(after)
     zn = h.near_matrix().toarray()
-    assert np.array_equal(zn[r0 : r0 + near.shape[0], c0 : c0 + near.shape[1]], new)
+    m, n = near.shape
+    assert np.array_equal(zn[r0 : r0 + m, c0 : c0 + n], new)
+    assert np.array_equal(zn[c0 : c0 + n, r0 : r0 + m], new.T)
 
 
-@pytest.mark.parametrize("name", ["strip", "disk", "depth-0"])
+@pytest.mark.parametrize("name", ["strip", "disk", "depth-0", "halved-strip"])
 def test_near_matrix_is_the_canonical_csc_of_the_blocks(name, strip_system):
-    """``near_matrix`` gives the same bytes whatever order the blocks are in."""
+    """``near_matrix`` gives the same bytes whatever order the stored and
+    mirrored blocks are in."""
     h = packed_case(name, strip_system)
     got = h.near_matrix()
     assert got.has_sorted_indices
     rng = np.random.default_rng(12)
-    stored = stored_near_blocks(h)
-    for order in (np.arange(len(stored)), rng.permutation(len(stored))):
-        blocks = [stored[i] for i in order]
+    applied = applied_near_blocks(h)
+    for order in (np.arange(len(applied)), rng.permutation(len(applied))):
+        blocks = [applied[i] for i in order]
         dense = np.zeros((h.n, h.n), dtype=np.complex128)
         rows, cols = [], []
         for r0, c0, block in blocks:
@@ -417,6 +520,33 @@ def test_near_matrix_is_the_canonical_csc_of_the_blocks(name, strip_system):
             for attr in ("data", "indices", "indptr"):
                 assert getattr(got, attr).dtype == getattr(want, attr).dtype
                 assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+
+
+@pytest.mark.parametrize("reciprocal", [True, False])
+@pytest.mark.parametrize("keep", [[4, 5], [5], [2, 3], []])
+def test_kept_levels_act_as_a_filtered_assembly(reciprocal, keep):
+    """``keep_levels`` shares the near field and acts bit for bit as an
+    assembly of the kept levels alone."""
+    mesh = discretize_strip(25.6, 10) if reciprocal else halved_strip(100)
+    spec = KernelSpec.for_mesh(mesh)
+    tree = build_cluster_tree(mesh, 8)
+    assert spec.reciprocal == reciprocal and tree.depth == 5
+    full = assemble(spec, tree, tol=1e-3)
+    kept = full.keep_levels(keep)
+    fresh = assemble(spec, tree, tol=1e-3, level_filter=keep)
+    assert kept.storage.near is full.storage.near
+    assert sorted(kept.far_blocks) == sorted(keep) and kept.stats == fresh.stats
+    assert memory_report(kept).rows == memory_report(fresh).rows
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(full.n) + 1j * rng.standard_normal(full.n)
+    assert np.array_equal(kept.matvec(x), fresh.matvec(x))
+    for level in range(1, tree.depth + 1):
+        assert np.array_equal(kept.matvec_level(level, x), fresh.matvec_level(level, x))
+        assert np.array_equal(kept.matvec_level(level, x), full.matvec_level(level, x) if level in keep else 0 * x)
+    with pytest.raises(ValueError, match="not held"):
+        fresh.keep_levels([1])
+    with pytest.raises(ValueError, match="not consecutive"):
+        full.keep_levels([3, 5])
 
 
 def test_products_refuse_a_vector_of_the_wrong_shape(strip_system):

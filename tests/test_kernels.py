@@ -86,16 +86,29 @@ def test_volume_kernel_reciprocity():
     ids=["strip", "circle", "disk"],
 )
 def test_generated_geometries_are_exactly_reciprocal(mesh):
-    z = assemble_dense(KernelSpec.for_mesh(mesh))
-    assert np.array_equal(z, z.T)
+    spec = KernelSpec.for_mesh(mesh)
+    assert spec.reciprocal
+    z = assemble_dense(spec)
+    assert np.array_equal(z.view(np.uint64), z.T.copy().view(np.uint64))
 
 
 def test_unequal_extents_are_not_reciprocal():
     spec = KernelSpec.for_mesh(halved_strip(1))
+    assert not spec.reciprocal
     z = assemble_dense(spec)
     # Z_ij and Z_ji differ exactly where one of i, j is the halved element
     halved = np.arange(spec.n) == 1
     assert np.array_equal(z != z.T, halved[:, None] ^ halved[None, :])
+
+
+def test_one_ulp_of_extent_breaks_reciprocity():
+    mesh = discretize_strip(2.0, 10)
+    extents = mesh.extents.copy()
+    extents[3] = np.nextafter(extents[3], np.inf)
+    spec = KernelSpec.for_mesh(Mesh(mesh.kind, mesh.centers, extents, mesh.eps_r, mesh.wavelength))
+    assert not spec.reciprocal
+    z = assemble_dense(spec)
+    assert np.any(z != z.T)
 
 
 def test_block_evaluator_matches_dense():

@@ -14,7 +14,7 @@ from hpss import (
     discretize_strip,
     scaling,
 )
-from conftest import dense_from_operator, stored_near_blocks
+from conftest import applied_near_blocks, dense_from_operator, stored_near_blocks
 
 
 def assembled(mesh, leaf, tol=1e-3):
@@ -24,7 +24,7 @@ def assembled(mesh, leaf, tol=1e-3):
 
 def dense_near(h):
     z = np.zeros((h.n, h.n), dtype=np.complex128)
-    for r0, c0, block in stored_near_blocks(h):
+    for r0, c0, block in applied_near_blocks(h):
         z[r0 : r0 + block.shape[0], c0 : c0 + block.shape[1]] = block
     return z
 
@@ -59,7 +59,7 @@ def test_strip_near_field_carries_offdiagonal_coupling():
 
 def test_singular_diagonal_block_is_named():
     h = assembled(discretize_strip(2.0, 10), 5)
-    h.storage.near[0].data.flags.writeable = True  # assembly froze it; break it on purpose
+    h.storage.near.stacks[0].data.flags.writeable = True  # assembly froze it; break it on purpose
     r0, c0, block = stored_near_blocks(h)[0]
     assert r0 == c0 == 0
     block[...] = 0.0
@@ -71,8 +71,9 @@ def test_singular_near_coupling_is_rejected():
     # diagonal blocks invertible but the assembled near matrix is not:
     # [[I, I], [I, I]] has rank n/2
     h = assembled(discretize_strip(1.0, 10), 5)
-    assert len(stored_near_blocks(h)) == 4
-    for stack in h.storage.near:
+    # two diagonal blocks and one off-diagonal block with its mirror
+    assert len(stored_near_blocks(h)) == 3 and len(applied_near_blocks(h)) == 4
+    for stack in h.storage.near.stacks:
         stack.data.flags.writeable = True  # assembly froze them; break them on purpose
     for _, _, block in stored_near_blocks(h):
         block[...] = np.eye(5)
@@ -152,7 +153,7 @@ def test_factored_near_field_is_read_only():
     """A write into a factored operator raises instead of going stale."""
     h = assembled(discretize_strip(2.0, 10), 5)
     # views taken right after assembly, before the near field is factored
-    early = h.storage.near[0].data[0]
+    early = h.storage.near.stacks[0].data[0]
     _, diagonal = h.diagonal_blocks()[0]
     compute_scaling(h, np.ones(h.n, dtype=np.complex128))
     with pytest.raises(ValueError, match="read-only"):
@@ -162,7 +163,7 @@ def test_factored_near_field_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         stored_near_blocks(h)[0][2][0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        h.storage.near[0].data[...] = 0.0
+        h.storage.near.stacks[0].data[...] = 0.0
 
 
 @pytest.mark.parametrize(
