@@ -143,7 +143,7 @@ class NearField:
     batched products are written to, so two near products on one near
     field must not run at the same time.
 
-    ``factor`` is derived state: the factorization
+    ``factor`` is derived state: the factorization and its level-0 defect
     ``scaling.compute_scaling`` makes on its first call for an operator
     holding this near field, and ``None`` before that.  ``assemble`` makes
     the stacks read-only, so the stored entries cannot drift from it.

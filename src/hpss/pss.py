@@ -27,8 +27,8 @@ recording a warning in the report from ``NORM_WARN`` (0.1) up.  The same
 guard covers the level-0 scaling: the construction promises that alpha,
 the near solve, times the near field is the identity, and the defect
 ``scaling`` measures of that promise is converted to the norm of the
-omitted correction factor, so a near solve that does not invert Z_N, or a
-de-scaled alpha, is rejected before any series runs.
+omitted correction factor, so a near solve that does not invert Z_N is
+rejected before any series runs.
 
 The solve applies a fixed, input-independent number of level matvecs: no
 residual-driven iteration hides anywhere, which is what makes the matvec

@@ -17,35 +17,34 @@ A^T + A (Liu, ACM TOMS 11, 1985, as in SuperLU); on strips, circles and
 disks that fills no more than COLAMD's unsymmetric ordering.
 
 The level-0 check measures the identity claim alpha * Z_N = I, alpha
-being that near solve, on fixed random probe vectors: the pairs
-(x, Z_N S(x)) with S the factorization's solve.  A healthy system sits at
-rounding level, and anything larger signals a near solve that does not
-invert the stored Z_N or a synthetically de-scaled alpha.  The solver's
-guard turns that defect into a hard error before any series is applied.
+being that near solve, on fixed random probe vectors x: the defect is
+max |Z_N S(x) - x| with S the factorization's solve.  A healthy system
+sits at rounding level, and anything larger signals a near solve that
+does not invert the stored Z_N.  The solver's guard turns that defect into
+a hard error before any series is applied.
 Before factoring Z_N, each diagonal leaf block is LU-factored once as a
 pass/fail check, so that a singular leaf is named; those factors are not
 solved with.
 
 None of this depends on the right-hand side, so it is done once per
 near field: the first ``compute_scaling`` on an ``HMatrix`` keeps the near
-factorization and the probe pairs with its near field, which operators
-made by ``HMatrix.keep_levels`` share.  ``assemble`` has made
-the near stacks read-only, so a write into a factored operator raises
-instead of being solved with a stale LU.  Every call then measures the
-defect for its own ``alpha_scale`` from the kept pairs.
+factorization and its defect with its near field, which operators made by
+``HMatrix.keep_levels`` share.  ``assemble`` has made the near stacks
+read-only, so a write into a factored operator raises instead of being
+solved with a stale LU.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor
 from scipy.sparse.linalg import SuperLU, splu
 
 from .hmatrix import HMatrix
+from .solvers import check_finite_rhs
 
 _DEFECT_PROBES = 2
 
@@ -63,7 +62,7 @@ class ScaledSystem:
     near_factorization: SuperLU
 
     def near_solve(self, v: np.ndarray) -> np.ndarray:
-        """Exact x with Z_N x = v, independent of the alpha_scale knob."""
+        """Exact x with Z_N x = v."""
         return np.ascontiguousarray(self.near_factorization.solve(v))
 
 
@@ -71,18 +70,19 @@ class ScaledSystem:
 class NearFactor:
     """The right-hand-side-free part of ``compute_scaling``, one per operator.
 
-    ``probes`` holds, for every probe x, the pair (x, Z_N S(x)) the level-0
-    defect is measured on, S being ``factorization.solve``: the near solve
-    alpha every solution goes through.
+    ``defect`` is the level-0 defect max |Z_N S(x) - x| over the probes x,
+    S being ``factorization.solve``: the near solve alpha every solution
+    goes through.  The max is a lower estimate of |alpha Z_N - I|, since the
+    probes need not find its worst direction.
     """
 
     factorization: SuperLU
-    probes: List[Tuple[np.ndarray, np.ndarray]]
+    defect: float
 
 
 def _factor_near_field(h: HMatrix) -> NearFactor:
-    """Check every diagonal leaf block, factor Z_N and draw the defect
-    probes through that factorization; a singular block or near field raises."""
+    """Check every diagonal leaf block, factor Z_N and measure the level-0
+    defect of that factorization; a singular block or near field raises."""
     diag_blocks = h.diagonal_blocks()
     expected = sorted(h.tree.leaf_ranges())
     got = [(start, start + len(block)) for start, block in diag_blocks]
@@ -112,41 +112,29 @@ def _factor_near_field(h: HMatrix) -> NearFactor:
         raise ValueError("near-field matrix is singular to working precision")
 
     rng = np.random.default_rng(0)
-    probes: List[Tuple[np.ndarray, np.ndarray]] = []
+    defect = 0.0
     for _ in range(_DEFECT_PROBES):
         x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
         x /= np.linalg.norm(x)
-        probes.append((x, h.near_matvec(factorization.solve(x))))
-    return NearFactor(factorization, probes)
+        defect = max(defect, float(np.linalg.norm(h.near_matvec(factorization.solve(x)) - x)))
+    return NearFactor(factorization, defect)
 
 
-def compute_scaling(
-    h: HMatrix,
-    b: np.ndarray,
-    alpha_scale: float = 1.0,
-) -> ScaledSystem:
+def compute_scaling(h: HMatrix, b: np.ndarray) -> ScaledSystem:
     """The near-field solve for ``b`` and the level-0 scaling defect.
 
     The first call on ``h`` factors its near field and keeps the result
     with it, in ``h.storage.near`` (see the module docstring); later calls,
-    on ``h`` or on an operator sharing that near field, reuse it.
-    The defect is max |alpha_scale * Z_N S(x) - x| over the kept probes,
-    where S, the near solve, is alpha.  ``alpha_scale`` deliberately
-    mis-scales alpha in that measurement (diagnostic knob used to exercise
-    the solver's convergence guard); production runs leave it at 1.  A
-    singular diagonal block raises with the offending leaf named.
+    on ``h`` or on an operator sharing that near field, reuse it and its
+    level-0 defect.  A singular diagonal block raises with the offending
+    leaf named; a NaN or infinite entry of ``b`` raises with its index.
     """
     b = np.asarray(b, dtype=np.complex128)
     if b.shape != (h.n,):
         raise ValueError(f"right-hand side must have length {h.n}")
+    check_finite_rhs(b)
     near_field = h.storage.near
     if near_field.factor is None:
         near_field.factor = _factor_near_field(h)
     near = near_field.factor
-
-    # the max over the probes is a lower estimate of |alpha Z_N - I|, since
-    # they need not find its worst direction
-    defect = 0.0
-    for x, z in near.probes:
-        defect = max(defect, float(np.linalg.norm(alpha_scale * z - x)))
-    return ScaledSystem(h, b, defect, near.factorization)
+    return ScaledSystem(h, b, near.defect, near.factorization)

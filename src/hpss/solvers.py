@@ -7,7 +7,10 @@ Givens least-squares estimate of the relative residual per inner step;
 the true residual |b - A x| / |b|, recomputed at the start, at each
 restart and at exit, is kept apart from it, so the two are never mixed.
 The start is the zero vector, whose residual is b itself, so the first
-true residual costs no product.
+true residual costs no product.  A solve holds the operator plus one
+Krylov basis of (min(restart, maxit) + 1) * N complex entries, allocated
+once per call and reused by every restart cycle.  A right-hand side with a
+NaN or infinite entry is refused before any product.
 
 The dense LU route is the accuracy oracle at desk scale.  It verifies its
 own residual and warns (with a condition estimate) instead of silently
@@ -53,6 +56,14 @@ class IterativeReport:
         return [(k, f"{r:.12g}", kind) for k, r, kind in rows]
 
 
+def check_finite_rhs(b: np.ndarray) -> None:
+    """Refuse a right-hand side with a NaN or infinite entry, naming the first."""
+    finite = np.isfinite(b)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        raise ValueError(f"right-hand side entry {index} is not finite ({b[index]})")
+
+
 def gmres(
     apply: Apply,
     b: np.ndarray,
@@ -73,21 +84,33 @@ def gmres(
     if maxit < 1:
         raise ValueError("maxit must be at least 1")
     b = np.asarray(b, dtype=np.complex128)
+    check_finite_rhs(b)
     n = b.size
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         raise ValueError("right-hand side is zero; nothing to solve")
 
     x = np.zeros(n, dtype=np.complex128)
-    r = b  # the residual of the zero initial guess, without a product
     history: List[float] = []
     true_residuals: List[Tuple[int, float]] = []
     total_iters = 0
     n_matvecs = 0
     converged = False
 
+    # one basis and one least-squares problem for the whole solve: no cycle
+    # runs more than m inner steps, a cycle writes every entry it reads
+    # before reading it, and h below its subdiagonal is never written; the
+    # residual goes straight into row 0 of the basis
+    m = min(restart, maxit)
+    v = np.empty((m + 1, n), dtype=np.complex128)
+    h = np.zeros((m + 1, m), dtype=np.complex128)
+    cs = np.zeros(m, dtype=np.complex128)
+    sn = np.zeros(m, dtype=np.complex128)
+    g = np.zeros(m + 1, dtype=np.complex128)
+    v[0] = b  # the residual of the zero initial guess, without a product
+
     while True:
-        beta = float(np.linalg.norm(r))
+        beta = float(np.linalg.norm(v[0]))
         true_residuals.append((total_iters, beta / bnorm))
         if beta / bnorm <= tol:
             converged = True
@@ -95,13 +118,7 @@ def gmres(
         if total_iters >= maxit:
             break
 
-        m = restart
-        v = np.zeros((m + 1, n), dtype=np.complex128)
-        h = np.zeros((m + 1, m), dtype=np.complex128)
-        cs = np.zeros(m, dtype=np.complex128)
-        sn = np.zeros(m, dtype=np.complex128)
-        g = np.zeros(m + 1, dtype=np.complex128)
-        v[0] = r / beta
+        v[0] /= beta
         g[0] = beta
         j_used = 0
 
@@ -115,7 +132,7 @@ def gmres(
             h[j + 1, j] = np.linalg.norm(w)
             breakdown = abs(h[j + 1, j]) == 0.0
             if not breakdown:
-                v[j + 1] = w / h[j + 1, j]
+                np.divide(w, h[j + 1, j], out=v[j + 1])
 
             # apply the accumulated rotations, then zero the new subdiagonal
             for i in range(j):
@@ -141,8 +158,8 @@ def gmres(
                 break
 
         y = scipy.linalg.solve_triangular(h[:j_used, :j_used], g[:j_used], lower=False)
-        x = x + v[:j_used].T @ y
-        r = b - apply(x)
+        x += v[:j_used].T @ y
+        np.subtract(b, apply(x), out=v[0])
         n_matvecs += 1
 
     report = IterativeReport(

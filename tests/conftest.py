@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hpss import KernelSpec, assemble, assemble_dense, build_cluster_tree, discretize_strip
+from hpss import KernelSpec, assemble, assemble_dense, build_cluster_tree, discretize_strip, scaling
 from hpss.geometry import Mesh
 
 
@@ -50,6 +50,15 @@ def applied_far_blocks(h, level):
         if h.storage.mirror:
             blocks.append((blk.col_start, blk.row_start, blk.v.T, blk.u.T))
     return blocks
+
+
+def factor_scaled_near_field(monkeypatch, c):
+    """Make ``compute_scaling`` factor c * Z_N in place of the stored Z_N:
+    the near solve is then alpha / c, and the level-0 defect |1/c - 1|.
+    The factor is kept with the near field, so an operator factored under
+    this patch keeps the de-scaled solve."""
+    real_splu = scaling.splu
+    monkeypatch.setattr(scaling, "splu", lambda a, **kw: real_splu(c * a, **kw))
 
 
 def halved_strip(element):

@@ -34,7 +34,7 @@ from hpss import (
     solve,
 )
 from hpss.cli import main as cli_main
-from conftest import applied_far_blocks
+from conftest import applied_far_blocks, factor_scaled_near_field
 from hpss.kernels import z_block
 
 ACA_TOL = 1e-3
@@ -242,13 +242,18 @@ def test_criterion_7_entry_and_matvec_scaling(capsys, tmp_path):
     assert elapsed < 300.0
 
 
-def test_criterion_8_guard_trips_on_descaled_system(capsys):
+def test_criterion_8_guard_trips_on_descaled_system(capsys, monkeypatch):
     mesh, spec, tree, h = assembled_strip(4.0, 10, 10)
     b = h.permute(rhs(spec, BROADSIDE))
 
-    sabotaged = compute_scaling(h, b, alpha_scale=0.1)
+    # a near solve de-scaled by 0.1, on an operator of its own: the near
+    # factor is kept with the near field it was made for
+    _, _, _, h_sabotaged = assembled_strip(4.0, 10, 10)
+    with monkeypatch.context() as patch:
+        factor_scaled_near_field(patch, 10.0)
+        sabotaged = compute_scaling(h_sabotaged, b)
     with pytest.raises(ConvergenceError, match="level-0") as excinfo:
-        solve(sabotaged, h, PssConfig(series_order=2))
+        solve(sabotaged, h_sabotaged, PssConfig(series_order=2))
 
     clean = compute_scaling(h, b)
     x, rep = solve(clean, h, PssConfig(series_order=8))

@@ -19,11 +19,10 @@ from hpss import (
     estimate_spectral_radius,
     expected_solve_counts,
     rhs,
-    scaling,
     solve,
 )
 from hpss.pss import RADIUS_ITERS, neumann_apply
-from conftest import dense_from_operator
+from conftest import dense_from_operator, factor_scaled_near_field
 
 
 def make_system(mesh, leaf, tol=1e-3, phi=0.0, level_filter=None):
@@ -260,15 +259,19 @@ def test_leaf_only_assembly_reports_assembled_residual():
 # -- guards ------------------------------------------------------------------
 
 
-def test_sabotaged_scaling_fails_with_level_zero_norm():
+def test_sabotaged_scaling_fails_with_level_zero_norm(monkeypatch):
     mesh = discretize_strip(2.0, 10)
     spec = KernelSpec.for_mesh(mesh)
     tree = build_cluster_tree(mesh, 5)
     h = assemble(spec, tree, tol=1e-3)
     b = h.permute(rhs(spec, Excitation(0.0)))
-    broken = compute_scaling(h, b, alpha_scale=0.1)
+    # the near factor is kept with its near field, so each half has its own operator
+    h_broken = assemble(spec, tree, tol=1e-3)
+    with monkeypatch.context() as patch:
+        factor_scaled_near_field(patch, 10.0)  # the near solve de-scaled by 0.1
+        broken = compute_scaling(h_broken, b)
     with pytest.raises(ConvergenceError, match="level-0"):
-        solve(broken, h, PssConfig(series_order=2))
+        solve(broken, h_broken, PssConfig(series_order=2))
     # restoring the scaling clears the failure
     clean = compute_scaling(h, b)
     _, report = solve(clean, h, PssConfig(series_order=2))
@@ -278,20 +281,17 @@ def test_sabotaged_scaling_fails_with_level_zero_norm():
 def test_near_solve_that_does_not_invert_the_stored_near_field_trips_level_zero(monkeypatch):
     """The level-0 defect is measured on the near solve every solution
     goes through, so a factorization of anything but the stored Z_N shows."""
-    real_splu = scaling.splu
     # 4 Z_N: defect 3/4, implied factor norm 3, well clear of NORM_FAIL
-    monkeypatch.setattr(scaling, "splu", lambda a, **kw: real_splu(4.0 * a, **kw))
+    factor_scaled_near_field(monkeypatch, 4.0)
     _, h, scaled = make_system(discretize_strip(2.0, 10), 5)
     assert abs(scaled.scale_defect - 0.75) <= 1e-9
     with pytest.raises(ConvergenceError, match="level-0"):
         solve(scaled, h, PssConfig(series_order=2))
 
 
-def test_mild_descaling_warns_but_solves():
-    mesh = discretize_strip(2.0, 10)
-    spec, h, _ = make_system(mesh, 5)
-    b = h.permute(rhs(spec, Excitation(0.0)))
-    slightly_off = compute_scaling(h, b, alpha_scale=0.85)
+def test_mild_descaling_warns_but_solves(monkeypatch):
+    factor_scaled_near_field(monkeypatch, 1.0 / 0.85)  # the near solve de-scaled by 0.85
+    _, h, slightly_off = make_system(discretize_strip(2.0, 10), 5)
     x, report = solve(slightly_off, h, PssConfig(series_order=2))
     assert any("level-0" in w for w in report.warnings)
     assert np.all(np.isfinite(x))

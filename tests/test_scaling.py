@@ -14,7 +14,7 @@ from hpss import (
     discretize_strip,
     scaling,
 )
-from conftest import applied_near_blocks, dense_from_operator, stored_near_blocks
+from conftest import applied_near_blocks, dense_from_operator, factor_scaled_near_field, stored_near_blocks
 
 
 def assembled(mesh, leaf, tol=1e-3):
@@ -87,16 +87,33 @@ def test_rhs_length_checked():
         compute_scaling(h, np.ones(7, dtype=np.complex128))
 
 
-def test_alpha_scale_knob_shows_up_in_defect():
+def test_non_finite_rhs_is_refused_with_its_index():
+    """A NaN entry would otherwise give a NaN solution whose report reads
+    as a zero right-hand side."""
+    h = assembled(discretize_strip(1.0, 10), 5)
+    b = np.ones(h.n, dtype=np.complex128)
+    b[3] = np.nan
+    with pytest.raises(ValueError, match="entry 3 is not finite"):
+        compute_scaling(h, b)
+    b[3], b[7] = 1.0, np.inf
+    with pytest.raises(ValueError, match="entry 7 is not finite"):
+        compute_scaling(h, b)
+
+
+def test_descaled_near_solve_shows_up_in_defect(monkeypatch):
     h = assembled(discretize_strip(2.0, 10), 5)
     b = np.ones(h.n, dtype=np.complex128)
     clean = compute_scaling(h, b)
     assert clean.scale_defect <= 1e-12
-    broken = compute_scaling(h, b, alpha_scale=0.1)
+    # the near factor is kept with its near field, so the broken half has its own operator
+    h_broken = assembled(discretize_strip(2.0, 10), 5)
+    with monkeypatch.context() as patch:
+        factor_scaled_near_field(patch, 10.0)
+        broken = compute_scaling(h_broken, b)
     assert abs(broken.scale_defect - 0.9) <= 1e-9
-    # the exact near solve ignores the knob by design
+    # the defect measures the near solve every solution goes through
     v = np.ones(h.n, dtype=np.complex128)
-    assert np.allclose(broken.near_solve(v), clean.near_solve(v))
+    assert np.allclose(broken.near_solve(v), 0.1 * clean.near_solve(v))
     # the near solve inverts the near field of a disk too
     disk = assembled(discretize_disk(0.3, 12, 2.0), 8)
     assert compute_scaling(disk, np.ones(disk.n, dtype=np.complex128)).scale_defect <= 1e-12
@@ -136,17 +153,6 @@ def test_near_field_is_factored_once_per_operator(monkeypatch):
     assert len(lu_calls) == len(h.diagonal_blocks()) > 1
     assert first.near_factorization is second.near_factorization
     assert second.b[3] == 3.0
-
-
-def test_reused_factor_gives_every_alpha_scale_its_own_defect():
-    h = assembled(discretize_strip(2.0, 10), 5)
-    b = np.ones(h.n, dtype=np.complex128)
-    assert compute_scaling(h, b).scale_defect <= 1e-12
-    broken = compute_scaling(h, b, alpha_scale=0.1)
-    assert abs(broken.scale_defect - 0.9) <= 1e-9
-    # bit for bit the defect a first call on a fresh operator measures
-    fresh = assembled(discretize_strip(2.0, 10), 5)
-    assert broken.scale_defect == compute_scaling(fresh, b, alpha_scale=0.1).scale_defect
 
 
 def test_factored_near_field_is_read_only():

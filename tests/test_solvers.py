@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,9 +80,36 @@ def test_gmres_maxit_returns_best_effort():
     assert np.all(np.isfinite(x))
 
 
+def test_gmres_holds_one_basis_across_restarts():
+    n, restart = 4096, 20
+    d = np.linspace(1.0, 100.0, n) + 0j
+    b = np.ones(n, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        _, rep = gmres(lambda v: d * v, b, tol=1e-10, restart=restart)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.converged
+    assert len(rep.true_residuals) >= 4  # the start and at least two restarts
+    basis_bytes = (restart + 1) * n * 16
+    assert peak < 1.5 * basis_bytes
+
+
 def test_gmres_rejects_zero_rhs():
     with pytest.raises(ValueError):
         gmres(lambda v: v, np.zeros(3, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_gmres_refuses_non_finite_rhs_with_its_index(bad):
+    def apply(v):
+        raise AssertionError("matvec called")
+
+    b = np.ones(8, dtype=np.complex128)
+    b[3] = bad
+    with pytest.raises(ValueError, match="entry 3 is not finite"):
+        gmres(apply, b)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
