@@ -408,7 +408,28 @@ class HMatrix:
     partition: BlockPartition
     far_blocks: Dict[int, List[LowRankBlock]]
     storage: SparseStorage = field(repr=False, compare=False)
-    stats: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def stats(self) -> Dict[str, object]:
+        """``far_levels``: blocks, stored entries and max rank per held
+        level; ``rank_flags``: (level, row start, col start, rank) of every
+        far block of rank above half its smaller side, in block order."""
+        return {
+            "far_levels": {
+                level: {
+                    "blocks": len(blocks),
+                    "entries": int(sum(b.stored_entries for b in blocks)),
+                    "max_rank": max((b.rank for b in blocks), default=0),
+                }
+                for level, blocks in self.far_blocks.items()
+            },
+            "rank_flags": [
+                (level, b.row_start, b.col_start, b.rank)
+                for level, blocks in self.far_blocks.items()
+                for b in blocks
+                if 2 * b.rank > min(b.shape)
+            ],
+        }
 
     @property
     def n(self) -> int:
@@ -501,12 +522,8 @@ class HMatrix:
         far = self.storage.far.part(start, start + sum(widths[i] for i in kept))
         parts = {held[i]: self.storage.levels[held[i]] for i in kept}
         storage = SparseStorage(self.storage.near, far, parts, self.storage.mirror)
-        stats: Dict[str, object] = {
-            "far_levels": {level: v for level, v in self.stats["far_levels"].items() if level in keep},
-            "rank_flags": [flag for flag in self.stats["rank_flags"] if flag[0] in keep],
-        }
         far_blocks = {level: blocks for level, blocks in self.far_blocks.items() if level in keep}
-        return HMatrix(self.tree, self.partition, far_blocks, storage, stats)
+        return HMatrix(self.tree, self.partition, far_blocks, storage)
 
 
 def _compress_level(
@@ -599,27 +616,13 @@ def assemble(
         # before any view of it is handed out: a view keeps the flag it had
         stack.data.flags.writeable = False
 
-    rank_flags: List[Tuple[int, int, int, int]] = []
     packed: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for level in sorted(levels):
         pairs = stored(partition.far_pairs.get(level, []))
         packed[level] = _pack_level(_compress_level(entry_fn, nodes, pairs, level, tol))
-        rank_flags.extend((level, r0, c0, k) for k, m, w, r0, c0 in packed[level][0].tolist() if 2 * k > min(m, w))
     far_blocks, far, level_storage = _far_storage(packed, spec.n, mirror)
-
-    stats: Dict[str, object] = {
-        "far_levels": {
-            lvl: {
-                "blocks": len(blks),
-                "entries": int(sum(b.stored_entries for b in blks)),
-                "max_rank": max((b.rank for b in blks), default=0),
-            }
-            for lvl, blks in far_blocks.items()
-        },
-        "rank_flags": rank_flags,
-    }
     storage = SparseStorage(NearField(spec.n, stacks), far, level_storage, mirror)
-    return HMatrix(tree, partition, far_blocks, storage, stats)
+    return HMatrix(tree, partition, far_blocks, storage)
 
 
 # ---------------------------------------------------------------------------

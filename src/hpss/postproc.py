@@ -86,8 +86,9 @@ def bistatic_rcs(
     ``solution`` is in mesh element order: axial surface current density
     for surface meshes, contrast source (eps_r - 1) * E_z for volume
     meshes (exactly the unknowns the kernels solve for).  The phase matrix
-    is formed ``RCS_ANGLE_CHUNK`` angles at a time, as the cosine and sine
-    of its phase written into the real and imaginary parts of one buffer.
+    is formed ``RCS_ANGLE_CHUNK`` angles at a time in one buffer: the phase
+    is written into its real part, then its sine into the imaginary part
+    and its cosine over the real part.
     """
     solution = np.asarray(solution, dtype=np.complex128)
     if solution.shape != (mesh.n_elements,):
@@ -101,10 +102,11 @@ def bistatic_rcs(
     buffer = np.empty((min(angles.size, RCS_ANGLE_CHUNK), mesh.n_elements), dtype=np.complex128)
     for start in range(0, angles.size, RCS_ANGLE_CHUNK):
         chunk = slice(start, start + RCS_ANGLE_CHUNK)
-        arg = k0 * (directions[chunk] @ mesh.centers.T)  # (chunk, N)
-        phase = buffer[: arg.shape[0]]  # exp(1j * arg)
-        np.cos(arg, out=phase.real)
-        np.sin(arg, out=phase.imag)
+        r_hat = directions[chunk]
+        phase = buffer[: len(r_hat)]  # exp(1j * k0 * r_hat.c)
+        np.multiply(k0, r_hat @ mesh.centers.T, out=phase.real)
+        np.sin(phase.real, out=phase.imag)
+        np.cos(phase.real, out=phase.real)
         factor[chunk] = phase @ weights
     sigma = (2.0 / math.pi) * np.abs(factor) ** 2
     return RcsCurve(angles, _to_db(sigma))

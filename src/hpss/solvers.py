@@ -55,6 +55,20 @@ class IterativeReport:
         rows.sort(key=lambda row: (row[0], row[2] == "true"))
         return [(k, f"{r:.12g}", kind) for k, r, kind in rows]
 
+    def to_text(self) -> str:
+        return (
+            f"gmres iterations: {self.iterations}\n"
+            f"converged: {self.converged}\n"
+            f"final relative residual (true, recomputed): {self.true_residuals[-1][1]:.6g}\n"
+            f"matvecs: {self.n_matvecs}\n"
+        )
+
+    def to_csv(self, path: str) -> None:
+        with open(path, "w", newline="") as fh:
+            fh.write("step,relative_residual,kind\n")
+            for k, r, kind in self.history_csv_rows():
+                fh.write(f"{k},{r},{kind}\n")
+
 
 def check_finite_rhs(b: np.ndarray) -> None:
     """Refuse a right-hand side with a NaN or infinite entry, naming the first."""

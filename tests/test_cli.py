@@ -369,6 +369,15 @@ def test_bench_small_sizes(tmp_path, capsys):
     capsys.readouterr()
 
 
+# 116 / 14 * 14 rounds up past 116, so a strip of length 116 / 14 meshes
+# with ceil(length * 14) = 117 elements unless the length is stepped down
+def test_bench_builds_exactly_the_sizes_given(tmp_path, capsys):
+    out = tmp_path / "bench"
+    assert main(["bench", "--sizes", "116", "--density", "14", "--leaf-size", "16", "--out", str(out)]) == 0
+    assert (out / "bench.csv").read_text().splitlines()[1].split(",")[0] == "116"
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "command, angles",
     [

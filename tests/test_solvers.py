@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hpss import Excitation, KernelSpec, assemble_dense, discretize_strip, gmres, lu_solve, rhs
+from hpss import Excitation, IterativeReport, KernelSpec, assemble_dense, discretize_strip, gmres, lu_solve, rhs
 
 
 def test_gmres_identity_converges_in_one_iteration():
@@ -121,12 +121,39 @@ def test_gmres_rejects_tolerance_before_any_matvec(tol):
         gmres(apply, np.ones(3, dtype=np.complex128), tol=tol)
 
 
-def test_gmres_report_csv_rows():
+def test_gmres_report_csv_rows(tmp_path):
     b = np.ones(3, dtype=np.complex128)
     _, rep = gmres(lambda v: v, b)
     rows = rep.history_csv_rows()
     assert rows[0][0] == 0
     assert all(isinstance(r[1], str) for r in rows)
+
+    # restart after two inner steps: at step 2 the estimate comes before
+    # the recomputed residual; the text keeps 6 digits, the CSV 12
+    rep = IterativeReport(
+        iterations=3,
+        residual_history=[0.5, 0.25, 0.125],
+        true_residuals=[(0, 1.0), (2, 0.3), (3, 1 / 3)],
+        converged=False,
+        n_matvecs=5,
+    )
+    assert rep.to_text() == (
+        "gmres iterations: 3\n"
+        "converged: False\n"
+        "final relative residual (true, recomputed): 0.333333\n"
+        "matvecs: 5\n"
+    )
+    path = tmp_path / "iterative_report.csv"
+    rep.to_csv(str(path))
+    assert path.read_bytes() == (
+        b"step,relative_residual,kind\n"
+        b"0,1,true\n"
+        b"1,0.5,givens\n"
+        b"2,0.25,givens\n"
+        b"2,0.3,true\n"
+        b"3,0.125,givens\n"
+        b"3,0.333333333333,true\n"
+    )
 
 
 def test_lu_identity_and_random():
