@@ -5,10 +5,12 @@ command-line flags, flags winning.  ``COMMAND_KEYS`` lists the
 ``RunConfig`` fields each subcommand reads; its flags are made from that
 list, and a config key outside it is rejected with the valid list.  So
 ``bench``, which has no ``--geometry``, runs strips only.  ``--levels``
-picks the far levels assembled, and so the levels the power series runs;
-``RunConfig.level_filter`` checks it against the tree for every solver.
-``compare`` assembles every level once and runs the power series on the
-operator that keeps the chosen ones (``HMatrix.keep_levels``).
+names the far levels the operator holds, a run ending at the leaf level,
+and so the levels the power series runs; once the tree is built,
+``RunConfig.coarsest_level`` checks it against the tree, for every
+solver, and turns it into the coarsest level kept.  ``compare``
+assembles every level once and runs the power series on the operator
+that keeps the levels from that one down (``HMatrix.keep_levels``).
 All CSV artifacts are byte-deterministic for a fixed config: timings
 appear only in the plain-text summaries.
 """
@@ -103,11 +105,6 @@ class RunConfig:
             raise ValueError(f"gmres_maxit must be at least 1, got {self.gmres_maxit}")
         if self.series_order < 1:
             raise ValueError(f"series_order must be at least 1, got {self.series_order}")
-        if self.levels not in ("all", "leaf"):
-            try:
-                [int(tok) for tok in self.levels.split(",")]
-            except ValueError as exc:
-                raise ValueError("levels must be 'all', 'leaf', or a comma list of integers") from exc
 
     def _solver_list(self) -> List[str]:
         return [tok.strip() for tok in self.solvers.split(",") if tok.strip()]
@@ -118,18 +115,22 @@ class RunConfig:
     def angles(self) -> np.ndarray:
         return np.linspace(self.angle_start, self.angle_stop, self.angle_count)
 
-    def level_filter(self, depth: int) -> Optional[List[int]]:
-        """The far levels to assemble on a tree of this depth: ``None`` (every
-        level) for 'all', else the leaf level or the listed levels, which
-        must be a contiguous run ending at the leaf level."""
+    def coarsest_level(self, depth: int) -> int:
+        """The coarsest far level ``levels`` keeps on a tree of this depth:
+        1 for 'all', the leaf level for 'leaf', else the first of the
+        listed levels, which must be a contiguous run ending at the leaf
+        level."""
         if self.levels == "all":
-            return None
+            return 1
         if self.levels == "leaf":
-            return [depth] if depth >= 1 else []
-        levels = sorted({int(tok) for tok in self.levels.split(",")})
+            return max(depth, 1)
+        try:
+            levels = sorted({int(tok) for tok in self.levels.split(",")})
+        except ValueError as exc:
+            raise ValueError("levels must be 'all', 'leaf', or a comma list of integers") from exc
         if levels[0] < 1 or levels != list(range(levels[0], depth + 1)):
             raise ValueError(f"levels must be a contiguous run ending at the leaf level {depth}, got {self.levels!r}")
-        return levels
+        return levels[0]
 
 
 def _coerce(kind: type, raw: str):
@@ -256,11 +257,9 @@ def _run_one_solver(
     return SolverRun(name, rcs, wall, report.to_text(), report.n_matvecs, report.iterations)
 
 
-def _build_problem(
-    cfg: RunConfig, solvers: Sequence[str]
-) -> Tuple[Mesh, KernelSpec, ClusterTree, Optional[List[int]], np.ndarray]:
-    """Mesh, kernel, cluster tree, the far levels ``--levels`` names on it
-    (``cfg.level_filter``) and the mesh-order plane-wave RHS.
+def _build_problem(cfg: RunConfig, solvers: Sequence[str]) -> Tuple[Mesh, KernelSpec, ClusterTree, int, np.ndarray]:
+    """Mesh, kernel, cluster tree, the coarsest far level ``--levels``
+    keeps on it (``cfg.coarsest_level``) and the mesh-order plane-wave RHS.
 
     The levels are checked against the tree, and when ``solvers`` include
     lu, N against ``kernels.DENSE_SIZE_CAP``, before anything is assembled
@@ -272,8 +271,8 @@ def _build_problem(
         raise ValueError(f"solver lu refused: dense assembly needs N <= cap {cap}, got N = {mesh.n_elements}")
     spec = KernelSpec.for_mesh(mesh)
     tree = build_cluster_tree(mesh, cfg.leaf_size)
-    levels = cfg.level_filter(tree.depth)
-    return mesh, spec, tree, levels, rhs(spec, Excitation(math.radians(cfg.phi_inc_deg)))
+    coarsest = cfg.coarsest_level(tree.depth)
+    return mesh, spec, tree, coarsest, rhs(spec, Excitation(math.radians(cfg.phi_inc_deg)))
 
 
 def _write_problem(cfg: RunConfig, mesh: Mesh, h: HMatrix) -> None:
@@ -284,8 +283,8 @@ def _write_problem(cfg: RunConfig, mesh: Mesh, h: HMatrix) -> None:
 
 
 def run_solve(cfg: RunConfig) -> int:
-    mesh, spec, tree, levels, b_mesh = _build_problem(cfg, [cfg.solver])
-    h = assemble(spec, tree, cfg.aca_tol, eta=cfg.eta, level_filter=levels)
+    mesh, spec, tree, coarsest, b_mesh = _build_problem(cfg, [cfg.solver])
+    h = assemble(spec, tree, cfg.aca_tol, eta=cfg.eta, coarsest=coarsest)
     _write_problem(cfg, mesh, h)
     run = _run_one_solver(cfg.solver, cfg, mesh, spec, h, b_mesh)
     _write_text(os.path.join(cfg.out, "solve_report.txt"), run.detail)
@@ -309,10 +308,10 @@ def run_compare(cfg: RunConfig) -> int:
     # the baselines, and memory_report.csv, see the complete operator; the
     # power series runs on the part of it that keeps the levels --levels names
     solvers = cfg._solver_list()
-    mesh, spec, tree, levels, b_mesh = _build_problem(cfg, solvers)
+    mesh, spec, tree, coarsest, b_mesh = _build_problem(cfg, solvers)
     h = assemble(spec, tree, cfg.aca_tol, eta=cfg.eta)
     _write_problem(cfg, mesh, h)
-    h_pss = h if levels is None else h.keep_levels(levels)
+    h_pss = h.keep_levels(coarsest)
 
     runs = {name: _run_one_solver(name, cfg, mesh, spec, h_pss if name == "pss" else h, b_mesh) for name in solvers}
 
@@ -371,8 +370,7 @@ def run_bench(cfg: RunConfig) -> int:
             lambda: assemble(spec, tree, cfg.aca_tol, eta=cfg.eta), repeats
         )
         t_leaf, h_leaf = _median_time(
-            lambda: assemble(spec, tree, cfg.aca_tol, eta=cfg.eta, level_filter=[tree.depth]),
-            repeats,
+            lambda: assemble(spec, tree, cfg.aca_tol, eta=cfg.eta, coarsest=max(tree.depth, 1)), repeats
         )
         full_entries = memory_report(h_full).total_entries
         leaf_entries = memory_report(h_leaf).total_entries

@@ -88,8 +88,12 @@ class Mesh:
             raise ValueError(f"centers must have shape (N, 2), got {self.centers.shape}")
         if self.extents.shape != (n,) or self.eps_r.shape != (n,):
             raise ValueError("extents and eps_r must be 1D arrays matching centers")
-        if not np.all(np.isfinite(self.centers)):
-            raise ValueError("non-finite element center")
+        # NaN passes every bound below, so it is refused here by element
+        finite = np.isfinite(self.centers).all(axis=1) & np.isfinite(self.extents) & np.isfinite(self.eps_r)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            (x, y), extent, eps = self.centers[i], self.extents[i], self.eps_r[i]
+            raise ValueError(f"element {i} is not finite: centre ({x:g}, {y:g}), extent {extent:g}, eps_r {eps:g}")
         # the kernel's distance would be 0 off the diagonal
         order = np.lexsort((self.centers[:, 1], self.centers[:, 0]))
         ranked = self.centers[order]
@@ -374,7 +378,8 @@ def read_mesh_csv(path: str, kind: Optional[str] = None, wavelength: float = 1.0
     if not rows:
         raise ValueError("mesh CSV has no element rows")
     data = np.array([[float(v) for v in row] for row in rows])
-    eps = data[:, 3] + 1j * data[:, 4]
+    eps = data[:, 3].astype(complex)
+    eps.imag = data[:, 4]  # not 1j * im, which turns an infinite im into a NaN re
     if kind is None:
         kind = SURFACE if np.all(eps == 1.0) else VOLUME
     return Mesh(kind, data[:, :2], data[:, 2], eps, wavelength)

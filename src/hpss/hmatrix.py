@@ -30,8 +30,8 @@ stack listing its blocks' row and col starts.  A near matvec is one
 gather of x, one batched ``np.matmul`` per stack, one more over the
 transposed view of each mirrored stack, all into a preallocated buffer,
 and one ``np.bincount`` that adds the products into their rows.
-``near_matrix`` builds from the stacks, mirrors included, the canonical
-CSC matrix the near factorization in ``scaling`` takes.
+``NearField.matrix`` builds from the stacks, mirrors included, the
+canonical CSC matrix the near factorization in ``scaling`` takes.
 
 Every rank-one term of a far block owns a column u of length m and a row
 v of length n, stored as runs of one buffer.  A block's u is one
@@ -46,17 +46,20 @@ u columns come first and then every level's v rows, L = U, R = V and
 ``swap`` is the identity.  Either way a far level is one run of L's
 columns and R's rows, and the full far field covers them all.
 
-Far levels can be assembled selectively (``level_filter``), or dropped
-from an assembled operator (``HMatrix.keep_levels``); absent levels
-simply contribute nothing, which downstream solvers treat as exact zeros,
-and the power-series cascade runs exactly the levels that hold blocks.
+An operator holds the near field and the far levels from a coarsest
+level down to the leaf level.  ``assemble`` takes that level (1, every
+level, by default), and ``HMatrix.keep_levels`` gives the operator that
+keeps another's levels from a coarser one down, viewing the suffix of its
+far buffer those levels fill.  Levels above the coarsest contribute
+nothing, which downstream solvers treat as exact zeros, and the
+power-series cascade runs exactly the levels that hold blocks.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -203,6 +206,15 @@ class NearField:
         rows, cols, data = (np.concatenate(parts) for parts in (rows, cols, data))
         return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsc()
 
+    def diagonal_blocks(self) -> List[Tuple[int, np.ndarray]]:
+        """(row start, view of the block in its stack) of every diagonal
+        leaf block, ordered by row start."""
+        blocks = []
+        for stack in self.stacks:
+            starts = zip(stack.row_starts.tolist(), stack.col_starts.tolist(), stack.data)
+            blocks += [(r0, block) for r0, c0, block in starts if r0 == c0]
+        return sorted(blocks, key=lambda pair: pair[0])
+
 
 @dataclass(frozen=True)
 class FarFactors:
@@ -256,23 +268,6 @@ def _major_range(kind, arrays: Tuple[np.ndarray, np.ndarray, np.ndarray], start:
     data, indices, indptr = arrays
     lo, hi = indptr[start], indptr[stop]
     return _compressed_view(kind, (data[lo:hi], indices[lo:hi], indptr[start : stop + 1] - lo), shape)
-
-
-@dataclass
-class SparseStorage:
-    """The stored entries of an H-matrix, each in the layout it is applied in.
-
-    ``near`` is Z_N (see ``NearField``).  ``far`` applies every far level
-    the operator holds, and ``levels`` maps each of those levels that
-    holds blocks to the part of ``far`` that applies it alone.  ``mirror``
-    says whether every stored off-diagonal block, near or far, also
-    stands transposed at its mirror position; the kernel decides it.
-    """
-
-    near: NearField
-    far: FarFactors
-    levels: Dict[int, FarFactors]
-    mirror: bool
 
 
 def _near_storage(geometry: List[Tuple[int, int, int, int]], mirrored: bool) -> List[NearStack]:
@@ -383,31 +378,45 @@ def _far_storage(
             np.arange(k, dtype=np.intp),
         )
         bounds = {level: (first[level, 0], first[level, 0] + rank[level]) for level in order}
-    levels = {level: far.part(*bounds[level]) for level in order if rank[level]}
-    return far_blocks, far, levels
+    level_factors = {level: far.part(*bounds[level]) for level in order if rank[level]}
+    return far_blocks, far, level_factors
+
+
+def _check_coarsest(coarsest: int, lowest: int, depth: int) -> None:
+    """The coarsest far level an operator keeps must lie in lowest..depth
+    (1..1 on a depth-0 tree, whose operator has no far levels)."""
+    if not lowest <= coarsest <= max(depth, 1):
+        raise ValueError(f"coarsest far level must lie in {lowest}..{max(depth, 1)}, got {coarsest}")
 
 
 @dataclass
 class HMatrix:
     """Assembled hierarchical operator in tree-permuted coordinates.
 
-    ``storage`` is the operator's only state and has one layout: every
-    stored block is kept as it is applied, and a mirror is applied from
-    the block it mirrors.  The near field serves the near product and,
-    through ``near_matrix``, the near factorization in ``scaling``; the far
-    factors serve the full matvec, and their per-level parts the level
-    products.  ``far_blocks`` are views of the stored far blocks, and the
-    levels it holds blocks on are the levels the power-series cascade
-    runs.  The only derived state is the near factorization, made once per
-    near field and kept with it; the near field is read-only from assembly
-    on.  ``assemble`` builds an operator, and ``keep_levels`` one that
-    shares another's storage.
+    Its stored entries have one layout: every stored block is kept as it
+    is applied, and a mirror is applied from the block it mirrors.
+    ``near`` is Z_N (see ``NearField``); it serves the near product and,
+    through ``NearField.matrix``, the near factorization in ``scaling``.
+    ``far`` applies every far level the operator holds, and
+    ``level_factors`` maps each of those levels that holds blocks to the
+    part of ``far`` that applies it alone.  ``mirror`` says whether every
+    stored off-diagonal block, near or far, also stands transposed at its
+    mirror position; the kernel decides it.  ``far_blocks`` are views of
+    the stored far blocks, keyed by the levels held, and the levels it
+    holds blocks on are the levels the power-series cascade runs.  The only
+    derived state is the near factorization, made once per near field and
+    kept with it; the near field is read-only from assembly on.
+    ``assemble`` builds an operator, and ``keep_levels`` one that shares
+    another's stored entries.
     """
 
     tree: ClusterTree
     partition: BlockPartition
     far_blocks: Dict[int, List[LowRankBlock]]
-    storage: SparseStorage = field(repr=False, compare=False)
+    near: NearField = field(repr=False, compare=False)
+    far: FarFactors = field(repr=False, compare=False)
+    level_factors: Dict[int, FarFactors] = field(repr=False, compare=False)
+    mirror: bool
 
     @property
     def stats(self) -> Dict[str, object]:
@@ -445,10 +454,12 @@ class HMatrix:
 
     def permute(self, x_mesh: np.ndarray) -> np.ndarray:
         """Mesh-order vector -> tree-order vector."""
-        return np.asarray(x_mesh)[self.tree.permutation]
+        return self._vector(x_mesh)[self.tree.permutation]
 
     def unpermute(self, x_tree: np.ndarray) -> np.ndarray:
-        out = np.empty_like(np.asarray(x_tree))
+        """Tree-order vector -> mesh-order vector."""
+        x_tree = self._vector(x_tree)
+        out = np.empty_like(x_tree)
         out[self.tree.permutation] = x_tree
         return out
 
@@ -462,20 +473,7 @@ class HMatrix:
 
     def near_matvec(self, x: np.ndarray) -> np.ndarray:
         """Z_N x: one batched product per near stack and per mirror, summed into rows."""
-        return self.storage.near.apply(self._vector(x))
-
-    def near_matrix(self) -> sp.csc_matrix:
-        """Z_N, mirrors included, as the canonical CSC matrix ``splu`` takes."""
-        return self.storage.near.matrix()
-
-    def diagonal_blocks(self) -> List[Tuple[int, np.ndarray]]:
-        """(row start, view of the block in its stack) of every diagonal
-        leaf block, ordered by row start."""
-        blocks = []
-        for stack in self.storage.near.stacks:
-            starts = zip(stack.row_starts.tolist(), stack.col_starts.tolist(), stack.data)
-            blocks += [(r0, block) for r0, c0, block in starts if r0 == c0]
-        return sorted(blocks, key=lambda pair: pair[0])
+        return self.near.apply(self._vector(x))
 
     # -- far field --------------------------------------------------------
 
@@ -484,7 +482,7 @@ class HMatrix:
         if not 1 <= level <= self.depth:
             raise ValueError(f"far-field level must lie in 1..{self.depth}")
         x = self._vector(x)
-        factors = self.storage.levels.get(level)
+        factors = self.level_factors.get(level)
         if factors is None:
             return np.zeros(self.n, dtype=np.complex128)
         return factors.apply(x)
@@ -494,7 +492,7 @@ class HMatrix:
         which cover every level holding blocks."""
         x = self._vector(np.asarray(x, dtype=np.complex128))
         y = self.near_matvec(x)
-        y += self.storage.far.apply(x)
+        y += self.far.apply(x)
         return y
 
     def covers_all_far_levels(self) -> bool:
@@ -502,28 +500,20 @@ class HMatrix:
         needed = {lvl for lvl, pairs in self.partition.far_pairs.items() if pairs}
         return needed.issubset(self.far_blocks)
 
-    def keep_levels(self, levels: Iterable[int]) -> "HMatrix":
-        """This operator with only the far ``levels`` it holds, which must
-        be consecutive among the levels holding blocks.
+    def keep_levels(self, coarsest: int) -> "HMatrix":
+        """This operator with only its far levels ``coarsest``..depth, which
+        must not reach above the coarsest level it holds.
 
         The result shares this operator's near field, its near
-        factorization included, and views its far factors, and it acts bit
-        for bit as an assembly with ``level_filter=levels`` would.
+        factorization included, and views the suffix of its far factors
+        those levels fill, and it acts bit for bit as ``assemble`` with
+        that ``coarsest`` would.
         """
-        keep = set(levels)
-        if not keep <= set(self.far_blocks):
-            raise ValueError(f"levels {sorted(keep - set(self.far_blocks))} are not held by this operator")
-        held = sorted(self.storage.levels)
-        widths = [self.storage.levels[level].width for level in held]
-        kept = [i for i, level in enumerate(held) if level in keep]
-        if kept and kept != list(range(kept[0], kept[0] + len(kept))):
-            raise ValueError(f"levels {sorted(keep)} are not consecutive among the levels holding blocks {held}")
-        start = sum(widths[: kept[0]]) if kept else 0
-        far = self.storage.far.part(start, start + sum(widths[i] for i in kept))
-        parts = {held[i]: self.storage.levels[held[i]] for i in kept}
-        storage = SparseStorage(self.storage.near, far, parts, self.storage.mirror)
-        far_blocks = {level: blocks for level, blocks in self.far_blocks.items() if level in keep}
-        return HMatrix(self.tree, self.partition, far_blocks, storage)
+        _check_coarsest(coarsest, min(self.far_blocks, default=1), self.depth)
+        parts = {level: part for level, part in self.level_factors.items() if level >= coarsest}
+        far = self.far.part(self.far.width - sum(part.width for part in parts.values()), self.far.width)
+        far_blocks = {level: blocks for level, blocks in self.far_blocks.items() if level >= coarsest}
+        return HMatrix(self.tree, self.partition, far_blocks, self.near, far, parts, self.mirror)
 
 
 def _compress_level(
@@ -571,7 +561,7 @@ def assemble(
     tree: ClusterTree,
     tol: float,
     eta: float = 1.0,
-    level_filter: Optional[Iterable[int]] = None,
+    coarsest: int = 1,
 ) -> HMatrix:
     """Build the H-matrix: dense near blocks plus per-level ACA far blocks.
 
@@ -581,21 +571,19 @@ def assemble(
 
     Parameters
     ----------
-    level_filter : iterable of int, optional
-        Far levels to assemble; default is every level.  Levels skipped
-        here act as exact zeros in all downstream products.
+    coarsest : int
+        The coarsest far level assembled: the operator holds the far
+        levels ``coarsest``..depth.  The default, 1, assembles every
+        level; levels above ``coarsest`` act as exact zeros in all
+        downstream products.
     """
     if tree.n_elements != spec.n:
         raise ValueError("tree and kernel disagree on element count")
     if tol < 0.0:
         raise ValueError(f"compression tolerance must be non-negative, got {tol:g}")
+    _check_coarsest(coarsest, 1, tree.depth)
     partition = build_block_partition(tree, eta)
     entry_fn = entry_function(spec, tree.permutation)
-
-    levels = set(range(1, tree.depth + 1)) if level_filter is None else set(level_filter)
-    bad = levels - set(range(1, tree.depth + 1))
-    if bad:
-        raise ValueError(f"level_filter contains invalid levels {sorted(bad)} for depth {tree.depth}")
 
     nodes = tree.nodes
     mirror = spec.reciprocal
@@ -617,12 +605,11 @@ def assemble(
         stack.data.flags.writeable = False
 
     packed: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for level in sorted(levels):
-        pairs = stored(partition.far_pairs.get(level, []))
+    for level in range(coarsest, tree.depth + 1):
+        pairs = stored(partition.far_pairs[level])
         packed[level] = _pack_level(_compress_level(entry_fn, nodes, pairs, level, tol))
-    far_blocks, far, level_storage = _far_storage(packed, spec.n, mirror)
-    storage = SparseStorage(NearField(spec.n, stacks), far, level_storage, mirror)
-    return HMatrix(tree, partition, far_blocks, storage)
+    far_blocks, far, level_factors = _far_storage(packed, spec.n, mirror)
+    return HMatrix(tree, partition, far_blocks, NearField(spec.n, stacks), far, level_factors, mirror)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +634,7 @@ class MemoryReport:
 def memory_report(h: HMatrix) -> MemoryReport:
     """Stored blocks and entries of the near field and of each far level."""
     rows: List[Tuple[str, int, int, float]] = []
-    stacks = h.storage.near.stacks
+    stacks = h.near.stacks
     near_entries = int(sum(stack.data.size for stack in stacks))
     rows.append(("near", sum(len(stack.data) for stack in stacks), near_entries, near_entries * BYTES_PER_ENTRY / 1e6))
     total = near_entries

@@ -10,7 +10,7 @@ into
 
 which is the fixed point the power-series chain factorizes.  The near
 solve is one sparse LU factorization of the Z_N the H-matrix stores
-(``HMatrix.near_matrix``), whatever the shape of the near field.  Z_N is
+(``NearField.matrix``), whatever the shape of the near field.  Z_N is
 structurally symmetric (a leaf pair is near exactly when its transpose
 is), so the factorization orders its columns by minimum degree on
 A^T + A (Liu, ACM TOMS 11, 1985, as in SuperLU); on strips, circles and
@@ -83,7 +83,7 @@ class NearFactor:
 def _factor_near_field(h: HMatrix) -> NearFactor:
     """Check every diagonal leaf block, factor Z_N and measure the level-0
     defect of that factorization; a singular block or near field raises."""
-    diag_blocks = h.diagonal_blocks()
+    diag_blocks = h.near.diagonal_blocks()
     expected = sorted(h.tree.leaf_ranges())
     got = [(start, start + len(block)) for start, block in diag_blocks]
     if got != expected:
@@ -105,7 +105,7 @@ def _factor_near_field(h: HMatrix) -> NearFactor:
             )
 
     try:
-        factorization = splu(h.near_matrix(), permc_spec="MMD_AT_PLUS_A")
+        factorization = splu(h.near.matrix(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise ValueError(f"near-field matrix is singular: {exc}") from exc
     if np.any(factorization.U.diagonal() == 0.0):
@@ -124,7 +124,7 @@ def compute_scaling(h: HMatrix, b: np.ndarray) -> ScaledSystem:
     """The near-field solve for ``b`` and the level-0 scaling defect.
 
     The first call on ``h`` factors its near field and keeps the result
-    with it, in ``h.storage.near`` (see the module docstring); later calls,
+    with it, in ``h.near`` (see the module docstring); later calls,
     on ``h`` or on an operator sharing that near field, reuse it and its
     level-0 defect.  A singular diagonal block raises with the offending
     leaf named; a NaN or infinite entry of ``b`` raises with its index.
@@ -133,8 +133,7 @@ def compute_scaling(h: HMatrix, b: np.ndarray) -> ScaledSystem:
     if b.shape != (h.n,):
         raise ValueError(f"right-hand side must have length {h.n}")
     check_finite_rhs(b)
-    near_field = h.storage.near
-    if near_field.factor is None:
-        near_field.factor = _factor_near_field(h)
-    near = near_field.factor
+    if h.near.factor is None:
+        h.near.factor = _factor_near_field(h)
+    near = h.near.factor
     return ScaledSystem(h, b, near.defect, near.factorization)

@@ -22,7 +22,7 @@ def stored_near_blocks(h):
     a view of its slice of the near stack it sits in."""
     return [
         (r0, c0, block)
-        for stack in h.storage.near.stacks
+        for stack in h.near.stacks
         for r0, c0, block in zip(stack.row_starts.tolist(), stack.col_starts.tolist(), stack.data)
     ]
 
@@ -32,7 +32,7 @@ def applied_near_blocks(h):
     applies: each stored block, and after it its mirror, if it has one, as
     the transposed view of the stored block."""
     blocks = []
-    for stack in h.storage.near.stacks:
+    for stack in h.near.stacks:
         for r0, c0, block in zip(stack.row_starts.tolist(), stack.col_starts.tolist(), stack.data):
             blocks.append((r0, c0, block))
             if stack.mirrored:
@@ -47,7 +47,7 @@ def applied_far_blocks(h, level):
     blocks = []
     for blk in h.far_blocks.get(level, ()):
         blocks.append((blk.row_start, blk.col_start, blk.u, blk.v))
-        if h.storage.mirror:
+        if h.mirror:
             blocks.append((blk.col_start, blk.row_start, blk.v.T, blk.u.T))
     return blocks
 

@@ -109,7 +109,7 @@ def _leaf_only_rms(mesh, spec, tree, order=2):
     assert rep.converged
     curve_full = bistatic_rcs(mesh, h_full.unpermute(x_gm), ANGLES)
 
-    h_leaf = assemble(spec, tree, ACA_TOL, level_filter=[tree.depth])
+    h_leaf = assemble(spec, tree, ACA_TOL, coarsest=tree.depth)
     scaled = compute_scaling(h_leaf, h_leaf.permute(b))
     x_ps, _ = solve(scaled, h_leaf, PssConfig(series_order=order))
     curve_leaf = bistatic_rcs(mesh, h_leaf.unpermute(x_ps), ANGLES)

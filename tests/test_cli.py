@@ -5,6 +5,7 @@ from argparse import Namespace
 import numpy as np
 import pytest
 
+from hpss import KernelSpec, assemble, build_cluster_tree, discretize_strip
 from hpss.cli import _FIELD_TYPES, COMMAND_KEYS, RunConfig, main, parse_config, resolve_config
 
 
@@ -117,17 +118,18 @@ def test_flags_override_config_file(tmp_path):
     assert cfg.geometry == "strip"
 
 
-def test_level_filter_parsing():
-    assert RunConfig(levels="all").level_filter(3) is None
-    assert RunConfig(levels="leaf").level_filter(3) == [3]
-    assert RunConfig(levels="leaf").level_filter(0) == []
-    assert RunConfig(levels="3,2").level_filter(3) == [2, 3]
-    assert RunConfig(levels="1,2,3").level_filter(3) == [1, 2, 3]
+def test_coarsest_level_parsing():
+    assert RunConfig(levels="all").coarsest_level(3) == 1
+    assert RunConfig(levels="all").coarsest_level(0) == 1
+    assert RunConfig(levels="leaf").coarsest_level(3) == 3
+    assert RunConfig(levels="leaf").coarsest_level(0) == 1
+    assert RunConfig(levels="3,2").coarsest_level(3) == 2
+    assert RunConfig(levels="1,2,3").coarsest_level(3) == 1
     # a list must be a contiguous run of levels from 1 up that ends at the leaf level
     for levels, depth in (("1,2", 3), ("1,3", 3), ("0,1,2,3", 3), ("9", 3), ("1", 0)):
         message = f"levels must be a contiguous run ending at the leaf level {depth}, got {levels!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            RunConfig(levels=levels).level_filter(depth)
+            RunConfig(levels=levels).coarsest_level(depth)
 
 
 def test_config_validation_errors():
@@ -145,8 +147,6 @@ def test_config_validation_errors():
             RunConfig(sizes=sizes).validate()
     with pytest.raises(ValueError, match="sizes must be a comma list of integers"):
         RunConfig(sizes="256,big").validate()
-    with pytest.raises(ValueError, match="levels"):
-        RunConfig(levels="leaf,2").validate()
     with pytest.raises(ValueError, match="angle_count"):
         RunConfig(angle_count=0).validate()
     for tol in (0.0, -1.0, float("nan"), float("inf")):
@@ -356,15 +356,17 @@ def test_compare_assertion_failure_exits_one(tmp_path, capsys):
 def test_bench_small_sizes(tmp_path, capsys):
     out = tmp_path / "bench"
     rc = main([
-        "bench", "--sizes", "128,256", "--density", "10",
+        "bench", "--sizes", "16,128,256", "--density", "10",
         "--leaf-size", "16", "--out", str(out),
     ])
     assert rc == 0
     lines = (out / "bench.csv").read_text().splitlines()
     assert lines[0] == "n,full_entries,leaf_entries"
-    assert len(lines) == 3
-    n0, full0, leaf0 = (int(tok) for tok in lines[1].split(","))
-    assert n0 == 128 and leaf0 <= full0 < 128 * 128
+    assert len(lines) == 4
+    # 16 unknowns are one leaf: a depth-0 tree has no far level to drop
+    assert lines[1] == "16,256,256"
+    n1, full1, leaf1 = (int(tok) for tok in lines[2].split(","))
+    assert n1 == 128 and leaf1 <= full1 < 128 * 128
     assert "slope" in (out / "bench_summary.txt").read_text()
     capsys.readouterr()
 
@@ -396,18 +398,61 @@ def test_non_increasing_angles_exit_one_before_solving(tmp_path, capsys, command
 @pytest.mark.parametrize("solver", ["pss", "gmres"])
 def test_bad_levels_exit_one_before_assembly(tmp_path, capsys, monkeypatch, solver):
     # 40 elements at leaf size 5 give a depth-3 tree, so levels 1,2 miss the
-    # leaf and level 9 lies below it
+    # leaf, level 9 lies below it and leaf,2 is not a list of integers
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled despite bad levels")
 
     monkeypatch.setattr("hpss.cli.assemble", no_assembly)
     out = tmp_path / "o"
-    for levels in ("1,2", "9"):
+    run = "levels must be a contiguous run ending at the leaf level 3, got {!r}"
+    for levels, message in (
+        ("1,2", run.format("1,2")),
+        ("9", run.format("9")),
+        ("leaf,2", "levels must be 'all', 'leaf', or a comma list of integers"),
+    ):
         rc = main(["solve", *STRIP_ARGS, "--leaf-size", "5", "--solver", solver, "--levels", levels, "--out", str(out)])
         assert rc == 1
-        message = f"error: levels must be a contiguous run ending at the leaf level 3, got {levels!r}"
-        assert message in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_out_of_range_coarsest_level_is_refused_before_any_fill(tmp_path, capsys, monkeypatch):
+    """``assemble``, ``keep_levels`` and ``--levels`` refuse a level outside
+    the tree before any entry is evaluated or any file written."""
+    mesh = discretize_strip(4.0, 10)
+    spec = KernelSpec.for_mesh(mesh)
+    tree = build_cluster_tree(mesh, 5)
+    assert tree.depth == 3
+    full = assemble(spec, tree, tol=1e-3)
+    leaf = assemble(spec, tree, tol=1e-3, coarsest=3)
+    flat = build_cluster_tree(mesh, 64)
+    assert flat.depth == 0
+
+    def no_fill(*args):
+        raise AssertionError("entries were evaluated despite a bad level")
+
+    monkeypatch.setattr("hpss.hmatrix.entry_function", no_fill)
+    refusals = [
+        (lambda: assemble(spec, tree, tol=1e-3, coarsest=0), "1..3, got 0"),
+        (lambda: assemble(spec, tree, tol=1e-3, coarsest=4), "1..3, got 4"),
+        (lambda: assemble(spec, flat, tol=1e-3, coarsest=2), "1..1, got 2"),
+        (lambda: full.keep_levels(0), "1..3, got 0"),
+        (lambda: full.keep_levels(4), "1..3, got 4"),
+        (lambda: leaf.keep_levels(2), "3..3, got 2"),
+    ]
+    for refused, bounds in refusals:
+        with pytest.raises(ValueError, match=re.escape(f"coarsest far level must lie in {bounds}")):
+            refused()
+
+    out = tmp_path / "o"
+    for command in (["solve", "--solver", "pss"], ["compare", "--solvers", "pss,gmres"]):
+        for levels in ("0,1,2,3", "4"):
+            argv = [command[0], *STRIP_ARGS, "--leaf-size", "5", *command[1:], "--levels", levels]
+            rc = main([*argv, "--out", str(out)])
+            assert rc == 1
+            message = f"error: levels must be a contiguous run ending at the leaf level 3, got {levels!r}"
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["solve", "--solver", "lu"], ["compare", "--solvers", "gmres,lu"]])
@@ -456,7 +501,7 @@ def test_compare_levels_assembles_once(tmp_path, capsys, monkeypatch):
     real, filters = cli.assemble, []
 
     def counting(*args, **kwargs):
-        filters.append(kwargs.get("level_filter"))
+        filters.append(kwargs.get("coarsest"))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, "assemble", counting)

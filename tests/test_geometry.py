@@ -191,3 +191,18 @@ def test_mesh_csv_roundtrip(tmp_path):
     assert np.allclose(back.eps_r, m.eps_r)
     header = path.read_text().splitlines()[0]
     assert "cx" in header and "eps_r_im" in header
+
+
+@pytest.mark.parametrize("column, value", [(2, "nan"), (3, "nan"), (4, "inf"), (3, "-inf")])
+def test_mesh_csv_with_a_non_finite_extent_or_eps_r_names_the_element(tmp_path, column, value):
+    mesh = discretize_disk(0.3, 10, 2.0)
+    path = tmp_path / "mesh.csv"
+    write_mesh_csv(mesh, str(path))
+    lines = path.read_text().splitlines()
+    for element in (9, 6):  # line 0 is the header
+        row = lines[1 + element].split(",")
+        row[column] = value
+        lines[1 + element] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"^element 6 is not finite: "):
+        read_mesh_csv(str(path))

@@ -191,7 +191,7 @@ def test_level_filter_leaf_only():
     tree = build_cluster_tree(mesh, 8)
     spec = KernelSpec.for_mesh(mesh)
     full = assemble(spec, tree, tol=1e-3)
-    leaf_only = assemble(spec, tree, tol=1e-3, level_filter=[tree.depth])
+    leaf_only = assemble(spec, tree, tol=1e-3, coarsest=tree.depth)
     for level in range(1, tree.depth):
         assert not leaf_only.far_blocks.get(level)
     rep_full, rep_leaf = memory_report(full), memory_report(leaf_only)
@@ -207,13 +207,6 @@ def test_level_filter_leaf_only():
     assert np.array_equal(recombined, leaf_only.matvec(x))
     assert not leaf_only.covers_all_far_levels()
     assert full.covers_all_far_levels()
-
-
-def test_level_filter_rejects_bad_levels():
-    mesh = discretize_strip(2.0, 10)
-    tree = build_cluster_tree(mesh, 5)
-    with pytest.raises(ValueError):
-        assemble(KernelSpec.for_mesh(mesh), tree, tol=1e-3, level_filter=[7])
 
 
 def test_assemble_rejects_negative_tolerance(monkeypatch):
@@ -302,7 +295,7 @@ def stored_pairs(h, pairs):
     """The pairs the mirror rule stores: all of them without mirrors, else
     the diagonal ones and those whose row start lies below their col start."""
     nodes = h.tree.nodes
-    return [(t, s) for t, s in pairs if t == s or not h.storage.mirror or nodes[t].start < nodes[s].start]
+    return [(t, s) for t, s in pairs if t == s or not h.mirror or nodes[t].start < nodes[s].start]
 
 
 def report_from_blocks(h):
@@ -330,8 +323,8 @@ def packed_case(name, strip_system):
         return assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 32), tol=1e-3)
     mesh = discretize_disk(0.3, 16, 2.0)
     tree = build_cluster_tree(mesh, 8)
-    levels = [tree.depth] if name == "leaf-only-disk" else None
-    return assemble(KernelSpec.for_mesh(mesh), tree, tol=1e-3, level_filter=levels)
+    coarsest = tree.depth if name == "leaf-only-disk" else 1
+    return assemble(KernelSpec.for_mesh(mesh), tree, tol=1e-3, coarsest=coarsest)
 
 
 CASES = ["strip", "disk", "leaf-only-disk", "depth-0", "halved-strip"]
@@ -340,7 +333,7 @@ CASES = ["strip", "disk", "leaf-only-disk", "depth-0", "halved-strip"]
 @pytest.mark.parametrize("name", CASES)
 def test_packed_operator_matches_block_loops(name, strip_system):
     h = packed_case(name, strip_system)
-    assert h.storage.mirror == (name != "halved-strip")
+    assert h.mirror == (name != "halved-strip")
     rng = np.random.default_rng(31)
     x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
 
@@ -358,12 +351,11 @@ def test_packed_operator_matches_block_loops(name, strip_system):
     # one copy of every entry: the stacks hold each entry of the stored
     # near pairs once, diagonal stacks first, and with the mirrors they
     # cover the near pairs once
-    store = h.storage
-    stacks = store.near.stacks
+    stacks = h.near.stacks
     assert all(stack.data.flags.c_contiguous for stack in stacks)
     diagonal = [bool(np.array_equal(stack.row_starts, stack.col_starts)) for stack in stacks]
     assert diagonal == sorted(diagonal, reverse=True)
-    assert [stack.mirrored for stack in stacks] == [store.mirror and not d for d in diagonal]
+    assert [stack.mirrored for stack in stacks] == [h.mirror and not d for d in diagonal]
     nodes = h.tree.nodes
     stored = [(nodes[t], nodes[s]) for t, s in stored_pairs(h, h.partition.near_pairs)]
     coords = [stack.coordinates() for stack in stacks]
@@ -377,13 +369,13 @@ def test_packed_operator_matches_block_loops(name, strip_system):
     # once; with mirrors, left and right are the same arrays and swap
     # exchanges each level's halves, without them right follows left in
     # the buffer and swap is the identity
-    far, blocks = store.far, [b for blks in h.far_blocks.values() for b in blks]
+    far, blocks = h.far, [b for blks in h.far_blocks.values() for b in blks]
     k, entries = sum(b.rank for b in blocks), sum(b.stored_entries for b in blocks)
-    width = 2 * k if store.mirror else k
+    width = 2 * k if h.mirror else k
     assert far.left.shape == (h.n, width) and far.right.shape == (width, h.n)
     assert np.array_equal(np.sort(far.swap), np.arange(width))
     assert np.array_equal(far.swap[far.swap], np.arange(width))
-    if store.mirror:
+    if h.mirror:
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(far.left, attr), getattr(far.right, attr))
         assert entries == 0 or np.shares_memory(far.left.data, far.right.data)
@@ -392,16 +384,16 @@ def test_packed_operator_matches_block_loops(name, strip_system):
         assert np.array_equal(far.swap, np.arange(k))
         assert far.left.data.size == sum(b.rank * b.shape[0] for b in blocks)
         assert far.left.data.size + far.right.data.size == entries
-    assert set(store.levels) == {lvl for lvl, blks in h.far_blocks.items() if blks}
-    for level, part in store.levels.items():
+    assert set(h.level_factors) == {lvl for lvl, blks in h.far_blocks.items() if blks}
+    for level, part in h.level_factors.items():
         blks = h.far_blocks[level]
         level_entries = sum(b.stored_entries for b in blks)
         for mat, whole in ((part.left, far.left), (part.right, far.right)):
             assert np.shares_memory(mat.data, whole.data) and np.shares_memory(mat.indices, whole.indices)
             assert mat.indices.dtype == mat.indptr.dtype == np.int32
         assert all(np.shares_memory(b.u, far.left.data) and np.shares_memory(b.v, far.right.data) for b in blks)
-        assert part.width == (2 if store.mirror else 1) * sum(b.rank for b in blks)
-        assert (part.left.data.size if store.mirror else part.left.data.size + part.right.data.size) == level_entries
+        assert part.width == (2 if h.mirror else 1) * sum(b.rank for b in blks)
+        assert (part.left.data.size if h.mirror else part.left.data.size + part.right.data.size) == level_entries
     assert far.left.indices.dtype == far.right.indices.dtype == np.int32
     assert [r[:3] for r in memory_report(h).rows] == report_from_blocks(h)
 
@@ -421,21 +413,21 @@ def test_non_reciprocal_mesh_stores_every_block_and_mirrors_none():
     assert not spec.reciprocal
     tree = build_cluster_tree(mesh, 32)
     h = assemble(spec, tree, tol=1e-3)
-    assert not h.storage.mirror
-    assert not any(stack.mirrored for stack in h.storage.near.stacks)
+    assert not h.mirror
+    assert not any(stack.mirrored for stack in h.near.stacks)
     nodes = tree.nodes
     starts = lambda pairs: sorted((nodes[t].start, nodes[s].start) for t, s in pairs)
     assert sorted((r0, c0) for r0, c0, _ in stored_near_blocks(h)) == starts(h.partition.near_pairs)
     for level, pairs in h.partition.far_pairs.items():
         assert sorted((b.row_start, b.col_start) for b in h.far_blocks[level]) == starts(pairs)
-    assert np.array_equal(h.storage.far.swap, np.arange(h.storage.far.width))
+    assert np.array_equal(h.far.swap, np.arange(h.far.width))
 
     # its action against dense Z, level by level, within the ACA tolerance
     z = hpss.assemble_dense(spec)[np.ix_(tree.permutation, tree.permutation)]
     rng = np.random.default_rng(4)
     x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
     assert np.linalg.norm(h.matvec(x) - z @ x) <= 5e-3 * np.linalg.norm(z @ x)
-    assert np.array_equal(h.near_matrix().toarray(), np.where(near_mask(h), z, 0))
+    assert np.array_equal(h.near.matrix().toarray(), np.where(near_mask(h), z, 0))
     held = [level for level, pairs in h.partition.far_pairs.items() if pairs]
     assert len(held) >= 2
     for level in held:
@@ -457,9 +449,9 @@ def test_reciprocal_near_matrix_is_dense_z_on_the_near_pattern(mesh, leaf):
     assert spec.reciprocal
     tree = build_cluster_tree(mesh, leaf)
     h = assemble(spec, tree, tol=1e-3)
-    assert h.storage.mirror and any(stack.mirrored for stack in h.storage.near.stacks)
+    assert h.mirror and any(stack.mirrored for stack in h.near.stacks)
     z = hpss.assemble_dense(spec)[np.ix_(tree.permutation, tree.permutation)]
-    zn = h.near_matrix().toarray()
+    zn = h.near.matrix().toarray()
     mask = near_mask(h)
     assert np.array_equal(zn[mask].view(np.uint64), z[mask].view(np.uint64))
     assert not np.any(zn[~mask])
@@ -470,13 +462,13 @@ def test_blocks_are_the_operator_storage():
     changes the operator, at the block and, transposed, at its mirror."""
     mesh = discretize_strip(2.0, 10)
     h = assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 5), tol=1e-3)
-    assert h.storage.mirror
-    for stack in h.storage.near.stacks:
+    assert h.mirror
+    for stack in h.near.stacks:
         stack.data.flags.writeable = True  # assembly froze them
     r0, c0, near = next(blk for blk in stored_near_blocks(h) if blk[0] != blk[1])
     far = next(blk for blks in h.far_blocks.values() for blk in blks)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        h.storage.near.stacks[0].data = np.zeros_like(h.storage.near.stacks[0].data)
+        h.near.stacks[0].data = np.zeros_like(h.near.stacks[0].data)
     with pytest.raises(dataclasses.FrozenInstanceError):
         far.u = np.zeros_like(far.u)
 
@@ -488,7 +480,7 @@ def test_blocks_are_the_operator_storage():
     after = h.near_matvec(x)
     assert not np.allclose(after, before)
     assert np.linalg.norm(after - loop_near_matvec(h, x)) <= 1e-14 * np.linalg.norm(after)
-    zn = h.near_matrix().toarray()
+    zn = h.near.matrix().toarray()
     m, n = near.shape
     assert np.array_equal(zn[r0 : r0 + m, c0 : c0 + n], new)
     assert np.array_equal(zn[c0 : c0 + n, r0 : r0 + m], new.T)
@@ -499,7 +491,7 @@ def test_near_matrix_is_the_canonical_csc_of_the_blocks(name, strip_system):
     """``near_matrix`` gives the same bytes whatever order the stored and
     mirrored blocks are in."""
     h = packed_case(name, strip_system)
-    got = h.near_matrix()
+    got = h.near.matrix()
     assert got.has_sorted_indices
     rng = np.random.default_rng(12)
     applied = applied_near_blocks(h)
@@ -523,19 +515,20 @@ def test_near_matrix_is_the_canonical_csc_of_the_blocks(name, strip_system):
 
 
 @pytest.mark.parametrize("reciprocal", [True, False])
-@pytest.mark.parametrize("keep", [[4, 5], [5], [2, 3], []])
+@pytest.mark.parametrize("keep", [list(range(coarsest, 6)) for coarsest in range(1, 6)])
 def test_kept_levels_act_as_a_filtered_assembly(reciprocal, keep):
-    """``keep_levels`` shares the near field and acts bit for bit as an
-    assembly of the kept levels alone."""
+    """``keep_levels`` from each coarsest level shares the near field and
+    acts bit for bit as an assembly from that level; the run of levels
+    ``keep`` names ends at the leaf level 5."""
     mesh = discretize_strip(25.6, 10) if reciprocal else halved_strip(100)
     spec = KernelSpec.for_mesh(mesh)
     tree = build_cluster_tree(mesh, 8)
     assert spec.reciprocal == reciprocal and tree.depth == 5
     full = assemble(spec, tree, tol=1e-3)
-    kept = full.keep_levels(keep)
-    fresh = assemble(spec, tree, tol=1e-3, level_filter=keep)
-    assert kept.storage.near is full.storage.near
-    assert sorted(kept.far_blocks) == sorted(keep) and kept.stats == fresh.stats
+    kept = full.keep_levels(keep[0])
+    fresh = assemble(spec, tree, tol=1e-3, coarsest=keep[0])
+    assert kept.near is full.near and kept.mirror == fresh.mirror == reciprocal
+    assert sorted(kept.far_blocks) == sorted(fresh.far_blocks) == keep and kept.stats == fresh.stats
     assert memory_report(kept).rows == memory_report(fresh).rows
     rng = np.random.default_rng(6)
     x = rng.standard_normal(full.n) + 1j * rng.standard_normal(full.n)
@@ -543,20 +536,25 @@ def test_kept_levels_act_as_a_filtered_assembly(reciprocal, keep):
     for level in range(1, tree.depth + 1):
         assert np.array_equal(kept.matvec_level(level, x), fresh.matvec_level(level, x))
         assert np.array_equal(kept.matvec_level(level, x), full.matvec_level(level, x) if level in keep else 0 * x)
-    with pytest.raises(ValueError, match="not held"):
-        fresh.keep_levels([1])
-    with pytest.raises(ValueError, match="not consecutive"):
-        full.keep_levels([3, 5])
+    # a kept operator views the suffix of the full far buffer its levels fill
+    assert kept.far.width == fresh.far.width
+    assert kept.far.width == 0 or np.shares_memory(kept.far.left.data, full.far.left.data)
+    # and keeps again, from its own coarsest level down
+    again = kept.keep_levels(keep[-1])
+    assert np.array_equal(again.matvec(x), full.keep_levels(keep[-1]).matvec(x))
 
 
 def test_products_refuse_a_vector_of_the_wrong_shape(strip_system):
     h = strip_system["h"]
-    products = {
+    maps = {
         "near_matvec": h.near_matvec,
         "matvec_level": lambda x: h.matvec_level(h.depth, x),
         "matvec": h.matvec,
+        "permute": h.permute,
+        "unpermute": h.unpermute,
     }
-    for name, apply in products.items():
-        for shape in ((h.n + 1,), (h.n - 1,), (h.n, 1), (1, h.n)):
+    for name, apply in maps.items():
+        for shape in ((h.n + 1,), (h.n + 5,), (h.n - 1,), (1,), (h.n, 1), (1, h.n)):
             with pytest.raises(ValueError, match=re.escape(f"expected a vector of shape ({h.n},), got shape {shape}")):
                 apply(np.ones(shape, dtype=np.complex128))
+

@@ -25,10 +25,10 @@ from hpss.pss import RADIUS_ITERS, neumann_apply
 from conftest import dense_from_operator, factor_scaled_near_field
 
 
-def make_system(mesh, leaf, tol=1e-3, phi=0.0, level_filter=None):
+def make_system(mesh, leaf, tol=1e-3, phi=0.0, coarsest=1):
     spec = KernelSpec.for_mesh(mesh)
     tree = build_cluster_tree(mesh, leaf)
-    h = assemble(spec, tree, tol=tol, level_filter=level_filter)
+    h = assemble(spec, tree, tol=tol, coarsest=coarsest)
     b = h.permute(rhs(spec, Excitation(phi)))
     return spec, h, compute_scaling(h, b)
 
@@ -230,7 +230,7 @@ def test_inactive_empty_level_changes_nothing():
     # leaf level alone gives the identical computation
     mesh = discretize_strip(2.0, 10)
     spec, h, scaled = make_system(mesh, 5)
-    _, h_leaf, scaled_leaf = make_system(mesh, 5, level_filter=[2])
+    _, h_leaf, scaled_leaf = make_system(mesh, 5, coarsest=2)
     x_full, _ = solve(scaled, h, PssConfig(series_order=2))
     x_leaf, _ = solve(scaled_leaf, h_leaf, PssConfig(series_order=2))
     assert np.array_equal(x_full, x_leaf)
@@ -242,7 +242,7 @@ def test_leaf_only_assembly_reports_assembled_residual():
     mesh = discretize_disk(0.3, 16, 2.0)
     spec = KernelSpec.for_mesh(mesh)
     tree = build_cluster_tree(mesh, 8)
-    h = assemble(spec, tree, tol=1e-3, level_filter=[tree.depth])
+    h = assemble(spec, tree, tol=1e-3, coarsest=tree.depth)
     b = h.permute(rhs(spec, Excitation(0.0)))
     x, report = solve(compute_scaling(h, b), h, PssConfig(series_order=2))
     recomputed = np.linalg.norm(h.matvec(x) - b) / np.linalg.norm(b)
@@ -350,8 +350,8 @@ def test_report_text_layout():
 def test_chain_respects_truncated_levels():
     mesh = discretize_disk(0.3, 16, 2.0)
     chains = {}
-    for name, levels in (("full", None), ("mid", [2, 3, 4, 5]), ("leaf", [5])):
-        _, h, scaled = make_system(mesh, 8, level_filter=levels)
+    for name, coarsest in (("full", 1), ("mid", 2), ("leaf", 5)):
+        _, h, scaled = make_system(mesh, 8, coarsest=coarsest)
         assert h.depth == 5
         chains[name] = build_factor_chain(scaled, h, PssConfig(series_order=2)).levels
     # the chain is the assembled levels that hold far blocks, in order;

@@ -52,14 +52,14 @@ def test_strip_near_field_carries_offdiagonal_coupling():
     assert scaled.near_factorization is not None
     x = np.ones(h.n, dtype=np.complex128)
     offdiag = h.near_matvec(x)
-    for start, block in h.diagonal_blocks():
+    for start, block in h.near.diagonal_blocks():
         offdiag[start : start + len(block)] -= block @ x[start : start + len(block)]
     assert np.linalg.norm(offdiag) > 0.0
 
 
 def test_singular_diagonal_block_is_named():
     h = assembled(discretize_strip(2.0, 10), 5)
-    h.storage.near.stacks[0].data.flags.writeable = True  # assembly froze it; break it on purpose
+    h.near.stacks[0].data.flags.writeable = True  # assembly froze it; break it on purpose
     r0, c0, block = stored_near_blocks(h)[0]
     assert r0 == c0 == 0
     block[...] = 0.0
@@ -73,7 +73,7 @@ def test_singular_near_coupling_is_rejected():
     h = assembled(discretize_strip(1.0, 10), 5)
     # two diagonal blocks and one off-diagonal block with its mirror
     assert len(stored_near_blocks(h)) == 3 and len(applied_near_blocks(h)) == 4
-    for stack in h.storage.near.stacks:
+    for stack in h.near.stacks:
         stack.data.flags.writeable = True  # assembly froze them; break them on purpose
     for _, _, block in stored_near_blocks(h):
         block[...] = np.eye(5)
@@ -150,7 +150,7 @@ def test_near_field_is_factored_once_per_operator(monkeypatch):
     first = compute_scaling(h, np.ones(h.n, dtype=np.complex128))
     second = compute_scaling(h, np.arange(h.n, dtype=np.complex128))
     assert len(splu_calls) == 1
-    assert len(lu_calls) == len(h.diagonal_blocks()) > 1
+    assert len(lu_calls) == len(h.near.diagonal_blocks()) > 1
     assert first.near_factorization is second.near_factorization
     assert second.b[3] == 3.0
 
@@ -159,8 +159,8 @@ def test_factored_near_field_is_read_only():
     """A write into a factored operator raises instead of going stale."""
     h = assembled(discretize_strip(2.0, 10), 5)
     # views taken right after assembly, before the near field is factored
-    early = h.storage.near.stacks[0].data[0]
-    _, diagonal = h.diagonal_blocks()[0]
+    early = h.near.stacks[0].data[0]
+    _, diagonal = h.near.diagonal_blocks()[0]
     compute_scaling(h, np.ones(h.n, dtype=np.complex128))
     with pytest.raises(ValueError, match="read-only"):
         early[0, 0] = 0.0
@@ -169,7 +169,7 @@ def test_factored_near_field_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         stored_near_blocks(h)[0][2][0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
-        h.storage.near.stacks[0].data[...] = 0.0
+        h.near.stacks[0].data[...] = 0.0
 
 
 @pytest.mark.parametrize(
@@ -180,5 +180,5 @@ def test_factored_near_field_is_read_only():
 def test_minimum_degree_fills_no_more_than_colamd(mesh, leaf):
     h = assembled(mesh, leaf)
     factor = compute_scaling(h, np.ones(h.n, dtype=np.complex128)).near_factorization
-    colamd = splu(h.near_matrix(), permc_spec="COLAMD")
+    colamd = splu(h.near.matrix(), permc_spec="COLAMD")
     assert factor.L.nnz + factor.U.nnz <= colamd.L.nnz + colamd.U.nnz
