@@ -118,8 +118,8 @@ def aca(
         When a sampled row or column holds a non-finite entry; ``index``
         names the block in the stack.
     """
-    if tol < 0.0:
-        raise ValueError("aca tolerance must be non-negative")
+    if not tol >= 0.0:
+        raise ValueError(f"aca tolerance must be non-negative, got {tol:g}")
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
     if rows.ndim == 1:
@@ -263,8 +263,8 @@ def recompress(u: np.ndarray, v: np.ndarray, tol: float) -> Tuple[np.ndarray, np
     drop); the rank never exceeds min(k, m, n).  A LAPACK failure, such as
     a non-finite factor, raises ``np.linalg.LinAlgError``.
     """
-    if tol < 0.0:
-        raise ValueError("recompression tolerance must be non-negative")
+    if not tol >= 0.0:
+        raise ValueError(f"recompression tolerance must be non-negative, got {tol:g}")
     m, k = u.shape
     if k == 0:
         return u.copy(), v.copy()

@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -104,8 +103,8 @@ class Mesh:
             raise ValueError(f"elements {i} and {j} share the centre ({x:g}, {y:g})")
         if np.any(self.extents <= 0.0):
             raise ValueError("element extents must be positive")
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be positive")
+        if not (math.isfinite(self.wavelength) and self.wavelength > 0.0):
+            raise ValueError(f"wavelength must be positive and finite, got {self.wavelength:g}")
         if self.kind == SURFACE:
             if np.any(self.eps_r != 1.0):
                 raise ValueError("surface meshes must carry eps_r = 1 exactly")
@@ -200,14 +199,20 @@ def discretize_disk(radius_wl: float, cells_per_wavelength: float, eps_r: comple
 
 @dataclass
 class TreeNode:
-    """One index-range node of the binary cluster tree."""
+    """One index-range node of the binary cluster tree.
+
+    ``box`` is its elements' bounding box (x min, y min, x max, y max) and
+    ``diameter`` that box's diagonal, both Python floats: admissibility
+    reads them often, and scalar arithmetic on floats is far cheaper than
+    numpy's on two-element arrays.
+    """
 
     index: int
     level: int
     start: int
     stop: int
-    bbox_min: np.ndarray
-    bbox_max: np.ndarray
+    box: Tuple[float, float, float, float]
+    diameter: float
     children: Optional[Tuple[int, int]] = None
 
     @property
@@ -217,18 +222,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.children is None
-
-    @cached_property
-    def diameter(self) -> float:
-        """Bounding-box diagonal, computed on first use; admissibility reads it often."""
-        return float(np.linalg.norm(self.bbox_max - self.bbox_min))
-
-    @cached_property
-    def box(self) -> Tuple[float, float, float, float]:
-        """(x min, y min, x max, y max) as Python floats, made on first use;
-        admissibility reads them often, and scalar arithmetic on floats is
-        far cheaper than numpy's on two-element arrays."""
-        return (*self.bbox_min.tolist(), *self.bbox_max.tolist())
 
 
 @dataclass
@@ -276,10 +269,6 @@ class ClusterTree:
             raise ValueError("leaves do not cover all elements")
 
 
-def _bbox(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    return points.min(axis=0), points.max(axis=0)
-
-
 def build_cluster_tree(mesh: Mesh, leaf_size: int) -> ClusterTree:
     """Build the median-bisection cluster tree with uniform leaf depth.
 
@@ -303,8 +292,9 @@ def build_cluster_tree(mesh: Mesh, leaf_size: int) -> ClusterTree:
 
     def make_node(level: int, start: int, stop: int) -> int:
         pts = centers[perm[start:stop]]
-        bb_min, bb_max = _bbox(pts)
-        node = TreeNode(len(nodes), level, start, stop, bb_min, bb_max)
+        bb_min, bb_max = pts.min(axis=0), pts.max(axis=0)
+        box = (*bb_min.tolist(), *bb_max.tolist())
+        node = TreeNode(len(nodes), level, start, stop, box, float(np.linalg.norm(bb_max - bb_min)))
         nodes.append(node)
         index = node.index
         if level < depth:
@@ -333,8 +323,8 @@ def is_admissible(tree: ClusterTree, t: int, s: int, eta: float) -> bool:
     box-to-box Euclidean distance, the norm of the per-axis gaps.  Symmetric
     in (t, s) by construction.
     """
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    if not eta > 0.0:
+        raise ValueError(f"eta must be positive, got {eta:g}")
     nt, ns = tree.nodes[t], tree.nodes[s]
     if nt.level != ns.level:
         raise ValueError("admissibility is defined for same-level cluster pairs")

@@ -52,7 +52,10 @@ level, by default), and ``HMatrix.keep_levels`` gives the operator that
 keeps another's levels from a coarser one down, viewing the suffix of its
 far buffer those levels fill.  Levels above the coarsest contribute
 nothing, which downstream solvers treat as exact zeros, and the
-power-series cascade runs exactly the levels that hold blocks.
+power-series cascade runs exactly the levels that hold blocks.  The pair
+lists serve assembly alone: the operator keeps its blocks' starts in its
+stacks and far blocks, and one flag, ``HMatrix.complete``, for whether it
+holds every far level with admissible pairs.
 """
 
 from __future__ import annotations
@@ -88,8 +91,8 @@ class BlockPartition:
 
 def build_block_partition(tree: ClusterTree, eta: float = 1.0) -> BlockPartition:
     """Classify cluster pairs by recursive admissibility descent."""
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    if not eta > 0.0:
+        raise ValueError(f"eta must be positive, got {eta:g}")
     near: List[Tuple[int, int]] = []
     far: Dict[int, List[Tuple[int, int]]] = {lvl: [] for lvl in range(1, tree.depth + 1)}
 
@@ -399,11 +402,13 @@ class HMatrix:
     through ``NearField.matrix``, the near factorization in ``scaling``.
     ``far`` applies every far level the operator holds, and
     ``level_factors`` maps each of those levels that holds blocks to the
-    part of ``far`` that applies it alone.  ``mirror`` says whether every
-    stored off-diagonal block, near or far, also stands transposed at its
-    mirror position; the kernel decides it.  ``far_blocks`` are views of
-    the stored far blocks, keyed by the levels held, and the levels it
-    holds blocks on are the levels the power-series cascade runs.  The only
+    part of ``far`` that applies it alone.  Whether a stored block also
+    stands transposed at its mirror position is told by the near stacks'
+    ``mirrored`` flags and the far factors' ``swap``.  ``far_blocks`` are
+    views of the stored far blocks, keyed by the levels held, and the
+    levels it holds blocks on are the levels the power-series cascade
+    runs.  ``complete`` is true when every far level with admissible pairs
+    is held, so the operator is the whole assembled H-matrix.  The only
     derived state is the near factorization, made once per near field and
     kept with it; the near field is read-only from assembly on.
     ``assemble`` builds an operator, and ``keep_levels`` one that shares
@@ -411,12 +416,11 @@ class HMatrix:
     """
 
     tree: ClusterTree
-    partition: BlockPartition
     far_blocks: Dict[int, List[LowRankBlock]]
     near: NearField = field(repr=False, compare=False)
     far: FarFactors = field(repr=False, compare=False)
     level_factors: Dict[int, FarFactors] = field(repr=False, compare=False)
-    mirror: bool
+    complete: bool
 
     @property
     def stats(self) -> Dict[str, object]:
@@ -495,11 +499,6 @@ class HMatrix:
         y += self.far.apply(x)
         return y
 
-    def covers_all_far_levels(self) -> bool:
-        """True when every level with admissible pairs was assembled."""
-        needed = {lvl for lvl, pairs in self.partition.far_pairs.items() if pairs}
-        return needed.issubset(self.far_blocks)
-
     def keep_levels(self, coarsest: int) -> "HMatrix":
         """This operator with only its far levels ``coarsest``..depth, which
         must not reach above the coarsest level it holds.
@@ -507,13 +506,15 @@ class HMatrix:
         The result shares this operator's near field, its near
         factorization included, and views the suffix of its far factors
         those levels fill, and it acts bit for bit as ``assemble`` with
-        that ``coarsest`` would.
+        that ``coarsest`` would; it is ``complete`` when this one is and
+        the levels it drops hold no blocks.
         """
         _check_coarsest(coarsest, min(self.far_blocks, default=1), self.depth)
         parts = {level: part for level, part in self.level_factors.items() if level >= coarsest}
         far = self.far.part(self.far.width - sum(part.width for part in parts.values()), self.far.width)
         far_blocks = {level: blocks for level, blocks in self.far_blocks.items() if level >= coarsest}
-        return HMatrix(self.tree, self.partition, far_blocks, self.near, far, parts, self.mirror)
+        complete = self.complete and not any(blocks for level, blocks in self.far_blocks.items() if level < coarsest)
+        return HMatrix(self.tree, far_blocks, self.near, far, parts, complete)
 
 
 def _compress_level(
@@ -579,7 +580,7 @@ def assemble(
     """
     if tree.n_elements != spec.n:
         raise ValueError("tree and kernel disagree on element count")
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ValueError(f"compression tolerance must be non-negative, got {tol:g}")
     _check_coarsest(coarsest, 1, tree.depth)
     partition = build_block_partition(tree, eta)
@@ -609,7 +610,8 @@ def assemble(
         pairs = stored(partition.far_pairs[level])
         packed[level] = _pack_level(_compress_level(entry_fn, nodes, pairs, level, tol))
     far_blocks, far, level_factors = _far_storage(packed, spec.n, mirror)
-    return HMatrix(tree, partition, far_blocks, NearField(spec.n, stacks), far, level_factors, mirror)
+    complete = not any(partition.far_pairs[level] for level in range(1, coarsest))
+    return HMatrix(tree, far_blocks, NearField(spec.n, stacks), far, level_factors, complete)
 
 
 # ---------------------------------------------------------------------------
@@ -632,16 +634,15 @@ class MemoryReport:
 
 
 def memory_report(h: HMatrix) -> MemoryReport:
-    """Stored blocks and entries of the near field and of each far level."""
+    """Stored blocks and entries of the near field and, from ``h.stats``,
+    of each far level."""
     rows: List[Tuple[str, int, int, float]] = []
     stacks = h.near.stacks
     near_entries = int(sum(stack.data.size for stack in stacks))
     rows.append(("near", sum(len(stack.data) for stack in stacks), near_entries, near_entries * BYTES_PER_ENTRY / 1e6))
     total = near_entries
-    for level in sorted(h.far_blocks):
-        blks = h.far_blocks[level]
-        entries = int(sum(b.stored_entries for b in blks))
-        rows.append((str(level), len(blks), entries, entries * BYTES_PER_ENTRY / 1e6))
-        total += entries
+    for level, census in sorted(h.stats["far_levels"].items()):
+        rows.append((str(level), census["blocks"], census["entries"], census["entries"] * BYTES_PER_ENTRY / 1e6))
+        total += census["entries"]
     rows.append(("total", sum(r[1] for r in rows), total, total * BYTES_PER_ENTRY / 1e6))
     return MemoryReport(rows, total)

@@ -205,7 +205,7 @@ def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> F
     if scaled.h is not h:
         raise ValueError("scaled system was built from a different H-matrix")
     active = [level for level in sorted(h.far_blocks) if h.far_blocks[level]]
-    defect_norm = _implied_identity_factor_norm(scaled.scale_defect)
+    defect_norm = _implied_identity_factor_norm(scaled.near.defect)
     chain = FactorChain(
         h=h,
         near_solve=scaled.near_solve,
@@ -270,9 +270,10 @@ def expected_solve_counts(depth: int, active: Sequence[int], order: int) -> Dict
 class SolveReport:
     """What the cascade did: norms, counts, timings, and the residual.
 
-    ``residual`` is |h x - b| / |b| against the assembled operator h (``None``
-    for b = 0), and ``residual_label`` names it: on an assembly that skipped
-    far levels it reads "relative residual (assembled operator, levels ...)".
+    ``residual`` is |h x - b| / |b| against the operator h (``None`` for
+    b = 0), and ``residual_label`` names it: on an operator that is not
+    ``complete``, lacking a far level with admissible pairs, it reads
+    "relative residual (assembled operator, levels ...)".
     """
 
     order: int
@@ -323,9 +324,9 @@ def solve(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> Tuple[np.ndarr
 
     Returns the solution in tree-permuted coordinates together with a
     report.  With no far levels (single-leaf tree) the result is the exact
-    blockwise near solve of b.  The relative residual is taken against the
-    assembled operator; when that skipped far levels, the report's label
-    names the levels it holds.
+    blockwise near solve of b.  The relative residual is taken against
+    ``h``; when ``h`` is not ``complete``, the report's label names the
+    levels it holds.
     """
     start = time.perf_counter()
     chain = build_factor_chain(scaled, h, config)
@@ -338,7 +339,7 @@ def solve(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> Tuple[np.ndarr
     if bnorm > 0.0:
         residual = float(np.linalg.norm(h.matvec(x) - scaled.b)) / bnorm
     label = "relative residual"
-    if not h.covers_all_far_levels():
+    if not h.complete:
         label += f" (assembled operator, levels {','.join(str(l) for l in sorted(h.far_blocks)) or 'none'})"
 
     report = SolveReport(

@@ -28,10 +28,11 @@ solved with.
 
 None of this depends on the right-hand side, so it is done once per
 near field: the first ``compute_scaling`` on an ``HMatrix`` keeps the near
-factorization and its defect with its near field, which operators made by
-``HMatrix.keep_levels`` share.  ``assemble`` has made the near stacks
-read-only, so a write into a factored operator raises instead of being
-solved with a stale LU.
+factorization and its defect, a ``NearFactor``, with its near field, which
+operators made by ``HMatrix.keep_levels`` share, and every ``ScaledSystem``
+of that near field holds that one factor.  ``assemble`` has made the
+near stacks read-only, so a write into a factored operator raises
+instead of being solved with a stale LU.
 """
 
 from __future__ import annotations
@@ -49,23 +50,6 @@ from .solvers import check_finite_rhs
 _DEFECT_PROBES = 2
 
 
-@dataclass
-class ScaledSystem:
-    """The exact near-field solve, the right-hand side and the level-0 defect.
-
-    Vectors live in tree-permuted coordinates throughout.
-    """
-
-    h: HMatrix
-    b: np.ndarray
-    scale_defect: float
-    near_factorization: SuperLU
-
-    def near_solve(self, v: np.ndarray) -> np.ndarray:
-        """Exact x with Z_N x = v."""
-        return np.ascontiguousarray(self.near_factorization.solve(v))
-
-
 @dataclass(frozen=True)
 class NearFactor:
     """The right-hand-side-free part of ``compute_scaling``, one per operator.
@@ -78,6 +62,23 @@ class NearFactor:
 
     factorization: SuperLU
     defect: float
+
+
+@dataclass
+class ScaledSystem:
+    """The right-hand side and the near factor of the operator ``h``.
+
+    ``near`` is the factor kept with ``h``'s near field, its level-0 defect
+    included.  Vectors live in tree-permuted coordinates throughout.
+    """
+
+    h: HMatrix
+    b: np.ndarray
+    near: NearFactor
+
+    def near_solve(self, v: np.ndarray) -> np.ndarray:
+        """Exact x with Z_N x = v."""
+        return np.ascontiguousarray(self.near.factorization.solve(v))
 
 
 def _factor_near_field(h: HMatrix) -> NearFactor:
@@ -135,5 +136,4 @@ def compute_scaling(h: HMatrix, b: np.ndarray) -> ScaledSystem:
     check_finite_rhs(b)
     if h.near.factor is None:
         h.near.factor = _factor_near_field(h)
-    near = h.near.factor
-    return ScaledSystem(h, b, near.defect, near.factorization)
+    return ScaledSystem(h, b, h.near.factor)

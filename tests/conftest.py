@@ -40,14 +40,15 @@ def applied_near_blocks(h):
     return blocks
 
 
-def applied_far_blocks(h, level):
+def applied_far_blocks(h, level, mirror):
     """(row start, col start, u, v) of every far block of ``level`` the
     operator applies: each stored block, and after it its mirror
-    (v^T, u^T at the transposed position) when the operator mirrors."""
+    (v^T, u^T at the transposed position) when the operator mirrors, that
+    is when its kernel is reciprocal."""
     blocks = []
     for blk in h.far_blocks.get(level, ()):
         blocks.append((blk.row_start, blk.col_start, blk.u, blk.v))
-        if h.mirror:
+        if mirror:
             blocks.append((blk.col_start, blk.row_start, blk.v.T, blk.u.T))
     return blocks
 

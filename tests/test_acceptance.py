@@ -177,7 +177,7 @@ def test_criterion_5_sampled_block_compression_quality(capsys):
     # every far block the operator applies: each stored block and, as the
     # strip's kernel is reciprocal, its mirror (v^T u^T at the transposed position)
     assert spec.reciprocal
-    blocks = [blk for level in sorted(h.far_blocks) for blk in applied_far_blocks(h, level)]
+    blocks = [blk for level in sorted(h.far_blocks) for blk in applied_far_blocks(h, level, spec.reciprocal)]
     rng = np.random.default_rng(7)
     sample = [blocks[i] for i in rng.choice(len(blocks), size=12, replace=False)]
     assert len(sample) >= 10
@@ -258,11 +258,11 @@ def test_criterion_8_guard_trips_on_descaled_system(capsys, monkeypatch):
     clean = compute_scaling(h, b)
     x, rep = solve(clean, h, PssConfig(series_order=8))
     err = rel_err(h.unpermute(x), lu_solve(assemble_dense(spec), rhs(spec, BROADSIDE)))
-    ok = clean.scale_defect < 1e-12 and err <= 1e-3
+    ok = clean.near.defect < 1e-12 and err <= 1e-3
     emit(capsys, 8, ok,
          f"de-scaled system raises ({str(excinfo.value)[:48]}...); restored scaling "
-         f"defect {clean.scale_defect:.1e}, solve err {err:.1e}")
-    assert clean.scale_defect < 1e-12
+         f"defect {clean.near.defect:.1e}, solve err {err:.1e}")
+    assert clean.near.defect < 1e-12
     assert err <= 1e-3
 
 

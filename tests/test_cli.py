@@ -282,6 +282,26 @@ STRIP_ARGS = [
 ]
 
 
+# NaN fails every comparison, so a guard written as "refuse if below the
+# bound" lets it through to the operator
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--aca-tol", "nan"], "compression tolerance must be non-negative, got nan"),
+        (["solve", "--eta", "nan"], "eta must be positive, got nan"),
+        (["compare", "--solvers", "pss,gmres", "--aca-tol", "nan"], "compression tolerance must be non-negative, got nan"),
+        (["bench", "--sizes", "256", "--eta", "nan"], "eta must be positive, got nan"),
+    ],
+    ids=["solve-aca-tol", "solve-eta", "compare-aca-tol", "bench-eta"],
+)
+def test_nan_tolerance_or_eta_exits_one_before_writing(tmp_path, capsys, argv, message):
+    problem = STRIP_ARGS if argv[0] != "bench" else []
+    out = tmp_path / "o"
+    assert main([argv[0], *problem, *argv[1:], "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["solve", *STRIP_ARGS, "--solver", "pss", "--out", str(out)])

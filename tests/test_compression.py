@@ -182,6 +182,15 @@ def test_tolerance_rejects_negative():
         aca(matrix_entry_fn(np.eye(3, dtype=complex)), np.arange(3), np.arange(3), tol=-1.0)
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_nan_or_negative_tolerance_is_refused_by_aca_and_recompress(tol):
+    with pytest.raises(ValueError, match="aca tolerance must be non-negative"):
+        aca(matrix_entry_fn(np.eye(3, dtype=complex)), np.arange(3), np.arange(3), tol=tol)
+    u, v = np.ones((3, 1), dtype=complex), np.ones((1, 3), dtype=complex)
+    with pytest.raises(ValueError, match="recompression tolerance must be non-negative"):
+        recompress(u, v, tol)
+
+
 def recording(entry_fn):
     """``entry_fn`` that also logs, in order, every row it samples alone."""
     sampled = []

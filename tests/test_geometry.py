@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,19 @@ def test_mesh_rejects_two_elements_with_one_centre():
         Mesh("volume", centers, cells.extents, cells.eps_r)
 
 
+@pytest.mark.parametrize("wavelength", [float("nan"), float("inf"), 0.0, -1.0])
+def test_mesh_refuses_a_non_finite_or_nonpositive_wavelength(tmp_path, wavelength):
+    # a NaN or infinite wavelength would make k0, and so every kernel entry, NaN or 0
+    strip = discretize_strip(1.0, 10)
+    message = f"wavelength must be positive and finite, got {wavelength:g}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Mesh(strip.kind, strip.centers, strip.extents, strip.eps_r, wavelength)
+    path = tmp_path / "mesh.csv"
+    write_mesh_csv(strip, str(path))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_mesh_csv(str(path), wavelength=wavelength)
+
+
 def test_tree_on_eight_collinear_points():
     m = discretize_strip(0.8, 10)
     assert m.n_elements == 8
@@ -138,10 +152,11 @@ def test_permutation_is_bijection_and_leaves_tile():
 
 def boxes_tree(*boxes):
     """A depth-1 tree whose level-1 nodes 1, 2, ... have the given
-    ((x min, y min), (x max, y max)) boxes; ``is_admissible`` reads only those."""
-    root = TreeNode(0, 0, 0, len(boxes), np.zeros(2), np.zeros(2))
+    ((x min, y min), (x max, y max)) boxes; ``is_admissible`` reads only
+    those and their diagonals."""
+    root = TreeNode(0, 0, 0, len(boxes), (0.0, 0.0, 0.0, 0.0), 0.0)
     nodes = [root] + [
-        TreeNode(i + 1, 1, i, i + 1, np.array(lo, dtype=float), np.array(hi, dtype=float))
+        TreeNode(i + 1, 1, i, i + 1, (*map(float, lo), *map(float, hi)), float(np.linalg.norm(np.subtract(hi, lo))))
         for i, (lo, hi) in enumerate(boxes)
     ]
     return ClusterTree(nodes, np.arange(len(boxes)), 2, 1, len(boxes))
@@ -167,8 +182,9 @@ def test_admissibility_hand_cases():
     # touching corners give distance zero: never admissible
     t = boxes_tree(unit, ((1.0, 1.0), (2.0, 2.0)))
     assert not is_admissible(t, 1, 2, 1e6)
-    with pytest.raises(ValueError, match="eta must be positive"):
-        is_admissible(t, 1, 2, 0.0)
+    for eta in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            is_admissible(t, 1, 2, eta)
 
 
 def test_admissibility_is_symmetric():

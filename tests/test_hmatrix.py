@@ -53,9 +53,12 @@ def numpy_box_partition(tree, eta):
         gap = np.maximum(0.0, np.maximum(bmin - amax, amin - bmax))
         return float(np.linalg.norm(gap))
 
+    def corners(node):
+        return np.array(node.box[:2]), np.array(node.box[2:])
+
     def admissible(nt, ns):
-        dist = box_distance(nt.bbox_min, nt.bbox_max, ns.bbox_min, ns.bbox_max)
-        diameters = (float(np.linalg.norm(node.bbox_max - node.bbox_min)) for node in (nt, ns))
+        dist = box_distance(*corners(nt), *corners(ns))
+        diameters = (float(np.linalg.norm(hi - lo)) for lo, hi in map(corners, (nt, ns)))
         return eta * dist >= min(diameters)
 
     near, far = [], {level: [] for level in range(1, tree.depth + 1)}
@@ -90,7 +93,7 @@ def test_partition_is_the_numpy_box_descent(mesh, leaf, eta):
     assert any(far.values())
 
 
-@pytest.mark.parametrize("eta", [0.0, -1.0])
+@pytest.mark.parametrize("eta", [0.0, -1.0, float("nan")])
 def test_partition_refuses_nonpositive_eta_even_for_one_leaf(eta):
     tree = build_cluster_tree(discretize_strip(1.0, 10), 16)
     assert tree.depth == 0  # the descent tests no pair at all
@@ -205,8 +208,8 @@ def test_level_filter_leaf_only():
     x = rng.standard_normal(full.n) + 1j * rng.standard_normal(full.n)
     recombined = leaf_only.near_matvec(x) + leaf_only.matvec_level(tree.depth, x)
     assert np.array_equal(recombined, leaf_only.matvec(x))
-    assert not leaf_only.covers_all_far_levels()
-    assert full.covers_all_far_levels()
+    assert not leaf_only.complete
+    assert full.complete
 
 
 def test_assemble_rejects_negative_tolerance(monkeypatch):
@@ -219,6 +222,55 @@ def test_assemble_rejects_negative_tolerance(monkeypatch):
         mesh = discretize_strip(length, 10)
         with pytest.raises(ValueError, match="tolerance must be non-negative"):
             assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 32), tol=-1.0)
+
+
+@pytest.mark.parametrize(
+    "tol, eta, message",
+    [
+        (float("nan"), 1.0, "compression tolerance must be non-negative, got nan"),
+        (1e-3, float("nan"), "eta must be positive, got nan"),
+    ],
+    ids=["tol", "eta"],
+)
+def test_assemble_refuses_a_nan_tolerance_or_eta(monkeypatch, tol, eta, message):
+    """A NaN tolerance would store every far block at rank 0 and a NaN eta
+    would make every leaf pair near; both are refused before any fill."""
+
+    def no_fill(*args):
+        raise AssertionError("entries were evaluated before the check")
+
+    monkeypatch.setattr("hpss.hmatrix.entry_function", no_fill)
+    mesh = discretize_strip(25.6, 10)
+    tree = build_cluster_tree(mesh, 32)
+    assert any(build_block_partition(tree).far_pairs.values())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        assemble(KernelSpec.for_mesh(mesh), tree, tol=tol, eta=eta)
+
+
+@pytest.mark.parametrize(
+    "mesh, leaf",
+    [(discretize_strip(25.6, 10), 8), (discretize_strip(2.0, 10), 5), (discretize_disk(0.5, 12, 2.0), 8)],
+    ids=["strip", "depth-2-strip", "disk"],
+)
+def test_complete_is_the_same_assembled_or_kept(mesh, leaf):
+    """From every coarsest level c, ``complete`` is true exactly when no
+    level above c has admissible pairs, whether the operator is assembled
+    from c or kept from the full one."""
+    spec = KernelSpec.for_mesh(mesh)
+    tree = build_cluster_tree(mesh, leaf)
+    partition = build_block_partition(tree)
+    full = assemble(spec, tree, tol=1e-3)
+    assert full.complete
+    for coarsest in range(1, tree.depth + 1):
+        want = not any(partition.far_pairs[level] for level in range(1, coarsest))
+        assert assemble(spec, tree, tol=1e-3, coarsest=coarsest).complete == want
+        assert full.keep_levels(coarsest).complete == want
+    if tree.depth == 2:
+        # the halves of a strip touch: level 1 has no pairs, so keeping
+        # levels 2.. drops nothing
+        assert not partition.far_pairs[1] and full.keep_levels(2).complete
+    else:
+        assert not full.keep_levels(tree.depth).complete
 
 
 def test_non_finite_far_block_is_named_inside_its_stack(monkeypatch):
@@ -283,48 +335,54 @@ def loop_near_matvec(h, x):
     return y
 
 
-def loop_level_matvec(h, level, x):
+def loop_level_matvec(h, mirror, level, x):
     """Reference level action: u (v x) per stored or mirrored block."""
     y = np.zeros(h.n, dtype=np.complex128)
-    for r0, c0, u, v in applied_far_blocks(h, level):
+    for r0, c0, u, v in applied_far_blocks(h, level, mirror):
         y[r0 : r0 + u.shape[0]] += u @ (v @ x[c0 : c0 + v.shape[1]])
     return y
 
 
-def stored_pairs(h, pairs):
+def stored_pairs(h, mirror, pairs):
     """The pairs the mirror rule stores: all of them without mirrors, else
     the diagonal ones and those whose row start lies below their col start."""
     nodes = h.tree.nodes
-    return [(t, s) for t, s in pairs if t == s or not h.mirror or nodes[t].start < nodes[s].start]
+    return [(t, s) for t, s in pairs if t == s or not mirror or nodes[t].start < nodes[s].start]
 
 
-def report_from_blocks(h):
+def report_from_blocks(h, mirror):
     """memory_report rows recomputed from the partition, the mirror rule
     and the far blocks' shapes."""
     nodes = h.tree.nodes
-    near_pairs = stored_pairs(h, h.partition.near_pairs)
+    partition = build_block_partition(h.tree)
+    near_pairs = stored_pairs(h, mirror, partition.near_pairs)
     rows = [("near", len(near_pairs), sum(nodes[t].size * nodes[s].size for t, s in near_pairs))]
     for level in sorted(h.far_blocks):
         blks = h.far_blocks[level]
-        assert len(blks) == len(stored_pairs(h, h.partition.far_pairs[level]))
+        assert len(blks) == len(stored_pairs(h, mirror, partition.far_pairs[level]))
         rows.append((str(level), len(blks), sum(b.rank * (b.shape[0] + b.shape[1]) for b in blks)))
     rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
     return rows
 
 
 def packed_case(name, strip_system):
+    """The operator of case ``name`` and whether it mirrors (its kernel is
+    reciprocal)."""
     if name == "strip":
-        return strip_system["h"]
+        return strip_system["h"], strip_system["spec"].reciprocal
     if name == "depth-0":
         mesh = discretize_strip(1.0, 10)
-        return assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 16), tol=1e-3)
+        spec = KernelSpec.for_mesh(mesh)
+        return assemble(spec, build_cluster_tree(mesh, 16), tol=1e-3), spec.reciprocal
     if name == "halved-strip":
         mesh = halved_strip(7)
-        return assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 32), tol=1e-3)
+        spec = KernelSpec.for_mesh(mesh)
+        return assemble(spec, build_cluster_tree(mesh, 32), tol=1e-3), spec.reciprocal
     mesh = discretize_disk(0.3, 16, 2.0)
+    spec = KernelSpec.for_mesh(mesh)
     tree = build_cluster_tree(mesh, 8)
     coarsest = tree.depth if name == "leaf-only-disk" else 1
-    return assemble(KernelSpec.for_mesh(mesh), tree, tol=1e-3, coarsest=coarsest)
+    return assemble(spec, tree, tol=1e-3, coarsest=coarsest), spec.reciprocal
 
 
 CASES = ["strip", "disk", "leaf-only-disk", "depth-0", "halved-strip"]
@@ -332,8 +390,8 @@ CASES = ["strip", "disk", "leaf-only-disk", "depth-0", "halved-strip"]
 
 @pytest.mark.parametrize("name", CASES)
 def test_packed_operator_matches_block_loops(name, strip_system):
-    h = packed_case(name, strip_system)
-    assert h.mirror == (name != "halved-strip")
+    h, mirror = packed_case(name, strip_system)
+    assert mirror == (name != "halved-strip")
     rng = np.random.default_rng(31)
     x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
 
@@ -343,7 +401,7 @@ def test_packed_operator_matches_block_loops(name, strip_system):
     want = loop_near_matvec(h, x)
     assert close(h.near_matvec(x), want)
     for level in range(1, h.depth + 1):
-        y = loop_level_matvec(h, level, x)
+        y = loop_level_matvec(h, mirror, level, x)
         assert close(h.matvec_level(level, x), y)
         want = want + y
     assert close(h.matvec(x), want)
@@ -355,14 +413,15 @@ def test_packed_operator_matches_block_loops(name, strip_system):
     assert all(stack.data.flags.c_contiguous for stack in stacks)
     diagonal = [bool(np.array_equal(stack.row_starts, stack.col_starts)) for stack in stacks]
     assert diagonal == sorted(diagonal, reverse=True)
-    assert [stack.mirrored for stack in stacks] == [h.mirror and not d for d in diagonal]
+    assert [stack.mirrored for stack in stacks] == [mirror and not d for d in diagonal]
     nodes = h.tree.nodes
-    stored = [(nodes[t], nodes[s]) for t, s in stored_pairs(h, h.partition.near_pairs)]
+    partition = build_block_partition(h.tree)
+    stored = [(nodes[t], nodes[s]) for t, s in stored_pairs(h, mirror, partition.near_pairs)]
     coords = [stack.coordinates() for stack in stacks]
     flat = np.concatenate([(r * h.n + c).ravel() for r, c in coords])
     assert flat.size == np.unique(flat).size == sum(nt.size * ns.size for nt, ns in stored)
     applied = np.concatenate([flat] + [(c * h.n + r).ravel() for (r, c), s in zip(coords, stacks) if s.mirrored])
-    near_pairs = [(nodes[t], nodes[s]) for t, s in h.partition.near_pairs]
+    near_pairs = [(nodes[t], nodes[s]) for t, s in partition.near_pairs]
     assert applied.size == np.unique(applied).size == sum(nt.size * ns.size for nt, ns in near_pairs)
 
     # the far factors view one buffer that holds each stored far entry
@@ -371,11 +430,11 @@ def test_packed_operator_matches_block_loops(name, strip_system):
     # the buffer and swap is the identity
     far, blocks = h.far, [b for blks in h.far_blocks.values() for b in blks]
     k, entries = sum(b.rank for b in blocks), sum(b.stored_entries for b in blocks)
-    width = 2 * k if h.mirror else k
+    width = 2 * k if mirror else k
     assert far.left.shape == (h.n, width) and far.right.shape == (width, h.n)
     assert np.array_equal(np.sort(far.swap), np.arange(width))
     assert np.array_equal(far.swap[far.swap], np.arange(width))
-    if h.mirror:
+    if mirror:
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(far.left, attr), getattr(far.right, attr))
         assert entries == 0 or np.shares_memory(far.left.data, far.right.data)
@@ -392,16 +451,16 @@ def test_packed_operator_matches_block_loops(name, strip_system):
             assert np.shares_memory(mat.data, whole.data) and np.shares_memory(mat.indices, whole.indices)
             assert mat.indices.dtype == mat.indptr.dtype == np.int32
         assert all(np.shares_memory(b.u, far.left.data) and np.shares_memory(b.v, far.right.data) for b in blks)
-        assert part.width == (2 if h.mirror else 1) * sum(b.rank for b in blks)
-        assert (part.left.data.size if h.mirror else part.left.data.size + part.right.data.size) == level_entries
+        assert part.width == (2 if mirror else 1) * sum(b.rank for b in blks)
+        assert (part.left.data.size if mirror else part.left.data.size + part.right.data.size) == level_entries
     assert far.left.indices.dtype == far.right.indices.dtype == np.int32
-    assert [r[:3] for r in memory_report(h).rows] == report_from_blocks(h)
+    assert [r[:3] for r in memory_report(h).rows] == report_from_blocks(h, mirror)
 
 
 def near_mask(h):
     """Boolean N x N mask of the near pattern, mirrors included."""
     mask = np.zeros((h.n, h.n), dtype=bool)
-    for t, s in h.partition.near_pairs:
+    for t, s in build_block_partition(h.tree).near_pairs:
         nt, ns = h.tree.nodes[t], h.tree.nodes[s]
         mask[nt.start : nt.stop, ns.start : ns.stop] = True
     return mask
@@ -413,12 +472,12 @@ def test_non_reciprocal_mesh_stores_every_block_and_mirrors_none():
     assert not spec.reciprocal
     tree = build_cluster_tree(mesh, 32)
     h = assemble(spec, tree, tol=1e-3)
-    assert not h.mirror
+    partition = build_block_partition(tree)
     assert not any(stack.mirrored for stack in h.near.stacks)
     nodes = tree.nodes
     starts = lambda pairs: sorted((nodes[t].start, nodes[s].start) for t, s in pairs)
-    assert sorted((r0, c0) for r0, c0, _ in stored_near_blocks(h)) == starts(h.partition.near_pairs)
-    for level, pairs in h.partition.far_pairs.items():
+    assert sorted((r0, c0) for r0, c0, _ in stored_near_blocks(h)) == starts(partition.near_pairs)
+    for level, pairs in partition.far_pairs.items():
         assert sorted((b.row_start, b.col_start) for b in h.far_blocks[level]) == starts(pairs)
     assert np.array_equal(h.far.swap, np.arange(h.far.width))
 
@@ -428,11 +487,11 @@ def test_non_reciprocal_mesh_stores_every_block_and_mirrors_none():
     x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
     assert np.linalg.norm(h.matvec(x) - z @ x) <= 5e-3 * np.linalg.norm(z @ x)
     assert np.array_equal(h.near.matrix().toarray(), np.where(near_mask(h), z, 0))
-    held = [level for level, pairs in h.partition.far_pairs.items() if pairs]
+    held = [level for level, pairs in partition.far_pairs.items() if pairs]
     assert len(held) >= 2
     for level in held:
         z_level = np.zeros_like(z)
-        for t, s in h.partition.far_pairs[level]:
+        for t, s in partition.far_pairs[level]:
             rows, cols = slice(nodes[t].start, nodes[t].stop), slice(nodes[s].start, nodes[s].stop)
             z_level[rows, cols] = z[rows, cols]
         want = z_level @ x
@@ -449,7 +508,7 @@ def test_reciprocal_near_matrix_is_dense_z_on_the_near_pattern(mesh, leaf):
     assert spec.reciprocal
     tree = build_cluster_tree(mesh, leaf)
     h = assemble(spec, tree, tol=1e-3)
-    assert h.mirror and any(stack.mirrored for stack in h.near.stacks)
+    assert any(stack.mirrored for stack in h.near.stacks)
     z = hpss.assemble_dense(spec)[np.ix_(tree.permutation, tree.permutation)]
     zn = h.near.matrix().toarray()
     mask = near_mask(h)
@@ -461,8 +520,9 @@ def test_blocks_are_the_operator_storage():
     """A stack or block cannot be rebound, and a write into a stacked block
     changes the operator, at the block and, transposed, at its mirror."""
     mesh = discretize_strip(2.0, 10)
-    h = assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 5), tol=1e-3)
-    assert h.mirror
+    spec = KernelSpec.for_mesh(mesh)
+    h = assemble(spec, build_cluster_tree(mesh, 5), tol=1e-3)
+    assert spec.reciprocal
     for stack in h.near.stacks:
         stack.data.flags.writeable = True  # assembly froze them
     r0, c0, near = next(blk for blk in stored_near_blocks(h) if blk[0] != blk[1])
@@ -490,7 +550,7 @@ def test_blocks_are_the_operator_storage():
 def test_near_matrix_is_the_canonical_csc_of_the_blocks(name, strip_system):
     """``near_matrix`` gives the same bytes whatever order the stored and
     mirrored blocks are in."""
-    h = packed_case(name, strip_system)
+    h, _ = packed_case(name, strip_system)
     got = h.near.matrix()
     assert got.has_sorted_indices
     rng = np.random.default_rng(12)
@@ -527,7 +587,7 @@ def test_kept_levels_act_as_a_filtered_assembly(reciprocal, keep):
     full = assemble(spec, tree, tol=1e-3)
     kept = full.keep_levels(keep[0])
     fresh = assemble(spec, tree, tol=1e-3, coarsest=keep[0])
-    assert kept.near is full.near and kept.mirror == fresh.mirror == reciprocal
+    assert kept.near is full.near and kept.complete == fresh.complete
     assert sorted(kept.far_blocks) == sorted(fresh.far_blocks) == keep and kept.stats == fresh.stats
     assert memory_report(kept).rows == memory_report(fresh).rows
     rng = np.random.default_rng(6)

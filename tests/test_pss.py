@@ -284,7 +284,7 @@ def test_near_solve_that_does_not_invert_the_stored_near_field_trips_level_zero(
     # 4 Z_N: defect 3/4, implied factor norm 3, well clear of NORM_FAIL
     factor_scaled_near_field(monkeypatch, 4.0)
     _, h, scaled = make_system(discretize_strip(2.0, 10), 5)
-    assert abs(scaled.scale_defect - 0.75) <= 1e-9
+    assert abs(scaled.near.defect - 0.75) <= 1e-9
     with pytest.raises(ConvergenceError, match="level-0"):
         solve(scaled, h, PssConfig(series_order=2))
 

@@ -49,7 +49,7 @@ def test_strip_near_field_carries_offdiagonal_coupling():
     h = assembled(discretize_strip(2.0, 10), 5)
     scaled = compute_scaling(h, np.ones(h.n, dtype=np.complex128))
     assert any(r0 != c0 for r0, c0, _ in stored_near_blocks(h))
-    assert scaled.near_factorization is not None
+    assert scaled.near.factorization is not None
     x = np.ones(h.n, dtype=np.complex128)
     offdiag = h.near_matvec(x)
     for start, block in h.near.diagonal_blocks():
@@ -104,19 +104,19 @@ def test_descaled_near_solve_shows_up_in_defect(monkeypatch):
     h = assembled(discretize_strip(2.0, 10), 5)
     b = np.ones(h.n, dtype=np.complex128)
     clean = compute_scaling(h, b)
-    assert clean.scale_defect <= 1e-12
+    assert clean.near.defect <= 1e-12
     # the near factor is kept with its near field, so the broken half has its own operator
     h_broken = assembled(discretize_strip(2.0, 10), 5)
     with monkeypatch.context() as patch:
         factor_scaled_near_field(patch, 10.0)
         broken = compute_scaling(h_broken, b)
-    assert abs(broken.scale_defect - 0.9) <= 1e-9
+    assert abs(broken.near.defect - 0.9) <= 1e-9
     # the defect measures the near solve every solution goes through
     v = np.ones(h.n, dtype=np.complex128)
     assert np.allclose(broken.near_solve(v), 0.1 * clean.near_solve(v))
     # the near solve inverts the near field of a disk too
     disk = assembled(discretize_disk(0.3, 12, 2.0), 8)
-    assert compute_scaling(disk, np.ones(disk.n, dtype=np.complex128)).scale_defect <= 1e-12
+    assert compute_scaling(disk, np.ones(disk.n, dtype=np.complex128)).near.defect <= 1e-12
 
 
 def test_leaf_factor_norm_below_one_on_short_strip():
@@ -151,7 +151,7 @@ def test_near_field_is_factored_once_per_operator(monkeypatch):
     second = compute_scaling(h, np.arange(h.n, dtype=np.complex128))
     assert len(splu_calls) == 1
     assert len(lu_calls) == len(h.near.diagonal_blocks()) > 1
-    assert first.near_factorization is second.near_factorization
+    assert first.near.factorization is second.near.factorization
     assert second.b[3] == 3.0
 
 
@@ -179,6 +179,6 @@ def test_factored_near_field_is_read_only():
 )
 def test_minimum_degree_fills_no_more_than_colamd(mesh, leaf):
     h = assembled(mesh, leaf)
-    factor = compute_scaling(h, np.ones(h.n, dtype=np.complex128)).near_factorization
+    factor = compute_scaling(h, np.ones(h.n, dtype=np.complex128)).near.factorization
     colamd = splu(h.near.matrix(), permc_spec="COLAMD")
     assert factor.L.nnz + factor.U.nnz <= colamd.L.nnz + colamd.U.nnz
