@@ -12,7 +12,11 @@ solver, and turns it into the coarsest level kept.  ``compare``
 assembles every level once and runs the power series on the operator
 that keeps the levels from that one down (``HMatrix.keep_levels``).
 All CSV artifacts are byte-deterministic for a fixed config: timings
-appear only in the plain-text summaries.
+appear only in the plain-text summaries.  Those summaries, printed on
+stdout, show each run's accuracy (``SolverRun.notes``): the power
+series' labelled residual and guard warnings, and a GMRES run's failure
+to converge, after which ``solve`` and ``compare`` exit 1 with every
+file written.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
+from typing import Dict, List, Optional, Sequence, Tuple, Union, get_args, get_type_hints
 
 import numpy as np
 
@@ -41,7 +45,7 @@ from .hmatrix import HMatrix, assemble, memory_report
 from .kernels import Excitation, KernelSpec, assemble_dense, rhs
 from .postproc import RcsCurve, bistatic_rcs, rcs_rms_error, series_dielectric_cylinder, series_pec_cylinder
 from .scaling import compute_scaling
-from .solvers import gmres, lu_solve
+from .solvers import IterativeReport, gmres, lu_solve
 
 GEOMETRIES = ("strip", "circle", "disk")
 SOLVER_NAMES = ("pss", "gmres", "lu")
@@ -213,12 +217,47 @@ def _write_text(path: str, text: str) -> None:
 
 @dataclass
 class SolverRun:
+    """One solver's echo width, wall time and report: the cascade's
+    ``SolveReport``, GMRES's ``IterativeReport``, or None for lu."""
+
     name: str
     rcs: RcsCurve
     wall_time_s: float
-    detail: str
-    matvec_count: Optional[int] = None
-    iterations: Optional[int] = None
+    report: Union[pss.SolveReport, IterativeReport, None] = None
+
+    @property
+    def detail(self) -> str:
+        """The text of ``solve_report.txt``."""
+        return "dense partial-pivot LU oracle\n" if self.report is None else self.report.to_text()
+
+    @property
+    def unconverged(self) -> bool:
+        """A GMRES run that stopped at ``maxit`` above its tolerance."""
+        return isinstance(self.report, IterativeReport) and not self.report.converged
+
+    def counts(self) -> str:
+        """The matvec count, and for GMRES the iteration count, as a
+        suffix of the run's compare line."""
+        if isinstance(self.report, pss.SolveReport):
+            return f", matvecs {self.report.total_solve_matvecs}"
+        if isinstance(self.report, IterativeReport):
+            return f", matvecs {self.report.n_matvecs}, iterations {self.report.iterations}"
+        return ""
+
+    def notes(self, gmres_tol: float) -> List[str]:
+        """What a summary shows of the run's accuracy: the cascade's
+        labelled residual and every guard warning, and a GMRES run's
+        failure to converge."""
+        if isinstance(self.report, pss.SolveReport):
+            return self.report.outcome_lines()
+        if self.unconverged:
+            report = self.report
+            residual = report.true_residuals[-1][1]
+            return [
+                f"gmres did not converge: true relative residual {residual:.6g} above tolerance "
+                f"{gmres_tol:g} after {report.iterations} iterations"
+            ]
+        return []
 
 
 def _run_one_solver(
@@ -250,11 +289,10 @@ def _run_one_solver(
     rcs = bistatic_rcs(mesh, x_mesh, cfg.angles())
     rcs.to_csv(os.path.join(cfg.out, f"rcs_{name}.csv"))
     if name == "lu":
-        return SolverRun(name, rcs, wall, "dense partial-pivot LU oracle\n")
-    if name == "pss":
-        return SolverRun(name, rcs, wall, report.to_text(), report.total_solve_matvecs)
-    report.to_csv(os.path.join(cfg.out, "iterative_report.csv"))
-    return SolverRun(name, rcs, wall, report.to_text(), report.n_matvecs, report.iterations)
+        return SolverRun(name, rcs, wall)
+    if name == "gmres":
+        report.to_csv(os.path.join(cfg.out, "iterative_report.csv"))
+    return SolverRun(name, rcs, wall, report)
 
 
 def _build_problem(cfg: RunConfig, solvers: Sequence[str]) -> Tuple[Mesh, KernelSpec, ClusterTree, int, np.ndarray]:
@@ -297,11 +335,12 @@ def run_solve(cfg: RunConfig) -> int:
         f"rank flags (far blocks of rank above half their smaller side): {len(h.stats['rank_flags'])}",
         f"solver: {run.name}",
         f"wall time: {run.wall_time_s:.3f} s",
+        *run.notes(cfg.gmres_tol),
         f"outputs: {cfg.out}",
     ]
     _write_text(os.path.join(cfg.out, "summary.txt"), "\n".join(lines) + "\n")
     print("\n".join(lines))
-    return 0
+    return 1 if run.unconverged else 0
 
 
 def run_compare(cfg: RunConfig) -> int:
@@ -320,9 +359,8 @@ def run_compare(cfg: RunConfig) -> int:
         f"power-series levels: {cfg.levels}, order {cfg.series_order}",
     ]
     for name, run in runs.items():
-        counts = f", matvecs {run.matvec_count}" if run.matvec_count is not None else ""
-        iters = f", iterations {run.iterations}" if run.iterations is not None else ""
-        lines.append(f"{name}: wall {run.wall_time_s:.3f} s{counts}{iters}")
+        lines.append(f"{name}: wall {run.wall_time_s:.3f} s{run.counts()}")
+        lines += [f"  {note}" for note in run.notes(cfg.gmres_tol)]
     names = list(runs)
     failures: List[str] = []
     for i, a in enumerate(names):
@@ -336,7 +374,7 @@ def run_compare(cfg: RunConfig) -> int:
     text = "\n".join(lines) + "\n"
     _write_text(os.path.join(cfg.out, "comparison_summary.txt"), text)
     print(text, end="")
-    return 1 if failures else 0
+    return 1 if failures or any(run.unconverged for run in runs.values()) else 0
 
 
 def _median_time(fn, repeats: int) -> Tuple[float, object]:

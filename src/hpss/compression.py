@@ -32,6 +32,10 @@ the LAPACK work they wrap.  These are the routines those wrappers run,
 with the workspace sizes they query and operands in the layout they use,
 so where scipy's LAPACK and numpy's agree the factors are numpy's bit for
 bit (the tests compare them).
+
+``check_tolerance`` states the one rule on the tolerance that ACA,
+recompression and ``hmatrix.assemble`` share: it lies in [0, 1), since a
+tolerance of 1 or more drops every singular value.
 """
 
 from __future__ import annotations
@@ -49,6 +53,15 @@ Factors = Tuple[np.ndarray, np.ndarray]
 # crosses the ACA factors have room for at first; they double when full.
 # Small, because a stack multiplies the room by its block count.
 ACA_START_RANK = 4
+
+
+def check_tolerance(tol: float) -> None:
+    """The one compression tolerance rule, for ``assemble``, ``aca`` and
+    ``recompress``: 0 <= tol < 1.  A NaN passes no comparison, and a tol of
+    1 or more would truncate every singular value and so zero the far
+    field."""
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"compression tolerance must be in [0, 1), got {tol:g}")
 
 
 class BlockError(ValueError):
@@ -104,8 +117,9 @@ def aca(
         Global indices of one block, (m,) and (n,), or of a stack of B
         same-shape blocks, (B, m) and (B, n).
     tol : float
-        Relative stopping tolerance: a block stops once
-        ``|u_k| * |v_k| <= tol * |S_k|_F`` with its accumulated estimate.
+        Relative stopping tolerance in [0, 1) (``check_tolerance``): a
+        block stops once ``|u_k| * |v_k| <= tol * |S_k|_F`` with its
+        accumulated estimate.
 
     Returns
     -------
@@ -118,12 +132,11 @@ def aca(
         When a sampled row or column holds a non-finite entry; ``index``
         names the block in the stack.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"aca tolerance must be non-negative, got {tol:g}")
+    check_tolerance(tol)
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
     if rows.ndim == 1:
-        return aca(entry_fn, rows[None], cols[None], tol)[0]
+        return _aca_lockstep(entry_fn, rows[None], cols[None], tol)[0]
     return _aca_lockstep(entry_fn, rows, cols, tol)
 
 
@@ -258,13 +271,13 @@ def recompress(u: np.ndarray, v: np.ndarray, tol: float) -> Tuple[np.ndarray, np
 
     With U = Q R, U V = Q (R V): one thin QR of U and a thin SVD of the
     k-by-n matrix R V give the singular values of U V, and the rank kept
-    is the number above ``tol`` times the largest.  ``tol = 0`` performs
-    the lossless orthogonal reduction (only exactly zero directions can
-    drop); the rank never exceeds min(k, m, n).  A LAPACK failure, such as
-    a non-finite factor, raises ``np.linalg.LinAlgError``.
+    is the number above ``tol`` times the largest, tol in [0, 1): a zero
+    U V keeps none.  ``tol = 0`` performs the lossless orthogonal
+    reduction (only exactly zero directions can drop); the rank never
+    exceeds min(k, m, n).  A LAPACK failure, such as a non-finite factor,
+    raises ``np.linalg.LinAlgError``.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"recompression tolerance must be non-negative, got {tol:g}")
+    check_tolerance(tol)
     m, k = u.shape
     if k == 0:
         return u.copy(), v.copy()
@@ -285,12 +298,7 @@ def recompress(u: np.ndarray, v: np.ndarray, tol: float) -> Tuple[np.ndarray, np
     # LAPACK's path for a tall matrix is the faster one
     x, sigma, yh, info = lapack.zgesdd((r @ v).conj().T, full_matrices=0, lwork=svd_work)
     _check("SVD", info)
-    if sigma[0] == 0.0:
-        keep = 0
-    elif tol == 0.0:
-        keep = int(np.count_nonzero(sigma > 0.0))
-    else:
-        keep = int(np.count_nonzero(sigma > tol * sigma[0]))
+    keep = int(np.count_nonzero(sigma > tol * sigma[0]))
     return q @ (yh[:keep].conj().T * sigma[:keep]), x[:, :keep].conj().T
 
 

@@ -16,7 +16,9 @@ The cluster tree splits element index ranges by coordinate median along the
 longest bounding-box axis, with a uniform leaf level: every leaf sits at the
 same depth L, where L is the smallest level at which the largest range fits
 the requested leaf size.  The reordering permutation is recorded so matrix
-indices can be made contiguous per cluster.
+indices can be made contiguous per cluster.  The builder alone states the
+tree's invariants (``build_cluster_tree``); the tree keeps no leaf size
+and is not re-checked.
 """
 
 from __future__ import annotations
@@ -229,12 +231,12 @@ class ClusterTree:
     """Balanced binary tree over element indices with uniform leaf depth.
 
     ``permutation[p]`` is the original mesh index of tree-ordered slot ``p``;
-    cluster index ranges refer to tree-ordered slots.
+    cluster index ranges refer to tree-ordered slots.  The tree is made by
+    :func:`build_cluster_tree`, which states the invariants it holds.
     """
 
     nodes: List[TreeNode]
     permutation: np.ndarray
-    leaf_size: int
     depth: int
     n_elements: int
     leaves: List[int] = field(default_factory=list)
@@ -243,30 +245,6 @@ class ClusterTree:
         for leaf in self.leaves:
             node = self.nodes[leaf]
             yield node.start, node.stop
-
-    def validate(self) -> None:
-        perm = np.sort(self.permutation)
-        if not np.array_equal(perm, np.arange(self.n_elements)):
-            raise ValueError("permutation is not a bijection on element indices")
-        for node in self.nodes:
-            if node.is_leaf:
-                if node.level != self.depth:
-                    raise ValueError("leaf found off the uniform leaf level")
-                if node.size > self.leaf_size:
-                    raise ValueError("leaf exceeds leaf_size")
-            else:
-                left, right = node.children
-                ln, rn = self.nodes[left], self.nodes[right]
-                if (ln.start, rn.stop) != (node.start, node.stop) or ln.stop != rn.start:
-                    raise ValueError("children do not partition the parent range")
-        covered = sorted((self.nodes[i].start, self.nodes[i].stop) for i in self.leaves)
-        cursor = 0
-        for start, stop in covered:
-            if start != cursor:
-                raise ValueError("leaves do not tile the index range")
-            cursor = stop
-        if cursor != self.n_elements:
-            raise ValueError("leaves do not cover all elements")
 
 
 def build_cluster_tree(mesh: Mesh, leaf_size: int) -> ClusterTree:
@@ -277,6 +255,18 @@ def build_cluster_tree(mesh: Mesh, leaf_size: int) -> ClusterTree:
     median, the larger half going left.  Depth L is the smallest level
     where ``ceil(N / 2**L) <= leaf_size``; every branch is split down to
     exactly that level.
+
+    The construction guarantees the tree's invariants, so nothing checks
+    them afterwards:
+
+    * ``permutation`` is a bijection: it is only ever reordered inside one
+      node's range;
+    * a node's children are ``[start, mid)`` and ``[mid, stop)``, so they
+      tile it and the leaves tile 0..N in order;
+    * every leaf sits at depth L;
+    * halving with the larger half left keeps every level-d node at
+      floor or ceil of N / 2**d elements, so no node is empty and no leaf
+      holds more than ``leaf_size``.
     """
     if leaf_size < 2:
         raise ValueError("leaf_size must be at least 2")
@@ -311,9 +301,7 @@ def build_cluster_tree(mesh: Mesh, leaf_size: int) -> ClusterTree:
         return index
 
     make_node(0, 0, n)
-    tree = ClusterTree(nodes, perm, leaf_size, depth, n, leaves)
-    tree.validate()
-    return tree
+    return ClusterTree(nodes, perm, depth, n, leaves)
 
 
 def is_admissible(tree: ClusterTree, t: int, s: int, eta: float) -> bool:

@@ -67,7 +67,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .compression import BlockError, LowRankBlock, aca, recompress
+from .compression import BlockError, LowRankBlock, aca, check_tolerance, recompress
 from .geometry import ClusterTree, TreeNode, is_admissible
 from .kernels import KernelSpec, entry_function
 
@@ -572,6 +572,9 @@ def assemble(
 
     Parameters
     ----------
+    tol : float
+        The ACA and recompression tolerance, in [0, 1)
+        (``compression.check_tolerance``).
     coarsest : int
         The coarsest far level assembled: the operator holds the far
         levels ``coarsest``..depth.  The default, 1, assembles every
@@ -580,8 +583,7 @@ def assemble(
     """
     if tree.n_elements != spec.n:
         raise ValueError("tree and kernel disagree on element count")
-    if not tol >= 0.0:
-        raise ValueError(f"compression tolerance must be non-negative, got {tol:g}")
+    check_tolerance(tol)
     _check_coarsest(coarsest, 1, tree.depth)
     partition = build_block_partition(tree, eta)
     entry_fn = entry_function(spec, tree.permutation)

@@ -24,11 +24,11 @@ radius with a 2-norm above one).  The chain therefore estimates every
 factor's convergence radius by power iteration (``estimate_spectral_radius``)
 and refuses to run past an estimate at or above ``NORM_FAIL`` (1.0),
 recording a warning in the report from ``NORM_WARN`` (0.1) up.  The same
-guard covers the level-0 scaling: the construction promises that alpha,
-the near solve, times the near field is the identity, and the defect
-``scaling`` measures of that promise is converted to the norm of the
-omitted correction factor, so a near solve that does not invert Z_N is
-rejected before any series runs.
+rule, stated once in ``FactorChain.guard``, covers the level-0 scaling:
+the construction promises that alpha, the near solve, times the near
+field is the identity, and the defect ``scaling`` measures of that
+promise is converted to the norm of the omitted correction factor, so a
+near solve that does not invert Z_N is rejected before any series runs.
 
 The solve applies a fixed, input-independent number of level matvecs: no
 residual-driven iteration hides anywhere, which is what makes the matvec
@@ -45,7 +45,7 @@ level 1, whose two halves touch, is always empty).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -155,9 +155,9 @@ class FactorChain:
     near_solve: Apply
     order: int
     levels: List[int]
-    norms: Dict[int, NormEstimate]
-    warnings: List[str]
     counts: Dict[int, int]
+    norms: Dict[int, NormEstimate] = field(default_factory=dict)
+    warnings: List[str] = field(default_factory=list)
 
     def _resolve(self, i: int, v: np.ndarray) -> np.ndarray:
         """Ap_{i-1}(...(Ap_0(Z_N^{-1} v))...): the near solve, then the
@@ -182,6 +182,21 @@ class FactorChain:
         """The cascade x = Ap_L(...(Ap_1(Z_N^{-1} b))...)."""
         return self._resolve(len(self.levels), b)
 
+    def guard(self, level: int, estimate: NormEstimate) -> None:
+        """The one guard rule, for level 0's implied factor norm and each
+        level's radius: raise :class:`ConvergenceError` at ``NORM_FAIL``,
+        record a warning from ``NORM_WARN`` up, and keep the estimate."""
+        what = f"level-{level} series factor convergence radius" if level else "level-0 implied factor norm"
+        value = _radius_text(estimate.value)
+        if estimate.value >= NORM_FAIL:
+            raise ConvergenceError(
+                f"{what} {value} >= {NORM_FAIL:g}; the power-series expansion of "
+                "(I + T)^-1 requires the norm of T below one"
+            )
+        if estimate.value >= NORM_WARN:
+            self.warnings.append(f"{what} {value} exceeds {NORM_WARN:g}; truncation error may dominate")
+        self.norms[level] = estimate
+
 
 def _radius_text(value: float, digits: int = 3) -> str:
     """``value`` to ``digits`` significant digits, or as many more as keep
@@ -196,53 +211,19 @@ def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> F
     """Construct and norm-check the resolvent factors, leaf level last.
 
     The chain has one factor per level ``h`` holds far blocks on, in level
-    order; an empty level's factor would be exactly the identity.  Raises
-    :class:`ConvergenceError` as soon as any estimated factor norm reaches
-    ``NORM_FAIL`` (the series for (I + T)^-1 requires the norm of T below
-    one) and records a warning from ``NORM_WARN`` up.  The chain's counts
-    are then the guard's setup matvecs.
+    order; an empty level's factor would be exactly the identity.  The
+    implied level-0 factor norm, then each level's radius estimate, goes
+    through ``FactorChain.guard``, so the first to reach ``NORM_FAIL``
+    raises :class:`ConvergenceError` before any later level is estimated.
+    The chain's counts are then the guard's setup matvecs.
     """
     if scaled.h is not h:
         raise ValueError("scaled system was built from a different H-matrix")
     active = [level for level in sorted(h.far_blocks) if h.far_blocks[level]]
-    defect_norm = _implied_identity_factor_norm(scaled.near.defect)
-    chain = FactorChain(
-        h=h,
-        near_solve=scaled.near_solve,
-        order=config.series_order,
-        levels=active,
-        norms={0: NormEstimate(defect_norm, "near-solve-defect")},
-        warnings=[],
-        counts=dict.fromkeys(active, 0),
-    )
-
-    if defect_norm >= NORM_FAIL:
-        raise ConvergenceError(
-            "scaled near field is not the identity: the omitted level-0 factor has "
-            f"estimated norm {_radius_text(defect_norm)} >= {NORM_FAIL:g}, violating the "
-            "power-series validity condition (operator norm below one)"
-        )
-    if defect_norm >= NORM_WARN:
-        chain.warnings.append(
-            f"level-0 identity defect has implied factor norm {_radius_text(defect_norm)}; "
-            "series accuracy will suffer"
-        )
-
+    chain = FactorChain(h, scaled.near_solve, config.series_order, active, dict.fromkeys(active, 0))
+    chain.guard(0, NormEstimate(_implied_identity_factor_norm(scaled.near.defect), "near-solve-defect"))
     for i, level in enumerate(active):
-        t_apply = partial(chain.t_apply, i)
-        estimate = estimate_spectral_radius(t_apply, h.n, iters=RADIUS_ITERS, seed=level)
-        if estimate.value >= NORM_FAIL:
-            raise ConvergenceError(
-                f"estimated convergence radius of the level-{level} series factor is "
-                f"{_radius_text(estimate.value)} >= {NORM_FAIL:g}; the power-series "
-                "expansion of (I + T)^-1 requires the norm of T below one"
-            )
-        if estimate.value >= NORM_WARN:
-            chain.warnings.append(
-                f"level-{level} series factor convergence radius {_radius_text(estimate.value)} exceeds "
-                f"{NORM_WARN:g}; truncation error may dominate"
-            )
-        chain.norms[level] = estimate
+        chain.guard(level, estimate_spectral_radius(partial(chain.t_apply, i), h.n, iters=RADIUS_ITERS, seed=level))
     return chain
 
 
@@ -309,14 +290,15 @@ class SolveReport:
             + ", ".join(f"{l}:{c}" for l, c in sorted(self.solve_matvec_counts.items()))
         )
         lines.append(f"total solve matvecs: {self.total_solve_matvecs}")
-        if self.residual is None:
-            lines.append(f"{self.residual_label}: unavailable (zero right-hand side)")
-        else:
-            lines.append(f"{self.residual_label}: {self.residual:.6g}")
-        lines.append(f"wall time: {self.wall_time_s:.3f} s")
-        for msg in self.warnings:
-            lines.append(f"warning: {msg}")
+        residual, *warnings = self.outcome_lines()
+        lines += [residual, f"wall time: {self.wall_time_s:.3f} s", *warnings]
         return "\n".join(lines) + "\n"
+
+    def outcome_lines(self) -> List[str]:
+        """The labelled residual, then one ``warning:`` line per guard
+        warning: what a run's summary shows of the cascade's accuracy."""
+        value = "unavailable (zero right-hand side)" if self.residual is None else f"{self.residual:.6g}"
+        return [f"{self.residual_label}: {value}", *(f"warning: {msg}" for msg in self.warnings)]
 
 
 def solve(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> Tuple[np.ndarray, SolveReport]:

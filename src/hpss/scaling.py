@@ -24,7 +24,9 @@ does not invert the stored Z_N.  The solver's guard turns that defect into
 a hard error before any series is applied.
 Before factoring Z_N, each diagonal leaf block is LU-factored once as a
 pass/fail check, so that a singular leaf is named; those factors are not
-solved with.
+solved with.  Every leaf has its diagonal block, because ``assemble``
+stores each (leaf, leaf) pair in the near field; that is not re-checked
+here.
 
 None of this depends on the right-hand side, so it is done once per
 near field: the first ``compute_scaling`` on an ``HMatrix`` keeps the near
@@ -83,14 +85,11 @@ class ScaledSystem:
 
 def _factor_near_field(h: HMatrix) -> NearFactor:
     """Check every diagonal leaf block, factor Z_N and measure the level-0
-    defect of that factorization; a singular block or near field raises."""
-    diag_blocks = h.near.diagonal_blocks()
-    expected = sorted(h.tree.leaf_ranges())
-    got = [(start, start + len(block)) for start, block in diag_blocks]
-    if got != expected:
-        raise ValueError("near field is missing a diagonal block for some leaf")
+    defect of that factorization; a singular block or near field raises.
 
-    for leaf_index, (start, block) in enumerate(diag_blocks):
+    The near field holds every diagonal leaf block: ``assemble`` stores
+    each (leaf, leaf) pair, which is never admissible, unmirrored."""
+    for leaf_index, (start, block) in enumerate(h.near.diagonal_blocks()):
         stop = start + len(block)
         try:
             with warnings.catch_warnings():

@@ -5,7 +5,19 @@ from argparse import Namespace
 import numpy as np
 import pytest
 
-from hpss import KernelSpec, assemble, build_cluster_tree, discretize_strip
+from hpss import (
+    Excitation,
+    KernelSpec,
+    assemble,
+    bistatic_rcs,
+    build_cluster_tree,
+    discretize_circle,
+    discretize_disk,
+    discretize_strip,
+    gmres,
+    read_mesh_csv,
+    rhs,
+)
 from hpss.cli import _FIELD_TYPES, COMMAND_KEYS, RunConfig, main, parse_config, resolve_config
 
 
@@ -256,7 +268,7 @@ def test_empty_or_duplicate_lists_exit_one_before_writing(tmp_path, capsys, argv
         (["solve", "--solver", "gmres", "--gmres-restart", "0"], "gmres_restart must be at least 1"),
         (["compare", "--solvers", "gmres", "--gmres-maxit", "0"], "gmres_maxit must be at least 1"),
         (["bench", "--sizes", "256", "--leaf-size", "1"], "leaf_size must be at least 2"),
-        (["bench", "--sizes", "256", "--aca-tol", "-1"], "tolerance must be non-negative"),
+        (["bench", "--sizes", "256", "--aca-tol", "-1"], "compression tolerance must be in [0, 1), got -1"),
         (["bench", "--sizes", "256", "--density", "5"], "elements_per_wavelength must be at least 10"),
         (["solve", "--solver", "pss", "--order", "0"], "series_order must be at least 1, got 0"),
     ],
@@ -287,9 +299,9 @@ STRIP_ARGS = [
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["solve", "--aca-tol", "nan"], "compression tolerance must be non-negative, got nan"),
+        (["solve", "--aca-tol", "nan"], "compression tolerance must be in [0, 1), got nan"),
         (["solve", "--eta", "nan"], "eta must be positive, got nan"),
-        (["compare", "--solvers", "pss,gmres", "--aca-tol", "nan"], "compression tolerance must be non-negative, got nan"),
+        (["compare", "--solvers", "pss,gmres", "--aca-tol", "nan"], "compression tolerance must be in [0, 1), got nan"),
         (["bench", "--sizes", "256", "--eta", "nan"], "eta must be positive, got nan"),
     ],
     ids=["solve-aca-tol", "solve-eta", "compare-aca-tol", "bench-eta"],
@@ -302,6 +314,16 @@ def test_nan_tolerance_or_eta_exits_one_before_writing(tmp_path, capsys, argv, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["1", "1.5", "inf"])
+def test_tolerance_of_one_or_more_exits_one_before_writing(tmp_path, capsys, tol):
+    # such a tolerance would zero the far field and report the residual of
+    # the near field alone
+    out = tmp_path / "o"
+    assert main(["solve", *STRIP_ARGS, "--aca-tol", tol, "--out", str(out)]) == 1
+    assert f"error: compression tolerance must be in [0, 1), got {float(tol):g}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["solve", *STRIP_ARGS, "--solver", "pss", "--out", str(out)])
@@ -310,6 +332,82 @@ def test_solve_writes_artifacts(tmp_path, capsys):
         assert (out / name).exists(), name
     assert "unknowns: 40" in capsys.readouterr().out
     assert "matvec" in (out / "solve_report.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "shape, mesh",
+    [
+        (["--geometry", "circle", "--radius", "2.0"], discretize_circle(2.0, 10)),
+        (["--geometry", "disk", "--radius", "0.5", "--eps-r", "2"], discretize_disk(0.5, 10, 2.0)),
+    ],
+    ids=["circle", "disk"],
+)
+def test_solve_meshes_a_circle_and_a_disk(tmp_path, capsys, shape, mesh):
+    out = tmp_path / "run"
+    assert main(["solve", *shape, "--leaf-size", "8", "--angle-count", "19", "--solver", "gmres", "--out", str(out)]) == 0
+    for name in ("mesh.csv", "memory_report.csv", "rcs_gmres.csv", "iterative_report.csv", "solve_report.txt", "summary.txt"):
+        assert (out / name).exists(), name
+    written = read_mesh_csv(str(out / "mesh.csv"))
+    assert written.kind == mesh.kind
+    assert np.array_equal(written.centers, mesh.centers) and np.array_equal(written.eps_r, mesh.eps_r)
+    assert f"geometry: {shape[1]}" in capsys.readouterr().out
+    assert "converged: True" in (out / "solve_report.txt").read_text()
+
+
+# a 20-unknown strip whose leaf-level radius, 0.353, draws a guard warning
+N20_STRIP_ARGS = ["--geometry", "strip", "--length", "2", "--density", "10", "--leaf-size", "5", "--angle-count", "19"]
+
+
+def test_solve_and_compare_show_the_cascade_residual_and_warnings(tmp_path, capsys):
+    out = tmp_path / "solve"
+    assert main(["solve", *N20_STRIP_ARGS, "--solver", "pss", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    report = (out / "solve_report.txt").read_text().splitlines()
+    shown = [line for line in report if line.startswith(("relative residual", "warning: "))]
+    assert shown[0].startswith("relative residual: ")
+    assert shown[1:] == [
+        "warning: level-2 series factor convergence radius 0.353 exceeds 0.1; truncation error may dominate"
+    ]
+    summary = (out / "summary.txt").read_text().splitlines()
+    for line in shown:
+        assert line in stdout and line in summary
+
+    # compare writes no solve_report.txt: the same lines stand under its pss line
+    out = tmp_path / "compare"
+    assert main(["compare", *N20_STRIP_ARGS, "--solvers", "pss,gmres", "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out.splitlines()
+    lines = (out / "comparison_summary.txt").read_text().splitlines()
+    assert lines == stdout
+    at = next(i for i, line in enumerate(lines) if line.startswith("pss: "))
+    assert lines[at + 1 : at + 1 + len(shown)] == [f"  {line}" for line in shown]
+    assert lines[at + 1 + len(shown)].startswith("gmres: ")
+
+
+def test_unconverged_gmres_writes_its_files_then_exits_one(tmp_path, capsys):
+    problem = ["--geometry", "strip", "--length", "40", "--angle-count", "19", "--gmres-maxit", "3"]
+    line = "gmres did not converge: true relative residual 0.045177 above tolerance 1e-06 after 3 iterations"
+    out = tmp_path / "solve"
+    assert main(["solve", *problem, "--solver", "gmres", "--out", str(out)]) == 1
+    assert line in capsys.readouterr().out.splitlines()
+    assert line in (out / "summary.txt").read_text().splitlines()
+    assert "converged: False" in (out / "solve_report.txt").read_text()
+
+    # the files are those of the unconverged solve, as with a converged one
+    mesh = discretize_strip(40.0, 10)
+    spec = KernelSpec.for_mesh(mesh)
+    h = assemble(spec, build_cluster_tree(mesh, 32), tol=1e-3)
+    x, report = gmres(h.matvec, h.permute(rhs(spec, Excitation(np.pi / 2))), 1e-6, 50, 3)
+    report.to_csv(str(tmp_path / "iterative_report.csv"))
+    bistatic_rcs(mesh, h.unpermute(x), np.linspace(0.0, 180.0, 19)).to_csv(str(tmp_path / "rcs_gmres.csv"))
+    for name in ("iterative_report.csv", "rcs_gmres.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    compared = tmp_path / "compare"
+    assert main(["compare", *problem, "--solvers", "pss,gmres", "--out", str(compared)]) == 1
+    assert f"  {line}" in capsys.readouterr().out.splitlines()
+    assert f"  {line}" in (compared / "comparison_summary.txt").read_text().splitlines()
+    for name in ("iterative_report.csv", "rcs_gmres.csv"):
+        assert (compared / name).read_bytes() == (out / name).read_bytes(), name
 
 
 # at tolerance 0 every far block keeps full rank, so every one is flagged

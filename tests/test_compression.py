@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -140,7 +141,9 @@ def numpy_recompress(u, v, tol):
     return q @ (yh[:keep].conj().T * sigma[:keep]), x[:, :keep].conj().T
 
 
-@pytest.mark.parametrize("tol", [0.0, 1e-3])
+# the three-way keep rule above is the reference for recompress's one
+# comparison, which keeps the same rank for every tol in [0, 1)
+@pytest.mark.parametrize("tol", [0.0, 1e-3, 0.5])
 @pytest.mark.parametrize(
     "m, k, n",
     [(40, 4, 40), (20, 6, 1), (130, 3, 140), (6, 6, 9), (9, 9, 9), (6, 9, 5), (2, 40, 30)],
@@ -184,10 +187,22 @@ def test_tolerance_rejects_negative():
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan")])
 def test_nan_or_negative_tolerance_is_refused_by_aca_and_recompress(tol):
-    with pytest.raises(ValueError, match="aca tolerance must be non-negative"):
+    with pytest.raises(ValueError, match=r"compression tolerance must be in \[0, 1\)"):
         aca(matrix_entry_fn(np.eye(3, dtype=complex)), np.arange(3), np.arange(3), tol=tol)
     u, v = np.ones((3, 1), dtype=complex), np.ones((1, 3), dtype=complex)
-    with pytest.raises(ValueError, match="recompression tolerance must be non-negative"):
+    with pytest.raises(ValueError, match=r"compression tolerance must be in \[0, 1\)"):
+        recompress(u, v, tol)
+
+
+@pytest.mark.parametrize("tol", [1.0, 1.5, float("inf")])
+def test_tolerance_of_one_or_more_is_refused_by_aca_and_recompress(tol):
+    # recompress keeps the singular values above tol times the largest, so
+    # from tol = 1 on it would keep none and store the block as zero
+    message = re.escape(f"compression tolerance must be in [0, 1), got {tol:g}")
+    with pytest.raises(ValueError, match=message):
+        aca(matrix_entry_fn(np.eye(3, dtype=complex)), np.arange(3), np.arange(3), tol=tol)
+    u, v = np.ones((3, 1), dtype=complex), np.ones((1, 3), dtype=complex)
+    with pytest.raises(ValueError, match=message):
         recompress(u, v, tol)
 
 

@@ -117,11 +117,31 @@ def test_mesh_refuses_a_non_finite_or_nonpositive_wavelength(tmp_path, wavelengt
         read_mesh_csv(str(path), wavelength=wavelength)
 
 
+def assert_tree_invariants(t, leaf_size):
+    """What ``build_cluster_tree`` guarantees: a bijective permutation,
+    every leaf at ``depth`` and non-empty with at most ``leaf_size``
+    elements, children tiling their parent, and leaves tiling 0..N."""
+    assert np.array_equal(np.sort(t.permutation), np.arange(t.n_elements))
+    for node in t.nodes:
+        if node.is_leaf:
+            assert node.level == t.depth
+            assert 0 < node.size <= leaf_size
+        else:
+            left, right = (t.nodes[i] for i in node.children)
+            assert (left.start, left.stop, right.stop) == (node.start, right.start, node.stop)
+            assert left.level == right.level == node.level + 1
+    assert [node.is_leaf for node in t.nodes].count(True) == len(t.leaves) == 2**t.depth
+    covered = sorted(t.leaf_ranges())
+    assert [start for start, _ in covered] == [0] + [stop for _, stop in covered[:-1]]
+    assert covered[-1][1] == t.n_elements
+
+
 def test_tree_on_eight_collinear_points():
     m = discretize_strip(0.8, 10)
     assert m.n_elements == 8
     t = build_cluster_tree(m, 2)
     assert t.depth == 2
+    assert_tree_invariants(t, 2)
     leaves = list(t.leaf_ranges())
     assert leaves == [(0, 2), (2, 4), (4, 6), (6, 8)]
 
@@ -130,6 +150,7 @@ def test_tree_depth_on_150_segments():
     t = build_cluster_tree(discretize_strip(15.0, 10), 20)
     assert t.depth == 3
     assert all(stop - start <= 20 for start, stop in t.leaf_ranges())
+    assert_tree_invariants(t, 20)
 
 
 def test_single_element_tree_is_one_node():
@@ -138,6 +159,7 @@ def test_single_element_tree_is_one_node():
     assert t.depth == 0
     assert len(t.nodes) == 1
     assert t.nodes[0].is_leaf
+    assert_tree_invariants(t, 2)
 
 
 def test_permutation_is_bijection_and_leaves_tile():
@@ -148,6 +170,15 @@ def test_permutation_is_bijection_and_leaves_tile():
     assert covered[-1][1] == t.n_elements
     for (a0, a1), (b0, b1) in zip(covered, covered[1:]):
         assert a1 == b0
+    # the tree keeps no leaf size and is not re-checked, so its invariants
+    # are asserted here on each mesh family, at sizes that are not powers of two
+    for mesh, leaf_size in (
+        (discretize_disk(0.3, 12, 2.0), 8),
+        (discretize_strip(10.3, 10), 7),
+        (discretize_circle(1.3, 11), 5),
+        (discretize_disk(0.8, 10, 2.0), 16),
+    ):
+        assert_tree_invariants(build_cluster_tree(mesh, leaf_size), leaf_size)
 
 
 def boxes_tree(*boxes):
@@ -159,7 +190,7 @@ def boxes_tree(*boxes):
         TreeNode(i + 1, 1, i, i + 1, (*map(float, lo), *map(float, hi)), float(np.linalg.norm(np.subtract(hi, lo))))
         for i, (lo, hi) in enumerate(boxes)
     ]
-    return ClusterTree(nodes, np.arange(len(boxes)), 2, 1, len(boxes))
+    return ClusterTree(nodes, np.arange(len(boxes)), 1, len(boxes))
 
 
 def test_admissibility_hand_cases():

@@ -220,14 +220,14 @@ def test_assemble_rejects_negative_tolerance(monkeypatch):
     # a 4-wavelength strip has no far blocks, a 16-wavelength one has some
     for length in (4.0, 16.0):
         mesh = discretize_strip(length, 10)
-        with pytest.raises(ValueError, match="tolerance must be non-negative"):
+        with pytest.raises(ValueError, match=re.escape("compression tolerance must be in [0, 1), got -1")):
             assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 32), tol=-1.0)
 
 
 @pytest.mark.parametrize(
     "tol, eta, message",
     [
-        (float("nan"), 1.0, "compression tolerance must be non-negative, got nan"),
+        (float("nan"), 1.0, "compression tolerance must be in [0, 1), got nan"),
         (1e-3, float("nan"), "eta must be positive, got nan"),
     ],
     ids=["tol", "eta"],
@@ -245,6 +245,22 @@ def test_assemble_refuses_a_nan_tolerance_or_eta(monkeypatch, tol, eta, message)
     assert any(build_block_partition(tree).far_pairs.values())
     with pytest.raises(ValueError, match=re.escape(message)):
         assemble(KernelSpec.for_mesh(mesh), tree, tol=tol, eta=eta)
+
+
+@pytest.mark.parametrize("tol", [1.0, 1.5, float("inf")])
+def test_assemble_refuses_a_tolerance_of_one_or_more(monkeypatch, tol):
+    """Recompression at such a tolerance keeps no singular value, so every
+    far block would be stored at rank 0; it is refused before any fill."""
+
+    def no_fill(*args):
+        raise AssertionError("entries were evaluated before the check")
+
+    monkeypatch.setattr("hpss.hmatrix.entry_function", no_fill)
+    mesh = discretize_strip(25.6, 10)
+    tree = build_cluster_tree(mesh, 32)
+    assert any(build_block_partition(tree).far_pairs.values())
+    with pytest.raises(ValueError, match=re.escape(f"compression tolerance must be in [0, 1), got {tol:g}")):
+        assemble(KernelSpec.for_mesh(mesh), tree, tol=tol)
 
 
 @pytest.mark.parametrize(

@@ -209,6 +209,16 @@ def test_solve_is_linear_in_the_rhs():
     assert np.linalg.norm(x12 - (x1 + x2)) <= 1e-10 * np.linalg.norm(x12)
 
 
+def test_zero_rhs_solves_to_zero_with_the_residual_unavailable():
+    mesh = discretize_strip(3.0, 10)
+    _, h, _ = make_system(mesh, 8)
+    x, report = solve(compute_scaling(h, np.zeros(h.n)), h, PssConfig(series_order=2))
+    assert not np.any(x)
+    assert report.residual is None
+    assert report.outcome_lines()[0] == "relative residual: unavailable (zero right-hand side)"
+    assert "relative residual: unavailable (zero right-hand side)\n" in report.to_text()
+
+
 def test_single_leaf_tree_solves_directly():
     mesh = discretize_strip(1.0, 10)
     spec = KernelSpec.for_mesh(mesh)
@@ -332,7 +342,7 @@ def test_radii_just_below_one_never_print_as_one(monkeypatch):
         assert f"convergence factor level 2: {shown} [power]" in report.to_text()
     # a radius that reaches one still fails, and reads as at least one
     monkeypatch.setattr("hpss.pss.estimate_spectral_radius", lambda *args, **kw: NormEstimate(1.0004, "power"))
-    with pytest.raises(ConvergenceError, match="level-2 series factor is 1 >= 1"):
+    with pytest.raises(ConvergenceError, match="level-2 series factor convergence radius 1 >= 1"):
         solve(scaled, h, PssConfig(series_order=2))
 
 

@@ -96,6 +96,15 @@ def test_gmres_holds_one_basis_across_restarts():
     assert peak < 1.5 * basis_bytes
 
 
+@pytest.mark.parametrize("restart, maxit, message", [(0, 10, "restart length"), (5, 0, "maxit")])
+def test_gmres_refuses_restart_or_maxit_below_one_before_any_matvec(restart, maxit, message):
+    def no_matvec(v):
+        raise AssertionError("a product was run before the check")
+
+    with pytest.raises(ValueError, match=f"{message} must be at least 1"):
+        gmres(no_matvec, np.ones(3, dtype=np.complex128), restart=restart, maxit=maxit)
+
+
 def test_gmres_rejects_zero_rhs():
     with pytest.raises(ValueError):
         gmres(lambda v: v, np.zeros(3, dtype=np.complex128))
