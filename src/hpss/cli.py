@@ -16,7 +16,9 @@ appear only in the plain-text summaries.  Those summaries, printed on
 stdout, show each run's accuracy (``SolverRun.notes``): the power
 series' labelled residual and guard warnings, and a GMRES run's failure
 to converge, after which ``solve`` and ``compare`` exit 1 with every
-file written.
+file written.  Every solver a run names runs before the run writes any
+file, so a run that fails (a guard that refuses the power series, say)
+leaves no output behind.
 """
 
 from __future__ import annotations
@@ -268,15 +270,14 @@ def _run_one_solver(
     h: HMatrix,
     b_mesh: np.ndarray,
 ) -> SolverRun:
-    """Run one solver and write what it produces into ``cfg.out``:
-    ``rcs_<name>.csv`` and, for gmres, ``iterative_report.csv``.
+    """Run one solver and take the echo width of its solution.
 
     The wall time covers the permute, the solve and the unpermute (for lu,
-    the dense fill and the solve), not the echo width or any write.
+    the dense fill and the solve), not the echo width.
     """
     start = time.perf_counter()
     if name == "lu":  # the dense oracle, in mesh order throughout
-        x_mesh = lu_solve(assemble_dense(spec), b_mesh)
+        x_mesh, report = lu_solve(assemble_dense(spec), b_mesh), None
     else:
         b_perm = h.permute(b_mesh)
         if name == "pss":
@@ -287,11 +288,6 @@ def _run_one_solver(
         x_mesh = h.unpermute(x_perm)
     wall = time.perf_counter() - start
     rcs = bistatic_rcs(mesh, x_mesh, cfg.angles())
-    rcs.to_csv(os.path.join(cfg.out, f"rcs_{name}.csv"))
-    if name == "lu":
-        return SolverRun(name, rcs, wall)
-    if name == "gmres":
-        report.to_csv(os.path.join(cfg.out, "iterative_report.csv"))
     return SolverRun(name, rcs, wall, report)
 
 
@@ -313,18 +309,23 @@ def _build_problem(cfg: RunConfig, solvers: Sequence[str]) -> Tuple[Mesh, Kernel
     return mesh, spec, tree, coarsest, rhs(spec, Excitation(math.radians(cfg.phi_inc_deg)))
 
 
-def _write_problem(cfg: RunConfig, mesh: Mesh, h: HMatrix) -> None:
-    """mesh.csv and the memory_report.csv of ``h``."""
+def _write_outputs(cfg: RunConfig, mesh: Mesh, h: HMatrix, runs: Sequence[SolverRun]) -> None:
+    """mesh.csv, the memory_report.csv of ``h`` and each run's
+    ``rcs_<name>.csv``, with ``iterative_report.csv`` for gmres."""
     os.makedirs(cfg.out, exist_ok=True)
     write_mesh_csv(mesh, os.path.join(cfg.out, "mesh.csv"))
     memory_report(h).to_csv(os.path.join(cfg.out, "memory_report.csv"))
+    for run in runs:
+        run.rcs.to_csv(os.path.join(cfg.out, f"rcs_{run.name}.csv"))
+        if isinstance(run.report, IterativeReport):
+            run.report.to_csv(os.path.join(cfg.out, "iterative_report.csv"))
 
 
 def run_solve(cfg: RunConfig) -> int:
     mesh, spec, tree, coarsest, b_mesh = _build_problem(cfg, [cfg.solver])
     h = assemble(spec, tree, cfg.aca_tol, eta=cfg.eta, coarsest=coarsest)
-    _write_problem(cfg, mesh, h)
     run = _run_one_solver(cfg.solver, cfg, mesh, spec, h, b_mesh)
+    _write_outputs(cfg, mesh, h, [run])
     _write_text(os.path.join(cfg.out, "solve_report.txt"), run.detail)
 
     lines = [
@@ -349,10 +350,10 @@ def run_compare(cfg: RunConfig) -> int:
     solvers = cfg._solver_list()
     mesh, spec, tree, coarsest, b_mesh = _build_problem(cfg, solvers)
     h = assemble(spec, tree, cfg.aca_tol, eta=cfg.eta)
-    _write_problem(cfg, mesh, h)
     h_pss = h.keep_levels(coarsest)
 
     runs = {name: _run_one_solver(name, cfg, mesh, spec, h_pss if name == "pss" else h, b_mesh) for name in solvers}
+    _write_outputs(cfg, mesh, h, list(runs.values()))
 
     lines = [
         f"geometry: {cfg.geometry}, unknowns {mesh.n_elements}, tree depth {h.depth}",
@@ -385,6 +386,12 @@ def _median_time(fn, repeats: int) -> Tuple[float, object]:
         result = fn()
         times.append(time.perf_counter() - t0)
     return float(np.median(times)), result
+
+
+def _matvec_work(h: HMatrix) -> int:
+    """Entries one product reads: each near operand (a mirror reads its
+    stored block again) and each far factor."""
+    return sum(op.size for op in h.near.operands) + h.far.left.nnz + h.far.right.nnz
 
 
 def run_bench(cfg: RunConfig) -> int:
@@ -455,8 +462,10 @@ def run_bench(cfg: RunConfig) -> int:
         logn = np.log([r[0] for r in rows])
         entry_slope = float(np.polyfit(logn, np.log([r[1] for r in rows]), 1)[0])
         matvec_slope = float(np.polyfit(logn, np.log([r[5] for r in rows]), 1)[0])
+        work_slope = float(np.polyfit(logn, np.log([_matvec_work(h) for h, _ in operators]), 1)[0])
         lines.append(f"stored-entry log-log slope: {entry_slope:.3f}")
         lines.append(f"matvec-time log-log slope: {matvec_slope:.3f}")
+        lines.append(f"matvec-work log-log slope: {work_slope:.3f}")
     for failure in failures:
         lines.append(f"ASSERTION FAILED: {failure}")
     text = "\n".join(lines) + "\n"

@@ -56,11 +56,25 @@ power-series cascade runs exactly the levels that hold blocks.  The pair
 lists serve assembly alone: the operator keeps its blocks' starts in its
 stacks and far blocks, and one flag, ``HMatrix.complete``, for whether it
 holds every far level with admissible pairs.
+
+A full product ``HMatrix.matvec`` is a near product plus a far product,
+two independent halves of about equal cost.  When the process may run on
+two or more CPUs, one private worker thread, made on the first product
+that needs it, computes the near half while the calling thread applies
+the far half; the caller always waits for the worker before it returns
+or raises, and then adds the halves in the same order as the serial
+product, so every result is bitwise the same.  With one usable CPU, or an
+operator without far blocks, the caller computes both halves itself.
+Nothing else runs on the worker: assembly, the level products and the
+near factorization stay on the calling thread.  A process forked after
+a product gets a fresh worker on its first product.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -78,6 +92,38 @@ BYTES_PER_ENTRY = 16  # complex128
 # block entries B*m*n of one stack handed to ``aca`` (at least one block);
 # bounds its lockstep factors and the ACA factors awaiting recompression
 ACA_STACK_ENTRIES = 2**18
+
+# the thread that runs near products beside the caller's far product
+_near_worker: Optional[ThreadPoolExecutor] = None
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker() -> Optional[ThreadPoolExecutor]:
+    """The near-product worker, made on first use; None when the process
+    may run on one CPU only, where a second thread only slows the product."""
+    global _near_worker
+    if _usable_cpus() < 2:
+        return None
+    if _near_worker is None:
+        _near_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hpss-near")
+    return _near_worker
+
+
+def _forget_worker() -> None:
+    # a forked child has no copy of the parent's worker thread
+    global _near_worker
+    _near_worker = None
+
+
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 @dataclass
@@ -493,10 +539,27 @@ class HMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Full assembled action: the near product plus the far factors,
-        which cover every level holding blocks."""
+        which cover every level holding blocks.
+
+        When the process may run on two or more CPUs and the operator has
+        far blocks, the module's worker thread computes the near product
+        while this thread applies the far factors (see the module
+        docstring); a failure in either half raises here, once both are done.
+        """
         x = self._vector(np.asarray(x, dtype=np.complex128))
-        y = self.near_matvec(x)
-        y += self.far.apply(x)
+        worker = _worker() if self.far.width else None
+        if worker is None:
+            y = self.near_matvec(x)
+            y += self.far.apply(x)
+            return y
+        near = worker.submit(self.near_matvec, x)
+        try:
+            far = self.far.apply(x)
+        finally:
+            # the near field's product buffer must not be reused mid-write
+            wait((near,))
+        y = near.result()
+        y += far
         return y
 
     def keep_levels(self, coarsest: int) -> "HMatrix":

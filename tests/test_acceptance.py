@@ -233,12 +233,17 @@ def test_criterion_7_entry_and_matvec_scaling(capsys, tmp_path):
     elapsed = time.perf_counter() - t0
     entry_slope = slopes["stored-entry"]
     matvec_slope = slopes["matvec-time"]
-    ok = entry_slope <= 1.35 and matvec_slope <= 1.35 and elapsed < 300.0
+    # the entries a product reads: the timed slope alone says little once
+    # the hand-off to the near-product worker dominates the smallest size
+    work_slope = slopes["matvec-work"]
+    ok = entry_slope <= 1.35 and matvec_slope <= 1.35 and work_slope <= 1.35 and elapsed < 300.0
     emit(capsys, 7, ok,
          f"log-log slopes over N=512..4096: entries {entry_slope:.2f} <= 1.35, "
-         f"matvec time {matvec_slope:.2f} <= 1.35, {elapsed:.0f} s < 300 s")
+         f"matvec time {matvec_slope:.2f} <= 1.35, matvec work {work_slope:.2f} <= 1.35, "
+         f"{elapsed:.0f} s < 300 s")
     assert entry_slope <= 1.35
     assert matvec_slope <= 1.35
+    assert work_slope <= 1.35
     assert elapsed < 300.0
 
 

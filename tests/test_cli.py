@@ -410,6 +410,25 @@ def test_unconverged_gmres_writes_its_files_then_exits_one(tmp_path, capsys):
         assert (compared / name).read_bytes() == (out / name).read_bytes(), name
 
 
+# a 126-unknown circle whose level-3 series factor has radius 1.1, which the
+# guard refuses; compare runs gmres first, so it has a run to write, too
+REFUSED_PSS_ARGS = ["--geometry", "circle", "--radius", "2.0", "--leaf-size", "8", "--angle-count", "19"]
+
+
+@pytest.mark.parametrize("argv", [["solve", "--solver", "pss"], ["compare", "--solvers", "gmres,pss"]], ids=["solve", "compare"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "empty-out"])
+def test_a_refused_power_series_writes_nothing(tmp_path, capsys, argv, existing):
+    out = tmp_path / "o"
+    if existing:
+        out.mkdir()
+    assert main([argv[0], *REFUSED_PSS_ARGS, *argv[1:], "--out", str(out)]) == 1
+    assert "error: level-3 series factor convergence radius 1.1 >= 1" in capsys.readouterr().err
+    if existing:
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.exists()
+
+
 # at tolerance 0 every far block keeps full rank, so every one is flagged
 @pytest.mark.parametrize("aca_tol, all_flagged", [("1e-3", False), ("0", True)])
 def test_solve_summary_counts_far_blocks_and_rank_flags(tmp_path, aca_tol, all_flagged):
