@@ -4,26 +4,33 @@ Configuration comes from an optional plain-text ``key=value`` file plus
 command-line flags, flags winning.  ``COMMAND_KEYS`` lists the
 ``RunConfig`` fields each subcommand reads; its flags are made from that
 list, and a config key outside it is rejected with the valid list.  So
-``bench``, which has no ``--geometry``, runs strips only.  ``--levels``
-names the far levels the operator holds, a run ending at the leaf level,
-and so the levels the power series runs; once the tree is built,
+``bench``, which has no ``--geometry``, runs strips only.  A flag's value
+and a config value are parsed by the one function ``_coerce``.  Every bad
+setting is refused before any assembly or file: ``RunConfig.validate``
+checks the GMRES settings, series order, compression tolerance and eta
+with the library's own checks before any mesh is built, and the mesh
+generators, the dense-size cap and the plane wave's finiteness are
+checked before the fill.  ``--levels`` names the far levels the operator
+holds, a run ending at the leaf level, and so the levels the power
+series runs; once the tree is built,
 ``RunConfig.coarsest_level`` checks it against the tree, for every
 solver, and turns it into the coarsest level kept.  ``compare``
 assembles every level once and runs the power series on the operator
 that keeps the levels from that one down (``HMatrix.keep_levels``).
 All CSV artifacts are byte-deterministic for a fixed config: timings
 appear only in the plain-text summaries.  Those summaries, printed on
-stdout, show each run's accuracy (``SolverRun.notes``): the power
-series' labelled residual and guard warnings, and a GMRES run's failure
-to converge, after which ``solve`` and ``compare`` exit 1 with every
-file written.  Every solver a run names runs before the run writes any
-file, so a run that fails (a guard that refuses the power series, say)
-leaves no output behind.
+stdout, show each run's accuracy as its report states it
+(``outcome_lines``): the power series' labelled residual and guard
+warnings, and a GMRES run's failure to converge, after which ``solve``
+and ``compare`` exit 1 with every file written.  Every solver a run
+names runs before the run writes any file, so a run that fails (a guard
+that refuses the power series, say) leaves no output behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -33,21 +40,23 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union, get_args, get_t
 
 import numpy as np
 
-from . import kernels, pss
+from . import pss
+from .compression import check_tolerance
 from .geometry import (
     ClusterTree,
     Mesh,
     build_cluster_tree,
+    check_eta,
     discretize_circle,
     discretize_disk,
     discretize_strip,
     write_mesh_csv,
 )
 from .hmatrix import HMatrix, assemble, memory_report
-from .kernels import Excitation, KernelSpec, assemble_dense, rhs
+from .kernels import Excitation, KernelSpec, assemble_dense, check_dense_size, rhs
 from .postproc import RcsCurve, bistatic_rcs, rcs_rms_error, series_dielectric_cylinder, series_pec_cylinder
 from .scaling import compute_scaling
-from .solvers import IterativeReport, gmres, lu_solve
+from .solvers import IterativeReport, check_finite_rhs, check_gmres_settings, gmres, lu_solve
 
 GEOMETRIES = ("strip", "circle", "disk")
 SOLVER_NAMES = ("pss", "gmres", "lu")
@@ -83,6 +92,8 @@ class RunConfig:
     assert_rms_db: Optional[float] = None
 
     def validate(self) -> None:
+        """Refuse a bad setting before any mesh is built, through the
+        library's own check where the library owns the rule."""
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"geometry must be one of {GEOMETRIES}")
         if self.solver not in SOLVER_NAMES:
@@ -101,16 +112,15 @@ class RunConfig:
             raise ValueError(f"sizes must list at least one positive unknown count, got {self.sizes!r}")
         if self.angle_count < 1:
             raise ValueError("angle_count must be positive")
-        if self.angle_count > 1 and self.angle_start >= self.angle_stop:
+        start, stop = self.angle_start, self.angle_stop
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError(f"angle_start and angle_stop must be finite, got {start:g} and {stop:g}")
+        if self.angle_count > 1 and start >= stop:
             raise ValueError("angle_start must be below angle_stop when angle_count exceeds 1")
-        if not (math.isfinite(self.gmres_tol) and self.gmres_tol > 0.0):
-            raise ValueError(f"gmres_tol must be positive and finite, got {self.gmres_tol:g}")
-        if self.gmres_restart < 1:
-            raise ValueError(f"gmres_restart must be at least 1, got {self.gmres_restart}")
-        if self.gmres_maxit < 1:
-            raise ValueError(f"gmres_maxit must be at least 1, got {self.gmres_maxit}")
-        if self.series_order < 1:
-            raise ValueError(f"series_order must be at least 1, got {self.series_order}")
+        check_gmres_settings(self.gmres_tol, self.gmres_restart, self.gmres_maxit)
+        pss.PssConfig(series_order=self.series_order)
+        check_tolerance(self.aca_tol)
+        check_eta(self.eta)
 
     def _solver_list(self) -> List[str]:
         return [tok.strip() for tok in self.solvers.split(",") if tok.strip()]
@@ -140,14 +150,12 @@ class RunConfig:
 
 
 def _coerce(kind: type, raw: str):
+    """A flag's or a config file's value as ``kind``; a complex value may
+    hold spaces, as in ``2 + 0.1j``."""
     raw = raw.strip()
     if kind is complex:
         return complex(raw.replace(" ", ""))
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    return raw
+    return kind(raw)
 
 
 # read through get_type_hints because annotations are strings under
@@ -246,20 +254,10 @@ class SolverRun:
             return f", matvecs {self.report.n_matvecs}, iterations {self.report.iterations}"
         return ""
 
-    def notes(self, gmres_tol: float) -> List[str]:
-        """What a summary shows of the run's accuracy: the cascade's
-        labelled residual and every guard warning, and a GMRES run's
-        failure to converge."""
-        if isinstance(self.report, pss.SolveReport):
-            return self.report.outcome_lines()
-        if self.unconverged:
-            report = self.report
-            residual = report.true_residuals[-1][1]
-            return [
-                f"gmres did not converge: true relative residual {residual:.6g} above tolerance "
-                f"{gmres_tol:g} after {report.iterations} iterations"
-            ]
-        return []
+    def notes(self) -> List[str]:
+        """What a summary shows of the run's accuracy: its report's
+        ``outcome_lines``, none for lu."""
+        return [] if self.report is None else self.report.outcome_lines()
 
 
 def _run_one_solver(
@@ -295,18 +293,19 @@ def _build_problem(cfg: RunConfig, solvers: Sequence[str]) -> Tuple[Mesh, Kernel
     """Mesh, kernel, cluster tree, the coarsest far level ``--levels``
     keeps on it (``cfg.coarsest_level``) and the mesh-order plane-wave RHS.
 
-    The levels are checked against the tree, and when ``solvers`` include
-    lu, N against ``kernels.DENSE_SIZE_CAP``, before anything is assembled
-    or written.
+    The levels are checked against the tree, N by ``check_dense_size``
+    when ``solvers`` include lu, and the RHS by ``check_finite_rhs``,
+    before anything is assembled or written.
     """
     mesh = build_mesh(cfg)
-    if "lu" in solvers and mesh.n_elements > kernels.DENSE_SIZE_CAP:
-        cap = kernels.DENSE_SIZE_CAP
-        raise ValueError(f"solver lu refused: dense assembly needs N <= cap {cap}, got N = {mesh.n_elements}")
+    if "lu" in solvers:
+        check_dense_size(mesh.n_elements)
     spec = KernelSpec.for_mesh(mesh)
     tree = build_cluster_tree(mesh, cfg.leaf_size)
     coarsest = cfg.coarsest_level(tree.depth)
-    return mesh, spec, tree, coarsest, rhs(spec, Excitation(math.radians(cfg.phi_inc_deg)))
+    b_mesh = rhs(spec, Excitation(math.radians(cfg.phi_inc_deg)))
+    check_finite_rhs(b_mesh)
+    return mesh, spec, tree, coarsest, b_mesh
 
 
 def _write_outputs(cfg: RunConfig, mesh: Mesh, h: HMatrix, runs: Sequence[SolverRun]) -> None:
@@ -336,7 +335,7 @@ def run_solve(cfg: RunConfig) -> int:
         f"rank flags (far blocks of rank above half their smaller side): {len(h.stats['rank_flags'])}",
         f"solver: {run.name}",
         f"wall time: {run.wall_time_s:.3f} s",
-        *run.notes(cfg.gmres_tol),
+        *run.notes(),
         f"outputs: {cfg.out}",
     ]
     _write_text(os.path.join(cfg.out, "summary.txt"), "\n".join(lines) + "\n")
@@ -361,7 +360,7 @@ def run_compare(cfg: RunConfig) -> int:
     ]
     for name, run in runs.items():
         lines.append(f"{name}: wall {run.wall_time_s:.3f} s{run.counts()}")
-        lines += [f"  {note}" for note in run.notes(cfg.gmres_tol)]
+        lines += [f"  {note}" for note in run.notes()]
     names = list(runs)
     failures: List[str] = []
     for i, a in enumerate(names):
@@ -524,11 +523,13 @@ _COMMANDS = {
 
 
 def _add_flag(parser: argparse.ArgumentParser, name: str) -> None:
-    """``--name`` with ``_`` as ``-`` (``series_order`` is ``--order``)."""
+    """``--name`` with ``_`` as ``-`` (``series_order`` is ``--order``),
+    its value parsed by ``_coerce`` as a config value is."""
     flag = "--" + ("order" if name == "series_order" else name).replace("_", "-")
-    parser.add_argument(
-        flag, dest=name, type=_FIELD_TYPES[name], choices=_FLAG_CHOICES.get(name), help=_FLAG_HELP.get(name)
-    )
+    kind = _FIELD_TYPES[name]
+    parse = functools.partial(_coerce, kind)
+    parse.__name__ = kind.__name__  # argparse's refusal names it: "invalid int value: '1.5'"
+    parser.add_argument(flag, dest=name, type=parse, choices=_FLAG_CHOICES.get(name), help=_FLAG_HELP.get(name))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

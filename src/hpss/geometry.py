@@ -23,10 +23,11 @@ and is not re-checked.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -125,6 +126,18 @@ class Mesh:
                 )
 
 
+def _check_size(name: str, value: float) -> None:
+    # NaN fails every comparison, so the bound is written to let only a
+    # positive finite value through
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value:g}")
+
+
+def _check_density(name: str, value: float) -> None:
+    if not MIN_ELEMENTS_PER_WAVELENGTH <= value < math.inf:
+        raise ValueError(f"{name} must be at least 10 and finite, got {value:g}")
+
+
 def discretize_strip(length_wl: float, elements_per_wavelength: float) -> Mesh:
     """Mesh a flat PEC strip lying on the x-axis.
 
@@ -140,10 +153,8 @@ def discretize_strip(length_wl: float, elements_per_wavelength: float) -> Mesh:
     Mesh
         Surface mesh with ``ceil(length * epw)`` equal segments.
     """
-    if length_wl <= 0.0:
-        raise ValueError("strip length must be positive")
-    if elements_per_wavelength < MIN_ELEMENTS_PER_WAVELENGTH:
-        raise ValueError("elements_per_wavelength must be at least 10")
+    _check_size("strip length", length_wl)
+    _check_density("elements_per_wavelength", elements_per_wavelength)
     n = math.ceil(length_wl * elements_per_wavelength)
     delta = length_wl / n
     x = (np.arange(n) + 0.5) * delta
@@ -157,8 +168,8 @@ def discretize_circle(radius_wl: float, elements_per_wavelength: float) -> Mesh:
     The segment count is ``ceil(2*pi*radius*epw)`` so each arc is at most
     lambda/epw long; chord extents are slightly shorter than the arcs.
     """
-    if radius_wl <= 0.0:
-        raise ValueError("circle radius must be positive")
+    _check_size("circle radius", radius_wl)
+    _check_density("elements_per_wavelength", elements_per_wavelength)
     n = math.ceil(2.0 * math.pi * radius_wl * elements_per_wavelength)
     n = max(n, 3)
     theta = 2.0 * math.pi * np.arange(n + 1) / n
@@ -175,11 +186,11 @@ def discretize_disk(radius_wl: float, cells_per_wavelength: float, eps_r: comple
     cell center sits at the origin; cells whose centers fall strictly inside
     the radius are kept, ordered row-major by (y, x).
     """
-    if radius_wl <= 0.0:
-        raise ValueError("disk radius must be positive")
+    _check_size("disk radius", radius_wl)
+    _check_density("cells_per_wavelength", cells_per_wavelength)
     eps = complex(eps_r)
-    if eps.real < 1.0:
-        raise ValueError("disk eps_r must satisfy Re(eps_r) >= 1")
+    if not (cmath.isfinite(eps) and eps.real >= 1.0):
+        raise ValueError(f"disk eps_r must be finite with Re(eps_r) >= 1, got {eps:g}")
     h = 1.0 / (cells_per_wavelength * math.sqrt(eps.real))
     span = int(math.floor(radius_wl / h)) + 1
     idx = np.arange(-span, span + 1)
@@ -239,12 +250,6 @@ class ClusterTree:
     permutation: np.ndarray
     depth: int
     n_elements: int
-    leaves: List[int] = field(default_factory=list)
-
-    def leaf_ranges(self) -> Iterator[Tuple[int, int]]:
-        for leaf in self.leaves:
-            node = self.nodes[leaf]
-            yield node.start, node.stop
 
 
 def build_cluster_tree(mesh: Mesh, leaf_size: int) -> ClusterTree:
@@ -278,7 +283,6 @@ def build_cluster_tree(mesh: Mesh, leaf_size: int) -> ClusterTree:
     perm = np.arange(n)
     centers = mesh.centers
     nodes: List[TreeNode] = []
-    leaves: List[int] = []
 
     def make_node(level: int, start: int, stop: int) -> int:
         pts = centers[perm[start:stop]]
@@ -296,12 +300,16 @@ def build_cluster_tree(mesh: Mesh, leaf_size: int) -> ClusterTree:
             left = make_node(level + 1, start, mid)
             right = make_node(level + 1, mid, stop)
             node.children = (left, right)
-        else:
-            leaves.append(index)
         return index
 
     make_node(0, 0, n)
-    return ClusterTree(nodes, perm, depth, n, leaves)
+    return ClusterTree(nodes, perm, depth, n)
+
+
+def check_eta(eta: float) -> None:
+    """Refuse an admissibility parameter that is not positive, NaN included."""
+    if not eta > 0.0:
+        raise ValueError(f"eta must be positive, got {eta:g}")
 
 
 def is_admissible(tree: ClusterTree, t: int, s: int, eta: float) -> bool:
@@ -311,8 +319,7 @@ def is_admissible(tree: ClusterTree, t: int, s: int, eta: float) -> bool:
     box-to-box Euclidean distance, the norm of the per-axis gaps.  Symmetric
     in (t, s) by construction.
     """
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta:g}")
+    check_eta(eta)
     nt, ns = tree.nodes[t], tree.nodes[s]
     if nt.level != ns.level:
         raise ValueError("admissibility is defined for same-level cluster pairs")

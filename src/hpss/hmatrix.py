@@ -82,7 +82,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .compression import BlockError, LowRankBlock, aca, check_tolerance, recompress
-from .geometry import ClusterTree, TreeNode, is_admissible
+from .geometry import ClusterTree, TreeNode, check_eta, is_admissible
 from .kernels import KernelSpec, entry_function
 
 if TYPE_CHECKING:
@@ -130,15 +130,15 @@ if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
 class BlockPartition:
     """Near/far pair lists produced by the admissibility descent."""
 
-    tree: ClusterTree
     near_pairs: List[Tuple[int, int]]
     far_pairs: Dict[int, List[Tuple[int, int]]]
 
 
 def build_block_partition(tree: ClusterTree, eta: float = 1.0) -> BlockPartition:
-    """Classify cluster pairs by recursive admissibility descent."""
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta:g}")
+    """Classify cluster pairs by recursive admissibility descent.
+
+    ``eta`` is checked here too, since a one-leaf tree tests no pair."""
+    check_eta(eta)
     near: List[Tuple[int, int]] = []
     far: Dict[int, List[Tuple[int, int]]] = {lvl: [] for lvl in range(1, tree.depth + 1)}
 
@@ -156,7 +156,7 @@ def build_block_partition(tree: ClusterTree, eta: float = 1.0) -> BlockPartition
                 descend(tc, sc, level + 1)
 
     descend(0, 0, 0)
-    return BlockPartition(tree, near, far)
+    return BlockPartition(near, far)
 
 
 @dataclass(frozen=True)

@@ -210,16 +210,17 @@ def rhs(spec: KernelSpec, excitation: Excitation) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def assemble_dense(spec: KernelSpec) -> np.ndarray:
-    """Full dense matrix in mesh order.
-
-    Refuses systems beyond ``DENSE_SIZE_CAP`` unknowns (read at call time);
-    the dense path exists as a truth oracle for desk-scale runs, not as a
-    production assembly route.
-    """
-    n = spec.n
+def check_dense_size(n: int) -> None:
+    """Refuse a dense system of more than ``DENSE_SIZE_CAP`` unknowns (read
+    at call time): the dense path exists as a truth oracle for desk-scale
+    runs, not as a production assembly route."""
     if n > DENSE_SIZE_CAP:
         raise ValueError(f"dense assembly refused for N = {n} > cap {DENSE_SIZE_CAP}")
-    idx = np.arange(n)
+
+
+def assemble_dense(spec: KernelSpec) -> np.ndarray:
+    """Full dense matrix in mesh order, within ``check_dense_size``."""
+    check_dense_size(spec.n)
+    idx = np.arange(spec.n)
     return z_block(spec, idx, idx)
 

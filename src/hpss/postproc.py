@@ -59,8 +59,8 @@ class RcsCurve:
             raise ValueError("angle and sigma arrays must be 1D with matching shapes")
         if self.angles_deg.size < 1:
             raise ValueError("curve needs at least one angle")
-        if np.any(np.diff(self.angles_deg) <= 0.0):
-            raise ValueError("angles must be strictly increasing")
+        if not (np.all(np.isfinite(self.angles_deg)) and np.all(np.diff(self.angles_deg) > 0.0)):
+            raise ValueError("angles must be finite and strictly increasing")
         if not np.all(np.isfinite(self.sigma_db)):
             raise ValueError("sigma values must be finite (floored, not -inf)")
 

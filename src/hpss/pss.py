@@ -114,7 +114,7 @@ class PssConfig:
 
     def __post_init__(self) -> None:
         if self.series_order < 1:
-            raise ValueError("series_order must be at least 1; order 0 would drop the level")
+            raise ValueError(f"series_order must be at least 1, got {self.series_order}; order 0 would drop the level")
 
 
 def neumann_apply(factor_apply: Apply, v: np.ndarray, order: int) -> np.ndarray:

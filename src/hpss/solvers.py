@@ -38,13 +38,15 @@ class IterativeReport:
 
     ``residual_history[k]`` is the Givens estimate after inner step k + 1;
     ``true_residuals`` holds (inner steps so far, true relative residual)
-    pairs from the start, every restart and the exit.
+    pairs from the start, every restart and the exit; ``tol`` is the
+    tolerance the run was held to.
     """
 
     iterations: int
     residual_history: List[float]
     true_residuals: List[Tuple[int, float]]
     converged: bool
+    tol: float
     n_matvecs: int = 0
 
     def history_csv_rows(self) -> List[Tuple[int, str, str]]:
@@ -63,6 +65,16 @@ class IterativeReport:
             f"matvecs: {self.n_matvecs}\n"
         )
 
+    def outcome_lines(self) -> List[str]:
+        """What a run's summary shows of its accuracy: nothing when it
+        converged, else one line naming its residual and tolerance."""
+        if self.converged:
+            return []
+        return [
+            f"gmres did not converge: true relative residual {self.true_residuals[-1][1]:.6g} above tolerance "
+            f"{self.tol:g} after {self.iterations} iterations"
+        ]
+
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("step,relative_residual,kind\n")
@@ -78,6 +90,17 @@ def check_finite_rhs(b: np.ndarray) -> None:
         raise ValueError(f"right-hand side entry {index} is not finite ({b[index]})")
 
 
+def check_gmres_settings(tol: float, restart: int, maxit: int) -> None:
+    """Refuse a tolerance that is not positive and finite, or a restart
+    length or iteration cap below 1."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"gmres tolerance must be positive and finite, got {tol:g}")
+    if restart < 1:
+        raise ValueError(f"gmres restart length must be at least 1, got {restart}")
+    if maxit < 1:
+        raise ValueError(f"gmres maxit must be at least 1, got {maxit}")
+
+
 def gmres(
     apply: Apply,
     b: np.ndarray,
@@ -89,14 +112,10 @@ def gmres(
 
     ``tol`` is relative to |b| and must be positive and finite; ``maxit``
     caps total inner iterations, and hitting it returns the best iterate
-    with ``converged = False``.
+    with ``converged = False``.  The settings are checked by
+    ``check_gmres_settings`` before any product.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"gmres tolerance must be positive and finite, got {tol:g}")
-    if restart < 1:
-        raise ValueError("restart length must be at least 1")
-    if maxit < 1:
-        raise ValueError("maxit must be at least 1")
+    check_gmres_settings(tol, restart, maxit)
     b = np.asarray(b, dtype=np.complex128)
     check_finite_rhs(b)
     n = b.size
@@ -181,6 +200,7 @@ def gmres(
         residual_history=history,
         true_residuals=true_residuals,
         converged=converged,
+        tol=tol,
         n_matvecs=n_matvecs,
     )
     return x, report

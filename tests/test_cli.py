@@ -5,16 +5,21 @@ from argparse import Namespace
 import numpy as np
 import pytest
 
+import hpss.cli as cli
 from hpss import (
     Excitation,
     KernelSpec,
+    PssConfig,
     assemble,
+    assemble_dense,
     bistatic_rcs,
+    build_block_partition,
     build_cluster_tree,
     discretize_circle,
     discretize_disk,
     discretize_strip,
     gmres,
+    is_admissible,
     read_mesh_csv,
     rhs,
 )
@@ -122,6 +127,32 @@ def test_parse_config_returns_annotated_types(tmp_path):
     RunConfig(**values).validate()
 
 
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_every_key_parses_alike_from_a_flag_and_a_config_file(tmp_path, monkeypatch, command):
+    # a complex value with spaces was refused as a flag but read from a file
+    raw = {**CONFIG_VALUES, "eps_r": "2.5 - 0.1j"}
+    keys = COMMAND_KEYS[command]
+    resolved = []
+    monkeypatch.setitem(cli._COMMANDS, command, (resolved.append, ""))
+    flags = []
+    for key in keys:
+        flags += ["--" + ("order" if key == "series_order" else key).replace("_", "-"), raw[key]]
+    main([command, *flags])
+    main([command, "--config", write_config(tmp_path, "".join(f"{key} = {raw[key]}\n" for key in keys))])
+    from_flags, from_file = resolved
+    assert from_flags == from_file
+    assert all(getattr(from_flags, key) != getattr(RunConfig(), key) for key in keys)
+
+
+def test_a_flag_that_is_not_an_int_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--leaf-size", "1.5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --leaf-size: invalid int value: '1.5'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flags_override_config_file(tmp_path):
     path = write_config(tmp_path, "density = 10\nleaf_size = 8\n")
     cfg = resolve_config(Namespace(command="solve", config=path, density=12.0))
@@ -162,18 +193,22 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="angle_count"):
         RunConfig(angle_count=0).validate()
     for tol in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="gmres_tol"):
+        with pytest.raises(ValueError, match="gmres tolerance must be positive and finite"):
             RunConfig(gmres_tol=tol).validate()
     for restart in (0, -1):
-        with pytest.raises(ValueError, match="gmres_restart must be at least 1"):
+        with pytest.raises(ValueError, match="gmres restart length must be at least 1"):
             RunConfig(gmres_restart=restart).validate()
     for maxit in (0, -1):
-        with pytest.raises(ValueError, match="gmres_maxit must be at least 1"):
+        with pytest.raises(ValueError, match="gmres maxit must be at least 1"):
             RunConfig(gmres_maxit=maxit).validate()
     for start, stop in ((180.0, 0.0), (90.0, 90.0)):
         with pytest.raises(ValueError, match="angle_start"):
             RunConfig(angle_start=start, angle_stop=stop, angle_count=5).validate()
     RunConfig(angle_start=90.0, angle_stop=90.0, angle_count=1).validate()
+    # NaN fails every comparison, so it is refused as not finite
+    for start, stop, count in ((float("nan"), 180.0, 5), (0.0, float("inf"), 5), (float("nan"), float("nan"), 1)):
+        with pytest.raises(ValueError, match="angle_start and angle_stop must be finite"):
+            RunConfig(angle_start=start, angle_stop=stop, angle_count=count).validate()
 
 
 def test_bad_config_value_exits_one_not_traceback(tmp_path, capsys):
@@ -197,7 +232,7 @@ def test_nonpositive_gmres_tol_exits_one_before_solving(tmp_path, capsys):
     out = tmp_path / "o"
     rc = main(["solve", "--solver", "gmres", "--gmres-tol", "-1", "--out", str(out)])
     assert rc == 1
-    assert "error: gmres_tol must be positive and finite, got -1" in capsys.readouterr().err
+    assert "error: gmres tolerance must be positive and finite, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -261,16 +296,35 @@ def test_empty_or_duplicate_lists_exit_one_before_writing(tmp_path, capsys, argv
     assert not out.exists()
 
 
-# each is refused by validate, by the mesh, by the tree or by assemble
+def forbid_assembly(monkeypatch):
+    """Make any H-matrix or dense fill the CLI starts fail the test."""
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled despite a bad setting")
+
+    monkeypatch.setattr("hpss.cli.assemble", no_assembly)
+    monkeypatch.setattr("hpss.cli.assemble_dense", no_assembly)
+
+
+# each is refused by validate, by the mesh generator, by the tree or by
+# the plane wave's check, before any assembly; NaN fails every comparison
+# and inf passes a lower bound, so a guard written as "refuse if below the
+# bound" lets them through to a crash in the generator or to the solve
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["solve", "--solver", "gmres", "--gmres-restart", "0"], "gmres_restart must be at least 1"),
-        (["compare", "--solvers", "gmres", "--gmres-maxit", "0"], "gmres_maxit must be at least 1"),
+        (["solve", "--solver", "gmres", "--gmres-restart", "0"], "gmres restart length must be at least 1, got 0"),
+        (["compare", "--solvers", "gmres", "--gmres-maxit", "0"], "gmres maxit must be at least 1, got 0"),
         (["bench", "--sizes", "256", "--leaf-size", "1"], "leaf_size must be at least 2"),
         (["bench", "--sizes", "256", "--aca-tol", "-1"], "compression tolerance must be in [0, 1), got -1"),
         (["bench", "--sizes", "256", "--density", "5"], "elements_per_wavelength must be at least 10"),
         (["solve", "--solver", "pss", "--order", "0"], "series_order must be at least 1, got 0"),
+        (["solve", "--eta", "0"], "eta must be positive, got 0"),
+        (["solve", "--length", "nan"], "strip length must be positive and finite, got nan"),
+        (["solve", "--geometry", "circle", "--radius", "inf"], "circle radius must be positive and finite, got inf"),
+        (["solve", "--geometry", "disk", "--density", "nan"], "cells_per_wavelength must be at least 10 and finite, got nan"),
+        (["compare", "--geometry", "disk", "--eps-r", "nan"], "disk eps_r must be finite with Re(eps_r) >= 1, got nan+0j"),
+        (["solve", "--solver", "gmres", "--phi-inc-deg", "nan"], "right-hand side entry 0 is not finite"),
     ],
     ids=[
         "solve-gmres-restart-0",
@@ -279,12 +333,19 @@ def test_empty_or_duplicate_lists_exit_one_before_writing(tmp_path, capsys, argv
         "bench-aca-tol-negative",
         "bench-density-5",
         "solve-order-0",
+        "solve-eta-0",
+        "solve-length-nan",
+        "solve-radius-inf",
+        "solve-disk-density-nan",
+        "compare-eps-r-nan",
+        "solve-phi-nan",
     ],
 )
-def test_bad_input_exits_one_before_writing(tmp_path, capsys, argv, message):
+def test_bad_input_exits_one_before_writing(tmp_path, capsys, monkeypatch, argv, message):
+    forbid_assembly(monkeypatch)
     out = tmp_path / "o"
     assert main([*argv, "--out", str(out)]) == 1
-    assert message in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -292,6 +353,32 @@ STRIP_ARGS = [
     "--geometry", "strip", "--length", "4.0", "--density", "10",
     "--leaf-size", "10", "--angle-count", "19",
 ]
+
+
+# each rule is checked once, by the module that owns it, and the CLI calls
+# that check: the library and the CLI refuse in the same words
+@pytest.mark.parametrize(
+    "library, argv",
+    [
+        (lambda: gmres(lambda v: v, np.ones(3), tol=-1.0), ["solve", "--solver", "gmres", "--gmres-tol", "-1"]),
+        (lambda: gmres(lambda v: v, np.ones(3), restart=0), ["compare", "--solvers", "gmres", "--gmres-restart", "0"]),
+        (lambda: gmres(lambda v: v, np.ones(3), maxit=0), ["solve", "--solver", "gmres", "--gmres-maxit", "0"]),
+        (lambda: PssConfig(series_order=0), ["compare", "--order", "0"]),
+        (lambda: assemble_dense(KernelSpec.for_mesh(discretize_strip(4.0, 10))), ["solve", *STRIP_ARGS, "--solver", "lu"]),
+        (lambda: build_block_partition(build_cluster_tree(discretize_strip(1.0, 10), 16), 0.0), ["solve", "--eta", "0"]),
+        (lambda: is_admissible(build_cluster_tree(discretize_strip(1.0, 10), 16), 0, 0, 0.0), ["bench", "--eta", "0"]),
+    ],
+    ids=["gmres-tol", "gmres-restart", "gmres-maxit", "series-order", "dense-size", "partition-eta", "admissible-eta"],
+)
+def test_library_and_cli_refuse_a_setting_in_the_same_words(tmp_path, capsys, monkeypatch, library, argv):
+    monkeypatch.setattr("hpss.kernels.DENSE_SIZE_CAP", 30)
+    forbid_assembly(monkeypatch)
+    with pytest.raises(ValueError) as refused:
+        library()
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
+    assert not out.exists()
 
 
 # NaN fails every comparison, so a guard written as "refuse if below the
@@ -397,6 +484,7 @@ def test_unconverged_gmres_writes_its_files_then_exits_one(tmp_path, capsys):
     spec = KernelSpec.for_mesh(mesh)
     h = assemble(spec, build_cluster_tree(mesh, 32), tol=1e-3)
     x, report = gmres(h.matvec, h.permute(rhs(spec, Excitation(np.pi / 2))), 1e-6, 50, 3)
+    assert report.outcome_lines() == [line]
     report.to_csv(str(tmp_path / "iterative_report.csv"))
     bistatic_rcs(mesh, h.unpermute(x), np.linspace(0.0, 180.0, 19)).to_csv(str(tmp_path / "rcs_gmres.csv"))
     for name in ("iterative_report.csv", "rcs_gmres.csv"):
@@ -522,9 +610,13 @@ def test_bench_builds_exactly_the_sizes_given(tmp_path, capsys):
     [
         (["solve", "--solver", "gmres"], ["--angle-start", "180", "--angle-stop", "0"]),
         (["compare", "--solvers", "pss,gmres"], ["--angle-start", "90", "--angle-stop", "90", "--angle-count", "5"]),
+        (["solve", "--solver", "gmres"], ["--angle-start", "nan"]),
+        (["solve", "--solver", "pss"], ["--angle-stop", "inf"]),
+        (["compare", "--solvers", "pss,gmres"], ["--angle-start", "nan", "--angle-stop", "nan", "--angle-count", "1"]),
     ],
 )
-def test_non_increasing_angles_exit_one_before_solving(tmp_path, capsys, command, angles):
+def test_non_increasing_angles_exit_one_before_solving(tmp_path, capsys, monkeypatch, command, angles):
+    forbid_assembly(monkeypatch)
     out = tmp_path / "o"
     rc = main([command[0], *STRIP_ARGS, *command[1:], *angles, "--out", str(out)])
     assert rc == 1
@@ -595,10 +687,11 @@ def test_out_of_range_coarsest_level_is_refused_before_any_fill(tmp_path, capsys
 @pytest.mark.parametrize("command", [["solve", "--solver", "lu"], ["compare", "--solvers", "gmres,lu"]])
 def test_lu_beyond_dense_cap_exits_one_before_assembly(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setattr("hpss.kernels.DENSE_SIZE_CAP", 30)
+    forbid_assembly(monkeypatch)
     out = tmp_path / "o"
     rc = main([command[0], *STRIP_ARGS, *command[1:], "--out", str(out)])
     assert rc == 1
-    assert "error: solver lu refused: dense assembly needs N <= cap 30, got N = 40" in capsys.readouterr().err
+    assert "error: dense assembly refused for N = 40 > cap 30" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -633,8 +726,6 @@ def test_compare_levels_leaf_runs_pss_on_the_leaf_only_operator(tmp_path, capsys
 
 
 def test_compare_levels_assembles_once(tmp_path, capsys, monkeypatch):
-    import hpss.cli as cli
-
     real, filters = cli.assemble, []
 
     def counting(*args, **kwargs):

@@ -38,6 +38,32 @@ def test_strip_rejects_coarse_mesh():
         discretize_strip(2.0, 8)
 
 
+# NaN fails every comparison and inf passes a lower bound, so either used
+# to reach math.ceil or int and crash there without naming the argument
+@pytest.mark.parametrize(
+    "generate, message",
+    [
+        (lambda: discretize_strip(float("nan"), 10), "strip length must be positive and finite, got nan"),
+        (lambda: discretize_strip(0.0, 10), "strip length must be positive and finite, got 0"),
+        (lambda: discretize_strip(1.0, float("inf")), "elements_per_wavelength must be at least 10 and finite, got inf"),
+        (lambda: discretize_circle(float("inf"), 10), "circle radius must be positive and finite, got inf"),
+        (lambda: discretize_circle(1.0, float("nan")), "elements_per_wavelength must be at least 10 and finite, got nan"),
+        (lambda: discretize_disk(float("nan"), 10, 2.0), "disk radius must be positive and finite, got nan"),
+        (lambda: discretize_disk(0.3, float("nan"), 2.0), "cells_per_wavelength must be at least 10 and finite, got nan"),
+        (lambda: discretize_disk(0.3, 10, complex("nan")), "disk eps_r must be finite with Re(eps_r) >= 1, got nan+0j"),
+        (lambda: discretize_disk(0.3, 10, complex(2.0, float("inf"))), "disk eps_r must be finite with Re(eps_r) >= 1, got 2+infj"),
+        (lambda: discretize_disk(0.3, 10, 0.5), "disk eps_r must be finite with Re(eps_r) >= 1, got 0.5+0j"),
+    ],
+    ids=[
+        "strip-length-nan", "strip-length-0", "strip-density-inf", "circle-radius-inf", "circle-density-nan",
+        "disk-radius-nan", "disk-density-nan", "disk-eps-nan", "disk-eps-imag-inf", "disk-eps-below-1",
+    ],
+)
+def test_generators_refuse_a_size_that_is_not_finite_naming_it(generate, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate()
+
+
 def test_circle_segment_counts():
     assert discretize_circle(1.0 / (2.0 * math.pi), 10).n_elements == 10
     assert discretize_circle(1.0, 10).n_elements == 63
@@ -117,6 +143,11 @@ def test_mesh_refuses_a_non_finite_or_nonpositive_wavelength(tmp_path, wavelengt
         read_mesh_csv(str(path), wavelength=wavelength)
 
 
+def leaf_ranges(t):
+    """Each leaf's (start, stop), in tree order."""
+    return [(node.start, node.stop) for node in t.nodes if node.is_leaf]
+
+
 def assert_tree_invariants(t, leaf_size):
     """What ``build_cluster_tree`` guarantees: a bijective permutation,
     every leaf at ``depth`` and non-empty with at most ``leaf_size``
@@ -130,8 +161,8 @@ def assert_tree_invariants(t, leaf_size):
             left, right = (t.nodes[i] for i in node.children)
             assert (left.start, left.stop, right.stop) == (node.start, right.start, node.stop)
             assert left.level == right.level == node.level + 1
-    assert [node.is_leaf for node in t.nodes].count(True) == len(t.leaves) == 2**t.depth
-    covered = sorted(t.leaf_ranges())
+    covered = sorted(leaf_ranges(t))
+    assert len(covered) == 2**t.depth
     assert [start for start, _ in covered] == [0] + [stop for _, stop in covered[:-1]]
     assert covered[-1][1] == t.n_elements
 
@@ -142,14 +173,13 @@ def test_tree_on_eight_collinear_points():
     t = build_cluster_tree(m, 2)
     assert t.depth == 2
     assert_tree_invariants(t, 2)
-    leaves = list(t.leaf_ranges())
-    assert leaves == [(0, 2), (2, 4), (4, 6), (6, 8)]
+    assert leaf_ranges(t) == [(0, 2), (2, 4), (4, 6), (6, 8)]
 
 
 def test_tree_depth_on_150_segments():
     t = build_cluster_tree(discretize_strip(15.0, 10), 20)
     assert t.depth == 3
-    assert all(stop - start <= 20 for start, stop in t.leaf_ranges())
+    assert all(stop - start <= 20 for start, stop in leaf_ranges(t))
     assert_tree_invariants(t, 20)
 
 
@@ -165,7 +195,7 @@ def test_single_element_tree_is_one_node():
 def test_permutation_is_bijection_and_leaves_tile():
     t = build_cluster_tree(discretize_disk(0.3, 12, 2.0), 8)
     assert np.array_equal(np.sort(t.permutation), np.arange(t.n_elements))
-    covered = sorted(t.leaf_ranges())
+    covered = sorted(leaf_ranges(t))
     assert covered[0][0] == 0
     assert covered[-1][1] == t.n_elements
     for (a0, a1), (b0, b1) in zip(covered, covered[1:]):
@@ -196,7 +226,7 @@ def boxes_tree(*boxes):
 def test_admissibility_hand_cases():
     # same node is never admissible: distance zero against positive diameter
     t = build_cluster_tree(discretize_strip(2.0, 10), 5)
-    leaf = t.leaves[0]
+    leaf = next(node.index for node in t.nodes if node.is_leaf)
     assert not is_admissible(t, leaf, leaf, 1.0)
 
     unit = ((0.0, 0.0), (1.0, 1.0))

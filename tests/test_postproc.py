@@ -129,6 +129,14 @@ def test_curve_validation():
     RcsCurve(np.array([42.0]), np.array([-3.0]))
 
 
+# NaN fails every comparison, so a test for a step that is not positive
+# lets a NaN angle through
+@pytest.mark.parametrize("angles", [[0.0, np.nan], [np.nan, 1.0], [np.nan], [0.0, np.inf]])
+def test_curve_refuses_a_non_finite_angle(angles):
+    with pytest.raises(ValueError, match="angles must be finite and strictly increasing"):
+        RcsCurve(np.array(angles), np.zeros(len(angles)))
+
+
 def test_curve_csv_is_deterministic(tmp_path):
     curve = series_pec_cylinder(0.7, np.linspace(0.0, 180.0, 7))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -9,7 +9,7 @@ from hpss import Excitation, IterativeReport, KernelSpec, assemble_dense, discre
 def test_gmres_identity_converges_in_one_iteration():
     b = np.array([1.0 + 2j, -0.5j, 3.0])
     x, rep = gmres(lambda v: v, b)
-    assert rep.converged
+    assert rep.converged and rep.outcome_lines() == []
     assert rep.iterations == 1
     assert np.linalg.norm(x - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -75,7 +75,7 @@ def test_gmres_maxit_returns_best_effort():
     a = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     x, rep = gmres(lambda v: a @ v, b, tol=1e-14, restart=4, maxit=6)
-    assert not rep.converged
+    assert not rep.converged and rep.tol == 1e-14
     assert rep.iterations <= 6
     assert np.all(np.isfinite(x))
 
@@ -101,7 +101,7 @@ def test_gmres_refuses_restart_or_maxit_below_one_before_any_matvec(restart, max
     def no_matvec(v):
         raise AssertionError("a product was run before the check")
 
-    with pytest.raises(ValueError, match=f"{message} must be at least 1"):
+    with pytest.raises(ValueError, match=f"gmres {message} must be at least 1, got 0"):
         gmres(no_matvec, np.ones(3, dtype=np.complex128), restart=restart, maxit=maxit)
 
 
@@ -144,6 +144,7 @@ def test_gmres_report_csv_rows(tmp_path):
         residual_history=[0.5, 0.25, 0.125],
         true_residuals=[(0, 1.0), (2, 0.3), (3, 1 / 3)],
         converged=False,
+        tol=1e-6,
         n_matvecs=5,
     )
     assert rep.to_text() == (
@@ -152,6 +153,9 @@ def test_gmres_report_csv_rows(tmp_path):
         "final relative residual (true, recomputed): 0.333333\n"
         "matvecs: 5\n"
     )
+    assert rep.outcome_lines() == [
+        "gmres did not converge: true relative residual 0.333333 above tolerance 1e-06 after 3 iterations"
+    ]
     path = tmp_path / "iterative_report.csv"
     rep.to_csv(str(path))
     assert path.read_bytes() == (
