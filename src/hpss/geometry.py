@@ -36,6 +36,8 @@ VOLUME = "volume"
 
 # density floor shared by the generators and the Mesh validator
 MIN_ELEMENTS_PER_WAVELENGTH = 10.0
+# the most unknowns an operator's int32 near starts and far indices address
+MAX_ELEMENTS = 2**31 - 1
 _DENSITY_SLACK = 1.0 + 1e-12
 
 MESH_CSV_HEADER = ("cx", "cy", "extent", "eps_r_re", "eps_r_im")
@@ -138,6 +140,15 @@ def _check_density(name: str, value: float) -> None:
         raise ValueError(f"{name} must be at least 10 and finite, got {value:g}")
 
 
+def _element_count(name: str, value: float, count: float, counted: str = "elements") -> int:
+    """``count`` rounded up, refused when an operator cannot index that
+    many; a float, so an overflow to inf is refused too, before any
+    conversion to int or any allocation."""
+    if not count <= MAX_ELEMENTS:
+        raise ValueError(f"{name} {value:g} needs {count:g} {counted}, more than the {MAX_ELEMENTS} an operator can index")
+    return math.ceil(count)
+
+
 def discretize_strip(length_wl: float, elements_per_wavelength: float) -> Mesh:
     """Mesh a flat PEC strip lying on the x-axis.
 
@@ -155,7 +166,7 @@ def discretize_strip(length_wl: float, elements_per_wavelength: float) -> Mesh:
     """
     _check_size("strip length", length_wl)
     _check_density("elements_per_wavelength", elements_per_wavelength)
-    n = math.ceil(length_wl * elements_per_wavelength)
+    n = _element_count("strip length", length_wl, length_wl * elements_per_wavelength)
     delta = length_wl / n
     x = (np.arange(n) + 0.5) * delta
     centers = np.column_stack([x, np.zeros(n)])
@@ -170,8 +181,7 @@ def discretize_circle(radius_wl: float, elements_per_wavelength: float) -> Mesh:
     """
     _check_size("circle radius", radius_wl)
     _check_density("elements_per_wavelength", elements_per_wavelength)
-    n = math.ceil(2.0 * math.pi * radius_wl * elements_per_wavelength)
-    n = max(n, 3)
+    n = max(_element_count("circle radius", radius_wl, 2.0 * math.pi * radius_wl * elements_per_wavelength), 3)
     theta = 2.0 * math.pi * np.arange(n + 1) / n
     verts = radius_wl * np.column_stack([np.cos(theta), np.sin(theta)])
     centers = 0.5 * (verts[:-1] + verts[1:])
@@ -192,7 +202,11 @@ def discretize_disk(radius_wl: float, cells_per_wavelength: float, eps_r: comple
     if not (cmath.isfinite(eps) and eps.real >= 1.0):
         raise ValueError(f"disk eps_r must be finite with Re(eps_r) >= 1, got {eps:g}")
     h = 1.0 / (cells_per_wavelength * math.sqrt(eps.real))
-    span = int(math.floor(radius_wl / h)) + 1
+    # the candidate grid has 2 * span + 1 cells a side; np.floor, unlike
+    # math.floor, takes an overflow to inf, which the count check refuses
+    side = 2.0 * float(np.floor(radius_wl / h)) + 3.0
+    _element_count("disk radius", radius_wl, side * side, "grid cells")
+    span = int(side) // 2
     idx = np.arange(-span, span + 1)
     gx, gy = np.meshgrid(idx * h, idx * h, indexing="xy")
     centers = np.column_stack([gx.ravel(), gy.ravel()])

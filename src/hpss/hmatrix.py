@@ -26,11 +26,13 @@ levels move, one at a time, into the operator's one far buffer.
 Storage keeps each part of the operator in the layout it is applied in.
 The near field Z_N is one C-ordered dense stack of shape (B, m, n) per
 block shape, the diagonal blocks apart from the off-diagonal ones, each
-stack listing its blocks' row and col starts.  A near matvec is one
-gather of x, one batched ``np.matmul`` per stack, one more over the
-transposed view of each mirrored stack, all into a preallocated buffer,
-and one ``np.bincount`` that adds the products into their rows.
-``NearField.matrix`` builds from the stacks, mirrors included, the
+stack listing its blocks' row and col starts.  One plan, built once,
+says where every stored and mirrored entry stands: the operands (each
+stack, and the transposed view of each mirrored one), the x entry each
+of their rows reads and the row each of their products adds into.  A
+near matvec is one gather of x, one batched ``np.matmul`` per operand
+into an array of its own, and one sparse product that sums the products
+into their rows; ``NearField.matrix`` reads the same plan to build the
 canonical CSC matrix the near factorization in ``scaling`` takes.
 
 Every rank-one term of a far block owns a column u of length m and a row
@@ -187,13 +189,13 @@ class NearField:
     """Z_N on N unknowns: its stacks, the plan of its product and its factor.
 
     ``stacks`` lists the diagonal stacks, then the off-diagonal ones.  The
-    product applies ``operands`` in turn, each stack and then, if
-    mirrored, its transposed view: ``gather`` lists the x entry each row
-    of each batched product reads, ``scatter`` the slot of y, viewed as
-    interleaved real and imaginary float64, that each product entry's
-    real and imaginary part adds into, and ``products`` is the buffer the
-    batched products are written to, so two near products on one near
-    field must not run at the same time.
+    plan applies ``operands`` in turn, each stack and then, if mirrored,
+    its transposed view, as batched products whose P entries are laid end
+    to end: ``gather`` lists the x entry each row of each batched product
+    reads, and ``summation`` is the N x P matrix, CSR, whose column p holds
+    a one at the row product entry p adds into.  The product and ``matrix``
+    both read this one plan; a product writes only arrays of its own, so
+    products on one near field may run at the same time.
 
     ``factor`` is derived state: the factorization and its level-0 defect
     ``scaling.compute_scaling`` makes on its first call for an operator
@@ -205,8 +207,7 @@ class NearField:
     stacks: List[NearStack]
     operands: List[np.ndarray] = field(init=False)
     gather: np.ndarray = field(init=False)
-    scatter: np.ndarray = field(init=False)
-    products: np.ndarray = field(init=False)
+    summation: sp.csr_matrix = field(init=False)
     factor: Optional["NearFactor"] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
@@ -222,36 +223,41 @@ class NearField:
                 reads.append(rows.ravel())
                 writes.append(cols.ravel())
         self.gather = np.concatenate(reads).astype(np.intp)
-        rows = np.concatenate(writes).astype(np.intp)
-        self.scatter = (2 * rows[:, None] + np.arange(2)).ravel()
-        self.products = np.empty(rows.size, dtype=np.complex128)
+        rows = np.concatenate(writes)
+        # one entry per column, held by row: each row sums its entries in
+        # ascending p, as np.bincount would, so every product is the same
+        # bit for bit (a CSC product sums in that order too, but slower);
+        # complex ones spare a cast of the data on every product
+        ones = np.ones(rows.size, dtype=np.complex128)
+        self.summation = sp.csc_matrix((ones, rows, np.arange(rows.size + 1)), shape=(self.n, rows.size)).tocsr()
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Z_N x: one batched product per operand, summed into rows."""
         xs = x[self.gather]
+        products = np.empty(self.summation.shape[1], dtype=np.complex128)
         start_x = start_y = 0
         for operand in self.operands:
             b, m, n = operand.shape
-            out = self.products[start_y : start_y + b * m].reshape(b, m, 1)
+            out = products[start_y : start_y + b * m].reshape(b, m, 1)
             np.matmul(operand, xs[start_x : start_x + b * n].reshape(b, n, 1), out=out)
             start_x, start_y = start_x + b * n, start_y + b * m
-        y = np.bincount(self.scatter, weights=self.products.view(np.float64), minlength=2 * self.n)
-        return y.view(np.complex128)
+        return self.summation @ products
 
     def matrix(self) -> sp.csc_matrix:
         """Z_N, mirrors included, as the CSC matrix ``splu`` takes, in
         canonical form (sorted indices), so it does not depend on the order
         or the orientation the blocks are stored in."""
         rows, cols, data = [], [], []
-        for stack in self.stacks:
-            r, c = stack.coordinates()
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            data.append(stack.data.ravel())
-            if stack.mirrored:
-                rows.append(c.ravel())
-                cols.append(r.ravel())
-                data.append(stack.data.ravel())
+        writes = self.summation.tocsc().indices  # the row product entry p adds into
+        start_x = start_y = 0
+        for operand in self.operands:
+            b, m, n = operand.shape
+            rows.append(np.repeat(writes[start_y : start_y + b * m], n))
+            # int32, the index type the COO keeps, so it copies no columns
+            reads = self.gather[start_x : start_x + b * n].reshape(b, 1, n).astype(np.int32)
+            cols.append(np.broadcast_to(reads, operand.shape).ravel())
+            data.append(operand.ravel())
+            start_x, start_y = start_x + b * n, start_y + b * m
         rows, cols, data = (np.concatenate(parts) for parts in (rows, cols, data))
         return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsc()
 
@@ -556,7 +562,7 @@ class HMatrix:
         try:
             far = self.far.apply(x)
         finally:
-            # the near field's product buffer must not be reused mid-write
+            # the near half never outlives the call, even when the far half raises
             wait((near,))
         y = near.result()
         y += far

@@ -80,6 +80,10 @@ class Excitation:
 
     phi_rad: float
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.phi_rad):
+            raise ValueError(f"plane-wave incidence angle must be finite, got {self.phi_rad:g}")
+
 
 @dataclass(frozen=True)
 class KernelSpec:

@@ -226,8 +226,6 @@ def lu_solve(matrix: np.ndarray, b: np.ndarray) -> np.ndarray:
             factors = scipy.linalg.lu_factor(matrix)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
         raise np.linalg.LinAlgError(f"matrix is singular to working precision: {exc}") from exc
-    if np.any(np.diag(factors[0]) == 0.0):
-        raise np.linalg.LinAlgError("matrix is singular to working precision")
     x = scipy.linalg.lu_solve(factors, b)
     bnorm = float(np.linalg.norm(b))
     if bnorm > 0.0:

@@ -324,7 +324,9 @@ def forbid_assembly(monkeypatch):
         (["solve", "--geometry", "circle", "--radius", "inf"], "circle radius must be positive and finite, got inf"),
         (["solve", "--geometry", "disk", "--density", "nan"], "cells_per_wavelength must be at least 10 and finite, got nan"),
         (["compare", "--geometry", "disk", "--eps-r", "nan"], "disk eps_r must be finite with Re(eps_r) >= 1, got nan+0j"),
-        (["solve", "--solver", "gmres", "--phi-inc-deg", "nan"], "right-hand side entry 0 is not finite"),
+        (["solve", "--solver", "gmres", "--phi-inc-deg", "nan"], "plane-wave incidence angle must be finite, got nan"),
+        (["solve", "--solver", "gmres", "--phi-inc-deg", "inf"], "plane-wave incidence angle must be finite, got inf"),
+        (["solve", "--solver", "gmres", "--phi-inc-deg=-inf"], "plane-wave incidence angle must be finite, got -inf"),
     ],
     ids=[
         "solve-gmres-restart-0",
@@ -339,6 +341,8 @@ def forbid_assembly(monkeypatch):
         "solve-disk-density-nan",
         "compare-eps-r-nan",
         "solve-phi-nan",
+        "solve-phi-inf",
+        "solve-phi-minus-inf",
     ],
 )
 def test_bad_input_exits_one_before_writing(tmp_path, capsys, monkeypatch, argv, message):

@@ -16,6 +16,7 @@ from hpss import (
     read_mesh_csv,
     write_mesh_csv,
 )
+from hpss import geometry
 
 
 def test_strip_counts_and_extents():
@@ -53,15 +54,34 @@ def test_strip_rejects_coarse_mesh():
         (lambda: discretize_disk(0.3, 10, complex("nan")), "disk eps_r must be finite with Re(eps_r) >= 1, got nan+0j"),
         (lambda: discretize_disk(0.3, 10, complex(2.0, float("inf"))), "disk eps_r must be finite with Re(eps_r) >= 1, got 2+infj"),
         (lambda: discretize_disk(0.3, 10, 0.5), "disk eps_r must be finite with Re(eps_r) >= 1, got 0.5+0j"),
+        # finite, but more elements than the operator's int32 indices address;
+        # the disk's candidate grid is refused before it is allocated
+        (lambda: discretize_strip(1e300, 10), "strip length 1e+300 needs 1e+301 elements, more than the 2147483647 an operator can index"),
+        (lambda: discretize_circle(1e300, 10), "circle radius 1e+300 needs 6.28319e+301 elements, more than the 2147483647 an operator can index"),
+        (lambda: discretize_disk(1e12, 10, 2.0), "disk radius 1e+12 needs 8e+26 grid cells, more than the 2147483647 an operator can index"),
     ],
     ids=[
         "strip-length-nan", "strip-length-0", "strip-density-inf", "circle-radius-inf", "circle-density-nan",
         "disk-radius-nan", "disk-density-nan", "disk-eps-nan", "disk-eps-imag-inf", "disk-eps-below-1",
+        "strip-length-1e300", "circle-radius-1e300", "disk-radius-1e12",
     ],
 )
 def test_generators_refuse_a_size_that_is_not_finite_naming_it(generate, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         generate()
+
+
+def test_generators_accept_the_largest_count_and_refuse_one_more(monkeypatch):
+    monkeypatch.setattr(geometry, "MAX_ELEMENTS", 100)
+    assert discretize_strip(10.0, 10).n_elements == 100
+    with pytest.raises(ValueError, match=re.escape("strip length 10.1 needs 101 elements")):
+        discretize_strip(10.1, 10)
+    # a disk of radius 0.35 at cell side 0.1 rasterizes a 9 x 9 candidate grid
+    monkeypatch.setattr(geometry, "MAX_ELEMENTS", 81)
+    discretize_disk(0.35, 10, 1.0)
+    monkeypatch.setattr(geometry, "MAX_ELEMENTS", 80)
+    with pytest.raises(ValueError, match=re.escape("disk radius 0.35 needs 81 grid cells")):
+        discretize_disk(0.35, 10, 1.0)
 
 
 def test_circle_segment_counts():

@@ -4,13 +4,15 @@ the process may run on one CPU.  Every test runs on both paths, choosing
 one by the CPU count ``hmatrix`` sees."""
 
 import multiprocessing
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from hpss import KernelSpec, assemble, build_cluster_tree, discretize_disk, discretize_strip, hmatrix
+from hpss import KernelSpec, assemble, build_cluster_tree, discretize_disk, discretize_strip, gmres, hmatrix
 from conftest import halved_strip
 
 
@@ -48,6 +50,33 @@ def test_matvec_is_bitwise_the_serial_sum(cpus, name, strip_system):
     want = h.near_matvec(x) + h.far.apply(x)
     for _ in range(3):
         assert h.matvec(x).tobytes() == want.tobytes()
+
+
+def test_one_operator_serves_products_from_several_threads_at_once(cpus):
+    """A product writes only arrays of its own, so threads sharing an
+    operator, more of them than the cores, each get the result a single
+    thread gets, bit for bit."""
+    mesh = discretize_strip(51.2, 10)
+    h = assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 32), tol=1e-3)
+    xs = [vector(h.n, seed) for seed in range(3)]
+
+    def products(x):
+        # a solve that a wrong product stalls stops at maxit, not at 2000
+        return h.near_matvec(x), h.matvec(x), gmres(h.matvec, x, maxit=200)[0]
+
+    want = [[y.tobytes() for y in products(x)] for x in xs]
+
+    def wrong(i):
+        return sum(y.tobytes() != w for _ in range(6) for y, w in zip(products(xs[i]), want[i]))
+
+    # switching threads more often makes an overlap of two products likelier
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(xs)) as pool:
+            assert list(pool.map(wrong, range(len(xs)), timeout=120)) == [0] * len(xs)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_the_near_half_runs_on_the_worker_only_when_two_cpus_are_usable(cpus, monkeypatch, strip_system):
