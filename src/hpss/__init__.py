@@ -19,7 +19,6 @@ from .geometry import (
     discretize_disk,
     discretize_strip,
     is_admissible,
-    read_mesh_csv,
     write_mesh_csv,
 )
 from .hmatrix import BlockPartition, HMatrix, MemoryReport, assemble, build_block_partition, memory_report
@@ -77,7 +76,6 @@ __all__ = [
     "lu_solve",
     "memory_report",
     "rcs_rms_error",
-    "read_mesh_csv",
     "recompress",
     "rhs",
     "series_dielectric_cylinder",

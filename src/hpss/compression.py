@@ -9,18 +9,18 @@ stopping test compares the newest cross against an incrementally
 accumulated Frobenius estimate of the partial sum.  A sampled row or
 column with a non-finite entry raises ``BlockError``.
 
-``aca`` takes one block or a stack of same-shape blocks and runs the stack
-in lockstep: each step samples the pivot rows of every block still running
-with one ``entry_fn`` call and their pivot columns with another, and the
-residuals, pivot choices and stopping tests are array operations over the
-stack.  Every block follows the single-block rules above and leaves the
-stack when it stops, so it gets the pivots and rank it would get alone.
-The crosses are written into preallocated factors, one row of U and of V
-per cross, so the residual row, the residual column and the estimate's
-cross terms are each one batched product with the earlier crosses.  The
-factors start with room for ``ACA_START_RANK`` crosses and double, up to
-min(m, n), when full, so they never hold more than twice the entries of
-the stack's blocks.
+``aca`` takes a stack of same-shape blocks, one block being a stack of
+one, and runs the stack in lockstep: each step samples the pivot rows of
+every block still running with one ``entry_fn`` call and their pivot
+columns with another, and the residuals, pivot choices and stopping tests
+are array operations over the stack.  Every block follows the
+single-block rules above and leaves the stack when it stops, so it gets
+the pivots and rank it would get alone.  The crosses are written into
+preallocated factors, one row of U and of V per cross, so the residual
+row, the residual column and the estimate's cross terms are each one
+batched product with the earlier crosses.  The factors start with room
+for ``ACA_START_RANK`` crosses and double, up to min(m, n), when full, so
+they never hold more than twice the entries of the stack's blocks.
 
 Recompression takes one thin QR of U, the thin SVD of the k-by-n matrix
 R V (U V = Q R V, so these are the singular values of U V), and truncates
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Tuple, Union
+from typing import Callable, List, Tuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -105,17 +105,17 @@ def aca(
     rows: np.ndarray,
     cols: np.ndarray,
     tol: float,
-) -> Union[Factors, List[Factors]]:
-    """Partially pivoted adaptive cross approximation of one block or a stack.
+) -> List[Factors]:
+    """Partially pivoted adaptive cross approximation of a stack of blocks.
 
     Parameters
     ----------
     entry_fn : callable
-        Vectorized evaluator: ``entry_fn(rows, cols)`` with rows (..., m)
-        and cols (..., n) returns the entries, shape (..., m, n).
+        Vectorized evaluator: ``entry_fn(rows, cols)`` with rows (B, m)
+        and cols (B, n) returns the entries, shape (B, m, n).
     rows, cols : ndarray
-        Global indices of one block, (m,) and (n,), or of a stack of B
-        same-shape blocks, (B, m) and (B, n).
+        Global indices of a stack of B same-shape blocks, (B, m) and
+        (B, n); one block is a stack of one.
     tol : float
         Relative stopping tolerance in [0, 1) (``check_tolerance``): a
         block stops once ``|u_k| * |v_k| <= tol * |S_k|_F`` with its
@@ -123,8 +123,9 @@ def aca(
 
     Returns
     -------
-    (U, V), or a list of B of them for a stack
-        Factors with shapes (m, k) and (k, n); k may be 0 for a zero block.
+    list of B (U, V)
+        Each block's factors, shapes (m, k) and (k, n); k may be 0 for a
+        zero block.
 
     Raises
     ------
@@ -135,17 +136,10 @@ def aca(
     check_tolerance(tol)
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
-    if rows.ndim == 1:
-        return _aca_lockstep(entry_fn, rows[None], cols[None], tol)[0]
-    return _aca_lockstep(entry_fn, rows, cols, tol)
-
-
-def _aca_lockstep(entry_fn: EntryFn, rows: np.ndarray, cols: np.ndarray, tol: float) -> List[Factors]:
-    """ACA of a (B, m) x (B, n) stack, all blocks in step.
-
-    The arrays hold only the blocks still running, all with k crosses, and
-    lose a block's row when it stops.
-    """
+    if rows.ndim != 2 or cols.ndim != 2 or rows.shape[0] != cols.shape[0]:
+        raise ValueError(f"aca takes (B, m) rows and (B, n) cols, got shapes {rows.shape} and {cols.shape}")
+    # the arrays hold only the blocks still running, all with k crosses,
+    # and lose a block's row when it stops
     count, m = rows.shape
     n = cols.shape[1]
     factors: List[Factors] = [None] * count  # type: ignore[list-item]

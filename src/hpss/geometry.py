@@ -7,10 +7,10 @@ and point matching at element centers:
   x-axis or a closed circular contour approximated by chords),
 * volume meshes: square cells rasterizing a dielectric cross section.
 
-All generated meshes are wavelength-normalized (``wavelength = 1.0``), so
-coordinates are numerically in wavelengths.  The mesh-density rule is
-enforced at construction: element extent must not exceed lambda/10 on
-surface meshes and lambda/(10*sqrt(Re(eps_r))) per cell on volume meshes.
+Coordinates and extents are in free-space wavelengths, so the
+wavenumber k0 is 2*pi.  The mesh-density rule is enforced at
+construction: element extent must not exceed 1/10 on surface meshes and
+1/(10*sqrt(Re(eps_r))) per cell on volume meshes.
 
 The cluster tree splits element index ranges by coordinate median along the
 longest bounding-box axis, with a uniform leaf level: every leaf sits at the
@@ -52,20 +52,17 @@ class Mesh:
     kind : str
         ``"surface"`` (segments on a contour) or ``"volume"`` (square cells).
     centers : ndarray, shape (N, 2)
-        Element center coordinates in meters.
+        Element center coordinates in wavelengths.
     extents : ndarray, shape (N,)
-        Segment length (surface) or cell side (volume), in meters.
+        Segment length (surface) or cell side (volume), in wavelengths.
     eps_r : ndarray, shape (N,), complex
         Relative permittivity per element; exactly 1 on surface meshes.
-    wavelength : float
-        Free-space wavelength in meters.  Generators produce 1.0.
     """
 
     kind: str
     centers: np.ndarray
     extents: np.ndarray
     eps_r: np.ndarray
-    wavelength: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "centers", np.atleast_2d(np.asarray(self.centers, dtype=float)))
@@ -79,8 +76,8 @@ class Mesh:
 
     @property
     def k0(self) -> float:
-        """Free-space wavenumber in rad/m."""
-        return 2.0 * math.pi / self.wavelength
+        """Free-space wavenumber in rad per wavelength."""
+        return 2.0 * math.pi
 
     def validate(self) -> None:
         if self.kind not in (SURFACE, VOLUME):
@@ -108,12 +105,10 @@ class Mesh:
             raise ValueError(f"elements {i} and {j} share the centre ({x:g}, {y:g})")
         if np.any(self.extents <= 0.0):
             raise ValueError("element extents must be positive")
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0.0):
-            raise ValueError(f"wavelength must be positive and finite, got {self.wavelength:g}")
         if self.kind == SURFACE:
             if np.any(self.eps_r != 1.0):
                 raise ValueError("surface meshes must carry eps_r = 1 exactly")
-            limit = self.wavelength / MIN_ELEMENTS_PER_WAVELENGTH
+            limit = 1.0 / MIN_ELEMENTS_PER_WAVELENGTH
             if np.any(self.extents > limit * _DENSITY_SLACK):
                 raise ValueError(
                     f"surface element extent exceeds lambda/{MIN_ELEMENTS_PER_WAVELENGTH:g}"
@@ -121,7 +116,7 @@ class Mesh:
         else:
             if np.any(self.eps_r.real < 1.0):
                 raise ValueError("volume cells require Re(eps_r) >= 1")
-            limit = self.wavelength / (MIN_ELEMENTS_PER_WAVELENGTH * np.sqrt(self.eps_r.real))
+            limit = 1.0 / (MIN_ELEMENTS_PER_WAVELENGTH * np.sqrt(self.eps_r.real))
             if np.any(self.extents > limit * _DENSITY_SLACK):
                 raise ValueError(
                     "volume cell side exceeds lambda/(10*sqrt(Re(eps_r))) for some cell"
@@ -201,7 +196,11 @@ def discretize_disk(radius_wl: float, cells_per_wavelength: float, eps_r: comple
     eps = complex(eps_r)
     if not (cmath.isfinite(eps) and eps.real >= 1.0):
         raise ValueError(f"disk eps_r must be finite with Re(eps_r) >= 1, got {eps:g}")
-    h = 1.0 / (cells_per_wavelength * math.sqrt(eps.real))
+    # cells a wavelength in the medium; an overflow to inf would make the
+    # cell side 0 and the span below a division by zero
+    cells = cells_per_wavelength * math.sqrt(eps.real)
+    _element_count(f"cells_per_wavelength {cells_per_wavelength:g} with disk eps_r", eps, cells, "cells a wavelength")
+    h = 1.0 / cells
     # the candidate grid has 2 * span + 1 cells a side; np.floor, unlike
     # math.floor, takes an overflow to inf, which the count check refuses
     side = 2.0 * float(np.floor(radius_wl / h)) + 3.0
@@ -348,7 +347,7 @@ def is_admissible(tree: ClusterTree, t: int, s: int, eta: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# mesh CSV round trip
+# mesh CSV output
 
 
 def write_mesh_csv(mesh: Mesh, path: str) -> None:
@@ -360,25 +359,3 @@ def write_mesh_csv(mesh: Mesh, path: str) -> None:
             writer.writerow(
                 [f"{c[0]:.17g}", f"{c[1]:.17g}", f"{ext:.17g}", f"{eps.real:.17g}", f"{eps.imag:.17g}"]
             )
-
-
-def read_mesh_csv(path: str, kind: Optional[str] = None, wavelength: float = 1.0) -> Mesh:
-    """Read a mesh CSV written by :func:`write_mesh_csv`.
-
-    The element family is not part of the format; ``kind`` overrides the
-    default inference (all eps_r exactly 1 reads as a surface mesh).
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != MESH_CSV_HEADER:
-            raise ValueError(f"mesh CSV must start with header {','.join(MESH_CSV_HEADER)}")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError("mesh CSV has no element rows")
-    data = np.array([[float(v) for v in row] for row in rows])
-    eps = data[:, 3].astype(complex)
-    eps.imag = data[:, 4]  # not 1j * im, which turns an infinite im into a NaN re
-    if kind is None:
-        kind = SURFACE if np.all(eps == 1.0) else VOLUME
-    return Mesh(kind, data[:, :2], data[:, 2], eps, wavelength)

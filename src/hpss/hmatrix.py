@@ -176,13 +176,6 @@ class NearStack:
     col_starts: np.ndarray
     mirrored: bool = False
 
-    def coordinates(self) -> Tuple[np.ndarray, np.ndarray]:
-        """int32 row and col index of every entry of ``data``, each of its shape."""
-        b, m, n = self.data.shape
-        rows = self.row_starts[:, None, None] + np.arange(m, dtype=np.int32)[:, None]
-        cols = self.col_starts[:, None, None] + np.arange(n, dtype=np.int32)
-        return np.broadcast_to(rows, (b, m, n)), np.broadcast_to(cols, (b, m, n))
-
 
 @dataclass
 class NearField:
@@ -213,15 +206,16 @@ class NearField:
     def __post_init__(self) -> None:
         self.operands, reads, writes = [], [], []
         for stack in self.stacks:
-            rows, cols = stack.coordinates()
-            rows, cols = rows[:, :, 0], cols[:, 0, :]
+            _, m, n = stack.data.shape
+            rows = (stack.row_starts[:, None] + np.arange(m, dtype=np.int32)).ravel()
+            cols = (stack.col_starts[:, None] + np.arange(n, dtype=np.int32)).ravel()
             self.operands.append(stack.data)
-            reads.append(cols.ravel())
-            writes.append(rows.ravel())
+            reads.append(cols)
+            writes.append(rows)
             if stack.mirrored:
                 self.operands.append(stack.data.transpose(0, 2, 1))
-                reads.append(rows.ravel())
-                writes.append(cols.ravel())
+                reads.append(rows)
+                writes.append(cols)
         self.gather = np.concatenate(reads).astype(np.intp)
         rows = np.concatenate(writes)
         # one entry per column, held by row: each row sums its entries in
@@ -252,11 +246,13 @@ class NearField:
         start_x = start_y = 0
         for operand in self.operands:
             b, m, n = operand.shape
-            rows.append(np.repeat(writes[start_y : start_y + b * m], n))
-            # int32, the index type the COO keeps, so it copies no columns
-            reads = self.gather[start_x : start_x + b * n].reshape(b, 1, n).astype(np.int32)
-            cols.append(np.broadcast_to(reads, operand.shape).ravel())
-            data.append(operand.ravel())
+            # int32, the index type the COO keeps, and laid out like the
+            # operand, so ravelling all three in memory order copies no operand
+            row, col = np.empty_like(operand, dtype=np.int32), np.empty_like(operand, dtype=np.int32)
+            row[...] = writes[start_y : start_y + b * m].reshape(b, m, 1)
+            col[...] = self.gather[start_x : start_x + b * n].reshape(b, 1, n)
+            for parts, array in ((rows, row), (cols, col), (data, operand)):
+                parts.append(array.ravel(order="K"))
             start_x, start_y = start_x + b * n, start_y + b * m
         rows, cols, data = (np.concatenate(parts) for parts in (rows, cols, data))
         return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsc()

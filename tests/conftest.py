@@ -68,7 +68,7 @@ def halved_strip(element):
     mesh = discretize_strip(25.6, 10)
     extents = mesh.extents.copy()
     extents[element] *= 0.5
-    return Mesh(mesh.kind, mesh.centers, extents, mesh.eps_r, mesh.wavelength)
+    return Mesh(mesh.kind, mesh.centers, extents, mesh.eps_r)
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,6 @@ from hpss import (
     discretize_strip,
     gmres,
     is_admissible,
-    read_mesh_csv,
     rhs,
 )
 from hpss.cli import _FIELD_TYPES, COMMAND_KEYS, RunConfig, main, parse_config, resolve_config
@@ -324,6 +323,11 @@ def forbid_assembly(monkeypatch):
         (["solve", "--geometry", "circle", "--radius", "inf"], "circle radius must be positive and finite, got inf"),
         (["solve", "--geometry", "disk", "--density", "nan"], "cells_per_wavelength must be at least 10 and finite, got nan"),
         (["compare", "--geometry", "disk", "--eps-r", "nan"], "disk eps_r must be finite with Re(eps_r) >= 1, got nan+0j"),
+        # finite, but their product overflows, which would make the cell side 0
+        (
+            ["solve", "--geometry", "disk", "--density", "1e308", "--eps-r", "1e300"],
+            "cells_per_wavelength 1e+308 with disk eps_r 1e+300+0j needs inf cells a wavelength",
+        ),
         (["solve", "--solver", "gmres", "--phi-inc-deg", "nan"], "plane-wave incidence angle must be finite, got nan"),
         (["solve", "--solver", "gmres", "--phi-inc-deg", "inf"], "plane-wave incidence angle must be finite, got inf"),
         (["solve", "--solver", "gmres", "--phi-inc-deg=-inf"], "plane-wave incidence angle must be finite, got -inf"),
@@ -340,6 +344,7 @@ def forbid_assembly(monkeypatch):
         "solve-radius-inf",
         "solve-disk-density-nan",
         "compare-eps-r-nan",
+        "solve-disk-density-eps-r-overflow",
         "solve-phi-nan",
         "solve-phi-inf",
         "solve-phi-minus-inf",
@@ -438,9 +443,9 @@ def test_solve_meshes_a_circle_and_a_disk(tmp_path, capsys, shape, mesh):
     assert main(["solve", *shape, "--leaf-size", "8", "--angle-count", "19", "--solver", "gmres", "--out", str(out)]) == 0
     for name in ("mesh.csv", "memory_report.csv", "rcs_gmres.csv", "iterative_report.csv", "solve_report.txt", "summary.txt"):
         assert (out / name).exists(), name
-    written = read_mesh_csv(str(out / "mesh.csv"))
-    assert written.kind == mesh.kind
-    assert np.array_equal(written.centers, mesh.centers) and np.array_equal(written.eps_r, mesh.eps_r)
+    written = np.loadtxt(out / "mesh.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(written[:, :2], mesh.centers)
+    assert np.array_equal(written[:, 3] + 1j * written[:, 4], mesh.eps_r)
     assert f"geometry: {shape[1]}" in capsys.readouterr().out
     assert "converged: True" in (out / "solve_report.txt").read_text()
 

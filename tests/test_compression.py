@@ -22,13 +22,13 @@ def test_rank_one_block_terminates_at_one_cross():
     a = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     b = rng.standard_normal(25) + 1j * rng.standard_normal(25)
     m = np.outer(a, b)
-    u, v = aca(matrix_entry_fn(m), np.arange(40), np.arange(25), tol=1e-10)
+    [(u, v)] = aca(matrix_entry_fn(m), np.arange(40)[None], np.arange(25)[None], tol=1e-10)
     assert u.shape[1] == 1
     assert np.linalg.norm(u @ v - m) <= 1e-12 * np.linalg.norm(m)
 
 
 def test_zero_block_yields_rank_zero():
-    u, v = aca(matrix_entry_fn(np.zeros((8, 6), dtype=complex)), np.arange(8), np.arange(6), tol=1e-6)
+    [(u, v)] = aca(matrix_entry_fn(np.zeros((8, 6), dtype=complex)), np.arange(8)[None], np.arange(6)[None], tol=1e-6)
     assert u.shape == (8, 0)
     assert v.shape == (0, 6)
 
@@ -40,7 +40,7 @@ def test_exactly_low_rank_block_exhausts_cleanly():
         np.outer(rng.standard_normal(12) + 1j * rng.standard_normal(12), rng.standard_normal(9))
         for _ in range(3)
     )
-    u, v = aca(matrix_entry_fn(m), np.arange(12), np.arange(9), tol=1e-14)
+    [(u, v)] = aca(matrix_entry_fn(m), np.arange(12)[None], np.arange(9)[None], tol=1e-14)
     assert u.shape[1] <= 6
     assert np.linalg.norm(u @ v - m) <= 1e-10 * np.linalg.norm(m)
 
@@ -50,26 +50,27 @@ def test_exactly_low_rank_block_exhausts_cleanly():
 def test_zero_tolerance_runs_to_full_rank(m, n):
     rng = np.random.default_rng(5)
     block = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    u, v = aca(matrix_entry_fn(block), np.arange(m), np.arange(n), tol=0.0)
+    [(u, v)] = aca(matrix_entry_fn(block), np.arange(m)[None], np.arange(n)[None], tol=0.0)
     assert u.shape == (m, min(m, n))
     assert v.shape == (min(m, n), n)
     assert np.linalg.norm(u @ v - block) <= 1e-10 * np.linalg.norm(block)
 
 
 def well_separated_block():
-    """Two 64-element clusters, four diameters apart, on a long strip."""
+    """Two 64-element clusters, four diameters apart, on a long strip, as
+    a stack of one block."""
     mesh = discretize_strip(40.0, 10)
     spec = KernelSpec.for_mesh(mesh)
     entry_fn = partial(z_block, spec)
-    rows = np.arange(0, 64)       # spans 6.4 wavelengths
-    cols = np.arange(320, 384)    # gap of 25.6 wavelengths = 4 diameters
+    rows = np.arange(0, 64)[None]       # spans 6.4 wavelengths
+    cols = np.arange(320, 384)[None]    # gap of 25.6 wavelengths = 4 diameters
     return entry_fn, rows, cols
 
 
 def test_separated_surface_block_compresses_well():
     entry_fn, rows, cols = well_separated_block()
-    ref = dense_block(entry_fn, rows, cols)
-    u, v = aca(entry_fn, rows, cols, tol=1e-3)
+    ref = dense_block(entry_fn, rows[0], cols[0])
+    [(u, v)] = aca(entry_fn, rows, cols, tol=1e-3)
     assert u.shape[1] <= 32  # far below full rank 64
     err = np.linalg.norm(u @ v - ref) / np.linalg.norm(ref)
     assert err <= 3e-3
@@ -82,10 +83,24 @@ def test_separated_surface_block_compresses_well():
 
 def test_aca_is_deterministic():
     entry_fn, rows, cols = well_separated_block()
-    u1, v1 = aca(entry_fn, rows, cols, tol=1e-4)
-    u2, v2 = aca(entry_fn, rows, cols, tol=1e-4)
+    [(u1, v1)] = aca(entry_fn, rows, cols, tol=1e-4)
+    [(u2, v2)] = aca(entry_fn, rows, cols, tol=1e-4)
     assert np.array_equal(u1, u2)
     assert np.array_equal(v1, v2)
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(np.arange(4), np.arange(3)[None]), (np.arange(4)[None], np.arange(3)), (np.arange(8).reshape(2, 4), np.arange(3)[None])],
+    ids=["rows-1d", "cols-1d", "stack-sizes-differ"],
+)
+def test_aca_takes_only_stacks(rows, cols):
+    entry_fn = matrix_entry_fn(np.eye(8, dtype=complex))
+    with pytest.raises(ValueError, match=r"aca takes \(B, m\) rows and \(B, n\) cols, got shapes"):
+        aca(entry_fn, rows, cols, 1e-6)
+    # a stack of one gives a list of one
+    factors = aca(entry_fn, np.arange(4)[None], np.arange(3)[None], 1e-6)
+    assert isinstance(factors, list) and len(factors) == 1
 
 
 def test_recompress_drops_duplicated_directions():
@@ -100,7 +115,7 @@ def test_recompress_drops_duplicated_directions():
 
 def test_recompress_idempotent_and_rank_stable():
     entry_fn, rows, cols = well_separated_block()
-    u, v = aca(entry_fn, rows, cols, tol=1e-3)
+    [(u, v)] = aca(entry_fn, rows, cols, tol=1e-3)
     u1, v1 = recompress(u, v, tol=1e-3)
     assert u1.shape[1] <= u.shape[1]
     u2, v2 = recompress(u1, v1, tol=1e-3)
@@ -182,13 +197,13 @@ def test_tolerance_rejects_negative():
     import pytest
 
     with pytest.raises(ValueError):
-        aca(matrix_entry_fn(np.eye(3, dtype=complex)), np.arange(3), np.arange(3), tol=-1.0)
+        aca(matrix_entry_fn(np.eye(3, dtype=complex)), np.arange(3)[None], np.arange(3)[None], tol=-1.0)
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan")])
 def test_nan_or_negative_tolerance_is_refused_by_aca_and_recompress(tol):
     with pytest.raises(ValueError, match=r"compression tolerance must be in \[0, 1\)"):
-        aca(matrix_entry_fn(np.eye(3, dtype=complex)), np.arange(3), np.arange(3), tol=tol)
+        aca(matrix_entry_fn(np.eye(3, dtype=complex)), np.arange(3)[None], np.arange(3)[None], tol=tol)
     u, v = np.ones((3, 1), dtype=complex), np.ones((1, 3), dtype=complex)
     with pytest.raises(ValueError, match=r"compression tolerance must be in \[0, 1\)"):
         recompress(u, v, tol)
@@ -200,7 +215,7 @@ def test_tolerance_of_one_or_more_is_refused_by_aca_and_recompress(tol):
     # from tol = 1 on it would keep none and store the block as zero
     message = re.escape(f"compression tolerance must be in [0, 1), got {tol:g}")
     with pytest.raises(ValueError, match=message):
-        aca(matrix_entry_fn(np.eye(3, dtype=complex)), np.arange(3), np.arange(3), tol=tol)
+        aca(matrix_entry_fn(np.eye(3, dtype=complex)), np.arange(3)[None], np.arange(3)[None], tol=tol)
     u, v = np.ones((3, 1), dtype=complex), np.ones((1, 3), dtype=complex)
     with pytest.raises(ValueError, match=message):
         recompress(u, v, tol)
@@ -261,7 +276,7 @@ def test_stacked_aca_equals_per_block_aca(tol):
     ranks = []
     for b, (u, v) in enumerate(stacked):
         sampled.clear()
-        u1, v1 = aca(entry_fn, rows[b], cols[b], tol)
+        [(u1, v1)] = aca(entry_fn, rows[b : b + 1], cols[b : b + 1], tol)
         assert u.shape == u1.shape and v.shape == v1.shape
         assert [r for r in stacked_rows if r in rows[b]] == sampled
         assert len(set(sampled)) == len(sampled)  # no row is sampled twice
@@ -290,7 +305,7 @@ def test_non_finite_sample_raises_and_names_its_block():
         aca(matrix_entry_fn(one_nan), rows, cols, 1e-6)
     assert info.value.index == 1
     with pytest.raises(BlockError, match=f"row {rows[1, 0]}"):
-        aca(matrix_entry_fn(one_nan), rows[1], cols[1], 1e-6)
+        aca(matrix_entry_fn(one_nan), rows[1:2], cols[1:2], 1e-6)
     # an infinity in block 0's first pivot column, met there before any row
     col_nan = matrix.copy()
     col_nan[rows[0, 5], np.argmax(np.abs(matrix[rows[0, 0]]))] = np.inf

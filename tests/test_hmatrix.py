@@ -433,7 +433,11 @@ def test_packed_operator_matches_block_loops(name, strip_system):
     nodes = h.tree.nodes
     partition = build_block_partition(h.tree)
     stored = [(nodes[t], nodes[s]) for t, s in stored_pairs(h, mirror, partition.near_pairs)]
-    coords = [stack.coordinates() for stack in stacks]
+    coords = [
+        (stack.row_starts[:, None, None] + np.arange(stack.data.shape[1])[:, None],
+         stack.col_starts[:, None, None] + np.arange(stack.data.shape[2]))
+        for stack in stacks
+    ]
     flat = np.concatenate([(r * h.n + c).ravel() for r, c in coords])
     assert flat.size == np.unique(flat).size == sum(nt.size * ns.size for nt, ns in stored)
     applied = np.concatenate([flat] + [(c * h.n + r).ravel() for (r, c), s in zip(coords, stacks) if s.mirrored])

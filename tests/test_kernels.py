@@ -105,7 +105,7 @@ def test_one_ulp_of_extent_breaks_reciprocity():
     mesh = discretize_strip(2.0, 10)
     extents = mesh.extents.copy()
     extents[3] = np.nextafter(extents[3], np.inf)
-    spec = KernelSpec.for_mesh(Mesh(mesh.kind, mesh.centers, extents, mesh.eps_r, mesh.wavelength))
+    spec = KernelSpec.for_mesh(Mesh(mesh.kind, mesh.centers, extents, mesh.eps_r))
     assert not spec.reciprocal
     z = assemble_dense(spec)
     assert np.any(z != z.T)
