@@ -1,22 +1,22 @@
 """Command-line front end: solve, compare, bench, and oracle-check.
 
-Configuration comes from an optional plain-text ``key=value`` file plus
-command-line flags, flags winning.  ``COMMAND_KEYS`` lists the
-``RunConfig`` fields each subcommand reads; its flags are made from that
-list, and a config key outside it is rejected with the valid list.  So
-``bench``, which has no ``--geometry``, runs strips only.  A flag's value
-and a config value are parsed by the one function ``_coerce``.  Every bad
+A run's settings are the ``RunConfig`` defaults overridden by its
+command-line flags.  ``COMMAND_KEYS`` lists the ``RunConfig`` fields each
+subcommand reads, and its flags are made from that list, so any other
+flag is a usage error: ``bench``, which has no ``--geometry``, runs
+strips only.  Every flag's value is parsed by ``_coerce``.  Every bad
 setting is refused before any assembly or file: ``RunConfig.validate``
 checks the GMRES settings, series order, compression tolerance and eta
-with the library's own checks before any mesh is built, and the mesh
-generators, the dense-size cap and the plane wave's finiteness are
-checked before the fill.  ``--levels`` names the far levels the operator
-holds, a run ending at the leaf level, and so the levels the power
-series runs; once the tree is built,
-``RunConfig.coarsest_level`` checks it against the tree, for every
-solver, and turns it into the coarsest level kept.  ``compare``
-assembles every level once and runs the power series on the operator
-that keeps the levels from that one down (``HMatrix.keep_levels``).
+with the library's own checks, and the rms threshold, before any mesh
+is built, and the mesh generators, the dense-size cap and the plane
+wave's finiteness are checked before the fill.  ``--levels`` names the
+coarsest far level the operator keeps (``all`` for 1, ``leaf`` for the
+leaf level, or one integer), and so the levels the power series runs;
+once the tree is built, ``RunConfig.coarsest_level`` turns it into that
+level, refusing one outside the tree by the library's rule
+(``check_coarsest``), for every solver.  ``compare`` assembles every
+level once and runs the power series on the operator that keeps the
+levels from that one down (``HMatrix.keep_levels``).
 All CSV artifacts are byte-deterministic for a fixed config: timings
 appear only in the plain-text summaries.  Those summaries, printed on
 stdout, show each run's accuracy as its report states it
@@ -52,7 +52,7 @@ from .geometry import (
     discretize_strip,
     write_mesh_csv,
 )
-from .hmatrix import HMatrix, assemble, memory_report
+from .hmatrix import HMatrix, assemble, check_coarsest, memory_report
 from .kernels import Excitation, KernelSpec, assemble_dense, check_dense_size, rhs
 from .postproc import RcsCurve, bistatic_rcs, rcs_rms_error, series_dielectric_cylinder, series_pec_cylinder
 from .scaling import compute_scaling
@@ -121,6 +121,9 @@ class RunConfig:
         pss.PssConfig(series_order=self.series_order)
         check_tolerance(self.aca_tol)
         check_eta(self.eta)
+        threshold = self.assert_rms_db
+        if threshold is not None and not 0.0 <= threshold < math.inf:
+            raise ValueError(f"assert_rms_db must be non-negative and finite, got {threshold:g}")
 
     def _solver_list(self) -> List[str]:
         return [tok.strip() for tok in self.solvers.split(",") if tok.strip()]
@@ -133,25 +136,23 @@ class RunConfig:
 
     def coarsest_level(self, depth: int) -> int:
         """The coarsest far level ``levels`` keeps on a tree of this depth:
-        1 for 'all', the leaf level for 'leaf', else the first of the
-        listed levels, which must be a contiguous run ending at the leaf
-        level."""
+        1 for 'all', the leaf level for 'leaf', else the integer given,
+        which must lie where ``check_coarsest`` allows."""
         if self.levels == "all":
             return 1
         if self.levels == "leaf":
             return max(depth, 1)
         try:
-            levels = sorted({int(tok) for tok in self.levels.split(",")})
-        except ValueError as exc:
-            raise ValueError("levels must be 'all', 'leaf', or a comma list of integers") from exc
-        if levels[0] < 1 or levels != list(range(levels[0], depth + 1)):
-            raise ValueError(f"levels must be a contiguous run ending at the leaf level {depth}, got {self.levels!r}")
-        return levels[0]
+            level = int(self.levels)
+        except ValueError:
+            raise ValueError(f"levels must be 'all', 'leaf', or one integer, got {self.levels!r}") from None
+        check_coarsest(level, 1, depth)
+        return level
 
 
 def _coerce(kind: type, raw: str):
-    """A flag's or a config file's value as ``kind``; a complex value may
-    hold spaces, as in ``2 + 0.1j``."""
+    """A flag's value as ``kind``; a complex value may hold spaces, as in
+    ``2 + 0.1j``."""
     raw = raw.strip()
     if kind is complex:
         return complex(raw.replace(" ", ""))
@@ -166,7 +167,7 @@ _FIELD_TYPES: Dict[str, type] = {
 }
 
 
-# the RunConfig fields each subcommand reads, and so its flags and config keys
+# the RunConfig fields each subcommand reads, and so its flags
 _PROBLEM_KEYS = (
     "geometry", "length", "radius", "eps_r", "density", "leaf_size", "eta", "aca_tol",
     "gmres_tol", "gmres_restart", "gmres_maxit", "series_order", "levels",
@@ -180,34 +181,10 @@ COMMAND_KEYS: Dict[str, Tuple[str, ...]] = {
 }
 
 
-def parse_config(path: str, command: str) -> Dict[str, object]:
-    """Read a key=value config file; a key ``command`` does not read is rejected."""
-    keys = COMMAND_KEYS[command]
-    values: Dict[str, object] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in keys:
-                valid = ", ".join(sorted(keys))
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r} for {command}; valid keys: {valid}")
-            try:
-                values[key] = _coerce(_FIELD_TYPES[key], raw)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value {raw!r} for config key {key!r}: {exc}") from None
-    return values
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then config file, then explicit flags."""
-    keys = COMMAND_KEYS[args.command]
-    file_values = parse_config(args.config, args.command) if args.config else {}
-    flag_values = {name: getattr(args, name) for name in keys if getattr(args, name, None) is not None}
-    cfg = replace(replace(RunConfig(), **file_values), **flag_values)
+    """Defaults, then the flags given."""
+    flags = {name: getattr(args, name) for name in COMMAND_KEYS[args.command] if getattr(args, name) is not None}
+    cfg = replace(RunConfig(), **flags)
     cfg.validate()
     return cfg
 
@@ -510,7 +487,7 @@ _FLAG_HELP = {
     "eps_r": "disk relative permittivity",
     "density": "elements or cells per wavelength",
     "series_order": "power-series order",
-    "levels": "'all', 'leaf', or a contiguous comma list ending at the leaf level",
+    "levels": "the coarsest far level kept: 'all', 'leaf', or one integer",
     "solvers": "comma list from pss,gmres,lu",
     "sizes": "comma list of unknown counts",
 }
@@ -524,7 +501,7 @@ _COMMANDS = {
 
 def _add_flag(parser: argparse.ArgumentParser, name: str) -> None:
     """``--name`` with ``_`` as ``-`` (``series_order`` is ``--order``),
-    its value parsed by ``_coerce`` as a config value is."""
+    its value parsed by ``_coerce``."""
     flag = "--" + ("order" if name == "series_order" else name).replace("_", "-")
     kind = _FIELD_TYPES[name]
     parse = functools.partial(_coerce, kind)
@@ -537,7 +514,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in _COMMANDS.items():
         p_command = sub.add_parser(command, help=help_text)
-        p_command.add_argument("--config", help="key=value config file; flags override it")
         for name in COMMAND_KEYS[command]:
             _add_flag(p_command, name)
 

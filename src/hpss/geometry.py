@@ -320,9 +320,10 @@ def build_cluster_tree(mesh: Mesh, leaf_size: int) -> ClusterTree:
 
 
 def check_eta(eta: float) -> None:
-    """Refuse an admissibility parameter that is not positive, NaN included."""
-    if not eta > 0.0:
-        raise ValueError(f"eta must be positive, got {eta:g}")
+    """Refuse an admissibility parameter that is not positive and finite,
+    NaN included."""
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta:g}")
 
 
 def is_admissible(tree: ClusterTree, t: int, s: int, eta: float) -> bool:

@@ -433,7 +433,7 @@ def _far_storage(
     return far_blocks, far, level_factors
 
 
-def _check_coarsest(coarsest: int, lowest: int, depth: int) -> None:
+def check_coarsest(coarsest: int, lowest: int, depth: int) -> None:
     """The coarsest far level an operator keeps must lie in lowest..depth
     (1..1 on a depth-0 tree, whose operator has no far levels)."""
     if not lowest <= coarsest <= max(depth, 1):
@@ -574,7 +574,7 @@ class HMatrix:
         that ``coarsest`` would; it is ``complete`` when this one is and
         the levels it drops hold no blocks.
         """
-        _check_coarsest(coarsest, min(self.far_blocks, default=1), self.depth)
+        check_coarsest(coarsest, min(self.far_blocks, default=1), self.depth)
         parts = {level: part for level, part in self.level_factors.items() if level >= coarsest}
         far = self.far.part(self.far.width - sum(part.width for part in parts.values()), self.far.width)
         far_blocks = {level: blocks for level, blocks in self.far_blocks.items() if level >= coarsest}
@@ -649,7 +649,7 @@ def assemble(
     if tree.n_elements != spec.n:
         raise ValueError("tree and kernel disagree on element count")
     check_tolerance(tol)
-    _check_coarsest(coarsest, 1, tree.depth)
+    check_coarsest(coarsest, 1, tree.depth)
     partition = build_block_partition(tree, eta)
     entry_fn = entry_function(spec, tree.permutation)
 

@@ -1,6 +1,5 @@
 import dataclasses
 import re
-from argparse import Namespace
 
 import numpy as np
 import pytest
@@ -22,55 +21,7 @@ from hpss import (
     is_admissible,
     rhs,
 )
-from hpss.cli import _FIELD_TYPES, COMMAND_KEYS, RunConfig, main, parse_config, resolve_config
-
-
-def write_config(tmp_path, text):
-    path = tmp_path / "run.cfg"
-    path.write_text(text)
-    return str(path)
-
-
-def test_parse_config_empty_file(tmp_path):
-    assert parse_config(write_config(tmp_path, ""), "solve") == {}
-    assert parse_config(write_config(tmp_path, "# only a comment\n\n"), "solve") == {}
-
-
-def test_parse_config_coercions(tmp_path):
-    path = write_config(
-        tmp_path,
-        """
-        geometry = disk   # trailing comment
-        eps_r = 2.0-0.5j
-        leaf_size = 24
-        aca_tol = 5e-4
-        levels = 1,2
-        """,
-    )
-    values = parse_config(path, "solve")
-    assert values == {
-        "geometry": "disk",
-        "eps_r": 2.0 - 0.5j,
-        "leaf_size": 24,
-        "aca_tol": 5e-4,
-        "levels": "1,2",
-    }
-
-
-def test_parse_config_unknown_key_lists_valid_ones(tmp_path):
-    path = write_config(tmp_path, "leaf_sise = 24\n")
-    with pytest.raises(ValueError, match="valid keys"):
-        parse_config(path, "solve")
-    try:
-        parse_config(path, "solve")
-    except ValueError as exc:
-        assert "leaf_size" in str(exc)
-        assert "run.cfg:1" in str(exc)
-
-
-def test_parse_config_requires_key_value(tmp_path):
-    with pytest.raises(ValueError, match="key=value"):
-        parse_config(write_config(tmp_path, "just some words\n"), "solve")
+from hpss.cli import _FIELD_TYPES, COMMAND_KEYS, RunConfig, main
 
 
 def test_field_types_stay_in_sync_with_runconfig():
@@ -82,11 +33,11 @@ def test_field_types_stay_in_sync_with_runconfig():
         assert len(set(keys)) == len(keys)
 
 
-CONFIG_VALUES = {
+FLAG_VALUES = {
     "geometry": "disk",
     "length": "3",
     "radius": "0.5",
-    "eps_r": "2.5-0.1j",
+    "eps_r": "2.5 - 0.1j",
     "density": "12",
     "leaf_size": "16",
     "eta": "0.8",
@@ -108,39 +59,28 @@ CONFIG_VALUES = {
 }
 
 
-def test_parse_config_returns_annotated_types(tmp_path):
-    # each subcommand's file sets all of its keys
-    values = {}
-    for command, keys in COMMAND_KEYS.items():
-        text = "".join(f"{key} = {CONFIG_VALUES[key]}\n" for key in keys)
-        values.update(parse_config(write_config(tmp_path, text), command))
-    defaults = RunConfig()
-    assert set(values) == {f.name for f in dataclasses.fields(RunConfig)}
-    for name, value in values.items():
-        # every default but assert_rms_db (None) carries its annotated type
-        want = float if name == "assert_rms_db" else type(getattr(defaults, name))
-        assert type(value) is want, name
-    assert values["assert_rms_db"] == 1.0
-    assert values["eps_r"] == 2.5 - 0.1j
-    assert values["leaf_size"] == 16
-    RunConfig(**values).validate()
-
-
 @pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
-def test_every_key_parses_alike_from_a_flag_and_a_config_file(tmp_path, monkeypatch, command):
-    # a complex value with spaces was refused as a flag but read from a file
-    raw = {**CONFIG_VALUES, "eps_r": "2.5 - 0.1j"}
+def test_every_key_parses_from_its_flag_to_its_annotated_type(monkeypatch, command):
+    # each subcommand's flags set all of its keys; a complex value may hold spaces
     keys = COMMAND_KEYS[command]
     resolved = []
     monkeypatch.setitem(cli._COMMANDS, command, (resolved.append, ""))
     flags = []
     for key in keys:
-        flags += ["--" + ("order" if key == "series_order" else key).replace("_", "-"), raw[key]]
+        flags += ["--" + ("order" if key == "series_order" else key).replace("_", "-"), FLAG_VALUES[key]]
     main([command, *flags])
-    main([command, "--config", write_config(tmp_path, "".join(f"{key} = {raw[key]}\n" for key in keys))])
-    from_flags, from_file = resolved
-    assert from_flags == from_file
-    assert all(getattr(from_flags, key) != getattr(RunConfig(), key) for key in keys)
+    (cfg,) = resolved
+    defaults = RunConfig()
+    for key in keys:
+        value = getattr(cfg, key)
+        # every default but assert_rms_db (None) carries its annotated type
+        want = float if key == "assert_rms_db" else type(getattr(defaults, key))
+        assert type(value) is want, key
+        assert value != getattr(defaults, key), key
+    if command == "compare":
+        assert cfg.assert_rms_db == 1.0
+        assert cfg.eps_r == 2.5 - 0.1j
+        assert cfg.leaf_size == 16
 
 
 def test_a_flag_that_is_not_an_int_is_a_usage_error(tmp_path, capsys):
@@ -152,26 +92,23 @@ def test_a_flag_that_is_not_an_int_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_flags_override_config_file(tmp_path):
-    path = write_config(tmp_path, "density = 10\nleaf_size = 8\n")
-    cfg = resolve_config(Namespace(command="solve", config=path, density=12.0))
-    assert cfg.density == 12.0
-    assert cfg.leaf_size == 8
-    assert cfg.geometry == "strip"
-
-
 def test_coarsest_level_parsing():
     assert RunConfig(levels="all").coarsest_level(3) == 1
     assert RunConfig(levels="all").coarsest_level(0) == 1
     assert RunConfig(levels="leaf").coarsest_level(3) == 3
     assert RunConfig(levels="leaf").coarsest_level(0) == 1
-    assert RunConfig(levels="3,2").coarsest_level(3) == 2
-    assert RunConfig(levels="1,2,3").coarsest_level(3) == 1
-    # a list must be a contiguous run of levels from 1 up that ends at the leaf level
-    for levels, depth in (("1,2", 3), ("1,3", 3), ("0,1,2,3", 3), ("9", 3), ("1", 0)):
-        message = f"levels must be a contiguous run ending at the leaf level {depth}, got {levels!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
+    assert RunConfig(levels="2").coarsest_level(3) == 2
+    assert RunConfig(levels="3").coarsest_level(3) == 3
+    assert RunConfig(levels="1").coarsest_level(0) == 1
+    # one level, refused outside the tree by the library's own rule
+    for levels, depth, bounds in (("0", 3, "1..3, got 0"), ("4", 3, "1..3, got 4"), ("2", 0, "1..1, got 2")):
+        with pytest.raises(ValueError, match=re.escape(f"coarsest far level must lie in {bounds}")):
             RunConfig(levels=levels).coarsest_level(depth)
+    # a list of levels, or anything else that is not one integer, names levels
+    for levels in ("3,4", "1,2,3", "leaf,2", "2.0", ""):
+        message = f"levels must be 'all', 'leaf', or one integer, got {levels!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunConfig(levels=levels).coarsest_level(3)
 
 
 def test_config_validation_errors():
@@ -211,20 +148,9 @@ def test_config_validation_errors():
 
 
 def test_bad_config_value_exits_one_not_traceback(tmp_path, capsys):
-    path = write_config(tmp_path, "geometry = torus\n")
-    rc = main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    rc = main(["solve", "--eta", "-1", "--out", str(tmp_path / "o")])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
-
-
-def test_bad_config_value_names_key_file_and_line(tmp_path, capsys):
-    path = write_config(tmp_path, "# leaf size\nleaf_size = 1.5\n")
-    with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad value '1.5' for config key 'leaf_size'")):
-        parse_config(path, "solve")
-    out = tmp_path / "o"
-    assert main(["solve", "--config", path, "--out", str(out)]) == 1
-    assert f"error: {path}:2: bad value '1.5' for config key 'leaf_size'" in capsys.readouterr().err
-    assert not out.exists()
+    assert capsys.readouterr().err == "error: eta must be positive and finite, got -1\n"
 
 
 def test_nonpositive_gmres_tol_exits_one_before_solving(tmp_path, capsys):
@@ -250,6 +176,9 @@ def test_missing_subcommand_is_usage_error():
         ["solve", "--sizes", "64"],
         ["solve", "--symmetric"],
         ["compare", "--symmetric"],
+        ["solve", "--assert-rms-db", "1"],
+        ["solve", "--config", "x"],
+        ["bench", "--config", "x"],
     ],
 )
 def test_flag_a_subcommand_does_not_read_is_usage_error(tmp_path, capsys, argv):
@@ -258,25 +187,6 @@ def test_flag_a_subcommand_does_not_read_is_usage_error(tmp_path, capsys, argv):
         main([*argv, "--out", str(out)])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "command, line",
-    [
-        ("solve", "sizes = 64"),
-        ("solve", "assert_rms_db = 1"),
-        ("solve", "symmetric = yes"),
-        ("bench", "symmetric = yes"),
-    ],
-)
-def test_config_key_a_subcommand_does_not_read_exits_one(tmp_path, capsys, command, line):
-    out = tmp_path / "o"
-    rc = main([command, "--config", write_config(tmp_path, line + "\n"), "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert f"unknown config key {line.split()[0]!r} for {command}" in err
-    assert "valid keys: " + ", ".join(sorted(COMMAND_KEYS[command])) in err
     assert not out.exists()
 
 
@@ -318,7 +228,12 @@ def forbid_assembly(monkeypatch):
         (["bench", "--sizes", "256", "--aca-tol", "-1"], "compression tolerance must be in [0, 1), got -1"),
         (["bench", "--sizes", "256", "--density", "5"], "elements_per_wavelength must be at least 10"),
         (["solve", "--solver", "pss", "--order", "0"], "series_order must be at least 1, got 0"),
-        (["solve", "--eta", "0"], "eta must be positive, got 0"),
+        (["solve", "--eta", "0"], "eta must be positive and finite, got 0"),
+        (["solve", "--solver", "gmres", "--eta", "inf"], "eta must be positive and finite, got inf"),
+        # NaN fails every comparison, so a NaN threshold would never fail a run
+        (["compare", "--solvers", "pss,gmres", "--assert-rms-db", "nan"], "assert_rms_db must be non-negative and finite, got nan"),
+        (["compare", "--solvers", "pss,gmres", "--assert-rms-db", "inf"], "assert_rms_db must be non-negative and finite, got inf"),
+        (["compare", "--solvers", "pss,gmres", "--assert-rms-db=-1"], "assert_rms_db must be non-negative and finite, got -1"),
         (["solve", "--length", "nan"], "strip length must be positive and finite, got nan"),
         (["solve", "--geometry", "circle", "--radius", "inf"], "circle radius must be positive and finite, got inf"),
         (["solve", "--geometry", "disk", "--density", "nan"], "cells_per_wavelength must be at least 10 and finite, got nan"),
@@ -340,6 +255,10 @@ def forbid_assembly(monkeypatch):
         "bench-density-5",
         "solve-order-0",
         "solve-eta-0",
+        "solve-eta-inf",
+        "compare-assert-rms-db-nan",
+        "compare-assert-rms-db-inf",
+        "compare-assert-rms-db-negative",
         "solve-length-nan",
         "solve-radius-inf",
         "solve-disk-density-nan",
@@ -376,8 +295,17 @@ STRIP_ARGS = [
         (lambda: assemble_dense(KernelSpec.for_mesh(discretize_strip(4.0, 10))), ["solve", *STRIP_ARGS, "--solver", "lu"]),
         (lambda: build_block_partition(build_cluster_tree(discretize_strip(1.0, 10), 16), 0.0), ["solve", "--eta", "0"]),
         (lambda: is_admissible(build_cluster_tree(discretize_strip(1.0, 10), 16), 0, 0, 0.0), ["bench", "--eta", "0"]),
+        (
+            lambda: assemble(
+                KernelSpec.for_mesh(discretize_strip(4.0, 10)), build_cluster_tree(discretize_strip(4.0, 10), 5), 1e-3, coarsest=4
+            ),
+            ["compare", *STRIP_ARGS, "--leaf-size", "5", "--solvers", "pss,gmres", "--levels", "4"],
+        ),
     ],
-    ids=["gmres-tol", "gmres-restart", "gmres-maxit", "series-order", "dense-size", "partition-eta", "admissible-eta"],
+    ids=[
+        "gmres-tol", "gmres-restart", "gmres-maxit", "series-order", "dense-size", "partition-eta", "admissible-eta",
+        "coarsest-level",
+    ],
 )
 def test_library_and_cli_refuse_a_setting_in_the_same_words(tmp_path, capsys, monkeypatch, library, argv):
     monkeypatch.setattr("hpss.kernels.DENSE_SIZE_CAP", 30)
@@ -396,9 +324,9 @@ def test_library_and_cli_refuse_a_setting_in_the_same_words(tmp_path, capsys, mo
     "argv, message",
     [
         (["solve", "--aca-tol", "nan"], "compression tolerance must be in [0, 1), got nan"),
-        (["solve", "--eta", "nan"], "eta must be positive, got nan"),
+        (["solve", "--eta", "nan"], "eta must be positive and finite, got nan"),
         (["compare", "--solvers", "pss,gmres", "--aca-tol", "nan"], "compression tolerance must be in [0, 1), got nan"),
-        (["bench", "--sizes", "256", "--eta", "nan"], "eta must be positive, got nan"),
+        (["bench", "--sizes", "256", "--eta", "nan"], "eta must be positive and finite, got nan"),
     ],
     ids=["solve-aca-tol", "solve-eta", "compare-aca-tol", "bench-eta"],
 )
@@ -635,18 +563,17 @@ def test_non_increasing_angles_exit_one_before_solving(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("solver", ["pss", "gmres"])
 def test_bad_levels_exit_one_before_assembly(tmp_path, capsys, monkeypatch, solver):
-    # 40 elements at leaf size 5 give a depth-3 tree, so levels 1,2 miss the
-    # leaf, level 9 lies below it and leaf,2 is not a list of integers
+    # 40 elements at leaf size 5 give a depth-3 tree, so level 9 lies below
+    # it, and neither the list 3,4 nor leaf,2 is one level
     def no_assembly(*args, **kwargs):
         raise AssertionError("assembled despite bad levels")
 
     monkeypatch.setattr("hpss.cli.assemble", no_assembly)
     out = tmp_path / "o"
-    run = "levels must be a contiguous run ending at the leaf level 3, got {!r}"
     for levels, message in (
-        ("1,2", run.format("1,2")),
-        ("9", run.format("9")),
-        ("leaf,2", "levels must be 'all', 'leaf', or a comma list of integers"),
+        ("9", "coarsest far level must lie in 1..3, got 9"),
+        ("3,4", "levels must be 'all', 'leaf', or one integer, got '3,4'"),
+        ("leaf,2", "levels must be 'all', 'leaf', or one integer, got 'leaf,2'"),
     ):
         rc = main(["solve", *STRIP_ARGS, "--leaf-size", "5", "--solver", solver, "--levels", levels, "--out", str(out)])
         assert rc == 1
@@ -684,12 +611,11 @@ def test_out_of_range_coarsest_level_is_refused_before_any_fill(tmp_path, capsys
 
     out = tmp_path / "o"
     for command in (["solve", "--solver", "pss"], ["compare", "--solvers", "pss,gmres"]):
-        for levels in ("0,1,2,3", "4"):
+        for levels, bounds in (("0", "1..3, got 0"), ("4", "1..3, got 4")):
             argv = [command[0], *STRIP_ARGS, "--leaf-size", "5", *command[1:], "--levels", levels]
             rc = main([*argv, "--out", str(out)])
             assert rc == 1
-            message = f"error: levels must be a contiguous run ending at the leaf level 3, got {levels!r}"
-            assert message in capsys.readouterr().err
+            assert capsys.readouterr().err == f"error: coarsest far level must lie in {bounds}\n"
             assert not out.exists()
 
 
@@ -732,6 +658,23 @@ def test_compare_levels_leaf_runs_pss_on_the_leaf_only_operator(tmp_path, capsys
     assert read("compare", "rcs_gmres.csv") == read("full", "rcs_gmres.csv")
     assert read("compare", "memory_report.csv") == read("full", "memory_report.csv")
     assert read("leaf", "memory_report.csv") != read("full", "memory_report.csv")
+
+
+def test_levels_names_one_level_as_all_and_leaf_do(tmp_path, capsys):
+    # on a depth-3 strip, level 1 is what all keeps and level 3 what leaf
+    # keeps; compare runs pss on the operator solve assembles for a level
+    depth3 = [*STRIP_ARGS, "--leaf-size", "5"]
+    for levels in ("all", "1", "2", "3", "leaf"):
+        assert main(["solve", *depth3, "--levels", levels, "--solver", "pss", "--out", str(tmp_path / levels)]) == 0
+    assert main(["compare", *depth3, "--levels", "2", "--solvers", "pss,gmres", "--out", str(tmp_path / "compare")]) == 0
+    capsys.readouterr()
+    read = lambda name, csv: (tmp_path / name / csv).read_bytes()
+    for a, b in (("all", "1"), ("leaf", "3")):
+        for csv in ("memory_report.csv", "rcs_pss.csv"):
+            assert read(a, csv) == read(b, csv), (a, b, csv)
+    assert read("compare", "rcs_pss.csv") == read("2", "rcs_pss.csv")
+    levels = [row.split(",")[0] for row in read("2", "memory_report.csv").decode().splitlines()[1:]]
+    assert levels == ["near", "2", "3", "total"]
 
 
 def test_compare_levels_assembles_once(tmp_path, capsys, monkeypatch):

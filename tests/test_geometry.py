@@ -255,8 +255,8 @@ def test_admissibility_hand_cases():
     # touching corners give distance zero: never admissible
     t = boxes_tree(unit, ((1.0, 1.0), (2.0, 2.0)))
     assert not is_admissible(t, 1, 2, 1e6)
-    for eta in (0.0, float("nan")):
-        with pytest.raises(ValueError, match="eta must be positive"):
+    for eta in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
             is_admissible(t, 1, 2, eta)
 
 

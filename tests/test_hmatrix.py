@@ -93,11 +93,11 @@ def test_partition_is_the_numpy_box_descent(mesh, leaf, eta):
     assert any(far.values())
 
 
-@pytest.mark.parametrize("eta", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("eta", [0.0, -1.0, float("nan"), float("inf")])
 def test_partition_refuses_nonpositive_eta_even_for_one_leaf(eta):
     tree = build_cluster_tree(discretize_strip(1.0, 10), 16)
     assert tree.depth == 0  # the descent tests no pair at all
-    with pytest.raises(ValueError, match="eta must be positive"):
+    with pytest.raises(ValueError, match="eta must be positive and finite"):
         build_block_partition(tree, eta)
 
 
@@ -228,13 +228,15 @@ def test_assemble_rejects_negative_tolerance(monkeypatch):
     "tol, eta, message",
     [
         (float("nan"), 1.0, "compression tolerance must be in [0, 1), got nan"),
-        (1e-3, float("nan"), "eta must be positive, got nan"),
+        (1e-3, float("nan"), "eta must be positive and finite, got nan"),
+        (1e-3, float("inf"), "eta must be positive and finite, got inf"),
     ],
-    ids=["tol", "eta"],
+    ids=["tol", "eta", "eta-inf"],
 )
 def test_assemble_refuses_a_nan_tolerance_or_eta(monkeypatch, tol, eta, message):
-    """A NaN tolerance would store every far block at rank 0 and a NaN eta
-    would make every leaf pair near; both are refused before any fill."""
+    """A NaN tolerance would store every far block at rank 0, a NaN eta
+    would make every leaf pair near and an infinite one would make pairs
+    far that no finite eta admits; each is refused before any fill."""
 
     def no_fill(*args):
         raise AssertionError("entries were evaluated before the check")
