@@ -7,9 +7,10 @@ flag is a usage error: ``bench``, which has no ``--geometry``, runs
 strips only.  Every flag's value is parsed by ``_coerce``.  Every bad
 setting is refused before any assembly or file: ``RunConfig.validate``
 checks the GMRES settings, series order, compression tolerance and eta
-with the library's own checks, and the rms threshold, before any mesh
-is built, and the mesh generators, the dense-size cap and the plane
-wave's finiteness are checked before the fill.  ``--levels`` names the
+with the library's own checks, and the rms threshold (which needs pss
+among the solvers it compares), before any mesh is built, and the mesh
+generators, the dense-size cap and the plane wave's finiteness are
+checked before the fill.  ``--levels`` names the
 coarsest far level the operator keeps (``all`` for 1, ``leaf`` for the
 leaf level, or one integer), and so the levels the power series runs;
 once the tree is built, ``RunConfig.coarsest_level`` turns it into that
@@ -124,6 +125,8 @@ class RunConfig:
         threshold = self.assert_rms_db
         if threshold is not None and not 0.0 <= threshold < math.inf:
             raise ValueError(f"assert_rms_db must be non-negative and finite, got {threshold:g}")
+        if threshold is not None and "pss" not in solvers:
+            raise ValueError(f"assert_rms_db checks pairs with pss, but solvers {self.solvers!r} names no pss")
 
     def _solver_list(self) -> List[str]:
         return [tok.strip() for tok in self.solvers.split(",") if tok.strip()]

@@ -234,6 +234,8 @@ def forbid_assembly(monkeypatch):
         (["compare", "--solvers", "pss,gmres", "--assert-rms-db", "nan"], "assert_rms_db must be non-negative and finite, got nan"),
         (["compare", "--solvers", "pss,gmres", "--assert-rms-db", "inf"], "assert_rms_db must be non-negative and finite, got inf"),
         (["compare", "--solvers", "pss,gmres", "--assert-rms-db=-1"], "assert_rms_db must be non-negative and finite, got -1"),
+        # the threshold checks only pairs that include pss, so without pss it checks nothing
+        (["compare", "--solvers", "gmres,lu", "--assert-rms-db", "0"], "assert_rms_db checks pairs with pss, but solvers 'gmres,lu' names no pss"),
         (["solve", "--length", "nan"], "strip length must be positive and finite, got nan"),
         (["solve", "--geometry", "circle", "--radius", "inf"], "circle radius must be positive and finite, got inf"),
         (["solve", "--geometry", "disk", "--density", "nan"], "cells_per_wavelength must be at least 10 and finite, got nan"),
@@ -259,6 +261,7 @@ def forbid_assembly(monkeypatch):
         "compare-assert-rms-db-nan",
         "compare-assert-rms-db-inf",
         "compare-assert-rms-db-negative",
+        "compare-assert-rms-db-without-pss",
         "solve-length-nan",
         "solve-radius-inf",
         "solve-disk-density-nan",

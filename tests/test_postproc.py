@@ -13,12 +13,14 @@ from hpss import (
     bistatic_rcs,
     discretize_circle,
     discretize_disk,
+    discretize_strip,
     lu_solve,
     rhs,
     rcs_rms_error,
     series_dielectric_cylinder,
     series_pec_cylinder,
 )
+from hpss import postproc
 from hpss.geometry import SURFACE, Mesh
 from hpss.kernels import ETA0
 
@@ -202,13 +204,10 @@ def test_chunked_echo_width_matches_one_phase_matrix():
         assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
-def test_echo_width_phase_matches_exp_form(monkeypatch):
-    """The cosine/sine phase buffer gives the exp(1j * phase) form's sigma to
-    1e-15 relative, chunk for chunk (so a libm whose exp and cos/sin round
-    apart still passes)."""
-    from hpss import postproc
-
-    monkeypatch.setattr(postproc, "_to_db", lambda sigma: sigma)  # keep sigma linear
+def test_echo_width_phase_matches_exp_form():
+    """The direct sum's cosine/sine phase buffer gives the exp(1j * phase)
+    form's sigma to 1e-15 relative, chunk for chunk (so a libm whose exp
+    and cos/sin round apart still passes)."""
     chunk = postproc.RCS_ANGLE_CHUNK
     rng = np.random.default_rng(9)
     angles = np.linspace(0.0, 360.0, 2 * chunk + 7, endpoint=False)
@@ -223,5 +222,118 @@ def test_echo_width_phase_matches_exp_form(monkeypatch):
             ]
         )
         want = (2.0 / math.pi) * np.abs(factor) ** 2
-        got = bistatic_rcs(mesh, x, angles).sigma_db
+        direct = postproc._direct_factor(mesh.centers, weights, mesh.k0, np.deg2rad(angles))
+        got = (2.0 / math.pi) * np.abs(direct) ** 2
         assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def _factors(mesh, x, angles):
+    """The grouped and direct far-field factors of ``x`` over ``angles``."""
+    weights = -KernelSpec.for_mesh(mesh).column_weights * x
+    phi = np.deg2rad(angles)
+    cells = postproc._Cells.of(mesh.centers, mesh.k0)
+    return (
+        postproc._grouped_factor(cells, weights, mesh.k0, phi),
+        postproc._direct_factor(mesh.centers, weights, mesh.k0, phi),
+    )
+
+
+def _parent_direct_db(mesh, x, angles):
+    """The direct chunked sum as it stood before the grouped one: the
+    reference for the bits a call below the A > Q rule must keep."""
+    phi = np.deg2rad(np.asarray(angles, dtype=float))
+    directions = np.column_stack([np.cos(phi), np.sin(phi)])
+    weights = -KernelSpec.for_mesh(mesh).column_weights * x
+    chunk = postproc.RCS_ANGLE_CHUNK
+    factor = np.empty(phi.size, dtype=np.complex128)
+    buffer = np.empty((min(phi.size, chunk), mesh.n_elements), dtype=np.complex128)
+    for start in range(0, phi.size, chunk):
+        r_hat = directions[start : start + chunk]
+        phase = buffer[: len(r_hat)]
+        np.multiply(mesh.k0, r_hat @ mesh.centers.T, out=phase.real)
+        np.sin(phase.real, out=phase.imag)
+        np.cos(phase.real, out=phase.real)
+        factor[start : start + chunk] = phase @ weights
+    return postproc._to_db((2.0 / math.pi) * np.abs(factor) ** 2)
+
+
+GROUPED_MESHES = {
+    "strip204": lambda: discretize_strip(204.8, 10),
+    "circle2k": lambda: discretize_circle(20.0, 16),
+    "disk2k5": lambda: discretize_disk(1.0, 20, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPED_MESHES))
+def test_grouped_echo_width_matches_direct_sum(name):
+    """At 361 angles the cell signatures give the direct sum's F to
+    1e-12 of its peak, and ``bistatic_rcs`` takes that grouped path."""
+    mesh = GROUPED_MESHES[name]()
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal(mesh.n_elements) + 1j * rng.standard_normal(mesh.n_elements)
+    angles = np.linspace(0.0, 180.0, 361)
+    assert postproc._Cells.of(mesh.centers, mesh.k0).n_samples < angles.size
+    grouped, direct = _factors(mesh, x, angles)
+    assert np.max(np.abs(grouped - direct)) <= 1e-12 * np.max(np.abs(direct))
+    want = postproc._to_db((2.0 / math.pi) * np.abs(grouped) ** 2)
+    assert bistatic_rcs(mesh, x, angles).sigma_db.tobytes() == want.tobytes()
+
+
+def test_grouped_echo_width_is_byte_deterministic():
+    mesh = discretize_circle(20.0, 16)
+    x = np.random.default_rng(3).standard_normal(mesh.n_elements) + 0.5j
+    angles = np.linspace(0.0, 360.0, 721)
+    first = bistatic_rcs(mesh, x, angles).sigma_db
+    assert first.tobytes() == bistatic_rcs(mesh, x, angles).sigma_db.tobytes()
+
+
+def test_echo_width_groups_only_above_its_sample_count():
+    """Up to Q angles (one among them) the curve is bitwise the direct
+    sum; from Q + 1 on it is the grouped sum."""
+    mesh = discretize_strip(25.6, 10)
+    q = postproc._Cells.of(mesh.centers, mesh.k0).n_samples
+    x = np.random.default_rng(4).standard_normal(mesh.n_elements) + 1j
+    for count in (1, 2, q):
+        angles = np.linspace(10.0, 170.0, count)
+        got = bistatic_rcs(mesh, x, angles).sigma_db
+        assert got.tobytes() == _parent_direct_db(mesh, x, angles).tobytes()
+    angles = np.linspace(10.0, 170.0, q + 1)
+    grouped, direct = _factors(mesh, x, angles)
+    got = bistatic_rcs(mesh, x, angles).sigma_db
+    assert got.tobytes() == postproc._to_db((2.0 / math.pi) * np.abs(grouped) ** 2).tobytes()
+    assert got.tobytes() != _parent_direct_db(mesh, x, angles).tobytes()
+
+
+def test_grouped_echo_width_chunks_cells_samples_and_angles(monkeypatch):
+    """With one angle per chunk, the cells go in groups of N // Q and
+    every sample and angle in its own block: the same F to rounding."""
+    mesh = discretize_strip(204.8, 10)
+    x = np.random.default_rng(5).standard_normal(mesh.n_elements) + 1j
+    angles = np.linspace(0.0, 180.0, 361)
+    whole, _ = _factors(mesh, x, angles)
+    monkeypatch.setattr(postproc, "RCS_ANGLE_CHUNK", 1)
+    cells = postproc._Cells.of(mesh.centers, mesh.k0)
+    assert mesh.n_elements // cells.n_samples < len(cells.centers)  # several groups
+    chunked, _ = _factors(mesh, x, angles)
+    assert np.max(np.abs(chunked - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+
+def test_cells_hold_every_element_within_the_sampled_radius():
+    """Each element sits in one 1-wavelength cell, Q = 2M + 1 with M the
+    least order >= k0*rho whose Bessel tail is below RCS_BESSEL_TAIL."""
+    from scipy.special import jv
+
+    for mesh in (discretize_strip(30.0, 10), discretize_disk(1.0, 20, 2.0)):
+        cells = postproc._Cells.of(mesh.centers, mesh.k0)
+        assert np.array_equal(np.sort(cells.order), np.arange(mesh.n_elements))
+        sizes = np.diff(cells.bounds)
+        assert sizes.min() >= 1 and sizes.sum() == mesh.n_elements
+        assert np.allclose(
+            mesh.centers[cells.order], cells.offsets + np.repeat(cells.centers, sizes, axis=0), rtol=0, atol=1e-12
+        )
+        assert np.abs(cells.offsets).max() <= 0.5 * postproc.RCS_CELL_WAVELENGTHS
+        kr = mesh.k0 * np.sqrt((cells.offsets**2).sum(axis=1)).max()
+        m = cells.max_order
+        assert m >= kr and abs(jv(m + 1, kr)) <= postproc.RCS_BESSEL_TAIL
+        assert m - 1 < kr or abs(jv(m, kr)) > postproc.RCS_BESSEL_TAIL
+        assert cells.n_samples == 2 * m + 1
