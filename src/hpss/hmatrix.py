@@ -54,10 +54,11 @@ level, by default), and ``HMatrix.keep_levels`` gives the operator that
 keeps another's levels from a coarser one down, viewing the suffix of its
 far buffer those levels fill.  Levels above the coarsest contribute
 nothing, which downstream solvers treat as exact zeros, and the
-power-series cascade runs exactly the levels that hold blocks.  The pair
-lists serve assembly alone: the operator keeps its blocks' starts in its
-stacks and far blocks, and one flag, ``HMatrix.complete``, for whether it
-holds every far level with admissible pairs.
+power-series cascade runs exactly the levels of ``HMatrix.level_factors``,
+those whose blocks hold a rank above zero.  The pair lists serve assembly
+alone: the operator keeps its blocks' starts in its stacks and far blocks,
+and one flag, ``HMatrix.complete``, for whether it holds every far level
+with admissible pairs.
 
 A full product ``HMatrix.matvec`` is a near product plus a far product,
 two independent halves of about equal cost.  When the process may run on
@@ -291,9 +292,10 @@ class FarFactors:
     def part(self, start: int, stop: int) -> "FarFactors":
         """Columns [start, stop) of ``left`` with the same rows of ``right``,
         zero-copy; ``swap`` must keep that range to itself."""
+        left, right = self.left, self.right
         return FarFactors(
-            _major_range(sp.csc_matrix, _arrays(self.left), start, stop, (self.left.shape[0], stop - start)),
-            _major_range(sp.csr_matrix, _arrays(self.right), start, stop, (stop - start, self.right.shape[1])),
+            _major_range(sp.csc_matrix, (left.data, left.indices, left.indptr), start, stop, (left.shape[0], stop - start)),
+            _major_range(sp.csr_matrix, (right.data, right.indices, right.indptr), start, stop, (stop - start, right.shape[1])),
             self.swap[start:stop] - start,
         )
 
@@ -307,10 +309,6 @@ def _compressed_view(kind, arrays: Tuple[np.ndarray, np.ndarray, np.ndarray], sh
     mat = kind(shape, dtype=np.complex128)
     mat.data, mat.indices, mat.indptr = arrays
     return mat
-
-
-def _arrays(mat) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return mat.data, mat.indices, mat.indptr
 
 
 def _major_range(kind, arrays: Tuple[np.ndarray, np.ndarray, np.ndarray], start: int, stop: int, shape: Tuple[int, int]):
@@ -357,19 +355,6 @@ def _views(info: np.ndarray, u_data: np.ndarray, v_data: np.ndarray) -> List[Low
     return views
 
 
-def _pack_level(blocks: List[LowRankBlock]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One level's factors copied into one buffer each, laid out as in the
-    far buffer; this frees the many small arrays compression left before
-    the next level starts.  Returns the ``_views`` info and the two buffers."""
-    info = np.array([(b.rank, *b.shape, b.row_start, b.col_start) for b in blocks], dtype=np.int64).reshape(-1, 5)
-    u_data = np.empty(int(info[:, 0] @ info[:, 1]), dtype=np.complex128)
-    v_data = np.empty(int(info[:, 0] @ info[:, 2]), dtype=np.complex128)
-    for blk, view in zip(blocks, _views(info, u_data, v_data)):
-        view.u[...] = blk.u
-        view.v[...] = blk.v
-    return info, u_data, v_data
-
-
 def _runs(starts: np.ndarray, lengths: np.ndarray, repeats: np.ndarray) -> np.ndarray:
     """int32 runs start + [0, length), each repeated ``repeats`` times."""
     starts, lengths = np.repeat(starts, repeats), np.repeat(lengths, repeats)
@@ -410,26 +395,21 @@ def _far_storage(
         indices[v] = _runs(col_starts, widths, ranks)
         far_blocks[level] = _views(info, data[u], data[v])
 
+    # the layouts differ by four numbers: L spans runs [0, w) and R runs
+    # [r, r + w), a level's part spans ``copies`` times its rank from its
+    # first run, and swap rolls each part by its rank or not at all
+    copies = 2 if mirror else 1
     k = sum(rank.values())
+    w, r = copies * k, 0 if mirror else k
     arrays = (data, indices, ptr)
-    if mirror:
-        far = FarFactors(
-            _major_range(sp.csc_matrix, arrays, 0, 2 * k, (n, 2 * k)),
-            _major_range(sp.csr_matrix, arrays, 0, 2 * k, (2 * k, n)),
-            np.concatenate(
-                [np.zeros(0, dtype=np.intp)]
-                + [np.roll(np.arange(first[level, 0], first[level, 0] + 2 * rank[level]), rank[level]) for level in order]
-            ),
-        )
-        bounds = {level: (first[level, 0], first[level, 0] + 2 * rank[level]) for level in order}
-    else:
-        far = FarFactors(
-            _major_range(sp.csc_matrix, arrays, 0, k, (n, k)),
-            _major_range(sp.csr_matrix, arrays, k, 2 * k, (k, n)),
-            np.arange(k, dtype=np.intp),
-        )
-        bounds = {level: (first[level, 0], first[level, 0] + rank[level]) for level in order}
-    level_factors = {level: far.part(*bounds[level]) for level in order if rank[level]}
+    spans = {level: (first[level, 0], first[level, 0] + copies * rank[level]) for level in order}
+    rolls = [np.roll(np.arange(*spans[level]), rank[level] if mirror else 0) for level in order]
+    far = FarFactors(
+        _major_range(sp.csc_matrix, arrays, 0, w, (n, w)),
+        _major_range(sp.csr_matrix, arrays, r, r + w, (w, n)),
+        np.concatenate([np.zeros(0, dtype=np.intp)] + rolls),
+    )
+    level_factors = {level: far.part(*spans[level]) for level in order if rank[level]}
     return far_blocks, far, level_factors
 
 
@@ -449,13 +429,13 @@ class HMatrix:
     ``near`` is Z_N (see ``NearField``); it serves the near product and,
     through ``NearField.matrix``, the near factorization in ``scaling``.
     ``far`` applies every far level the operator holds, and
-    ``level_factors`` maps each of those levels that holds blocks to the
-    part of ``far`` that applies it alone.  Whether a stored block also
+    ``level_factors`` maps each of those levels whose blocks hold a rank
+    above zero to the part of ``far`` that applies it alone; those are the
+    levels the power-series cascade runs.  Whether a stored block also
     stands transposed at its mirror position is told by the near stacks'
     ``mirrored`` flags and the far factors' ``swap``.  ``far_blocks`` are
-    views of the stored far blocks, keyed by the levels held, and the
-    levels it holds blocks on are the levels the power-series cascade
-    runs.  ``complete`` is true when every far level with admissible pairs
+    views of the stored far blocks, keyed by the levels held.
+    ``complete`` is true when every far level with admissible pairs
     is held, so the operator is the whole assembled H-matrix.  The only
     derived state is the near factorization, made once per near field and
     kept with it; the near field is read-only from assembly on.
@@ -584,12 +564,14 @@ class HMatrix:
 
 def _compress_level(
     entry_fn, nodes: List[TreeNode], pairs: List[Tuple[int, int]], level: int, tol: float
-) -> List[LowRankBlock]:
-    """ACA and recompression of one level's far pairs, in pair order.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ACA and recompression of one level's far pairs, packed in pair order.
 
     Pairs of one block shape go to ``aca`` as stacks of at most
     ``ACA_STACK_ENTRIES`` block entries; a failure names the level and,
-    where it can, the block's rows and cols.
+    where it can, the block's rows and cols.  Returns the ``_views`` info
+    and the level's u and v buffers, laid out as in the far buffer, so the
+    many small factor arrays are freed before the next level starts.
     """
 
     def where(t: int, s: int) -> str:
@@ -599,7 +581,9 @@ def _compress_level(
     shapes: Dict[Tuple[int, int], List[int]] = {}
     for i, (t, s) in enumerate(pairs):
         shapes.setdefault((nodes[t].size, nodes[s].size), []).append(i)
-    blocks: List[Optional[LowRankBlock]] = [None] * len(pairs)
+    # each block's ``_views`` info, and its u and v ravelled as one run each
+    info: List[Tuple[int, ...]] = [()] * len(pairs)
+    runs: List[Tuple[np.ndarray, ...]] = [()] * len(pairs)
     for (m, n), group in shapes.items():
         step = max(1, ACA_STACK_ENTRIES // (m * n))
         for first in range(0, len(group), step):
@@ -618,8 +602,11 @@ def _compress_level(
                     u, v = recompress(u, v, tol)
                 except Exception as exc:
                     raise RuntimeError(f"far-block compression failed at {where(t, s)}: {exc}") from exc
-                blocks[i] = LowRankBlock(nodes[t].start, nodes[s].start, u, v)
-    return blocks  # type: ignore[return-value]
+                info[i] = (u.shape[1], len(u), v.shape[1], nodes[t].start, nodes[s].start)
+                runs[i] = u.ravel(order="F"), v.ravel()
+    empty = [np.empty(0, dtype=np.complex128)]
+    u_data, v_data = (np.concatenate(empty + [run[side] for run in runs]) for side in (0, 1))
+    return np.array(info, dtype=np.int64).reshape(-1, 5), u_data, v_data
 
 
 def assemble(
@@ -675,7 +662,7 @@ def assemble(
     packed: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for level in range(coarsest, tree.depth + 1):
         pairs = stored(partition.far_pairs[level])
-        packed[level] = _pack_level(_compress_level(entry_fn, nodes, pairs, level, tol))
+        packed[level] = _compress_level(entry_fn, nodes, pairs, level, tol)
     far_blocks, far, level_factors = _far_storage(packed, spec.n, mirror)
     complete = not any(partition.far_pairs[level] for level in range(1, coarsest))
     return HMatrix(tree, far_blocks, NearField(spec.n, stacks), far, level_factors, complete)

@@ -98,8 +98,11 @@ class RcsCurve:
                 writer.writerow([f"{ang:.10g}", f"{sig:.10g}"])
 
 
-def _to_db(sigma_over_lambda: np.ndarray) -> np.ndarray:
-    return 10.0 * np.log10(np.maximum(sigma_over_lambda, _LINEAR_FLOOR))
+def _echo_width(angles_deg: np.ndarray, factor: np.ndarray) -> RcsCurve:
+    """The curve sigma/lambda = (2/pi) |F|^2 of the far-field factor F over
+    ``angles_deg``, in dB floored at ``DB_FLOOR``."""
+    sigma = (2.0 / math.pi) * np.abs(factor) ** 2
+    return RcsCurve(angles_deg, 10.0 * np.log10(np.maximum(sigma, _LINEAR_FLOOR)))
 
 
 def _plane_waves(buffer: np.ndarray, k0: float, directions: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -239,8 +242,7 @@ def bistatic_rcs(
         factor = _grouped_factor(cells, weights, mesh.k0, phi)
     else:
         factor = _direct_factor(mesh.centers, weights, mesh.k0, phi)
-    sigma = (2.0 / math.pi) * np.abs(factor) ** 2
-    return RcsCurve(angles, _to_db(sigma))
+    return _echo_width(angles, factor)
 
 
 def _series_truncation(k0a: float) -> int:
@@ -257,9 +259,7 @@ def series_pec_cylinder(radius_wl: float, angles_deg: Sequence[float], phi_inc_r
     m_max = _series_truncation(ka)
     orders = np.arange(-m_max, m_max + 1)
     coeff = (-1.0) ** orders * jv(orders, ka) / hankel2(orders, ka)
-    factor = -(np.exp(1j * np.outer(phi - phi_inc_rad, orders)) @ coeff)
-    sigma = (2.0 / math.pi) * np.abs(factor) ** 2
-    return RcsCurve(angles, _to_db(sigma))
+    return _echo_width(angles, -(np.exp(1j * np.outer(phi - phi_inc_rad, orders)) @ coeff))
 
 
 def series_dielectric_cylinder(
@@ -289,9 +289,7 @@ def series_dielectric_cylinder(
     numer = k1a * jpm1 * jm0 - k0a * jm1 * jpm0
     denom = k0a * jm1 * hpm0 - k1a * jpm1 * hm0
     scatter = jpow * numer / denom
-    factor = np.exp(1j * np.outer(phi - phi_inc_rad, orders)) @ (scatter * jpow)
-    sigma = (2.0 / math.pi) * np.abs(factor) ** 2
-    return RcsCurve(angles, _to_db(sigma))
+    return _echo_width(angles, np.exp(1j * np.outer(phi - phi_inc_rad, orders)) @ (scatter * jpow))
 
 
 def rcs_rms_error(curve_a: RcsCurve, curve_b: RcsCurve) -> float:

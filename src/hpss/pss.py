@@ -22,13 +22,14 @@ stays below one (necessary and sufficient; the 2-norm below one is merely
 sufficient, and first-kind surface systems routinely combine a convergent
 radius with a 2-norm above one).  The chain therefore estimates every
 factor's convergence radius by power iteration (``estimate_spectral_radius``)
-and refuses to run past an estimate at or above ``NORM_FAIL`` (1.0),
-recording a warning in the report from ``NORM_WARN`` (0.1) up.  The same
-rule, stated once in ``FactorChain.guard``, covers the level-0 scaling:
-the construction promises that alpha, the near solve, times the near
-field is the identity, and the defect ``scaling`` measures of that
-promise is converted to the norm of the omitted correction factor, so a
-near solve that does not invert Z_N is rejected before any series runs.
+and refuses to run past an estimate not below ``NORM_FAIL`` (1.0), a NaN
+included, recording a warning in the report from ``NORM_WARN`` (0.1) up.
+The same rule, stated once in ``FactorChain.guard``, covers the level-0
+scaling: the construction promises that alpha, the near solve, times the
+near field is the identity, and the defect ``scaling`` measures of that
+promise (NaN if a probe is) is converted to the norm of the omitted
+correction factor, so a near solve that does not invert Z_N is rejected
+before any series runs.
 
 The solve applies a fixed, input-independent number of level matvecs: no
 residual-driven iteration hides anywhere, which is what makes the matvec
@@ -36,9 +37,10 @@ count reproducible across right-hand sides.  The count grows geometrically
 with the number of levels in the chain (operator products are never
 memoized), the accepted price of a matvec-only cascade at desk scale.  The
 H-matrix alone decides the levels: a far level it holds no blocks on, be
-it skipped at assembly or without admissible pairs, has U_l = 0 and a
-factor that is exactly the identity, so the chain leaves it out.  The cost
-grows with the levels that hold blocks, not with the tree depth (a strip's
+it skipped at assembly, without admissible pairs or with blocks of rank
+zero only, has U_l = 0 and a factor that is exactly the identity, so the
+chain runs the levels of ``h.level_factors`` and leaves the others out.
+The cost grows with those levels, not with the tree depth (a strip's
 level 1, whose two halves touch, is always empty).
 """
 
@@ -59,6 +61,7 @@ Apply = Callable[[np.ndarray], np.ndarray]
 # guard thresholds on every factor's estimated radius, read at call time
 NORM_WARN = 0.1
 NORM_FAIL = 1.0
+# power iterations per radius estimate
 RADIUS_ITERS = 20
 
 
@@ -74,7 +77,7 @@ class NormEstimate:
     mode: str
 
 
-def estimate_spectral_radius(apply: Apply, n: int, iters: int = 20, seed: int = 0) -> NormEstimate:
+def estimate_spectral_radius(apply: Apply, n: int, iters: int = RADIUS_ITERS, seed: int = 0) -> NormEstimate:
     """Dominant-eigenvalue magnitude estimate by plain power iteration.
 
     This is the quantity that decides whether the alternating power series
@@ -107,7 +110,7 @@ class PssConfig:
     """Knobs of the power-series cascade.
 
     The levels it runs are not among them: they are the far levels of the
-    H-matrix that hold blocks, chosen when it was assembled.
+    H-matrix's ``level_factors``, chosen when it was assembled.
     """
 
     series_order: int = 2
@@ -184,16 +187,17 @@ class FactorChain:
 
     def guard(self, level: int, estimate: NormEstimate) -> None:
         """The one guard rule, for level 0's implied factor norm and each
-        level's radius: raise :class:`ConvergenceError` at ``NORM_FAIL``,
-        record a warning from ``NORM_WARN`` up, and keep the estimate."""
+        level's radius: raise :class:`ConvergenceError` on a value not below
+        ``NORM_FAIL`` (NaN included), record a warning on one not below
+        ``NORM_WARN``, and keep the estimate."""
         what = f"level-{level} series factor convergence radius" if level else "level-0 implied factor norm"
         value = _radius_text(estimate.value)
-        if estimate.value >= NORM_FAIL:
+        if not estimate.value < NORM_FAIL:
             raise ConvergenceError(
-                f"{what} {value} >= {NORM_FAIL:g}; the power-series expansion of "
+                f"{what} {value} is not below {NORM_FAIL:g}; the power-series expansion of "
                 "(I + T)^-1 requires the norm of T below one"
             )
-        if estimate.value >= NORM_WARN:
+        if not estimate.value < NORM_WARN:
             self.warnings.append(f"{what} {value} exceeds {NORM_WARN:g}; truncation error may dominate")
         self.norms[level] = estimate
 
@@ -210,20 +214,21 @@ def _radius_text(value: float, digits: int = 3) -> str:
 def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> FactorChain:
     """Construct and norm-check the resolvent factors, leaf level last.
 
-    The chain has one factor per level ``h`` holds far blocks on, in level
-    order; an empty level's factor would be exactly the identity.  The
+    The chain has one factor per level of ``h.level_factors``, in level
+    order: the levels whose far blocks hold a rank above zero, since any
+    other level's factor would be exactly the identity.  The
     implied level-0 factor norm, then each level's radius estimate, goes
-    through ``FactorChain.guard``, so the first to reach ``NORM_FAIL``
+    through ``FactorChain.guard``, so the first not below ``NORM_FAIL``
     raises :class:`ConvergenceError` before any later level is estimated.
     The chain's counts are then the guard's setup matvecs.
     """
     if scaled.h is not h:
         raise ValueError("scaled system was built from a different H-matrix")
-    active = [level for level in sorted(h.far_blocks) if h.far_blocks[level]]
+    active = sorted(h.level_factors)
     chain = FactorChain(h, scaled.near_solve, config.series_order, active, dict.fromkeys(active, 0))
     chain.guard(0, NormEstimate(_implied_identity_factor_norm(scaled.near.defect), "near-solve-defect"))
     for i, level in enumerate(active):
-        chain.guard(level, estimate_spectral_radius(partial(chain.t_apply, i), h.n, iters=RADIUS_ITERS, seed=level))
+        chain.guard(level, estimate_spectral_radius(partial(chain.t_apply, i), h.n, seed=level))
     return chain
 
 

@@ -59,7 +59,7 @@ class NearFactor:
     ``defect`` is the level-0 defect max |Z_N S(x) - x| over the probes x,
     S being ``factorization.solve``: the near solve alpha every solution
     goes through.  The max is a lower estimate of |alpha Z_N - I|, since the
-    probes need not find its worst direction.
+    probes need not find its worst direction, and NaN when a probe is.
     """
 
     factorization: SuperLU
@@ -110,7 +110,8 @@ def _factor_near_field(h: HMatrix) -> NearFactor:
     for _ in range(_DEFECT_PROBES):
         x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
         x /= np.linalg.norm(x)
-        defect = max(defect, float(np.linalg.norm(h.near_matvec(factorization.solve(x)) - x)))
+        # np.maximum, unlike max, keeps a NaN probe, which the guard refuses
+        defect = float(np.maximum(defect, np.linalg.norm(h.near_matvec(factorization.solve(x)) - x)))
     return NearFactor(factorization, defect)
 
 

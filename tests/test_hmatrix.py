@@ -392,24 +392,26 @@ def packed_case(name, strip_system):
         mesh = discretize_strip(1.0, 10)
         spec = KernelSpec.for_mesh(mesh)
         return assemble(spec, build_cluster_tree(mesh, 16), tol=1e-3), spec.reciprocal
-    if name == "halved-strip":
-        mesh = halved_strip(7)
-        spec = KernelSpec.for_mesh(mesh)
-        return assemble(spec, build_cluster_tree(mesh, 32), tol=1e-3), spec.reciprocal
-    mesh = discretize_disk(0.3, 16, 2.0)
+    if name.endswith("halved-strip"):
+        mesh, leaf = halved_strip(7), 32
+    else:
+        mesh, leaf = discretize_disk(0.3, 16, 2.0), 8
     spec = KernelSpec.for_mesh(mesh)
-    tree = build_cluster_tree(mesh, 8)
-    coarsest = tree.depth if name == "leaf-only-disk" else 1
+    tree = build_cluster_tree(mesh, leaf)
+    coarsest = tree.depth if name.startswith("leaf-only") else 1
     return assemble(spec, tree, tol=1e-3, coarsest=coarsest), spec.reciprocal
 
 
-CASES = ["strip", "disk", "leaf-only-disk", "depth-0", "halved-strip"]
+# mirrored (disk) or not (halved-strip), each with every level and with
+# the leaf level only
+CASES = ["strip", "disk", "leaf-only-disk", "depth-0", "halved-strip", "leaf-only-halved-strip"]
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_packed_operator_matches_block_loops(name, strip_system):
     h, mirror = packed_case(name, strip_system)
-    assert mirror == (name != "halved-strip")
+    assert mirror == (not name.endswith("halved-strip"))
+    assert h.complete == (not name.startswith("leaf-only"))
     rng = np.random.default_rng(31)
     x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
 
@@ -596,16 +598,33 @@ def test_near_matrix_is_the_canonical_csc_of_the_blocks(name, strip_system):
                 assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
 
 
+KEPT_LEVELS = [list(range(coarsest, 6)) for coarsest in range(1, 6)]
+
+
 @pytest.mark.parametrize("reciprocal", [True, False])
-@pytest.mark.parametrize("keep", [list(range(coarsest, 6)) for coarsest in range(1, 6)])
+@pytest.mark.parametrize("keep", KEPT_LEVELS)
 def test_kept_levels_act_as_a_filtered_assembly(reciprocal, keep):
-    """``keep_levels`` from each coarsest level shares the near field and
-    acts bit for bit as an assembly from that level; the run of levels
-    ``keep`` names ends at the leaf level 5."""
+    """``keep_levels`` from each coarsest level of a strip, mirrored or not,
+    acts as an assembly from that level (see ``check_kept_levels``)."""
     mesh = discretize_strip(25.6, 10) if reciprocal else halved_strip(100)
+    assert KernelSpec.for_mesh(mesh).reciprocal == reciprocal
+    check_kept_levels(mesh, keep)
+
+
+@pytest.mark.parametrize("keep", KEPT_LEVELS)
+def test_kept_disk_levels_act_as_a_filtered_assembly(keep):
+    """The same on a disk, whose 2-D cluster tree holds far blocks of
+    several shapes on levels 3 to 5 and none above."""
+    check_kept_levels(discretize_disk(0.3, 16, 2.0), keep)
+
+
+def check_kept_levels(mesh, keep):
+    """``keep_levels`` from ``keep[0]`` shares the near field and acts bit
+    for bit as an assembly from that level; the run of levels ``keep``
+    names ends at the leaf level 5 of the tree at leaf size 8."""
     spec = KernelSpec.for_mesh(mesh)
     tree = build_cluster_tree(mesh, 8)
-    assert spec.reciprocal == reciprocal and tree.depth == 5
+    assert tree.depth == 5
     full = assemble(spec, tree, tol=1e-3)
     kept = full.keep_levels(keep[0])
     fresh = assemble(spec, tree, tol=1e-3, coarsest=keep[0])

@@ -254,7 +254,7 @@ def _parent_direct_db(mesh, x, angles):
         np.sin(phase.real, out=phase.imag)
         np.cos(phase.real, out=phase.real)
         factor[start : start + chunk] = phase @ weights
-    return postproc._to_db((2.0 / math.pi) * np.abs(factor) ** 2)
+    return postproc._echo_width(angles, factor).sigma_db
 
 
 GROUPED_MESHES = {
@@ -275,7 +275,7 @@ def test_grouped_echo_width_matches_direct_sum(name):
     assert postproc._Cells.of(mesh.centers, mesh.k0).n_samples < angles.size
     grouped, direct = _factors(mesh, x, angles)
     assert np.max(np.abs(grouped - direct)) <= 1e-12 * np.max(np.abs(direct))
-    want = postproc._to_db((2.0 / math.pi) * np.abs(grouped) ** 2)
+    want = postproc._echo_width(angles, grouped).sigma_db
     assert bistatic_rcs(mesh, x, angles).sigma_db.tobytes() == want.tobytes()
 
 
@@ -300,7 +300,7 @@ def test_echo_width_groups_only_above_its_sample_count():
     angles = np.linspace(10.0, 170.0, q + 1)
     grouped, direct = _factors(mesh, x, angles)
     got = bistatic_rcs(mesh, x, angles).sigma_db
-    assert got.tobytes() == postproc._to_db((2.0 / math.pi) * np.abs(grouped) ** 2).tobytes()
+    assert got.tobytes() == postproc._echo_width(angles, grouped).sigma_db.tobytes()
     assert got.tobytes() != _parent_direct_db(mesh, x, angles).tobytes()
 
 

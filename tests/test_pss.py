@@ -21,6 +21,7 @@ from hpss import (
     rhs,
     solve,
 )
+from hpss import scaling
 from hpss.pss import RADIUS_ITERS, neumann_apply
 from conftest import dense_from_operator, factor_scaled_near_field
 
@@ -342,7 +343,33 @@ def test_radii_just_below_one_never_print_as_one(monkeypatch):
         assert f"convergence factor level 2: {shown} [power]" in report.to_text()
     # a radius that reaches one still fails, and reads as at least one
     monkeypatch.setattr("hpss.pss.estimate_spectral_radius", lambda *args, **kw: NormEstimate(1.0004, "power"))
-    with pytest.raises(ConvergenceError, match="level-2 series factor convergence radius 1 >= 1"):
+    with pytest.raises(ConvergenceError, match="level-2 series factor convergence radius 1 is not below 1"):
+        solve(scaled, h, PssConfig(series_order=2))
+
+
+def test_a_nan_defect_trips_level_zero(monkeypatch):
+    """A near solve that returns NaN makes the level-0 defect NaN, which the
+    guard refuses as it would a defect at or above one."""
+    real_splu = scaling.splu
+
+    class NanSolve:
+        def __init__(self, factorization):
+            self.factorization = factorization
+
+        def solve(self, v):
+            return np.full_like(self.factorization.solve(v), np.nan)
+
+    monkeypatch.setattr(scaling, "splu", lambda a, **kw: NanSolve(real_splu(a, **kw)))
+    _, h, scaled = make_system(discretize_strip(4.0, 10), 10)
+    assert np.isnan(scaled.near.defect)
+    with pytest.raises(ConvergenceError, match="level-0 implied factor norm nan is not below 1"):
+        solve(scaled, h, PssConfig(series_order=2))
+
+
+def test_a_nan_radius_trips_its_level(monkeypatch):
+    _, h, scaled = make_system(discretize_strip(2.0, 10), 5)
+    monkeypatch.setattr("hpss.pss.estimate_spectral_radius", lambda *args, **kw: NormEstimate(float("nan"), "power"))
+    with pytest.raises(ConvergenceError, match="level-2 series factor convergence radius nan is not below 1"):
         solve(scaled, h, PssConfig(series_order=2))
 
 
