@@ -127,6 +127,8 @@ class RunConfig:
             raise ValueError(f"assert_rms_db must be non-negative and finite, got {threshold:g}")
         if threshold is not None and "pss" not in solvers:
             raise ValueError(f"assert_rms_db checks pairs with pss, but solvers {self.solvers!r} names no pss")
+        if threshold is not None and len(solvers) < 2:
+            raise ValueError(f"assert_rms_db checks pairs with pss, but solvers {self.solvers!r} names no second solver")
 
     def _solver_list(self) -> List[str]:
         return [tok.strip() for tok in self.solvers.split(",") if tok.strip()]

@@ -300,23 +300,18 @@ class FarFactors:
         )
 
 
-def _compressed_view(kind, arrays: Tuple[np.ndarray, np.ndarray, np.ndarray], shape: Tuple[int, int]):
-    """A CSC or CSR matrix on the given (data, indices, indptr), not copies.
-
-    scipy's constructor copies an array that views less than half of its
-    base, so the arrays are set on an empty matrix of the shape instead.
-    """
-    mat = kind(shape, dtype=np.complex128)
-    mat.data, mat.indices, mat.indptr = arrays
-    return mat
-
-
 def _major_range(kind, arrays: Tuple[np.ndarray, np.ndarray, np.ndarray], start: int, stop: int, shape: Tuple[int, int]):
     """Columns (CSC) or rows (CSR) [start, stop) of the compressed
-    (data, indices, indptr) ``arrays`` as a matrix viewing them."""
+    (data, indices, indptr) ``arrays`` as a matrix viewing them.
+
+    scipy's constructor copies an array that views less than half of its
+    base, so the views are set on an empty matrix of the shape instead.
+    """
     data, indices, indptr = arrays
     lo, hi = indptr[start], indptr[stop]
-    return _compressed_view(kind, (data[lo:hi], indices[lo:hi], indptr[start : stop + 1] - lo), shape)
+    mat = kind(shape, dtype=np.complex128)
+    mat.data, mat.indices, mat.indptr = data[lo:hi], indices[lo:hi], indptr[start : stop + 1] - lo
+    return mat
 
 
 def _near_storage(geometry: List[Tuple[int, int, int, int]], mirrored: bool) -> List[NearStack]:
@@ -420,7 +415,7 @@ def check_coarsest(coarsest: int, lowest: int, depth: int) -> None:
         raise ValueError(f"coarsest far level must lie in {lowest}..{max(depth, 1)}, got {coarsest}")
 
 
-@dataclass
+@dataclass(eq=False)
 class HMatrix:
     """Assembled hierarchical operator in tree-permuted coordinates.
 
@@ -440,14 +435,14 @@ class HMatrix:
     derived state is the near factorization, made once per near field and
     kept with it; the near field is read-only from assembly on.
     ``assemble`` builds an operator, and ``keep_levels`` one that shares
-    another's stored entries.
+    another's stored entries; operators compare and hash by identity.
     """
 
     tree: ClusterTree
     far_blocks: Dict[int, List[LowRankBlock]]
-    near: NearField = field(repr=False, compare=False)
-    far: FarFactors = field(repr=False, compare=False)
-    level_factors: Dict[int, FarFactors] = field(repr=False, compare=False)
+    near: NearField = field(repr=False)
+    far: FarFactors = field(repr=False)
+    level_factors: Dict[int, FarFactors] = field(repr=False)
     complete: bool
 
     @property

@@ -21,9 +21,10 @@ Each expansion is valid exactly while the spectral radius of its operator
 stays below one (necessary and sufficient; the 2-norm below one is merely
 sufficient, and first-kind surface systems routinely combine a convergent
 radius with a 2-norm above one).  The chain therefore estimates every
-factor's convergence radius by power iteration (``estimate_spectral_radius``)
-and refuses to run past an estimate not below ``NORM_FAIL`` (1.0), a NaN
-included, recording a warning in the report from ``NORM_WARN`` (0.1) up.
+level's convergence radius by ``RADIUS_ITERS`` power iterations
+(``estimate_spectral_radius``) and refuses to run past an estimate not
+below ``NORM_FAIL`` (1.0), a NaN included, recording a warning in the
+report from ``NORM_WARN`` (0.1) up.
 The same rule, stated once in ``FactorChain.guard``, covers the level-0
 scaling: the construction promises that alpha, the near solve, times the
 near field is the identity, and the defect ``scaling`` measures of that
@@ -77,8 +78,9 @@ class NormEstimate:
     mode: str
 
 
-def estimate_spectral_radius(apply: Apply, n: int, iters: int = RADIUS_ITERS, seed: int = 0) -> NormEstimate:
-    """Dominant-eigenvalue magnitude estimate by plain power iteration.
+def estimate_spectral_radius(apply: Apply, n: int, seed: int = 0) -> NormEstimate:
+    """Dominant-eigenvalue magnitude estimate by ``RADIUS_ITERS`` plain
+    power iterations, that constant read at call time.
 
     This is the quantity that decides whether the alternating power series
     for (I + T)^-1 converges: the spectral radius of T below one is
@@ -89,13 +91,11 @@ def estimate_spectral_radius(apply: Apply, n: int, iters: int = RADIUS_ITERS, se
     """
     if n < 1:
         raise ValueError("operator dimension must be positive")
-    if iters < 2:
-        raise ValueError("iteration count must be at least 2")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     growth = []
-    for _ in range(iters):
+    for _ in range(RADIUS_ITERS):
         w = apply(v)
         g = float(np.linalg.norm(w))
         if g == 0.0:
@@ -126,8 +126,6 @@ def neumann_apply(factor_apply: Apply, v: np.ndarray, order: int) -> np.ndarray:
     Runs exactly ``order`` applications of ``factor_apply``; order 0 is the
     identity (no applications).
     """
-    if order < 0:
-        raise ValueError("order must be non-negative")
     result = v
     for _ in range(order):
         result = v - factor_apply(result)
@@ -220,10 +218,12 @@ def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> F
     implied level-0 factor norm, then each level's radius estimate, goes
     through ``FactorChain.guard``, so the first not below ``NORM_FAIL``
     raises :class:`ConvergenceError` before any later level is estimated.
-    The chain's counts are then the guard's setup matvecs.
+    The chain's counts are then the guard's setup matvecs.  ``scaled``
+    serves every operator whose near field keeps its near factor, one
+    made by ``keep_levels`` included; another is refused.
     """
-    if scaled.h is not h:
-        raise ValueError("scaled system was built from a different H-matrix")
+    if scaled.near is not h.near.factor:
+        raise ValueError("scaled system's near solve does not invert this H-matrix's near field")
     active = sorted(h.level_factors)
     chain = FactorChain(h, scaled.near_solve, config.series_order, active, dict.fromkeys(active, 0))
     chain.guard(0, NormEstimate(_implied_identity_factor_norm(scaled.near.defect), "near-solve-defect"))

@@ -68,13 +68,13 @@ class NearFactor:
 
 @dataclass
 class ScaledSystem:
-    """The right-hand side and the near factor of the operator ``h``.
+    """A right-hand side and the near factor of its operator's near field.
 
-    ``near`` is the factor kept with ``h``'s near field, its level-0 defect
-    included.  Vectors live in tree-permuted coordinates throughout.
+    ``near`` is the factor kept with that near field, its level-0 defect
+    included, so the system serves every operator sharing the near field.
+    Vectors live in tree-permuted coordinates throughout.
     """
 
-    h: HMatrix
     b: np.ndarray
     near: NearFactor
 
@@ -116,11 +116,11 @@ def _factor_near_field(h: HMatrix) -> NearFactor:
 
 
 def compute_scaling(h: HMatrix, b: np.ndarray) -> ScaledSystem:
-    """The near-field solve for ``b`` and the level-0 scaling defect.
+    """``b`` paired with the near factor of ``h``'s near field; no solve.
 
     The first call on ``h`` factors its near field and keeps the result
-    with it, in ``h.near`` (see the module docstring); later calls,
-    on ``h`` or on an operator sharing that near field, reuse it and its
+    with it, in ``h.near`` (see the module docstring); later calls, on
+    ``h`` or on an operator sharing that near field, reuse it and its
     level-0 defect.  A singular diagonal block raises with the offending
     leaf named; a NaN or infinite entry of ``b`` raises with its index.
     """
@@ -130,4 +130,4 @@ def compute_scaling(h: HMatrix, b: np.ndarray) -> ScaledSystem:
     check_finite_rhs(b)
     if h.near.factor is None:
         h.near.factor = _factor_near_field(h)
-    return ScaledSystem(h, b, h.near.factor)
+    return ScaledSystem(b, h.near.factor)

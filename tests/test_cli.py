@@ -236,6 +236,7 @@ def forbid_assembly(monkeypatch):
         (["compare", "--solvers", "pss,gmres", "--assert-rms-db=-1"], "assert_rms_db must be non-negative and finite, got -1"),
         # the threshold checks only pairs that include pss, so without pss it checks nothing
         (["compare", "--solvers", "gmres,lu", "--assert-rms-db", "0"], "assert_rms_db checks pairs with pss, but solvers 'gmres,lu' names no pss"),
+        (["compare", "--solvers", "pss", "--assert-rms-db", "0"], "assert_rms_db checks pairs with pss, but solvers 'pss' names no second solver"),
         (["solve", "--length", "nan"], "strip length must be positive and finite, got nan"),
         (["solve", "--geometry", "circle", "--radius", "inf"], "circle radius must be positive and finite, got inf"),
         (["solve", "--geometry", "disk", "--density", "nan"], "cells_per_wavelength must be at least 10 and finite, got nan"),
@@ -262,6 +263,7 @@ def forbid_assembly(monkeypatch):
         "compare-assert-rms-db-inf",
         "compare-assert-rms-db-negative",
         "compare-assert-rms-db-without-pss",
+        "compare-assert-rms-db-pss-alone",
         "solve-length-nan",
         "solve-radius-inf",
         "solve-disk-density-nan",

@@ -570,6 +570,16 @@ def test_blocks_are_the_operator_storage():
     assert np.array_equal(zn[c0 : c0 + n, r0 : r0 + m], new.T)
 
 
+def test_operators_compare_and_hash_by_identity():
+    mesh = discretize_strip(4.0, 10)
+    spec = KernelSpec.for_mesh(mesh)
+    tree = build_cluster_tree(mesh, 10)
+    h = assemble(spec, tree, 1e-3)
+    again = assemble(spec, tree, 1e-3)
+    assert h == h and h != again and not h == again
+    assert len({h, again, h}) == 2
+
+
 @pytest.mark.parametrize("name", ["strip", "disk", "depth-0", "halved-strip"])
 def test_near_matrix_is_the_canonical_csc_of_the_blocks(name, strip_system):
     """``near_matrix`` gives the same bytes whatever order the stored and

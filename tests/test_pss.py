@@ -21,7 +21,7 @@ from hpss import (
     rhs,
     solve,
 )
-from hpss import scaling
+from hpss import pss, scaling
 from hpss.pss import RADIUS_ITERS, neumann_apply
 from conftest import dense_from_operator, factor_scaled_near_field
 
@@ -77,28 +77,29 @@ def test_neumann_applies_operator_exactly_order_times():
 # -- radius estimator ------------------------------------------------------
 
 
-def test_spectral_radius_estimator_basics():
+def test_spectral_radius_estimator_basics(monkeypatch):
     d = np.array([0.9, 0.3])
-    est = estimate_spectral_radius(lambda v: d * v, 2, iters=24)
+    monkeypatch.setattr(pss, "RADIUS_ITERS", 24)
+    est = estimate_spectral_radius(lambda v: d * v, 2)
     assert est.mode == "power-radius"
     assert abs(est.value - 0.9) <= 0.02
 
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    est = estimate_spectral_radius(lambda v: rot @ v, 2, iters=16)
+    monkeypatch.setattr(pss, "RADIUS_ITERS", 16)
+    est = estimate_spectral_radius(lambda v: rot @ v, 2)
     assert abs(est.value - 1.0) <= 1e-12
 
     nil = np.array([[0.0, 1.0], [0.0, 0.0]])
-    est = estimate_spectral_radius(lambda v: nil @ v, 2, iters=8)
+    monkeypatch.setattr(pss, "RADIUS_ITERS", 8)
+    est = estimate_spectral_radius(lambda v: nil @ v, 2)
     assert est.value == 0.0
 
-    with pytest.raises(ValueError):
-        estimate_spectral_radius(lambda v: v, 2, iters=1)
 
-
-def test_spectral_radius_matches_dense_eigenvalues():
+def test_spectral_radius_matches_dense_eigenvalues(monkeypatch):
     _, h, scaled = make_system(discretize_strip(2.0, 10), 5)
     apply = lambda x: scaled.near_solve(h.matvec_level(h.depth, x))
-    est = estimate_spectral_radius(apply, h.n, iters=30)
+    monkeypatch.setattr(pss, "RADIUS_ITERS", 30)
+    est = estimate_spectral_radius(apply, h.n)
     dense_u = dense_from_operator(apply, h.n)
     rho = float(np.max(np.abs(np.linalg.eigvals(dense_u))))
     assert rho < 1.0
@@ -159,6 +160,16 @@ def test_reported_counts_match_structural_formula():
         assert report.setup_matvec_counts == {l: RADIUS_ITERS * c // order for l, c in expected.items()}
 
 
+def test_the_guard_reads_its_iteration_count_at_call_time(monkeypatch):
+    mesh = discretize_strip(3.0, 10)
+    _, h, scaled = make_system(mesh, 8)
+    cfg = PssConfig(series_order=2)
+    counts = build_factor_chain(scaled, h, cfg).counts
+    monkeypatch.setattr(pss, "RADIUS_ITERS", 5)
+    _, report = solve(scaled, h, cfg)
+    assert report.setup_matvec_counts == {l: c * 5 // RADIUS_ITERS for l, c in counts.items()}
+
+
 def test_matvec_counts_are_input_independent():
     mesh = discretize_strip(3.0, 10)
     spec, h, _ = make_system(mesh, 8)
@@ -195,6 +206,26 @@ def test_one_chain_serves_another_rhs():
     chain = build_factor_chain(scaled, h, cfg)
     x2, _ = solve(compute_scaling(h, b2), h, cfg)
     assert np.array_equal(chain.apply(b2), x2)
+
+
+def test_a_scaled_system_serves_the_operators_sharing_its_near_field():
+    """An operator from ``keep_levels`` shares its parent's near factor, so
+    the parent's scaled system solves with it as its own does."""
+    mesh = discretize_strip(3.0, 10)
+    _, h, scaled = make_system(mesh, 8)
+    kept = h.keep_levels(h.depth)
+    cfg = PssConfig(series_order=2)
+    x_parent, _ = solve(scaled, kept, cfg)
+    x_own, _ = solve(compute_scaling(kept, scaled.b), kept, cfg)
+    assert np.array_equal(x_parent, x_own)
+
+
+def test_a_scaled_system_of_another_near_field_is_refused():
+    mesh = discretize_strip(3.0, 10)
+    spec, h, scaled = make_system(mesh, 8)
+    copy = assemble(spec, h.tree, tol=1e-3)
+    with pytest.raises(ValueError, match="scaled system's near solve does not invert this H-matrix's near field"):
+        build_factor_chain(scaled, copy, PssConfig(series_order=2))
 
 
 def test_solve_is_linear_in_the_rhs():
