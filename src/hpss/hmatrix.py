@@ -33,7 +33,8 @@ of their rows reads and the row each of their products adds into.  A
 near matvec is one gather of x, one batched ``np.matmul`` per operand
 into an array of its own, and one sparse product that sums the products
 into their rows; ``NearField.matrix`` reads the same plan to build the
-canonical CSC matrix the near factorization in ``scaling`` takes.
+canonical CSC matrix whose transpose the near factorization in
+``scaling`` factors.
 
 Every rank-one term of a far block owns a column u of length m and a row
 v of length n, stored as runs of one buffer.  A block's u is one
@@ -239,9 +240,9 @@ class NearField:
         return self.summation @ products
 
     def matrix(self) -> sp.csc_matrix:
-        """Z_N, mirrors included, as the CSC matrix ``splu`` takes, in
-        canonical form (sorted indices), so it does not depend on the order
-        or the orientation the blocks are stored in."""
+        """Z_N, mirrors included, as a CSC matrix in canonical form (sorted
+        indices), so it does not depend on the order or the orientation the
+        blocks are stored in."""
         rows, cols, data = [], [], []
         writes = self.summation.tocsc().indices  # the row product entry p adds into
         start_x = start_y = 0

@@ -21,10 +21,15 @@ Each expansion is valid exactly while the spectral radius of its operator
 stays below one (necessary and sufficient; the 2-norm below one is merely
 sufficient, and first-kind surface systems routinely combine a convergent
 radius with a 2-norm above one).  The chain therefore estimates every
-level's convergence radius by ``RADIUS_ITERS`` power iterations
-(``estimate_spectral_radius``) and refuses to run past an estimate not
-below ``NORM_FAIL`` (1.0), a NaN included, recording a warning in the
-report from ``NORM_WARN`` (0.1) up.
+level's convergence radius by Arnoldi (``estimate_spectral_radius``): at
+most ``RADIUS_ITERS`` products of T_l, fewer once its Krylov space closes,
+give the largest Ritz value's modulus, with the Ritz residual as the
+estimate's uncertainty.  Arnoldi reaches the dominant eigenvalue in far
+fewer products than the power method (Saad, Numerical Methods for Large
+Eigenvalue Problems, 2nd ed., SIAM 2011), which after 20 products can
+still read a radius 29 % low.  The chain refuses to run past an estimate not below
+``NORM_FAIL`` (1.0), a NaN included, recording a warning in the report
+from ``NORM_WARN`` (0.1) up.
 The same rule, stated once in ``FactorChain.guard``, covers the level-0
 scaling: the construction promises that alpha, the near solve, times the
 near field is the identity, and the defect ``scaling`` measures of that
@@ -62,8 +67,10 @@ Apply = Callable[[np.ndarray], np.ndarray]
 # guard thresholds on every factor's estimated radius, read at call time
 NORM_WARN = 0.1
 NORM_FAIL = 1.0
-# power iterations per radius estimate
-RADIUS_ITERS = 20
+# at most this many products of T per radius estimate
+RADIUS_ITERS = 16
+# an orthogonalized product this small against the product closes the Krylov space
+_KRYLOV_CLOSED = 1e-12
 
 
 class ConvergenceError(RuntimeError):
@@ -72,37 +79,57 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Spectral-norm estimate tagged with how it was obtained."""
+    """A convergence-factor estimate tagged with how it was obtained.
+
+    ``residual`` is the estimate's uncertainty where its method gives one:
+    for ``"arnoldi"``, the Ritz residual |T q - lambda q| of the unit Ritz
+    vector q whose value lambda it reports; ``None`` otherwise.
+    """
 
     value: float
     mode: str
+    residual: Optional[float] = None
 
 
 def estimate_spectral_radius(apply: Apply, n: int, seed: int = 0) -> NormEstimate:
-    """Dominant-eigenvalue magnitude estimate by ``RADIUS_ITERS`` plain
-    power iterations, that constant read at call time.
+    """Dominant-eigenvalue magnitude estimate by at most ``RADIUS_ITERS``
+    Arnoldi steps, that constant read at call time.
 
     This is the quantity that decides whether the alternating power series
     for (I + T)^-1 converges: the spectral radius of T below one is
-    necessary and sufficient, while the 2-norm is only sufficient.  The
-    growth factors of the final two iterations are averaged geometrically
-    to damp the odd/even oscillation a dominant complex-conjugate pair
-    produces.
+    necessary and sufficient, while the 2-norm is only sufficient.  Each
+    step applies T once to the newest basis vector and orthogonalizes the
+    product against the basis by classical Gram-Schmidt run twice (CGS2);
+    the estimate is the largest |Ritz value| of the Hessenberg matrix so
+    built.  The process stops early once the Krylov space closes, the
+    orthogonalized product's norm being at rounding level relative to the
+    product's, since the Ritz values are then eigenvalues of T.
     """
     if n < 1:
         raise ValueError("operator dimension must be positive")
+    steps = RADIUS_ITERS
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    growth = []
-    for _ in range(RADIUS_ITERS):
-        w = apply(v)
-        g = float(np.linalg.norm(w))
-        if g == 0.0:
-            return NormEstimate(0.0, "power-radius")
-        growth.append(g)
-        v = w / g
-    return NormEstimate(float(np.sqrt(growth[-1] * growth[-2])), "power-radius")
+    basis = np.empty((steps + 1, n), dtype=np.complex128)
+    hessenberg = np.zeros((steps + 1, steps), dtype=np.complex128)
+    basis[0] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    basis[0] /= np.linalg.norm(basis[0])
+    for k in range(1, steps + 1):
+        w = basis[k]
+        w[...] = apply(basis[k - 1])
+        scale = np.linalg.norm(w)
+        for _ in range(2):
+            # Q^H w as conj(Q conj(w)), which copies w, not the basis
+            c = np.conj(basis[:k] @ np.conj(w))
+            w -= c @ basis[:k]
+            hessenberg[:k, k - 1] += c
+        beta = np.linalg.norm(w)
+        hessenberg[k, k - 1] = beta
+        if beta <= _KRYLOV_CLOSED * scale:
+            break
+        w /= beta
+    ritz, vectors = np.linalg.eig(hessenberg[:k, :k])
+    i = int(np.argmax(np.abs(ritz)))
+    return NormEstimate(float(np.abs(ritz[i])), "arnoldi", float(np.abs(hessenberg[k, k - 1] * vectors[k - 1, i])))
 
 
 @dataclass(frozen=True)
@@ -285,7 +312,8 @@ class SolveReport:
         for level in sorted(self.factor_norms):
             est = self.factor_norms[level]
             label = "implied level-0 factor" if level == 0 else f"level {level}"
-            lines.append(f"convergence factor {label}: {_radius_text(est.value, 6)} [{est.mode}]")
+            how = est.mode if est.residual is None else f"{est.mode}, Ritz residual {est.residual:.3g}"
+            lines.append(f"convergence factor {label}: {_radius_text(est.value, 6)} [{how}]")
         lines.append(
             "setup matvecs per level: "
             + ", ".join(f"{l}:{c}" for l, c in sorted(self.setup_matvec_counts.items()))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import re
 
 import numpy as np
@@ -14,11 +15,13 @@ from hpss import (
     bistatic_rcs,
     build_block_partition,
     build_cluster_tree,
+    compute_scaling,
     discretize_circle,
     discretize_disk,
     discretize_strip,
     gmres,
     is_admissible,
+    pss,
     rhs,
 )
 from hpss.cli import _FIELD_TYPES, COMMAND_KEYS, RunConfig, main
@@ -440,9 +443,29 @@ def test_unconverged_gmres_writes_its_files_then_exits_one(tmp_path, capsys):
         assert (compared / name).read_bytes() == (out / name).read_bytes(), name
 
 
-# a 126-unknown circle whose level-3 series factor has radius 1.1, which the
-# guard refuses; compare runs gmres first, so it has a run to write, too
+# a 126-unknown circle whose level-3 series factor has a radius above one,
+# which the guard refuses; compare runs gmres first, so it has a run to write, too
 REFUSED_PSS_ARGS = ["--geometry", "circle", "--radius", "2.0", "--leaf-size", "8", "--angle-count", "19"]
+
+
+def refused_radius_text():
+    """The guard's message on the circle of ``REFUSED_PSS_ARGS``, derived
+    from its chain: the first level whose radius estimate is not below one,
+    checked against the eigenvalues of that level's dense T."""
+    cfg = RunConfig()
+    mesh = discretize_circle(2.0, cfg.density)
+    h = assemble(KernelSpec.for_mesh(mesh), build_cluster_tree(mesh, 8), tol=cfg.aca_tol, eta=cfg.eta)
+    b = np.ones(h.n, dtype=np.complex128)
+    levels = sorted(h.level_factors)
+    chain = pss.FactorChain(h, compute_scaling(h, b).near_solve, 2, levels, dict.fromkeys(levels, 0))
+    for i, level in enumerate(levels):
+        apply = functools.partial(chain.t_apply, i)
+        est = pss.estimate_spectral_radius(apply, h.n, seed=level)
+        if est.value >= 1.0:
+            break
+    dense = np.column_stack([apply(column) for column in np.eye(h.n, dtype=np.complex128)])
+    assert (level, h.n) == (3, 126) and np.max(np.abs(np.linalg.eigvals(dense))) >= 1.0
+    return f"error: level-3 series factor convergence radius {pss._radius_text(est.value)} is not below 1"
 
 
 @pytest.mark.parametrize("argv", [["solve", "--solver", "pss"], ["compare", "--solvers", "gmres,pss"]], ids=["solve", "compare"])
@@ -452,7 +475,7 @@ def test_a_refused_power_series_writes_nothing(tmp_path, capsys, argv, existing)
     if existing:
         out.mkdir()
     assert main([argv[0], *REFUSED_PSS_ARGS, *argv[1:], "--out", str(out)]) == 1
-    assert "error: level-3 series factor convergence radius 1.1 is not below 1" in capsys.readouterr().err
+    assert refused_radius_text() in capsys.readouterr().err
     if existing:
         assert list(out.iterdir()) == []
     else:

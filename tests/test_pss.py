@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from hpss import (
     ConvergenceError,
     Excitation,
+    FactorChain,
     KernelSpec,
     NormEstimate,
     PssConfig,
@@ -14,6 +16,7 @@ from hpss import (
     build_cluster_tree,
     build_factor_chain,
     compute_scaling,
+    discretize_circle,
     discretize_disk,
     discretize_strip,
     estimate_spectral_radius,
@@ -77,33 +80,50 @@ def test_neumann_applies_operator_exactly_order_times():
 # -- radius estimator ------------------------------------------------------
 
 
-def test_spectral_radius_estimator_basics(monkeypatch):
-    d = np.array([0.9, 0.3])
-    monkeypatch.setattr(pss, "RADIUS_ITERS", 24)
-    est = estimate_spectral_radius(lambda v: d * v, 2)
-    assert est.mode == "power-radius"
-    assert abs(est.value - 0.9) <= 0.02
+def test_spectral_radius_estimator_basics():
+    """On 2 x 2 operators the Krylov space closes after two products, and
+    the Ritz values are then the eigenvalues to rounding."""
+    products = []
 
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    monkeypatch.setattr(pss, "RADIUS_ITERS", 16)
-    est = estimate_spectral_radius(lambda v: rot @ v, 2)
-    assert abs(est.value - 1.0) <= 1e-12
+    def counted(t):
+        def apply(v):
+            products.append(1)
+            return t @ v
 
-    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
-    monkeypatch.setattr(pss, "RADIUS_ITERS", 8)
-    est = estimate_spectral_radius(lambda v: nil @ v, 2)
-    assert est.value == 0.0
+        return apply
+
+    for t, radius in (
+        (np.diag([0.9, 0.3]), 0.9),
+        (np.array([[0.0, -1.0], [1.0, 0.0]]), 1.0),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0),
+    ):
+        products.clear()
+        est = estimate_spectral_radius(counted(t), 2)
+        assert est.mode == "arnoldi"
+        assert len(products) == 2
+        assert est.residual <= 1e-15
+        # a 2 x 2 Jordan block's double eigenvalue moves by sqrt(eps) under rounding
+        assert abs(est.value - radius) <= (1e-7 if radius == 0.0 else 4 * np.finfo(float).eps)
 
 
-def test_spectral_radius_matches_dense_eigenvalues(monkeypatch):
-    _, h, scaled = make_system(discretize_strip(2.0, 10), 5)
-    apply = lambda x: scaled.near_solve(h.matvec_level(h.depth, x))
-    monkeypatch.setattr(pss, "RADIUS_ITERS", 30)
-    est = estimate_spectral_radius(apply, h.n)
-    dense_u = dense_from_operator(apply, h.n)
-    rho = float(np.max(np.abs(np.linalg.eigvals(dense_u))))
-    assert rho < 1.0
-    assert abs(est.value - rho) <= 0.1 * rho
+def test_spectral_radius_matches_dense_eigenvalues():
+    """Every level's radius on depth-4 and depth-5 strip, circle and disk
+    trees, against the eigenvalues of the dense T_l; the circle's levels
+    include radii above one, which the guard must see as such."""
+    for mesh, leaf in (
+        (discretize_strip(25.6, 10), 16),
+        (discretize_circle(2.0, 16), 16),
+        (discretize_disk(0.5, 12, 2.0), 8),
+    ):
+        _, h, scaled = make_system(mesh, leaf)
+        assert h.depth >= 4
+        levels = sorted(h.level_factors)
+        chain = FactorChain(h, scaled.near_solve, 2, levels, dict.fromkeys(levels, 0))
+        for i, level in enumerate(levels):
+            apply = partial(chain.t_apply, i)
+            est = estimate_spectral_radius(apply, h.n, seed=level)
+            rho = float(np.max(np.abs(np.linalg.eigvals(dense_from_operator(apply, h.n)))))
+            assert abs(est.value - rho) <= 1e-2 * rho, (mesh.kind, level)
 
 
 # -- config ----------------------------------------------------------------
@@ -145,29 +165,68 @@ def test_high_order_solve_matches_dense_lu():
     assert report.residual is not None and report.residual <= 1e-2
 
 
-def test_reported_counts_match_structural_formula():
+def guard_products(monkeypatch):
+    """Record, per level, the products of T each radius estimate makes."""
+    products = {}
+    real = pss.estimate_spectral_radius
+
+    def counted(apply, n, seed=0):
+        products[seed] = 0
+
+        def counting(x):
+            products[seed] += 1
+            return apply(x)
+
+        return real(counting, n, seed)
+
+    monkeypatch.setattr(pss, "estimate_spectral_radius", counted)
+    return products
+
+
+def guard_counts(depth, chain, order, products):
+    """Setup matvecs per level of ``products[level]`` applications of each
+    T_l: a T_l costs what its series adds to the solve, divided by the order."""
+    setup = dict.fromkeys(chain, 0)
+    for i, level in enumerate(chain):
+        before = expected_solve_counts(depth, chain[:i], order)
+        for l, c in expected_solve_counts(depth, chain[: i + 1], order).items():
+            setup[l] += products[level] * (c - before.get(l, 0)) // order
+    return setup
+
+
+def test_reported_counts_match_structural_formula(monkeypatch):
     # levels 1 and 2 of this disk hold no far blocks, level 1 of the strip none
+    products = guard_products(monkeypatch)
     for mesh, leaf in ((discretize_disk(0.3, 16, 2.0), 8), (discretize_strip(3.0, 10), 8)):
         spec, h, scaled = make_system(mesh, leaf)
         order = 2
+        products.clear()
         x, report = solve(scaled, h, PssConfig(series_order=order))
         chain = [l for l in range(1, h.depth + 1) if h.far_blocks[l]]
         assert len(chain) < h.depth
         assert report.active_levels == chain
         expected = expected_solve_counts(h.depth, chain, order)
         assert report.solve_matvec_counts == expected
-        # the guard runs RADIUS_ITERS applications of each T_l, the solve order
-        assert report.setup_matvec_counts == {l: RADIUS_ITERS * c // order for l, c in expected.items()}
+        # the guard runs at most RADIUS_ITERS applications of each T_l, fewer
+        # only where its Krylov space closes, and the report counts them
+        assert sorted(products) == chain
+        assert all(1 <= p <= RADIUS_ITERS for p in products.values())
+        assert report.setup_matvec_counts == guard_counts(h.depth, chain, order, products)
 
 
 def test_the_guard_reads_its_iteration_count_at_call_time(monkeypatch):
     mesh = discretize_strip(3.0, 10)
     _, h, scaled = make_system(mesh, 8)
     cfg = PssConfig(series_order=2)
-    counts = build_factor_chain(scaled, h, cfg).counts
+    products = guard_products(monkeypatch)
+    build_factor_chain(scaled, h, cfg)
+    full = dict(products)
     monkeypatch.setattr(pss, "RADIUS_ITERS", 5)
     _, report = solve(scaled, h, cfg)
-    assert report.setup_matvec_counts == {l: c * 5 // RADIUS_ITERS for l, c in counts.items()}
+    # the first steps are those of the full run, which closes no level before step 5
+    assert min(full.values()) > 5
+    assert products == dict.fromkeys(full, 5)
+    assert report.setup_matvec_counts == guard_counts(h.depth, sorted(full), 2, products)
 
 
 def test_matvec_counts_are_input_independent():
@@ -387,8 +446,8 @@ def test_a_nan_defect_trips_level_zero(monkeypatch):
         def __init__(self, factorization):
             self.factorization = factorization
 
-        def solve(self, v):
-            return np.full_like(self.factorization.solve(v), np.nan)
+        def solve(self, v, trans="N"):
+            return np.full_like(self.factorization.solve(v, trans), np.nan)
 
     monkeypatch.setattr(scaling, "splu", lambda a, **kw: NanSolve(real_splu(a, **kw)))
     _, h, scaled = make_system(discretize_strip(4.0, 10), 10)
@@ -411,6 +470,10 @@ def test_report_text_layout():
     text = report.to_text()
     assert "series order: 2" in text
     assert "implied level-0 factor" in text
+    assert "[near-solve-defect]\n" in text
+    est = report.factor_norms[2]
+    radius = pss._radius_text(est.value, 6)
+    assert f"convergence factor level 2: {radius} [arnoldi, Ritz residual {est.residual:.3g}]\n" in text
     assert "total solve matvecs" in text
     assert "wall time" in text
 
