@@ -15,10 +15,11 @@ construction: element extent must not exceed 1/10 on surface meshes and
 The cluster tree splits element index ranges by coordinate median along the
 longest bounding-box axis, with a uniform leaf level: every leaf sits at the
 same depth L, where L is the smallest level at which the largest range fits
-the requested leaf size.  The reordering permutation is recorded so matrix
-indices can be made contiguous per cluster.  The builder alone states the
-tree's invariants (``build_cluster_tree``); the tree keeps no leaf size
-and is not re-checked.
+the requested leaf size.  It is built a level at a time, with array
+operations over all of a level's nodes.  The reordering permutation is
+recorded so matrix indices can be made contiguous per cluster.  The builder
+alone states the tree's invariants (``build_cluster_tree``); the tree keeps
+no leaf size and is not re-checked.
 """
 
 from __future__ import annotations
@@ -274,6 +275,16 @@ def build_cluster_tree(mesh: Mesh, leaf_size: int) -> ClusterTree:
     where ``ceil(N / 2**L) <= leaf_size``; every branch is split down to
     exactly that level.
 
+    A whole level is split at once: its boxes come from one
+    ``np.minimum.reduceat`` and one ``np.maximum.reduceat``, and one
+    stable ``np.lexsort`` keyed by (node, coordinate on that node's
+    longest axis) sorts every node's elements.  Nodes are numbered in
+    pre-order, as a depth-first split would number them: a node's left
+    child follows it and its right child follows the left child's
+    subtree of 2**(L - level) - 1 nodes.  Each diameter is
+    ``np.linalg.norm`` of its node's box alone, so admissibility ties
+    resolve as they would for that box.
+
     The construction guarantees the tree's invariants, so nothing checks
     them afterwards:
 
@@ -294,28 +305,29 @@ def build_cluster_tree(mesh: Mesh, leaf_size: int) -> ClusterTree:
         depth += 1
 
     perm = np.arange(n)
-    centers = mesh.centers
-    nodes: List[TreeNode] = []
-
-    def make_node(level: int, start: int, stop: int) -> int:
-        pts = centers[perm[start:stop]]
-        bb_min, bb_max = pts.min(axis=0), pts.max(axis=0)
-        box = (*bb_min.tolist(), *bb_max.tolist())
-        node = TreeNode(len(nodes), level, start, stop, box, float(np.linalg.norm(bb_max - bb_min)))
-        nodes.append(node)
-        index = node.index
-        if level < depth:
-            axis = int(np.argmax(bb_max - bb_min))
-            local = perm[start:stop]
-            order = np.argsort(centers[local, axis], kind="stable")
-            perm[start:stop] = local[order]
-            mid = start + (stop - start + 1) // 2
-            left = make_node(level + 1, start, mid)
-            right = make_node(level + 1, mid, stop)
-            node.children = (left, right)
-        return index
-
-    make_node(0, 0, n)
+    nodes: List[TreeNode] = [None] * (2 ** (depth + 1) - 1)  # type: ignore[list-item]
+    # the starts and pre-order indices of one level's nodes, left to right
+    starts, indices = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for level in range(depth + 1):
+        sizes = np.diff(starts, append=n)
+        pts = mesh.centers[perm]
+        bb_min = np.minimum.reduceat(pts, starts, axis=0)
+        bb_max = np.maximum.reduceat(pts, starts, axis=0)
+        spans = bb_max - bb_min
+        left = indices + 1
+        right = left + 2 ** (depth - level) - 1
+        children = zip(left.tolist(), right.tolist()) if level < depth else [None] * len(starts)
+        rows = zip(indices.tolist(), starts.tolist(), sizes.tolist(), bb_min.tolist(), bb_max.tolist(), spans, children)
+        for index, start, size, low, high, span, pair in rows:
+            nodes[index] = TreeNode(index, level, start, start + size, (*low, *high), float(np.linalg.norm(span)), pair)
+        if level == depth:
+            break
+        # each node's elements, stably sorted along its own longest axis
+        axis = np.repeat(np.argmax(spans, axis=1), sizes)
+        node = np.repeat(np.arange(len(starts)), sizes)
+        perm = perm[np.lexsort((pts[np.arange(n), axis], node))]
+        starts = np.column_stack((starts, starts + (sizes + 1) // 2)).ravel()
+        indices = np.column_stack((left, right)).ravel()
     return ClusterTree(nodes, perm, depth, n)
 
 

@@ -18,10 +18,13 @@ way the code is the same and no entry is stored twice.
 
 Assembly fills the near field with one kernel call per stored near block.
 Each far level is compressed on its own: its stored pairs are grouped by
-block shape, each group goes to ACA in lockstep stacks, every block is
-recompressed on its own, and the level's factors are packed into one
-buffer before the next level starts.  Once the last level is done, the
-levels move, one at a time, into the operator's one far buffer.
+block shape, each group goes to ACA in lockstep stacks sized by the rows
+and columns ACA samples (``ACA_STACK_ENTRIES``), so on the coarse levels
+a shape's blocks share one stack, every block is recompressed on its own,
+and the level's factors are packed into one buffer before the next level
+starts.  ACA gives each block of a stack the factors it gives that block
+alone, so the stacking changes no stored entry.  Once the last level is
+done, the levels move, one at a time, into the operator's one far buffer.
 
 Storage keeps each part of the operator in the layout it is applied in.
 The near field Z_N is one C-ordered dense stack of shape (B, m, n) per
@@ -32,9 +35,10 @@ stack, and the transposed view of each mirrored one), the x entry each
 of their rows reads and the row each of their products adds into.  A
 near matvec is one gather of x, one batched ``np.matmul`` per operand
 into an array of its own, and one sparse product that sums the products
-into their rows; ``NearField.matrix`` reads the same plan to build the
-canonical CSC matrix whose transpose the near factorization in
-``scaling`` factors.
+into their rows; ``NearField.coo`` reads the same plan to list every
+entry of Z_N once.  Its one conversion to CSR gives the arrays that,
+read as CSC, are the Z_N^T the near factorization in ``scaling``
+factors, and its conversion to CSC is ``NearField.matrix``.
 
 Every rank-one term of a far block owns a column u of length m and a row
 v of length n, stored as runs of one buffer.  A block's u is one
@@ -93,9 +97,11 @@ if TYPE_CHECKING:
     from .scaling import NearFactor
 
 BYTES_PER_ENTRY = 16  # complex128
-# block entries B*m*n of one stack handed to ``aca`` (at least one block);
-# bounds its lockstep factors and the ACA factors awaiting recompression
-ACA_STACK_ENTRIES = 2**18
+# the most entries B*(m+n) one ACA step samples on a stack of B blocks
+# handed to ``aca``, a row and a column of each (a stack holds one block at
+# least).  ACA touches nothing else, so after k crosses its factors hold k
+# times that.  2**14 set up strip16k and disk2k5 fastest of 2**12..2**18
+ACA_STACK_ENTRIES = 2**14
 
 # the thread that runs near products beside the caller's far product
 _near_worker: Optional[ThreadPoolExecutor] = None
@@ -188,7 +194,7 @@ class NearField:
     its transposed view, as batched products whose P entries are laid end
     to end: ``gather`` lists the x entry each row of each batched product
     reads, and ``summation`` is the N x P matrix, CSR, whose column p holds
-    a one at the row product entry p adds into.  The product and ``matrix``
+    a one at the row product entry p adds into.  The product and ``coo``
     both read this one plan; a product writes only arrays of its own, so
     products on one near field may run at the same time.
 
@@ -243,6 +249,12 @@ class NearField:
         """Z_N, mirrors included, as a CSC matrix in canonical form (sorted
         indices), so it does not depend on the order or the orientation the
         blocks are stored in."""
+        return self.coo().tocsc()
+
+    def coo(self) -> sp.coo_matrix:
+        """Z_N, mirrors included, as a COO matrix holding each stored and
+        mirrored entry once, in the plan's order; its ``tocsc`` and
+        ``tocsr`` are canonical."""
         rows, cols, data = [], [], []
         writes = self.summation.tocsc().indices  # the row product entry p adds into
         start_x = start_y = 0
@@ -257,7 +269,7 @@ class NearField:
                 parts.append(array.ravel(order="K"))
             start_x, start_y = start_x + b * n, start_y + b * m
         rows, cols, data = (np.concatenate(parts) for parts in (rows, cols, data))
-        return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsc()
+        return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
     def diagonal_blocks(self) -> List[Tuple[int, np.ndarray]]:
         """(row start, view of the block in its stack) of every diagonal
@@ -423,7 +435,7 @@ class HMatrix:
     Its stored entries have one layout: every stored block is kept as it
     is applied, and a mirror is applied from the block it mirrors.
     ``near`` is Z_N (see ``NearField``); it serves the near product and,
-    through ``NearField.matrix``, the near factorization in ``scaling``.
+    through ``NearField.coo``, the near factorization in ``scaling``.
     ``far`` applies every far level the operator holds, and
     ``level_factors`` maps each of those levels whose blocks hold a rank
     above zero to the part of ``far`` that applies it alone; those are the
@@ -563,8 +575,9 @@ def _compress_level(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ACA and recompression of one level's far pairs, packed in pair order.
 
-    Pairs of one block shape go to ``aca`` as stacks of at most
-    ``ACA_STACK_ENTRIES`` block entries; a failure names the level and,
+    Pairs of one block shape go to ``aca`` as stacks whose B blocks
+    sample at most ``ACA_STACK_ENTRIES`` entries, B*(m+n), a step (one
+    block at least); a failure names the level and,
     where it can, the block's rows and cols.  Returns the ``_views`` info
     and the level's u and v buffers, laid out as in the far buffer, so the
     many small factor arrays are freed before the next level starts.
@@ -581,7 +594,7 @@ def _compress_level(
     info: List[Tuple[int, ...]] = [()] * len(pairs)
     runs: List[Tuple[np.ndarray, ...]] = [()] * len(pairs)
     for (m, n), group in shapes.items():
-        step = max(1, ACA_STACK_ENTRIES // (m * n))
+        step = max(1, ACA_STACK_ENTRIES // (m + n))
         for first in range(0, len(group), step):
             stack = group[first : first + step]
             rows = np.array([nodes[pairs[i][0]].start for i in stack])[:, None] + np.arange(m)

@@ -32,7 +32,10 @@ x and y coordinates as two contiguous arrays, so a block gathers them with
 four one-dimensional indexes.  A block pays only for the distances, the two
 Bessel functions and one product; the self-term path runs only when some
 row index equals a column index, which for a validated mesh (no two
-elements share a centre) is also the only way r can be 0.  ``z_block``
+elements share a centre) is also the only way r can be 0, and it gathers
+the self entries ``KernelSpec.self_entries`` computed once per distinct
+element: one extent on every strip and circle the generators make, one
+(extent, eps_r) on every disk.  ``z_block``
 broadcasts over leading axes, so ACA samples one row (or one column) of
 every block in a stack with a single call.
 
@@ -136,6 +139,22 @@ class KernelSpec:
         return bool(np.all(bits.reshape(-1, 2) == bits[:2]))
 
     @cached_property
+    def self_entries(self) -> np.ndarray:
+        """Z_ii of every element, computed on first use once per distinct
+        element: per extent for the S-EFIE, per (extent, eps_r) for the
+        V-EFIE, told apart by their bits.  Each value is the one
+        ``_surface_self_entry`` or ``_volume_self_entry`` gives that
+        element alone."""
+        mesh = self.mesh
+        surface = self.equation == S_EFIE
+        # extents are positive and finite, so equal values have equal bits
+        keys = mesh.extents if surface else np.column_stack([mesh.extents, mesh.eps_r.real, mesh.eps_r.imag]).view(np.dtype((np.void, 24)))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        extents = mesh.extents[first]
+        distinct = _surface_self_entry(self.k0, extents) if surface else _volume_self_entry(self.k0, extents, mesh.eps_r[first])
+        return distinct[inverse]
+
+    @cached_property
     def center_coordinates(self) -> Tuple[np.ndarray, np.ndarray]:
         """The element centres' x and y, each a contiguous copy, made on first use."""
         centers = self.mesh.centers
@@ -174,7 +193,6 @@ def z_block(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     Diagonal coincidences (same element on both sides) get the analytic
     self term.
     """
-    mesh = spec.mesh
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
     cx, cy = spec.center_coordinates
@@ -190,11 +208,7 @@ def z_block(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     block *= spec.column_weights[cols][..., None, :]
     if has_self:
         elements = np.broadcast_to(rows[..., :, None], self_mask.shape)[self_mask]
-        extents = mesh.extents[elements]
-        if spec.equation == S_EFIE:
-            block[self_mask] = _surface_self_entry(spec.k0, extents)
-        else:
-            block[self_mask] = _volume_self_entry(spec.k0, extents, mesh.eps_r[elements])
+        block[self_mask] = spec.self_entries[elements]
     return block
 
 

@@ -10,7 +10,7 @@ into
 
 which is the fixed point the power-series chain factorizes.  The near
 solve is one sparse LU factorization of Z_N^T, Z_N being the near field
-the H-matrix stores (``NearField.matrix``), whatever its shape, and
+the H-matrix stores (``NearField.coo``), whatever its shape, and
 SuperLU's transposed solve of that factor, (Z_N^T)^T x = v.  That is
 exact for any Z_N, reciprocal or not, and faster per call than the plain
 solve of a factor of Z_N on strips and circles (by about a sixth at 1k-2k
@@ -111,8 +111,8 @@ def _factor_near_field(h: HMatrix) -> NearFactor:
             ) from exc
 
     try:
-        # Z_N's CSR arrays, read as CSC, are Z_N^T
-        factor = NearFactor(splu(h.near.matrix().tocsr().T, permc_spec="MMD_AT_PLUS_A"), 0.0)
+        # Z_N's canonical CSR arrays, read as CSC, are Z_N^T
+        factor = NearFactor(splu(h.near.coo().tocsr().T, permc_spec="MMD_AT_PLUS_A"), 0.0)
     except RuntimeError as exc:
         raise ValueError(f"near-field matrix is singular: {exc}") from exc
 

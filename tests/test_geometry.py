@@ -223,6 +223,62 @@ def test_permutation_is_bijection_and_leaves_tile():
         assert_tree_invariants(build_cluster_tree(mesh, leaf_size), leaf_size)
 
 
+def recursive_cluster_tree(mesh, leaf_size):
+    """The reference builder: one node at a time, depth first, each node's
+    elements stably sorted along its own longest axis before it is halved."""
+    n = mesh.n_elements
+    depth = 0
+    while math.ceil(n / 2**depth) > leaf_size:
+        depth += 1
+    perm = np.arange(n)
+    nodes = []
+
+    def make_node(level, start, stop):
+        pts = mesh.centers[perm[start:stop]]
+        bb_min, bb_max = pts.min(axis=0), pts.max(axis=0)
+        node = TreeNode(len(nodes), level, start, stop, (*bb_min.tolist(), *bb_max.tolist()), float(np.linalg.norm(bb_max - bb_min)))
+        nodes.append(node)
+        if level < depth:
+            local = perm[start:stop]
+            perm[start:stop] = local[np.argsort(pts[:, int(np.argmax(bb_max - bb_min))], kind="stable")]
+            mid = start + (stop - start + 1) // 2
+            node.children = (make_node(level + 1, start, mid), make_node(level + 1, mid, stop))
+        return node.index
+
+    make_node(0, 0, n)
+    return ClusterTree(nodes, perm, depth, n)
+
+
+def tied_mesh():
+    """Points of a shuffled 9 x 6 grid, so many share an x or a y, and
+    square boxes tie their two axes."""
+    gx, gy = np.meshgrid(np.arange(9) * 0.05, np.arange(6) * 0.05)
+    centers = np.column_stack([gx.ravel(), gy.ravel()])[np.random.default_rng(31).permutation(54)]
+    return Mesh("surface", centers, np.full(54, 0.05), np.ones(54, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "mesh, leaf_size",
+    [
+        (discretize_strip(10.3, 10), 7),
+        (discretize_circle(1.3, 11), 5),
+        (discretize_disk(0.8, 10, 2.0), 16),
+        (discretize_disk(0.3, 16, 2.0), 8),
+        (tied_mesh(), 2),
+        (tied_mesh(), 4),
+    ],
+    ids=["strip", "circle", "disk", "small-disk", "ties-leaf-2", "ties-leaf-4"],
+)
+def test_tree_is_the_recursive_builders_bit_for_bit(mesh, leaf_size):
+    """The level-at-a-time builder gives the depth-first one's permutation,
+    pre-order node indices, ranges, children, boxes and diameters."""
+    got, want = build_cluster_tree(mesh, leaf_size), recursive_cluster_tree(mesh, leaf_size)
+    assert got.depth == want.depth and got.n_elements == want.n_elements
+    assert np.array_equal(got.permutation, want.permutation)
+    # repr tells every float bit pattern apart, the sign of a zero included
+    assert repr(got.nodes) == repr(want.nodes)
+
+
 def boxes_tree(*boxes):
     """A depth-1 tree whose level-1 nodes 1, 2, ... have the given
     ((x min, y min), (x max, y max)) boxes; ``is_admissible`` reads only

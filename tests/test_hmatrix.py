@@ -316,6 +316,52 @@ def test_non_finite_far_block_is_named_inside_its_stack(monkeypatch):
         assemble(spec, tree, tol=1e-3)
 
 
+STACK_MESHES = {
+    "strip": (lambda: discretize_strip(40.0, 10), 8),
+    "circle629": (lambda: discretize_circle(5.0, 20), 32),
+    "disk2k5": (lambda: discretize_disk(1.0, 20, 2.0), 32),
+}
+
+
+@pytest.mark.parametrize("name", list(STACK_MESHES))
+def test_far_buffers_do_not_depend_on_the_aca_stacks(monkeypatch, name):
+    """ACA gives every block of a stack the pivots and rank it gets alone,
+    so one block per stack and one stack per shape store the default's
+    far data, indices, pointers and swap byte for byte."""
+    make, leaf = STACK_MESHES[name]
+    mesh = make()
+    spec = KernelSpec.for_mesh(mesh)
+    tree = build_cluster_tree(mesh, leaf)
+    aca = hpss.hmatrix.aca
+    stacks = []
+
+    def counted(entry_fn, rows, cols, tol):
+        stacks.append(len(rows))
+        return aca(entry_fn, rows, cols, tol)
+
+    monkeypatch.setattr(hpss.hmatrix, "aca", counted)
+
+    def far_bytes():
+        stacks.clear()
+        far = assemble(spec, tree, tol=1e-3).far
+        arrays = (far.left.data, far.left.indices, far.left.indptr, far.right.data, far.right.indices, far.right.indptr, far.swap)
+        return [array.tobytes() for array in arrays], list(stacks)
+
+    nodes = tree.nodes
+    shapes = {
+        (level, nodes[t].size, nodes[s].size)
+        for level, pairs in build_block_partition(tree).far_pairs.items()
+        for t, s in pairs
+        if not spec.reciprocal or nodes[t].start < nodes[s].start
+    }
+    want, default_stacks = far_bytes()
+    for entries, stack_count in ((1, sum(default_stacks)), (2**40, len(shapes))):
+        monkeypatch.setattr(hpss.hmatrix, "ACA_STACK_ENTRIES", entries)
+        got, got_stacks = far_bytes()
+        assert got == want
+        assert len(got_stacks) == stack_count and sum(got_stacks) == sum(default_stacks)
+
+
 def test_memory_report_totals(strip_system):
     h = strip_system["h"]
     rep = memory_report(h)
@@ -606,6 +652,18 @@ def test_near_matrix_is_the_canonical_csc_of_the_blocks(name, strip_system):
             for attr in ("data", "indices", "indptr"):
                 assert getattr(got, attr).dtype == getattr(want, attr).dtype
                 assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+
+
+@pytest.mark.parametrize("name", ["strip", "disk", "halved-strip"])
+def test_near_coo_converts_to_the_canonical_csr(name, strip_system):
+    """One COO -> CSR conversion gives the arrays the canonical CSC's
+    ``tocsr`` does, which the near factorization reads as Z_N^T."""
+    h, _ = packed_case(name, strip_system)
+    got, want = h.near.coo().tocsr(), h.near.matrix().tocsr()
+    assert got.has_sorted_indices
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(got, attr).dtype == getattr(want, attr).dtype
+        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
 
 
 KEPT_LEVELS = [list(range(coarsest, 6)) for coarsest in range(1, 6)]

@@ -253,3 +253,33 @@ def test_volume_system_is_second_kind():
     x, rep = gmres(lambda v: z @ v, b, tol=1e-6)
     assert rep.converged
     assert rep.iterations < 50
+
+
+def two_extent_surface():
+    """A strip whose segments alternate between two lengths."""
+    extents = np.where(np.arange(40) % 3, 0.05, 0.08)
+    x = np.cumsum(extents) - 0.5 * extents
+    return Mesh(SURFACE, np.column_stack([x, np.zeros(40)]), extents, np.ones(40, dtype=complex))
+
+
+def two_permittivity_disk():
+    """A disk whose lower half has eps_r 2 and upper half 3 - 0.2j."""
+    disk = discretize_disk(0.3, 10, 3.0)
+    eps = np.where(disk.centers[:, 1] < 0.0, 2.0 + 0j, 3.0 - 0.2j)
+    return Mesh(VOLUME, disk.centers, disk.extents, eps)
+
+
+@pytest.mark.parametrize("mesh", [two_extent_surface(), two_permittivity_disk()], ids=["surface", "volume"])
+def test_self_entries_are_each_elements_own_bit_for_bit(mesh):
+    """Computed once per distinct element, each self entry is the one its
+    element's self integral gives alone, and z_block's diagonal gathers it."""
+    spec = KernelSpec.for_mesh(mesh)
+    if mesh.kind == SURFACE:
+        alone = [_surface_self_entry(spec.k0, mesh.extents[i : i + 1]) for i in range(mesh.n_elements)]
+    else:
+        alone = [_volume_self_entry(spec.k0, mesh.extents[i : i + 1], mesh.eps_r[i : i + 1]) for i in range(mesh.n_elements)]
+    want = np.concatenate(alone)
+    assert len(np.unique(want)) == 2
+    assert spec.self_entries.tobytes() == want.tobytes()
+    idx = np.arange(mesh.n_elements)
+    assert np.diagonal(z_block(spec, idx, idx)).copy().tobytes() == want.tobytes()
