@@ -22,10 +22,12 @@ All CSV artifacts are byte-deterministic for a fixed config: timings
 appear only in the plain-text summaries.  Those summaries, printed on
 stdout, show each run's accuracy as its report states it
 (``outcome_lines``): the power series' labelled residual and guard
-warnings, and a GMRES run's failure to converge, after which ``solve``
-and ``compare`` exit 1 with every file written.  Every solver a run
-names runs before the run writes any file, so a run that fails (a guard
-that refuses the power series, say) leaves no output behind.
+warnings, and a GMRES run's true residual, labelled with the operator
+it was measured against (``HMatrix.scope``), and its failure to
+converge, after which ``solve`` and ``compare`` exit 1 with every file
+written.  Every solver a run names runs before the run writes any file,
+so a run that fails (a guard that refuses the power series, say) leaves
+no output behind.
 """
 
 from __future__ import annotations
@@ -210,16 +212,22 @@ def _write_text(path: str, text: str) -> None:
 @dataclass
 class SolverRun:
     """One solver's echo width, wall time and report: the cascade's
-    ``SolveReport``, GMRES's ``IterativeReport``, or None for lu."""
+    ``SolveReport``, GMRES's ``IterativeReport``, or None for lu.
+    ``scope`` is the ``HMatrix.scope`` of the operator the run was given,
+    which GMRES's residual lines carry; the cascade's report holds its own
+    label, and lu solves the dense matrix."""
 
     name: str
     rcs: RcsCurve
     wall_time_s: float
     report: Union[pss.SolveReport, IterativeReport, None] = None
+    scope: str = ""
 
     @property
     def detail(self) -> str:
         """The text of ``solve_report.txt``."""
+        if isinstance(self.report, IterativeReport):
+            return self.report.to_text(self.scope)
         return "dense partial-pivot LU oracle\n" if self.report is None else self.report.to_text()
 
     @property
@@ -228,10 +236,12 @@ class SolverRun:
         return isinstance(self.report, IterativeReport) and not self.report.converged
 
     def counts(self) -> str:
-        """The matvec count, and for GMRES the iteration count, as a
-        suffix of the run's compare line."""
+        """What the run's compare line counts: for the cascade its level
+        matvecs, in the solve and in the guard; for GMRES its full
+        matvecs and iterations."""
         if isinstance(self.report, pss.SolveReport):
-            return f", matvecs {self.report.total_solve_matvecs}"
+            guard = sum(self.report.setup_matvec_counts.values())
+            return f", level matvecs {self.report.total_solve_matvecs}, guard level matvecs {guard}"
         if isinstance(self.report, IterativeReport):
             return f", matvecs {self.report.n_matvecs}, iterations {self.report.iterations}"
         return ""
@@ -239,6 +249,8 @@ class SolverRun:
     def notes(self) -> List[str]:
         """What a summary shows of the run's accuracy: its report's
         ``outcome_lines``, none for lu."""
+        if isinstance(self.report, IterativeReport):
+            return self.report.outcome_lines(self.scope)
         return [] if self.report is None else self.report.outcome_lines()
 
 
@@ -268,7 +280,7 @@ def _run_one_solver(
         x_mesh = h.unpermute(x_perm)
     wall = time.perf_counter() - start
     rcs = bistatic_rcs(mesh, x_mesh, cfg.angles())
-    return SolverRun(name, rcs, wall, report)
+    return SolverRun(name, rcs, wall, report, h.scope)
 
 
 def _build_problem(cfg: RunConfig, solvers: Sequence[str]) -> Tuple[Mesh, KernelSpec, ClusterTree, int, np.ndarray]:

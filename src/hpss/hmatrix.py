@@ -38,7 +38,7 @@ into an array of its own, and one sparse product that sums the products
 into their rows; ``NearField.coo`` reads the same plan to list every
 entry of Z_N once.  Its one conversion to CSR gives the arrays that,
 read as CSC, are the Z_N^T the near factorization in ``scaling``
-factors, and its conversion to CSC is ``NearField.matrix``.
+factors.
 
 Every rank-one term of a far block owns a column u of length m and a row
 v of length n, stored as runs of one buffer.  A block's u is one
@@ -63,7 +63,8 @@ power-series cascade runs exactly the levels of ``HMatrix.level_factors``,
 those whose blocks hold a rank above zero.  The pair lists serve assembly
 alone: the operator keeps its blocks' starts in its stacks and far blocks,
 and one flag, ``HMatrix.complete``, for whether it holds every far level
-with admissible pairs.
+with admissible pairs; ``HMatrix.scope`` says which, for a residual
+measured against it.
 
 A full product ``HMatrix.matvec`` is a near product plus a far product,
 two independent halves of about equal cost.  When the process may run on
@@ -244,12 +245,6 @@ class NearField:
             np.matmul(operand, xs[start_x : start_x + b * n].reshape(b, n, 1), out=out)
             start_x, start_y = start_x + b * n, start_y + b * m
         return self.summation @ products
-
-    def matrix(self) -> sp.csc_matrix:
-        """Z_N, mirrors included, as a CSC matrix in canonical form (sorted
-        indices), so it does not depend on the order or the orientation the
-        blocks are stored in."""
-        return self.coo().tocsc()
 
     def coo(self) -> sp.coo_matrix:
         """Z_N, mirrors included, as a COO matrix holding each stored and
@@ -479,6 +474,15 @@ class HMatrix:
                 if 2 * b.rank > min(b.shape)
             ],
         }
+
+    @property
+    def scope(self) -> str:
+        """What a residual against this operator is measured against, as
+        a suffix of its label: nothing when it is ``complete``, else
+        " (assembled operator, levels ...)" naming the levels it holds."""
+        if self.complete:
+            return ""
+        return f" (assembled operator, levels {','.join(str(l) for l in sorted(self.far_blocks)) or 'none'})"
 
     @property
     def n(self) -> int:

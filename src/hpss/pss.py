@@ -39,9 +39,11 @@ before any series runs.
 
 The solve applies a fixed, input-independent number of level matvecs: no
 residual-driven iteration hides anywhere, which is what makes the matvec
-count reproducible across right-hand sides.  The count grows geometrically
-with the number of levels in the chain (operator products are never
-memoized), the accepted price of a matvec-only cascade at desk scale.  The
+count reproducible across right-hand sides.  The count is a closed form
+in the number L of levels in the chain: the i-th of them, coarsest first,
+runs order (1 + order)^(L - 1 - i) products, (1 + order)^L - 1 in all
+(operator products are never memoized), the accepted price of a
+matvec-only cascade at desk scale.  The
 H-matrix alone decides the levels: a far level it holds no blocks on, be
 it skipped at assembly, without admissible pairs or with blocks of rank
 zero only, has U_l = 0 and a factor that is exactly the identity, so the
@@ -263,20 +265,13 @@ def expected_solve_counts(depth: int, active: Sequence[int], order: int) -> Dict
     """Closed-form matvec tally of one cascade application.
 
     Applying T_l costs one U_l plus one pass through every earlier
-    resolvent; each resolvent costs ``order`` applications of its T.  The
-    tally is structural: it depends only on (active levels, order).
+    resolvent, and each resolvent costs ``order`` applications of its T,
+    so the i-th of the L active levels, coarsest first, runs
+    ``order * (1 + order) ** (L - 1 - i)`` products: (1 + order)^L - 1 in
+    all.  The tally is structural: it depends only on (active levels,
+    order); ``depth`` is not read.
     """
-    cost_ap: Dict[int, Dict[int, int]] = {}
-    total: Dict[int, int] = {level: 0 for level in active}
-    for i, level in enumerate(active):
-        cost_t: Dict[int, int] = {level: 1}
-        for j in active[:i]:
-            for lvl, c in cost_ap[j].items():
-                cost_t[lvl] = cost_t.get(lvl, 0) + c
-        cost_ap[level] = {lvl: order * c for lvl, c in cost_t.items()}
-        for lvl, c in cost_ap[level].items():
-            total[lvl] += c
-    return total
+    return {level: order * (1 + order) ** (len(active) - 1 - i) for i, level in enumerate(active)}
 
 
 @dataclass
@@ -284,9 +279,9 @@ class SolveReport:
     """What the cascade did: norms, counts, timings, and the residual.
 
     ``residual`` is |h x - b| / |b| against the operator h (``None`` for
-    b = 0), and ``residual_label`` names it: on an operator that is not
-    ``complete``, lacking a far level with admissible pairs, it reads
-    "relative residual (assembled operator, levels ...)".
+    b = 0), and ``residual_label`` names it: "relative residual", then
+    h's ``HMatrix.scope``, so on an operator that is not ``complete`` it
+    reads "relative residual (assembled operator, levels ...)".
     """
 
     order: int
@@ -353,9 +348,6 @@ def solve(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> Tuple[np.ndarr
     bnorm = float(np.linalg.norm(scaled.b))
     if bnorm > 0.0:
         residual = float(np.linalg.norm(h.matvec(x) - scaled.b)) / bnorm
-    label = "relative residual"
-    if not h.complete:
-        label += f" (assembled operator, levels {','.join(str(l) for l in sorted(h.far_blocks)) or 'none'})"
 
     report = SolveReport(
         order=config.series_order,
@@ -366,6 +358,6 @@ def solve(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> Tuple[np.ndarr
         solve_matvec_counts=chain.counts,
         wall_time_s=time.perf_counter() - start,
         residual=residual,
-        residual_label=label,
+        residual_label="relative residual" + h.scope,
     )
     return x, report

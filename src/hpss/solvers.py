@@ -39,15 +39,26 @@ class IterativeReport:
     ``residual_history[k]`` is the Givens estimate after inner step k + 1;
     ``true_residuals`` holds (inner steps so far, true relative residual)
     pairs from the start, every restart and the exit; ``tol`` is the
-    tolerance the run was held to.
+    tolerance the run was held to.  The counts follow from these: one
+    product per inner step and one per true residual after the start.
     """
 
-    iterations: int
     residual_history: List[float]
     true_residuals: List[Tuple[int, float]]
-    converged: bool
     tol: float
-    n_matvecs: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
+
+    @property
+    def converged(self) -> bool:
+        """The loop's own stopping test: the last true residual within ``tol``."""
+        return self.true_residuals[-1][1] <= self.tol
+
+    @property
+    def n_matvecs(self) -> int:
+        return self.iterations + len(self.true_residuals) - 1
 
     def history_csv_rows(self) -> List[Tuple[int, str, str]]:
         """(step, relative residual, kind) rows in step order, kind being
@@ -57,23 +68,27 @@ class IterativeReport:
         rows.sort(key=lambda row: (row[0], row[2] == "true"))
         return [(k, f"{r:.12g}", kind) for k, r, kind in rows]
 
-    def to_text(self) -> str:
+    def to_text(self, scope: str = "") -> str:
         return (
             f"gmres iterations: {self.iterations}\n"
             f"converged: {self.converged}\n"
-            f"final relative residual (true, recomputed): {self.true_residuals[-1][1]:.6g}\n"
+            f"{self.outcome_lines(scope)[0]}\n"
             f"matvecs: {self.n_matvecs}\n"
         )
 
-    def outcome_lines(self) -> List[str]:
-        """What a run's summary shows of its accuracy: nothing when it
-        converged, else one line naming its residual and tolerance."""
-        if self.converged:
-            return []
-        return [
-            f"gmres did not converge: true relative residual {self.true_residuals[-1][1]:.6g} above tolerance "
-            f"{self.tol:g} after {self.iterations} iterations"
-        ]
+    def outcome_lines(self, scope: str = "") -> List[str]:
+        """What a run's summary shows of its accuracy: the final true
+        residual, labelled with ``scope``, the ``HMatrix.scope`` of the
+        operator it was measured against, then, if the run did not
+        converge, one line naming that residual and the tolerance."""
+        final = self.true_residuals[-1][1]
+        lines = [f"final relative residual (true, recomputed){scope}: {final:.6g}"]
+        if not self.converged:
+            lines.append(
+                f"gmres did not converge: true relative residual {final:.6g} above tolerance "
+                f"{self.tol:g} after {self.iterations} iterations"
+            )
+        return lines
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -126,9 +141,6 @@ def gmres(
     x = np.zeros(n, dtype=np.complex128)
     history: List[float] = []
     true_residuals: List[Tuple[int, float]] = []
-    total_iters = 0
-    n_matvecs = 0
-    converged = False
 
     # one basis and one least-squares problem for the whole solve: no cycle
     # runs more than m inner steps, a cycle writes every entry it reads
@@ -144,28 +156,24 @@ def gmres(
 
     while True:
         beta = float(np.linalg.norm(v[0]))
-        true_residuals.append((total_iters, beta / bnorm))
-        if beta / bnorm <= tol:
-            converged = True
-            break
-        if total_iters >= maxit:
+        true_residuals.append((len(history), beta / bnorm))
+        if beta / bnorm <= tol or len(history) >= maxit:
             break
 
         v[0] /= beta
         g[0] = beta
-        j_used = 0
 
         for j in range(m):
-            # copy defends the basis against operators that return their input
-            w = np.array(apply(v[j]), dtype=np.complex128)
-            n_matvecs += 1
+            # each product is orthogonalized in the basis row it becomes,
+            # which an operator that returns its input cannot overwrite
+            v[j + 1] = apply(v[j])
             for i in range(j + 1):
-                h[i, j] = np.vdot(v[i], w)
-                w -= h[i, j] * v[i]
-            h[j + 1, j] = np.linalg.norm(w)
+                h[i, j] = np.vdot(v[i], v[j + 1])
+                v[j + 1] -= h[i, j] * v[i]
+            h[j + 1, j] = np.linalg.norm(v[j + 1])
             breakdown = abs(h[j + 1, j]) == 0.0
             if not breakdown:
-                np.divide(w, h[j + 1, j], out=v[j + 1])
+                v[j + 1] /= h[j + 1, j]
 
             # apply the accumulated rotations, then zero the new subdiagonal
             for i in range(j):
@@ -183,27 +191,17 @@ def gmres(
             g[j + 1] = -np.conj(sn[j]) * g[j]
             g[j] = cs[j] * g[j]
 
-            total_iters += 1
-            j_used = j + 1
             rel_est = abs(g[j + 1]) / bnorm
             history.append(float(rel_est))
-            if rel_est <= tol or total_iters >= maxit or breakdown:
+            if rel_est <= tol or len(history) >= maxit or breakdown:
                 break
 
-        y = scipy.linalg.solve_triangular(h[:j_used, :j_used], g[:j_used], lower=False)
-        x += v[:j_used].T @ y
+        k = j + 1  # the inner steps of this cycle
+        y = scipy.linalg.solve_triangular(h[:k, :k], g[:k], lower=False)
+        x += v[:k].T @ y
         np.subtract(b, apply(x), out=v[0])
-        n_matvecs += 1
 
-    report = IterativeReport(
-        iterations=total_iters,
-        residual_history=history,
-        true_residuals=true_residuals,
-        converged=converged,
-        tol=tol,
-        n_matvecs=n_matvecs,
-    )
-    return x, report
+    return x, IterativeReport(history, true_residuals, tol)
 
 
 def lu_solve(matrix: np.ndarray, b: np.ndarray) -> np.ndarray:

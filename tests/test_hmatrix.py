@@ -556,7 +556,7 @@ def test_non_reciprocal_mesh_stores_every_block_and_mirrors_none():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
     assert np.linalg.norm(h.matvec(x) - z @ x) <= 5e-3 * np.linalg.norm(z @ x)
-    assert np.array_equal(h.near.matrix().toarray(), np.where(near_mask(h), z, 0))
+    assert np.array_equal(h.near.coo().tocsc().toarray(), np.where(near_mask(h), z, 0))
     held = [level for level, pairs in partition.far_pairs.items() if pairs]
     assert len(held) >= 2
     for level in held:
@@ -580,7 +580,7 @@ def test_reciprocal_near_matrix_is_dense_z_on_the_near_pattern(mesh, leaf):
     h = assemble(spec, tree, tol=1e-3)
     assert any(stack.mirrored for stack in h.near.stacks)
     z = hpss.assemble_dense(spec)[np.ix_(tree.permutation, tree.permutation)]
-    zn = h.near.matrix().toarray()
+    zn = h.near.coo().tocsc().toarray()
     mask = near_mask(h)
     assert np.array_equal(zn[mask].view(np.uint64), z[mask].view(np.uint64))
     assert not np.any(zn[~mask])
@@ -610,7 +610,7 @@ def test_blocks_are_the_operator_storage():
     after = h.near_matvec(x)
     assert not np.allclose(after, before)
     assert np.linalg.norm(after - loop_near_matvec(h, x)) <= 1e-14 * np.linalg.norm(after)
-    zn = h.near.matrix().toarray()
+    zn = h.near.coo().tocsc().toarray()
     m, n = near.shape
     assert np.array_equal(zn[r0 : r0 + m, c0 : c0 + n], new)
     assert np.array_equal(zn[c0 : c0 + n, r0 : r0 + m], new.T)
@@ -628,10 +628,10 @@ def test_operators_compare_and_hash_by_identity():
 
 @pytest.mark.parametrize("name", ["strip", "disk", "depth-0", "halved-strip"])
 def test_near_matrix_is_the_canonical_csc_of_the_blocks(name, strip_system):
-    """``near_matrix`` gives the same bytes whatever order the stored and
-    mirrored blocks are in."""
+    """The CSC of ``NearField.coo`` has the same bytes whatever order the
+    stored and mirrored blocks are in."""
     h, _ = packed_case(name, strip_system)
-    got = h.near.matrix()
+    got = h.near.coo().tocsc()
     assert got.has_sorted_indices
     rng = np.random.default_rng(12)
     applied = applied_near_blocks(h)
@@ -659,7 +659,7 @@ def test_near_coo_converts_to_the_canonical_csr(name, strip_system):
     """One COO -> CSR conversion gives the arrays the canonical CSC's
     ``tocsr`` does, which the near factorization reads as Z_N^T."""
     h, _ = packed_case(name, strip_system)
-    got, want = h.near.coo().tocsr(), h.near.matrix().tocsr()
+    got, want = h.near.coo().tocsr(), h.near.coo().tocsc().tocsr()
     assert got.has_sorted_indices
     for attr in ("data", "indices", "indptr"):
         assert getattr(got, attr).dtype == getattr(want, attr).dtype

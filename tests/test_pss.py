@@ -1,5 +1,6 @@
 import dataclasses
-from functools import partial
+from collections import Counter
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -135,12 +136,43 @@ def test_config_validation():
     assert [f.name for f in dataclasses.fields(PssConfig)] == ["series_order"]
 
 
+def walked_solve_counts(active, order):
+    """Level products of one cascade application, tallied by walking the
+    chain's structure: the first i resolvents run Ap_0 ... Ap_{i-1}, each
+    Ap_j runs ``order`` applications of T_j, and T_j is one U_j product
+    followed by the first j resolvents."""
+
+    @lru_cache(maxsize=None)
+    def resolvents(i):
+        total = Counter()
+        for j in range(i):
+            for level, count in (resolvents(j) + Counter({active[j]: 1})).items():
+                total[level] += order * count
+        return total
+
+    return dict(resolvents(len(active)))
+
+
 def test_expected_solve_counts_recurrence():
     assert expected_solve_counts(3, [1, 2, 3], 2) == {1: 18, 2: 6, 3: 2}
     assert expected_solve_counts(2, [1, 2], 2) == {1: 6, 2: 2}
     assert expected_solve_counts(1, [1], 2) == {1: 2}
     assert expected_solve_counts(3, [3], 2) == {3: 2}
     assert expected_solve_counts(2, [1, 2], 3) == {1: 12, 2: 3}
+    assert expected_solve_counts(6, [2, 4, 5], 1) == {2: 4, 4: 2, 5: 1}
+    assert expected_solve_counts(0, [], 2) == {}
+    # the closed form, its (1 + order)^L - 1 total and the walked tally, on
+    # chains of up to 8 levels from level 1 or, as on a strip, whose level 1
+    # is empty, from level 2
+    for n_levels in range(1, 9):
+        for first in (1, 2):
+            active = list(range(first, first + n_levels))
+            for order in range(1, 7):
+                counts = expected_solve_counts(first + n_levels - 1, active, order)
+                assert list(counts) == active
+                assert counts == {level: order * (1 + order) ** (n_levels - 1 - i) for i, level in enumerate(active)}
+                assert sum(counts.values()) == (1 + order) ** n_levels - 1
+                assert counts == walked_solve_counts(active, order)
 
 
 # -- the cascade against dense oracles --------------------------------------

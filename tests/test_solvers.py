@@ -2,14 +2,126 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from hpss import Excitation, IterativeReport, KernelSpec, assemble_dense, discretize_strip, gmres, lu_solve, rhs
+from hpss import (
+    Excitation,
+    IterativeReport,
+    KernelSpec,
+    assemble,
+    assemble_dense,
+    build_cluster_tree,
+    discretize_disk,
+    discretize_strip,
+    gmres,
+    lu_solve,
+    rhs,
+)
+
+
+def reference_gmres(apply, b, tol, restart, maxit):
+    """The GMRES loop as it was before its report derived its counts: each
+    product copied into a vector of its own, orthogonalized there and only
+    then divided into the basis, with the convergence flag, the product
+    count and the steps of each cycle kept by hand.  Returns x, the Givens
+    history, the true residuals, the flag, the iterations and the products."""
+    b = np.asarray(b, dtype=np.complex128)
+    n = b.size
+    bnorm = float(np.linalg.norm(b))
+    x = np.zeros(n, dtype=np.complex128)
+    history, true_residuals = [], []
+    total_iters = n_matvecs = 0
+    converged = False
+    m = min(restart, maxit)
+    v = np.empty((m + 1, n), dtype=np.complex128)
+    h = np.zeros((m + 1, m), dtype=np.complex128)
+    cs = np.zeros(m, dtype=np.complex128)
+    sn = np.zeros(m, dtype=np.complex128)
+    g = np.zeros(m + 1, dtype=np.complex128)
+    v[0] = b
+    while True:
+        beta = float(np.linalg.norm(v[0]))
+        true_residuals.append((total_iters, beta / bnorm))
+        if beta / bnorm <= tol:
+            converged = True
+            break
+        if total_iters >= maxit:
+            break
+        v[0] /= beta
+        g[0] = beta
+        j_used = 0
+        for j in range(m):
+            w = np.array(apply(v[j]), dtype=np.complex128)
+            n_matvecs += 1
+            for i in range(j + 1):
+                h[i, j] = np.vdot(v[i], w)
+                w -= h[i, j] * v[i]
+            h[j + 1, j] = np.linalg.norm(w)
+            breakdown = abs(h[j + 1, j]) == 0.0
+            if not breakdown:
+                np.divide(w, h[j + 1, j], out=v[j + 1])
+            for i in range(j):
+                temp = cs[i] * h[i, j] + sn[i] * h[i + 1, j]
+                h[i + 1, j] = -np.conj(sn[i]) * h[i, j] + np.conj(cs[i]) * h[i + 1, j]
+                h[i, j] = temp
+            denom = np.sqrt(abs(h[j, j]) ** 2 + abs(h[j + 1, j]) ** 2)
+            if denom == 0.0:
+                cs[j], sn[j] = 1.0, 0.0
+            else:
+                cs[j] = np.conj(h[j, j]) / denom
+                sn[j] = np.conj(h[j + 1, j]) / denom
+            h[j, j] = cs[j] * h[j, j] + sn[j] * h[j + 1, j]
+            h[j + 1, j] = 0.0
+            g[j + 1] = -np.conj(sn[j]) * g[j]
+            g[j] = cs[j] * g[j]
+            total_iters += 1
+            j_used = j + 1
+            rel_est = abs(g[j + 1]) / bnorm
+            history.append(float(rel_est))
+            if rel_est <= tol or total_iters >= maxit or breakdown:
+                break
+        y = scipy.linalg.solve_triangular(h[:j_used, :j_used], g[:j_used], lower=False)
+        x += v[:j_used].T @ y
+        np.subtract(b, apply(x), out=v[0])
+        n_matvecs += 1
+    return x, history, true_residuals, converged, total_iters, n_matvecs
+
+
+def reference_case(name):
+    """(operator, right-hand side) of a 40-unknown strip, which restarts at
+    restart length 5, or of a disk of odd N = 401."""
+    if name == "strip":
+        mesh, leaf = discretize_strip(4.0, 10), 10
+    else:
+        mesh, leaf = discretize_disk(0.8, 10, 2.0), 16
+    spec = KernelSpec.for_mesh(mesh)
+    h = assemble(spec, build_cluster_tree(mesh, leaf), tol=1e-3)
+    return h.matvec, h.permute(rhs(spec, Excitation(1.0)))
+
+
+@pytest.mark.parametrize(
+    "name, restart, maxit, converged",
+    [("strip", 5, 2000, True), ("strip", 50, 2000, True), ("strip", 5, 7, False), ("disk", 50, 2000, True), ("disk", 4, 9, False)],
+    ids=["strip-restarting", "strip", "strip-maxit", "disk", "disk-restarting-maxit"],
+)
+def test_gmres_is_the_reference_loop_bit_for_bit(name, restart, maxit, converged):
+    """The solution, the Givens history and the true residuals are the
+    reference loop's bit for bit, and the derived counts are its counters."""
+    apply, b = reference_case(name)
+    x, rep = gmres(apply, b, 1e-6, restart, maxit)
+    want_x, history, true_residuals, want_converged, iterations, n_matvecs = reference_gmres(apply, b, 1e-6, restart, maxit)
+    assert x.tobytes() == want_x.tobytes()
+    assert np.array(rep.residual_history).tobytes() == np.array(history).tobytes()
+    assert repr(rep.true_residuals) == repr(true_residuals)
+    assert (rep.converged, rep.iterations, rep.n_matvecs) == (want_converged, iterations, n_matvecs)
+    assert rep.converged is converged
+    assert len(rep.true_residuals) > 2 or restart >= iterations  # the restarting runs restart
 
 
 def test_gmres_identity_converges_in_one_iteration():
     b = np.array([1.0 + 2j, -0.5j, 3.0])
     x, rep = gmres(lambda v: v, b)
-    assert rep.converged and rep.outcome_lines() == []
+    assert rep.converged and rep.outcome_lines() == [f"final relative residual (true, recomputed): {rep.true_residuals[-1][1]:.6g}"]
     assert rep.iterations == 1
     assert np.linalg.norm(x - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -140,12 +252,9 @@ def test_gmres_report_csv_rows(tmp_path):
     # restart after two inner steps: at step 2 the estimate comes before
     # the recomputed residual; the text keeps 6 digits, the CSV 12
     rep = IterativeReport(
-        iterations=3,
         residual_history=[0.5, 0.25, 0.125],
         true_residuals=[(0, 1.0), (2, 0.3), (3, 1 / 3)],
-        converged=False,
         tol=1e-6,
-        n_matvecs=5,
     )
     assert rep.to_text() == (
         "gmres iterations: 3\n"
@@ -154,8 +263,17 @@ def test_gmres_report_csv_rows(tmp_path):
         "matvecs: 5\n"
     )
     assert rep.outcome_lines() == [
-        "gmres did not converge: true relative residual 0.333333 above tolerance 1e-06 after 3 iterations"
+        "final relative residual (true, recomputed): 0.333333",
+        "gmres did not converge: true relative residual 0.333333 above tolerance 1e-06 after 3 iterations",
     ]
+    # convergence is the loop's own test, on the last true residual: a
+    # Givens estimate within tolerance does not make a run converged
+    drifted = IterativeReport([0.5, 1e-7], [(0, 1.0), (2, 1e-5)], 1e-6)
+    assert not drifted.converged and (drifted.iterations, drifted.n_matvecs) == (2, 3)
+    # on an operator that is not complete, both name it
+    scope = " (assembled operator, levels 4)"
+    assert "final relative residual (true, recomputed) (assembled operator, levels 4): 0.333333\n" in rep.to_text(scope)
+    assert rep.outcome_lines(scope)[0] == "final relative residual (true, recomputed) (assembled operator, levels 4): 0.333333"
     path = tmp_path / "iterative_report.csv"
     rep.to_csv(str(path))
     assert path.read_bytes() == (
