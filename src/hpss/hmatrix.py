@@ -35,10 +35,10 @@ stack, and the transposed view of each mirrored one), the x entry each
 of their rows reads and the row each of their products adds into.  A
 near matvec is one gather of x, one batched ``np.matmul`` per operand
 into an array of its own, and one sparse product that sums the products
-into their rows; ``NearField.coo`` reads the same plan to list every
-entry of Z_N once.  Its one conversion to CSR gives the arrays that,
-read as CSC, are the Z_N^T the near factorization in ``scaling``
-factors.
+into their rows; ``NearField.csr`` reads the same plan to place every
+entry of Z_N once, in row order, so its canonical CSR arrays need no
+sort.  Read as CSC, they are the Z_N^T the near factorization in
+``scaling`` factors.
 
 Every rank-one term of a far block owns a column u of length m and a row
 v of length n, stored as runs of one buffer.  A block's u is one
@@ -195,13 +195,14 @@ class NearField:
     its transposed view, as batched products whose P entries are laid end
     to end: ``gather`` lists the x entry each row of each batched product
     reads, and ``summation`` is the N x P matrix, CSR, whose column p holds
-    a one at the row product entry p adds into.  The product and ``coo``
+    a one at the row product entry p adds into.  The product and ``csr``
     both read this one plan; a product writes only arrays of its own, so
     products on one near field may run at the same time.
 
     ``factor`` is derived state: the factorization and its level-0 defect
     ``scaling.compute_scaling`` makes on its first call for an operator
-    holding this near field, and ``None`` before that.  ``assemble`` makes
+    holding this near field, and ``None`` before that; it also keeps the
+    near-solved left factors the cascade makes from it.  ``assemble`` makes
     the stacks read-only, so the stored entries cannot drift from it.
     """
 
@@ -246,25 +247,49 @@ class NearField:
             start_x, start_y = start_x + b * n, start_y + b * m
         return self.summation @ products
 
-    def coo(self) -> sp.coo_matrix:
-        """Z_N, mirrors included, as a COO matrix holding each stored and
-        mirrored entry once, in the plan's order; its ``tocsc`` and
-        ``tocsr`` are canonical."""
-        rows, cols, data = [], [], []
+    def csr(self) -> sp.csr_matrix:
+        """Z_N, mirrors included, as its canonical CSR matrix, each entry
+        placed at its row-order position from the plan, so nothing is sorted.
+
+        Near blocks are leaf pairs, so a row holds the blocks of its leaf's
+        block row side by side in col order: entry (a, j) of a block at
+        (r0, c0) goes to indptr[r0] + a * (that block row's width) + (the
+        widths of the blocks left of it) + j.
+        """
         writes = self.summation.tocsc().indices  # the row product entry p adds into
-        start_x = start_y = 0
+        counts = [operand.shape[0] for operand in self.operands]
+        heights = np.repeat([operand.shape[1] for operand in self.operands], counts)
+        widths = np.repeat([operand.shape[2] for operand in self.operands], counts)
+        # each block's first row and col: those of its first product entry and x entry
+        r0 = writes[np.cumsum(heights) - heights]
+        c0 = self.gather[np.cumsum(widths) - widths]
+        # the blocks in (row, col) order: each block row is one run of them
+        order = np.lexsort((c0, r0))
+        new_row = np.diff(r0[order], prepend=-1) != 0
+        firsts, row_of = np.flatnonzero(new_row), np.cumsum(new_row) - 1
+        before = np.cumsum(widths[order]) - widths[order]
+        left, row_width = np.empty_like(widths), np.empty_like(widths)
+        left[order] = before - before[firsts][row_of]
+        row_width[order] = np.add.reduceat(widths[order], firsts)[row_of]
+        indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(writes, np.repeat(widths, heights), self.n).astype(np.int32), out=indptr[1:])
+        base = indptr[r0] + left
+        data = np.empty(indptr[-1], dtype=np.complex128)
+        indices = np.empty(data.size, dtype=np.int32)
+        k = 0
         for operand in self.operands:
             b, m, n = operand.shape
-            # int32, the index type the COO keeps, and laid out like the
-            # operand, so ravelling all three in memory order copies no operand
-            row, col = np.empty_like(operand, dtype=np.int32), np.empty_like(operand, dtype=np.int32)
-            row[...] = writes[start_y : start_y + b * m].reshape(b, m, 1)
-            col[...] = self.gather[start_x : start_x + b * n].reshape(b, 1, n)
-            for parts, array in ((rows, row), (cols, col), (data, operand)):
-                parts.append(array.ravel(order="K"))
-            start_x, start_y = start_x + b * n, start_y + b * m
-        rows, cols, data = (np.concatenate(parts) for parts in (rows, cols, data))
-        return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n))
+            block = slice(k, k + b)
+            dest = (base[block, None] + np.outer(row_width[block], np.arange(m)))[:, :, None] + np.arange(n)
+            data[dest] = operand
+            indices[dest] = (c0[block, None] + np.arange(n, dtype=np.int32))[:, None, :]
+            k += b
+        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+
+    def coo(self) -> sp.coo_matrix:
+        """Z_N, mirrors included, as a COO matrix in row order
+        (``csr().tocoo()``); its ``tocsc`` and ``tocsr`` are canonical."""
+        return self.csr().tocoo()
 
     def diagonal_blocks(self) -> List[Tuple[int, np.ndarray]]:
         """(row start, view of the block in its stack) of every diagonal
@@ -290,8 +315,10 @@ class FarFactors:
     right: sp.csr_matrix
     swap: np.ndarray
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.left @ (self.right @ x)[self.swap]
+    def apply(self, x: np.ndarray, left: Optional[np.ndarray] = None) -> np.ndarray:
+        """``left @ (right @ x)[swap]``; a ``left`` given stands in for the
+        stored one, which it must match in width."""
+        return (self.left if left is None else left) @ (self.right @ x)[self.swap]
 
     @property
     def width(self) -> int:
@@ -430,7 +457,7 @@ class HMatrix:
     Its stored entries have one layout: every stored block is kept as it
     is applied, and a mirror is applied from the block it mirrors.
     ``near`` is Z_N (see ``NearField``); it serves the near product and,
-    through ``NearField.coo``, the near factorization in ``scaling``.
+    through ``NearField.csr``, the near factorization in ``scaling``.
     ``far`` applies every far level the operator holds, and
     ``level_factors`` maps each of those levels whose blocks hold a rank
     above zero to the part of ``far`` that applies it alone; those are the
@@ -440,7 +467,8 @@ class HMatrix:
     views of the stored far blocks, keyed by the levels held.
     ``complete`` is true when every far level with admissible pairs
     is held, so the operator is the whole assembled H-matrix.  The only
-    derived state is the near factorization, made once per near field and
+    derived state is the near factorization and the near-solved left
+    factors Z_N^-1 L_l made from it, each made once per near field and
     kept with it; the near field is read-only from assembly on.
     ``assemble`` builds an operator, and ``keep_levels`` one that shares
     another's stored entries; operators compare and hash by identity.
@@ -521,15 +549,23 @@ class HMatrix:
 
     # -- far field --------------------------------------------------------
 
-    def matvec_level(self, level: int, x: np.ndarray) -> np.ndarray:
-        """Action of the level-``level`` far-field part alone, mirrors included."""
+    def matvec_level(self, level: int, x: np.ndarray, left: Optional[np.ndarray] = None) -> np.ndarray:
+        """Action of the level-``level`` far-field part alone, mirrors
+        included: L_l (R_l x)[swap].
+
+        ``left``, an N x w_l matrix, stands in for L_l, so the product is
+        left (R_l x)[swap]: the power-series cascade hands in
+        S_l = Z_N^-1 L_l (``scaling.NearFactor.solved_left``) and gets
+        U_l x = Z_N^-1 Z_Fl x from this one call.  A level holding no
+        blocks gives zeros either way.
+        """
         if not 1 <= level <= self.depth:
             raise ValueError(f"far-field level must lie in 1..{self.depth}")
         x = self._vector(x)
         factors = self.level_factors.get(level)
         if factors is None:
             return np.zeros(self.n, dtype=np.complex128)
-        return factors.apply(x)
+        return factors.apply(x, left)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Full assembled action: the near product plus the far factors,

@@ -37,6 +37,14 @@ promise (NaN if a probe is) is converted to the norm of the omitted
 correction factor, so a near solve that does not invert Z_N is rejected
 before any series runs.
 
+Each T_l starts with U_l x = Z_N^{-1} Z_Fl x.  On a near-solved level
+(``scaling.NearFactor.solved_left``: the cheap ones) that is one level
+matvec, S_l (R_l x)[swap] with S_l = Z_N^{-1} L_l made once per near
+field; on every other level it is a level matvec and then a near solve.
+Either way it is one ``HMatrix.matvec_level`` call, so the counts below
+do not depend on which levels are near-solved.  The S_l are made once
+the level-0 guard has passed, so a near solve it refuses builds none.
+
 The solve applies a fixed, input-independent number of level matvecs: no
 residual-driven iteration hides anywhere, which is what makes the matvec
 count reproducible across right-hand sides.  The count is a closed form
@@ -176,8 +184,10 @@ class FactorChain:
     Factor ``i`` belongs to tree level ``levels[i]``.  ``norms`` holds each
     level's radius estimate and, under key 0, the implied level-0 factor
     norm; ``warnings`` holds the guard's messages.  ``counts`` tallies the
-    level matvecs run since it was last cleared; the near solves ride along
-    one-for-one and are not counted.  The chain keeps the near solve and no
+    level matvecs run since it was last cleared.  ``solved`` maps each
+    near-solved level to its S_l = Z_N^{-1} L_l, whose level matvec is
+    U_l x whole; every other level's matvec is followed by one near solve,
+    which is not counted.  The chain keeps the near solve and no
     right-hand side, so it serves any number of them.
     """
 
@@ -186,13 +196,12 @@ class FactorChain:
     order: int
     levels: List[int]
     counts: Dict[int, int]
+    solved: Dict[int, np.ndarray] = field(default_factory=dict)
     norms: Dict[int, NormEstimate] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
 
-    def _resolve(self, i: int, v: np.ndarray) -> np.ndarray:
-        """Ap_{i-1}(...(Ap_0(Z_N^{-1} v))...): the near solve, then the
-        first ``i`` resolvents in order."""
-        y = self.near_solve(v)
+    def _resolve(self, i: int, y: np.ndarray) -> np.ndarray:
+        """Ap_{i-1}(...(Ap_0(y))...): the first ``i`` resolvents in order."""
         for j in range(i):
             y = self.ap_apply(j, y)
         return y
@@ -202,7 +211,9 @@ class FactorChain:
         earlier resolvent in order."""
         level = self.levels[i]
         self.counts[level] += 1
-        return self._resolve(i, self.h.matvec_level(level, x))
+        left = self.solved.get(level)
+        y = self.h.matvec_level(level, x, left)
+        return self._resolve(i, self.near_solve(y) if left is None else y)
 
     def ap_apply(self, i: int, v: np.ndarray) -> np.ndarray:
         """Ap_i v, the truncated series for (I + T_i)^-1 v."""
@@ -210,7 +221,7 @@ class FactorChain:
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         """The cascade x = Ap_L(...(Ap_1(Z_N^{-1} b))...)."""
-        return self._resolve(len(self.levels), b)
+        return self._resolve(len(self.levels), self.near_solve(b))
 
     def guard(self, level: int, estimate: NormEstimate) -> None:
         """The one guard rule, for level 0's implied factor norm and each
@@ -246,7 +257,9 @@ def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> F
     other level's factor would be exactly the identity.  The
     implied level-0 factor norm, then each level's radius estimate, goes
     through ``FactorChain.guard``, so the first not below ``NORM_FAIL``
-    raises :class:`ConvergenceError` before any later level is estimated.
+    raises :class:`ConvergenceError` before any later level is estimated;
+    the near-solved levels' S_l are taken from the near factor once level
+    0 has passed.
     The chain's counts are then the guard's setup matvecs.  ``scaled``
     serves every operator whose near field keeps its near factor, one
     made by ``keep_levels`` included; another is refused.
@@ -256,6 +269,10 @@ def build_factor_chain(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> F
     active = sorted(h.level_factors)
     chain = FactorChain(h, scaled.near_solve, config.series_order, active, dict.fromkeys(active, 0))
     chain.guard(0, NormEstimate(_implied_identity_factor_norm(scaled.near.defect), "near-solve-defect"))
+    for level in active:
+        left = scaled.near.solved_left(level, h.level_factors[level])
+        if left is not None:
+            chain.solved[level] = left
     for i, level in enumerate(active):
         chain.guard(level, estimate_spectral_radius(partial(chain.t_apply, i), h.n, seed=level))
     return chain
@@ -282,10 +299,12 @@ class SolveReport:
     b = 0), and ``residual_label`` names it: "relative residual", then
     h's ``HMatrix.scope``, so on an operator that is not ``complete`` it
     reads "relative residual (assembled operator, levels ...)".
+    ``near_solved`` holds the bytes of S_l for each near-solved level.
     """
 
     order: int
     active_levels: List[int]
+    near_solved: Dict[int, int]
     factor_norms: Dict[int, NormEstimate]
     warnings: List[str]
     setup_matvec_counts: Dict[int, int]
@@ -303,6 +322,8 @@ class SolveReport:
             "power-series solve report",
             f"series order: {self.order}",
             f"active levels: {','.join(str(l) for l in self.active_levels)}",
+            f"near-solved levels: {','.join(str(l) for l in sorted(self.near_solved)) or 'none'}"
+            f" (S_l {sum(self.near_solved.values()) / 1e6:.3f} MB)",
         ]
         for level in sorted(self.factor_norms):
             est = self.factor_norms[level]
@@ -352,6 +373,7 @@ def solve(scaled: ScaledSystem, h: HMatrix, config: PssConfig) -> Tuple[np.ndarr
     report = SolveReport(
         order=config.series_order,
         active_levels=chain.levels,
+        near_solved={level: left.nbytes for level, left in chain.solved.items()},
         factor_norms=chain.norms,
         warnings=chain.warnings,
         setup_matvec_counts=setup_counts,

@@ -10,7 +10,7 @@ into
 
 which is the fixed point the power-series chain factorizes.  The near
 solve is one sparse LU factorization of Z_N^T, Z_N being the near field
-the H-matrix stores (``NearField.coo``), whatever its shape, and
+the H-matrix stores (``NearField.csr``), whatever its shape, and
 SuperLU's transposed solve of that factor, (Z_N^T)^T x = v.  That is
 exact for any Z_N, reciprocal or not, and faster per call than the plain
 solve of a factor of Z_N on strips and circles (by about a sixth at 1k-2k
@@ -20,6 +20,14 @@ Z_N is structurally symmetric (a leaf pair is near exactly when its
 transpose is), so the factorization orders its columns by minimum degree
 on A^T + A (Liu, ACM TOMS 11, 1985, as in SuperLU); on strips, circles
 and disks that fills no more than COLAMD's unsymmetric ordering.
+
+A far level stores Z_Fl = L_l R_l (``hmatrix.FarFactors``), so
+U_l x = (Z_N^{-1} L_l)(R_l x)[swap].  ``NearFactor.solved_left`` makes
+S_l = Z_N^{-1} L_l, a dense N x w_l matrix, by one blocked solve of
+L_l's w_l columns, for each level whose N w_l entries are no more than
+the factorization's nnz(L + U): a product with S_l then reads no more
+entries than the near solve it replaces, and the cascade applies that
+level without one.  Wider levels keep the near solve after each product.
 
 The level-0 check measures the identity claim alpha * Z_N = I, alpha
 being that near solve, on fixed random probe vectors x: the defect is
@@ -37,7 +45,8 @@ None of this depends on the right-hand side, so it is done once per
 near field: the first ``compute_scaling`` on an ``HMatrix`` keeps the near
 factorization and its defect, a ``NearFactor``, with its near field, which
 operators made by ``HMatrix.keep_levels`` share, and every ``ScaledSystem``
-of that near field holds that one factor.  ``assemble`` has made the
+of that near field holds that one factor.  The factor keeps each S_l it
+makes too, so those operators share them.  ``assemble`` has made the
 near stacks read-only, so a write into a factored operator raises
 instead of being solved with a stale LU.
 """
@@ -45,13 +54,14 @@ instead of being solved with a stale LU.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor
 from scipy.sparse.linalg import SuperLU, splu
 
-from .hmatrix import HMatrix
+from .hmatrix import FarFactors, HMatrix
 from .solvers import check_finite_rhs
 
 _DEFECT_PROBES = 2
@@ -66,14 +76,36 @@ class NearFactor:
     ``defect`` is the level-0 defect max |Z_N alpha(x) - x| over the probes
     x.  The max is a lower estimate of |alpha Z_N - I|, since the probes
     need not find its worst direction, and NaN when a probe is.
+    ``solved`` keeps S_l per near-solved far level (see ``solved_left``).
     """
 
     factorization: SuperLU
     defect: float
+    solved: Dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        """Exact x with Z_N x = v: (Z_N^T)^T x = v by the transposed solve."""
-        return np.ascontiguousarray(self.factorization.solve(v, trans="T"))
+        """Exact x with Z_N x = v: (Z_N^T)^T x = v by the transposed solve.
+        ``v`` is a vector or an N x k block; a block is solved column by
+        column in one call, and its solution comes back Fortran-ordered."""
+        return self.factorization.solve(v, trans="T")
+
+    def solved_left(self, level: int, part: FarFactors) -> Optional[np.ndarray]:
+        """S_l = Z_N^-1 L_l, dense N x w_l, for the far level ``level``
+        whose factors are ``part``, or None when N w_l exceeds the entries
+        of the near factorization, so that a product with S_l would read
+        more than the near solve it replaces.
+
+        It is made by one blocked solve on first request and kept here by
+        level: the operators sharing this near field are those
+        ``HMatrix.keep_levels`` makes, which share each level's factors
+        too, so they all read the same S_l.
+        """
+        n, width = part.left.shape
+        if n * width > self.factorization.nnz:
+            return None
+        if level not in self.solved:
+            self.solved[level] = self.solve(part.left.toarray())
+        return self.solved[level]
 
 
 @dataclass
@@ -112,7 +144,7 @@ def _factor_near_field(h: HMatrix) -> NearFactor:
 
     try:
         # Z_N's canonical CSR arrays, read as CSC, are Z_N^T
-        factor = NearFactor(splu(h.near.coo().tocsr().T, permc_spec="MMD_AT_PLUS_A"), 0.0)
+        factor = NearFactor(splu(h.near.csr().T, permc_spec="MMD_AT_PLUS_A"), 0.0)
     except RuntimeError as exc:
         raise ValueError(f"near-field matrix is singular: {exc}") from exc
 

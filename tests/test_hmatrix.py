@@ -178,6 +178,21 @@ def test_level_split_sums_to_full(strip_system):
     assert np.linalg.norm(total - full) <= 1e-14 * np.linalg.norm(full)
 
 
+@pytest.mark.parametrize("name", ["strip", "disk", "halved-strip"])
+def test_a_level_product_takes_a_left_factor_in_place_of_the_stored_one(name, strip_system):
+    """``matvec_level(level, x, left)`` is left (R_l x)[swap]: the stored L_l
+    handed in dense gives the level product, and any N x w_l matrix replaces it."""
+    h, _ = packed_case(name, strip_system)
+    rng = np.random.default_rng(34)
+    x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
+    for level, part in h.level_factors.items():
+        want = h.matvec_level(level, x)
+        dense = part.left.toarray()
+        assert np.linalg.norm(h.matvec_level(level, x, dense) - want) <= 1e-14 * np.linalg.norm(want)
+        other = rng.standard_normal(dense.shape)
+        assert np.allclose(h.matvec_level(level, x, other), other @ (part.right @ x)[part.swap], rtol=1e-14, atol=0)
+
+
 def test_empty_level_yields_zero_vector():
     # depth-2 strip: the two halves touch, so level 1 has no admissible pair
     mesh = discretize_strip(2.0, 10)
@@ -657,13 +672,40 @@ def test_near_matrix_is_the_canonical_csc_of_the_blocks(name, strip_system):
 @pytest.mark.parametrize("name", ["strip", "disk", "halved-strip"])
 def test_near_coo_converts_to_the_canonical_csr(name, strip_system):
     """One COO -> CSR conversion gives the arrays the canonical CSC's
-    ``tocsr`` does, which the near factorization reads as Z_N^T."""
+    ``tocsr`` does."""
     h, _ = packed_case(name, strip_system)
     got, want = h.near.coo().tocsr(), h.near.coo().tocsc().tocsr()
     assert got.has_sorted_indices
     for attr in ("data", "indices", "indptr"):
         assert getattr(got, attr).dtype == getattr(want, attr).dtype
         assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_near_csr_is_the_canonical_csr_the_factorization_reads(name, strip_system, monkeypatch):
+    """``NearField.csr``, built in row order without a sort, has the bytes of
+    the canonical CSR of the applied blocks, and those are the arrays the
+    near factorization reads, as the CSC of Z_N^T."""
+    h, _ = packed_case(name, strip_system)
+    got = h.near.csr()
+    rows, cols, data = [], [], []
+    for r0, c0, block in applied_near_blocks(h):
+        m, n = block.shape
+        r, c = np.meshgrid(np.arange(r0, r0 + m), np.arange(c0, c0 + n), indexing="ij")
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        data.append(block.ravel())
+    rows, cols, data = (np.concatenate(parts) for parts in (rows, cols, data))
+    want = sp.coo_matrix((data, (rows.astype(np.int32), cols.astype(np.int32))), shape=(h.n, h.n)).tocsr()
+    factored = []
+    real_splu = hpss.scaling.splu
+    monkeypatch.setattr(hpss.scaling, "splu", lambda a, **kw: factored.append(a) or real_splu(a, **kw))
+    hpss.scaling._factor_near_field(h)
+    (read,) = factored
+    assert read.format == "csc"
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(got, attr).dtype == getattr(want, attr).dtype == getattr(read, attr).dtype
+        assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes() == getattr(read, attr).tobytes()
 
 
 KEPT_LEVELS = [list(range(coarsest, 6)) for coarsest in range(1, 6)]

@@ -420,6 +420,8 @@ def test_near_solve_that_does_not_invert_the_stored_near_field_trips_level_zero(
     assert abs(scaled.near.defect - 0.75) <= 1e-9
     with pytest.raises(ConvergenceError, match="level-0"):
         solve(scaled, h, PssConfig(series_order=2))
+    # S_l is made only once level 0 has passed
+    assert scaled.near.solved == {}
 
 
 def test_mild_descaling_warns_but_solves(monkeypatch):
@@ -508,6 +510,18 @@ def test_report_text_layout():
     assert f"convergence factor level 2: {radius} [arnoldi, Ritz residual {est.residual:.3g}]\n" in text
     assert "total solve matvecs" in text
     assert "wall time" in text
+    # level 2's 12 columns of 20 entries (240) are no more than the factor's 270, so it is near-solved
+    assert report.near_solved == {2: 20 * 12 * 16}
+    assert "active levels: 2\nnear-solved levels: 2 (S_l 0.004 MB)\n" in text
+
+
+def test_report_names_no_near_solved_level_when_none_is():
+    # the CI disk at leaves of 16: levels 4 and 5 are too wide to near-solve
+    _, h, scaled = make_system(discretize_disk(0.8, 10, 2.0), 16)
+    _, report = solve(scaled, h, PssConfig(series_order=2))
+    assert report.active_levels == [4, 5]
+    assert report.near_solved == {}
+    assert "\nnear-solved levels: none (S_l 0.000 MB)\n" in report.to_text()
 
 
 def test_chain_respects_truncated_levels():
@@ -520,3 +534,92 @@ def test_chain_respects_truncated_levels():
     # the chain is the assembled levels that hold far blocks, in order;
     # levels 1 and 2 of this disk hold none
     assert chains == {"full": [3, 4, 5], "mid": [3, 4, 5], "leaf": [5]}
+
+
+# -- near-solved levels ----------------------------------------------------
+
+
+def sweep_system(coarsest=1):
+    """The benchmark's sweep operator: a 64-wavelength strip at 16 per
+    wavelength (N = 1024) with leaves of 32; far levels 2 to 5 of widths 12,
+    36, 84 and 180 against 97,280 entries in the near factorization."""
+    return make_system(discretize_strip(64.0, 16), 32, phi=0.3, coarsest=coarsest)
+
+
+def counted_near_solves(monkeypatch):
+    """Count ``ScaledSystem.near_solve`` calls, the near solves a chain runs."""
+    calls = []
+    real = scaling.ScaledSystem.near_solve
+
+    def near_solve(self, v):
+        calls.append(1)
+        return real(self, v)
+
+    monkeypatch.setattr(scaling.ScaledSystem, "near_solve", near_solve)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "case, near_solved",
+    [("sweep", [2, 3, 4]), ("strip", [2]), ("ci-disk", [])],
+)
+def test_near_solved_levels_solve_as_the_near_solve_after_each_product(monkeypatch, case, near_solved):
+    """Taking U_l x as S_l (R_l x)[swap], S_l = Z_N^-1 L_l, agrees with the
+    near solve after each level product, and runs a near solve only after
+    the products of the levels that are not near-solved, plus one for b."""
+    if case == "sweep":
+        _, h, scaled = sweep_system()
+    elif case == "strip":
+        _, h, scaled = make_system(discretize_strip(3.0, 10), 8)
+    else:  # the CI disk: --radius 0.8 --density 20 --levels 5
+        _, h, scaled = make_system(discretize_disk(0.8, 20, 2.0), 32, coarsest=5)
+    cfg = PssConfig(series_order=2)
+    calls = counted_near_solves(monkeypatch)
+    x, report = solve(scaled, h, cfg)
+    assert sorted(report.near_solved) == near_solved
+    width = {level: h.level_factors[level].width for level in near_solved}
+    assert report.near_solved == {level: h.n * w * 16 for level, w in width.items()}
+    megabytes = h.n * sum(width.values()) * 16 / 1e6
+    line = f"near-solved levels: {','.join(map(str, near_solved)) or 'none'} (S_l {megabytes:.3f} MB)\n"
+    assert line in report.to_text()
+    factor = h.near.factor.factorization
+    for level, part in h.level_factors.items():
+        assert (level in near_solved) == (h.n * part.width <= factor.nnz)
+    products = Counter(report.setup_matvec_counts) + Counter(report.solve_matvec_counts)
+    assert len(calls) == 1 + sum(c for level, c in products.items() if level not in near_solved)
+
+    monkeypatch.setattr(scaling.NearFactor, "solved_left", lambda self, level, part: None)
+    calls.clear()
+    x_plain, plain = solve(scaled, h, cfg)
+    assert plain.near_solved == {}
+    assert len(calls) == 1 + sum(products.values())
+    assert np.linalg.norm(x - x_plain) <= 1e-13 * np.linalg.norm(x_plain)
+    assert report.factor_norms.keys() == plain.factor_norms.keys()
+    for level, est in report.factor_norms.items():
+        assert abs(est.value - plain.factor_norms[level].value) <= 1e-12
+    assert report.setup_matvec_counts == plain.setup_matvec_counts
+    assert report.solve_matvec_counts == plain.solve_matvec_counts
+
+
+def test_kept_levels_reuse_the_near_solved_levels_of_their_near_field():
+    """An operator from ``keep_levels`` reads the S_l its parent made, and
+    solves bit for bit as an assembly from its coarsest level, which makes
+    its own."""
+    _, h, scaled = sweep_system()
+    cfg = PssConfig(series_order=2)
+    solve(scaled, h, cfg)
+    made = dict(h.near.factor.solved)
+    assert sorted(made) == [2, 3, 4]
+    kept = h.keep_levels(3)
+    kept_scaled = compute_scaling(kept, scaled.b)
+    chain = build_factor_chain(kept_scaled, kept, cfg)
+    assert sorted(chain.solved) == [3, 4]
+    assert all(chain.solved[level] is made[level] for level in chain.solved)
+    x_kept, _ = solve(kept_scaled, kept, cfg)
+    assert h.near.factor.solved.keys() == made.keys()
+
+    _, own, own_scaled = sweep_system(coarsest=3)
+    x_own, report = solve(own_scaled, own, cfg)
+    assert sorted(report.near_solved) == [3, 4]
+    assert own.near.factor.solved[3] is not made[3]
+    assert np.array_equal(x_kept, x_own)
