@@ -35,10 +35,10 @@ stack, and the transposed view of each mirrored one), the x entry each
 of their rows reads and the row each of their products adds into.  A
 near matvec is one gather of x, one batched ``np.matmul`` per operand
 into an array of its own, and one sparse product that sums the products
-into their rows; ``NearField.csr`` reads the same plan to place every
-entry of Z_N once, in row order, so its canonical CSR arrays need no
-sort.  Read as CSC, they are the Z_N^T the near factorization in
-``scaling`` factors.
+into their rows; ``NearField.csr`` reads the same plan to list every
+entry of Z_N once, as a COO matrix, and converts it to CSR once.  Read
+as CSC, those canonical CSR arrays are the Z_N^T the near factorization
+in ``scaling`` factors.
 
 Every rank-one term of a far block owns a column u of length m and a row
 v of length n, stored as runs of one buffer.  A block's u is one
@@ -195,9 +195,10 @@ class NearField:
     its transposed view, as batched products whose P entries are laid end
     to end: ``gather`` lists the x entry each row of each batched product
     reads, and ``summation`` is the N x P matrix, CSR, whose column p holds
-    a one at the row product entry p adds into.  The product and ``csr``
-    both read this one plan; a product writes only arrays of its own, so
-    products on one near field may run at the same time.
+    a one at the row product entry p adds into.  The product and ``csr``,
+    Z_N's CSR made by one COO conversion, both read this one plan; a
+    product writes only arrays of its own, so products on one near field
+    may run at the same time.
 
     ``factor`` is derived state: the factorization and its level-0 defect
     ``scaling.compute_scaling`` makes on its first call for an operator
@@ -248,48 +249,24 @@ class NearField:
         return self.summation @ products
 
     def csr(self) -> sp.csr_matrix:
-        """Z_N, mirrors included, as its canonical CSR matrix, each entry
-        placed at its row-order position from the plan, so nothing is sorted.
-
-        Near blocks are leaf pairs, so a row holds the blocks of its leaf's
-        block row side by side in col order: entry (a, j) of a block at
-        (r0, c0) goes to indptr[r0] + a * (that block row's width) + (the
-        widths of the blocks left of it) + j.
-        """
+        """Z_N, mirrors included, as its canonical CSR matrix: one
+        conversion of the COO that lists each stored and mirrored entry
+        once, in the plan's order."""
+        rows, cols, data = [], [], []
         writes = self.summation.tocsc().indices  # the row product entry p adds into
-        counts = [operand.shape[0] for operand in self.operands]
-        heights = np.repeat([operand.shape[1] for operand in self.operands], counts)
-        widths = np.repeat([operand.shape[2] for operand in self.operands], counts)
-        # each block's first row and col: those of its first product entry and x entry
-        r0 = writes[np.cumsum(heights) - heights]
-        c0 = self.gather[np.cumsum(widths) - widths]
-        # the blocks in (row, col) order: each block row is one run of them
-        order = np.lexsort((c0, r0))
-        new_row = np.diff(r0[order], prepend=-1) != 0
-        firsts, row_of = np.flatnonzero(new_row), np.cumsum(new_row) - 1
-        before = np.cumsum(widths[order]) - widths[order]
-        left, row_width = np.empty_like(widths), np.empty_like(widths)
-        left[order] = before - before[firsts][row_of]
-        row_width[order] = np.add.reduceat(widths[order], firsts)[row_of]
-        indptr = np.zeros(self.n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(writes, np.repeat(widths, heights), self.n).astype(np.int32), out=indptr[1:])
-        base = indptr[r0] + left
-        data = np.empty(indptr[-1], dtype=np.complex128)
-        indices = np.empty(data.size, dtype=np.int32)
-        k = 0
+        start_x = start_y = 0
         for operand in self.operands:
             b, m, n = operand.shape
-            block = slice(k, k + b)
-            dest = (base[block, None] + np.outer(row_width[block], np.arange(m)))[:, :, None] + np.arange(n)
-            data[dest] = operand
-            indices[dest] = (c0[block, None] + np.arange(n, dtype=np.int32))[:, None, :]
-            k += b
-        return sp.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
-
-    def coo(self) -> sp.coo_matrix:
-        """Z_N, mirrors included, as a COO matrix in row order
-        (``csr().tocoo()``); its ``tocsc`` and ``tocsr`` are canonical."""
-        return self.csr().tocoo()
+            # int32, the index type the COO keeps, and laid out like the
+            # operand, so ravelling all three in memory order copies no operand
+            row, col = np.empty_like(operand, dtype=np.int32), np.empty_like(operand, dtype=np.int32)
+            row[...] = writes[start_y : start_y + b * m].reshape(b, m, 1)
+            col[...] = self.gather[start_x : start_x + b * n].reshape(b, 1, n)
+            for parts, array in ((rows, row), (cols, col), (data, operand)):
+                parts.append(array.ravel(order="K"))
+            start_x, start_y = start_x + b * n, start_y + b * m
+        rows, cols, data = (np.concatenate(parts) for parts in (rows, cols, data))
+        return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
 
     def diagonal_blocks(self) -> List[Tuple[int, np.ndarray]]:
         """(row start, view of the block in its stack) of every diagonal
@@ -457,7 +434,8 @@ class HMatrix:
     Its stored entries have one layout: every stored block is kept as it
     is applied, and a mirror is applied from the block it mirrors.
     ``near`` is Z_N (see ``NearField``); it serves the near product and,
-    through ``NearField.csr``, the near factorization in ``scaling``.
+    through ``NearField.csr``, one COO conversion of its plan, the near
+    factorization in ``scaling``.
     ``far`` applies every far level the operator holds, and
     ``level_factors`` maps each of those levels whose blocks hold a rank
     above zero to the part of ``far`` that applies it alone; those are the

@@ -28,11 +28,10 @@ at Q = 2M + 1 equispaced angles, where M is the least integer >= k0*rho
 By Jacobi-Anger, g_t then holds no Fourier order above M but for a tail
 of that size, so an FFT over psi and the Fourier series at the
 observation angles give g_t there; F sums g_t(phi) * exp(+j k0
-r_hat(phi).c_t) over the cells, N*Q + A*G phases for G cells.  The
-binning depends on the mesh alone, so the cells of the mesh binned last
-are kept, without keeping the mesh alive, and its later curves reuse
-them.  The grouped sum runs when the angle count A exceeds Q, the direct
-one otherwise (always for one angle).  The two agree to about 1e-12 of
+r_hat(phi).c_t) over the cells, N*Q + A*G phases for G cells.  Every
+curve of more than one angle bins its mesh afresh.  The grouped sum runs
+when the angle count A exceeds Q, the direct one otherwise (always for
+one angle).  The two agree to about 1e-12 of
 max |F|: 5e-13 on a 1638.4-wavelength strip, whose phases of 1e4 rad
 leave the direct sum itself about 9e-13 from a long-double one, and
 2e-15 on a one-wavelength disk.
@@ -50,9 +49,8 @@ from __future__ import annotations
 
 import csv
 import math
-import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 from scipy.special import h2vp, hankel2, jv, jvp
@@ -165,21 +163,6 @@ class _Cells:
         return 2 * self.max_order + 1
 
 
-# the mesh binned last, held weakly, and its cells
-_binned: Tuple[Callable[[], Optional[Mesh]], Optional[_Cells]] = (lambda: None, None)
-
-
-def _cells_of(mesh: Mesh) -> _Cells:
-    """The cells of ``mesh``: the kept ones when it is the mesh binned
-    last, else a new binning, which is kept in their place."""
-    global _binned
-    ref, cells = _binned
-    if ref() is not mesh:
-        cells = _Cells.of(mesh.centers, mesh.k0)
-        _binned = (weakref.ref(mesh), cells)
-    return cells
-
-
 def _cell_coefficients(cells: _Cells, weights: np.ndarray, k0: float, group: slice) -> np.ndarray:
     """Fourier coefficients (Q x cells, orders 0..M, -M..-1 as the FFT
     gives them) of the signatures of the cells in ``group``; ``weights``
@@ -245,7 +228,8 @@ def bistatic_rcs(
     meshes (exactly the unknowns the kernels solve for).  F is the grouped
     sum of 1-wavelength cell signatures when the angle count exceeds their
     sample count Q, within about 1e-12 of max |F| of the direct sum, and
-    the direct sum otherwise (see the module docstring).  Either forms its
+    the direct sum otherwise (see the module docstring).  Every curve of
+    more than one angle bins the mesh into its cells.  Either forms its
     phases ``RCS_ANGLE_CHUNK`` angles at a time.
     """
     solution = np.asarray(solution, dtype=np.complex128)
@@ -255,7 +239,7 @@ def bistatic_rcs(
     phi = np.deg2rad(angles)
     weights = -KernelSpec.for_mesh(mesh).column_weights * solution
     # Q >= 1, so one angle takes the direct sum without binning the mesh
-    cells = _cells_of(mesh) if angles.size > 1 else None
+    cells = _Cells.of(mesh.centers, mesh.k0) if angles.size > 1 else None
     if cells is not None and angles.size > cells.n_samples:
         factor = _grouped_factor(cells, weights, mesh.k0, phi)
     else:

@@ -571,7 +571,7 @@ def test_non_reciprocal_mesh_stores_every_block_and_mirrors_none():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(h.n) + 1j * rng.standard_normal(h.n)
     assert np.linalg.norm(h.matvec(x) - z @ x) <= 5e-3 * np.linalg.norm(z @ x)
-    assert np.array_equal(h.near.coo().tocsc().toarray(), np.where(near_mask(h), z, 0))
+    assert np.array_equal(h.near.csr().tocsc().toarray(), np.where(near_mask(h), z, 0))
     held = [level for level, pairs in partition.far_pairs.items() if pairs]
     assert len(held) >= 2
     for level in held:
@@ -595,7 +595,7 @@ def test_reciprocal_near_matrix_is_dense_z_on_the_near_pattern(mesh, leaf):
     h = assemble(spec, tree, tol=1e-3)
     assert any(stack.mirrored for stack in h.near.stacks)
     z = hpss.assemble_dense(spec)[np.ix_(tree.permutation, tree.permutation)]
-    zn = h.near.coo().tocsc().toarray()
+    zn = h.near.csr().tocsc().toarray()
     mask = near_mask(h)
     assert np.array_equal(zn[mask].view(np.uint64), z[mask].view(np.uint64))
     assert not np.any(zn[~mask])
@@ -625,7 +625,7 @@ def test_blocks_are_the_operator_storage():
     after = h.near_matvec(x)
     assert not np.allclose(after, before)
     assert np.linalg.norm(after - loop_near_matvec(h, x)) <= 1e-14 * np.linalg.norm(after)
-    zn = h.near.coo().tocsc().toarray()
+    zn = h.near.csr().tocsc().toarray()
     m, n = near.shape
     assert np.array_equal(zn[r0 : r0 + m, c0 : c0 + n], new)
     assert np.array_equal(zn[c0 : c0 + n, r0 : r0 + m], new.T)
@@ -643,10 +643,10 @@ def test_operators_compare_and_hash_by_identity():
 
 @pytest.mark.parametrize("name", ["strip", "disk", "depth-0", "halved-strip"])
 def test_near_matrix_is_the_canonical_csc_of_the_blocks(name, strip_system):
-    """The CSC of ``NearField.coo`` has the same bytes whatever order the
+    """The CSC of ``NearField.csr`` has the same bytes whatever order the
     stored and mirrored blocks are in."""
     h, _ = packed_case(name, strip_system)
-    got = h.near.coo().tocsc()
+    got = h.near.csr().tocsc()
     assert got.has_sorted_indices
     rng = np.random.default_rng(12)
     applied = applied_near_blocks(h)
@@ -671,10 +671,11 @@ def test_near_matrix_is_the_canonical_csc_of_the_blocks(name, strip_system):
 
 @pytest.mark.parametrize("name", ["strip", "disk", "halved-strip"])
 def test_near_coo_converts_to_the_canonical_csr(name, strip_system):
-    """One COO -> CSR conversion gives the arrays the canonical CSC's
-    ``tocsr`` does."""
+    """The one COO -> CSR conversion in ``NearField.csr`` gives the arrays
+    the canonical CSC's ``tocsr`` does."""
     h, _ = packed_case(name, strip_system)
-    got, want = h.near.coo().tocsr(), h.near.coo().tocsc().tocsr()
+    got = h.near.csr()
+    want = got.tocsc().tocsr()
     assert got.has_sorted_indices
     for attr in ("data", "indices", "indptr"):
         assert getattr(got, attr).dtype == getattr(want, attr).dtype
@@ -683,9 +684,9 @@ def test_near_coo_converts_to_the_canonical_csr(name, strip_system):
 
 @pytest.mark.parametrize("name", CASES)
 def test_near_csr_is_the_canonical_csr_the_factorization_reads(name, strip_system, monkeypatch):
-    """``NearField.csr``, built in row order without a sort, has the bytes of
-    the canonical CSR of the applied blocks, and those are the arrays the
-    near factorization reads, as the CSC of Z_N^T."""
+    """``NearField.csr`` has the bytes of the canonical CSR of the applied
+    blocks, and those are the arrays the near factorization reads, as the
+    CSC of Z_N^T."""
     h, _ = packed_case(name, strip_system)
     got = h.near.csr()
     rows, cols, data = [], [], []

@@ -287,27 +287,6 @@ def test_grouped_echo_width_is_byte_deterministic():
     assert first.tobytes() == bistatic_rcs(mesh, x, angles).sigma_db.tobytes()
 
 
-def test_echo_width_bins_a_mesh_once(monkeypatch):
-    """Later curves of one mesh reuse its cells and are byte for byte the
-    curve of a fresh binning; a new mesh is binned anew, and the kept
-    cells keep no mesh alive."""
-    binned = []
-    of = postproc._Cells.of
-    monkeypatch.setattr(postproc._Cells, "of", classmethod(lambda cls, *args: binned.append(1) or of(*args)))
-    angles = np.linspace(0.0, 180.0, 361)
-    mesh = discretize_strip(25.6, 10)
-    x = np.random.default_rng(6).standard_normal(mesh.n_elements) + 1j
-    first = bistatic_rcs(mesh, x, angles).sigma_db
-    for _ in range(2):
-        assert bistatic_rcs(mesh, x, angles).sigma_db.tobytes() == first.tobytes()
-    assert len(binned) == 1
-    other = discretize_strip(25.6, 10)
-    assert bistatic_rcs(other, x, angles).sigma_db.tobytes() == first.tobytes()
-    assert len(binned) == 2
-    del mesh, other
-    assert postproc._binned[0]() is None
-
-
 def test_echo_width_groups_only_above_its_sample_count():
     """Up to Q angles (one among them) the curve is bitwise the direct
     sum; from Q + 1 on it is the grouped sum."""

@@ -183,5 +183,5 @@ def test_factored_near_field_is_read_only():
 def test_minimum_degree_fills_no_more_than_colamd(mesh, leaf):
     h = assembled(mesh, leaf)
     factor = compute_scaling(h, np.ones(h.n, dtype=np.complex128)).near.factorization
-    colamd = splu(h.near.coo().tocsc(), permc_spec="COLAMD")
+    colamd = splu(h.near.csr().tocsc(), permc_spec="COLAMD")
     assert factor.L.nnz + factor.U.nnz <= colamd.L.nnz + colamd.U.nnz
